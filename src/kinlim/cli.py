@@ -147,12 +147,12 @@ def cmd_simulate_spde(args) -> int:
         for name, _ in xi:
             header += [f"{name}_q{q}" for q in (10, 50, 90)]
         writer.writerow(header)
+        # modes (k, 0, ...) along the forced axis
+        axis_modes = (slice(0, n_modes),) + (0,) * (grid.dim - 1)
         for i, t in enumerate(res.times):
-            flat_mean = res.mean_hat[i].reshape(-1)
-            flat_var = res.var_hat[i].reshape(-1)
             row = [f"{t:.10g}"]
-            row += [f"{flat_mean[k].real:.10g}" for k in range(n_modes)]
-            row += [f"{flat_var[k]:.10g}" for k in range(n_modes)]
+            row += [f"{m.real:.10g}" for m in res.mean_hat[i][axis_modes]]
+            row += [f"{v:.10g}" for v in res.var_hat[i][axis_modes]]
             for j in range(len(xi)):
                 qs = np.percentile(res.samples[i][:, j], [10, 50, 90])
                 row += [f"{q:.10g}" for q in qs]

@@ -8,14 +8,13 @@ pure function of (config, seed).
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats
 
 from . import __version__
-from .coefficients import (HydroCoefficients, CovOperator,
+from .coefficients import (COLLISION_FACTOR, CovOperator, HydroCoefficients,
                            check_sympos_identity,
                            closed_form_two_point_diffusion,
                            coefficients_from_csv, coefficients_to_csv,
@@ -23,18 +22,19 @@ from .coefficients import (HydroCoefficients, CovOperator,
                            spectrum_from_csv, spectrum_to_csv,
                            verify_enhancement)
 from .config import ExperimentConfig, RunManifest
-from .equilibrium import (FP, LB, equilibrium_mean_velocity,
-                          gaussian_identities_check, invariant_solution,
+from .equilibrium import (FP, LB, gaussian_identities_check,
+                          invariant_solution, path_weighted_integral,
                           profile_moments)
-from .forcing import (ForceFieldModel, generate_path, ou_single_mode,
-                      resolvent_apply, resolvent_r1r0_apply,
-                      sample_stationary, two_point_renewal)
-from .kinetic import (KineticRunConfig, functional_samples, moments,
-                      run_rescaled, step_micro, make_ensemble)
+from .forcing import (ForceFieldModel, constant_two_point_renewal,
+                      generate_path, ou_single_mode, resolvent_apply,
+                      resolvent_r1r0_apply, sample_stationary,
+                      two_point_renewal)
+from .kinetic import (KineticRunConfig, functional_samples, make_ensemble,
+                      step_micro)
 from .rng import substream
 from .spde import (mean_equation_solve, quadratic_variation_check,
                    run_ensemble)
-from .torus import TorusField, TorusGrid, pairing, sobolev_norm
+from .torus import TorusField, TorusGrid, pairing
 
 
 def build_model(cfg: ExperimentConfig) -> ForceFieldModel:
@@ -146,6 +146,19 @@ def _monotone_with_slack(gaps, ses):
     return ok
 
 
+def _ks_statistic(a, b) -> float:
+    """Two-sample KS statistic; 0 when both samples are the same point mass.
+
+    Spreads and gaps within 1e-12 of the sample scale count as rounding
+    (a mass functional sums thousands of weights on one side and a spectral
+    mean on the other, so the two point masses differ by ~1e-16).
+    """
+    scale = 1e-12 * max(np.max(np.abs(a)), np.max(np.abs(b)), 1.0)
+    if max(np.ptp(a), np.ptp(b), abs(a[0] - b[0])) <= scale:
+        return 0.0
+    return float(stats.ks_2samp(a, b).statistic)
+
+
 def convergence_study(cfg: ExperimentConfig, coeffs: HydroCoefficients,
                       cov: CovOperator, n_workers: int = None
                       ) -> ConvergenceReport:
@@ -195,14 +208,8 @@ def convergence_study(cfg: ExperimentConfig, coeffs: HydroCoefficients,
     var_gap_se = np.sqrt(
         (kv_raw * np.sqrt(2.0 / max(cfg.n_realizations - 1, 1))) ** 2
         + (sv * np.sqrt(2.0 / max(cfg.n_spde_realizations - 1, 1))) ** 2)
-    ks = np.empty((n_eps, n_xi))
-    for i in range(n_eps):
-        for j in range(n_xi):
-            if np.ptp(kin_samples[i][:, j]) + np.ptp(spde_samples[:, j]) == 0:
-                ks[i, j] = 0.0
-            else:
-                ks[i, j] = stats.ks_2samp(kin_samples[i][:, j],
-                                          spde_samples[:, j]).statistic
+    ks = np.array([[_ks_statistic(kin_samples[i][:, j], spde_samples[:, j])
+                    for j in range(n_xi)] for i in range(n_eps)])
     # the mass functional is a point mass on both sides; exclude it from the
     # trend check (its gap is identically ~ 0)
     nontrivial = [j for j, name in enumerate(xi_names) if name != "one"]
@@ -215,7 +222,15 @@ def convergence_study(cfg: ExperimentConfig, coeffs: HydroCoefficients,
                              ks, mean_ok, var_ok)
 
 
-# -- identity validation suite ---------------------------------------------------------
+# -- identity checks: acceptance criteria 1-9 ---------------------------------------
+#
+# One implementation per criterion.  Each check takes its sample sizes, its
+# bounds and its seed from the caller and draws from the streams
+# (seed, 1..5, ...) and seed + 6 .. seed + 9, so `validation_suite` (desk
+# sizes) and the acceptance tests (pinned sizes) run the same code.
+# Tolerances that absorb rounding or a fixed discretisation error do not
+# depend on the sample size; they are the same for every caller and fixed
+# here.
 
 
 @dataclass
@@ -250,222 +265,278 @@ class ValidationReport:
         return out
 
 
-def check_gaussian_identities(seed=0, n_shifts=6) -> CheckResult:
-    rng = substream(seed, 61)
-    worst = 0.0
-    for _ in range(n_shifts):
-        w = rng.uniform(-3, 3, size=1)
-        z = rng.uniform(-3, 3, size=1)
-        rep = gaussian_identities_check(w, z)
-        worst = max(worst, rep.max_rel_error)
-        if not rep.l1_bound_holds:
-            return CheckResult("gaussian identities", False, rep.l1_distance,
-                               rep.l1_bound, "L1 bound violated")
-    return CheckResult("gaussian identities", worst < 1e-6, worst, 1e-6,
-                       f"{n_shifts} random shifts")
+def check_gaussian_identities(n_shifts, bound, seed) -> list:
+    """Criterion 1: Gaussian norm identities and the L1 bound at random
+    shifts w, z in [-3, 3]."""
+    rng = substream(seed, 1)
+    reps = [gaussian_identities_check(rng.uniform(-3.0, 3.0, size=1),
+                                      rng.uniform(-3.0, 3.0, size=1))
+            for _ in range(n_shifts)]
+    worst = max(r.max_rel_error for r in reps)
+    excess = max(r.l1_distance - r.l1_bound for r in reps)
+    return [CheckResult("gaussian identities", worst < bound, worst, bound,
+                        f"max relative error, {n_shifts} random shifts"),
+            CheckResult("gaussian L1 bound",
+                        all(r.l1_bound_holds for r in reps), excess, 1e-9,
+                        "max of L1 distance - bound")]
 
 
-def check_resolvent_closed_forms(model: ForceFieldModel, seed=0) -> CheckResult:
-    s = sample_stationary(model, substream(seed, 62))
+def check_resolvent_closed_forms(model: ForceFieldModel, seed) -> list:
+    """Criterion 2: R0(e) = e, R1(e) = e/2 and R1 R0 = R0 - R1, exactly."""
+    s = sample_stationary(model, substream(seed, 2))
     e = s.field.physical()
     r0 = resolvent_apply(model, 0.0, s).physical()
     r1 = resolvent_apply(model, 1.0, s).physical()
     r10 = resolvent_r1r0_apply(model, s).physical()
     worst = max(np.max(np.abs(r0 - e)), np.max(np.abs(r1 - 0.5 * e)),
                 np.max(np.abs(r10 - (r0 - r1))))
-    return CheckResult("renewal resolvents", worst == 0.0, worst, 0.0,
-                       "closed forms and resolvent identity, exact")
+    return [CheckResult("renewal resolvents", worst == 0.0, worst, 0.0,
+                        "closed forms and resolvent identity, exact")]
 
 
-def check_moment_evolution(grid: TorusGrid, amplitude: float, collision: str,
-                           n_particles=40_000, seed=0) -> CheckResult:
-    """Total current against the relaxation formula; the identity holds for
-    space-homogeneous forcing, so a constant-field two-point law is used."""
-    from .equilibrium import path_weighted_integral
-    from .forcing import constant_two_point_renewal
+def check_moment_evolution(grid: TorusGrid, amplitude: float, n_particles,
+                           dt, n_sigma, dt_allowance, seed) -> list:
+    """Criterion 3: total current J(t) against the relaxation formula
+    e^-t int_0^t e^s E(s) ds at five checkpoints, for both collisions.
+
+    The identity holds for space-homogeneous forcing, so a constant-field
+    two-point law is used.  Observed is the worst
+    (|J - formula| - dt_allowance dt max|a|) / se; the allowance absorbs
+    the O(dt) splitting bias.
+    """
     model = constant_two_point_renewal(grid, amplitude)
-    micro_t, dt = 2.0, 0.004
-    path = generate_path(model, micro_t + 0.1, seed=substream(seed, 63))
-    rng = substream(seed, 64)
-    rho0 = TorusField.constant(grid, 1.0)
-    ens = make_ensemble(rho0, n_particles, 1.0, rng)
-    x0 = np.zeros((1, grid.dim))
+    micro_t = 2.0
     n_steps = int(round(micro_t / dt))
-    checks = {int(round(f * n_steps)) for f in (0.2, 0.4, 0.6, 0.8, 1.0)}
-    worst = 0.0
-    for step in range(1, n_steps + 1):
-        ens = step_micro(ens, path, dt, rng, collision)
-        if step in checks:
-            t = step * dt
-            drift = np.exp(-t) * path_weighted_integral(path, x0, 1.0,
-                                                        0.0, t)[0, 0]
-            observed = float(np.sum(ens.weights[:, None] * ens.velocities))
-            se = ens.velocities.std() / np.sqrt(n_particles)
-            tol = 3 * se + 2 * dt * np.max(np.abs(model.atoms[0].physical()))
-            worst = max(worst, abs(observed - drift) / tol)
-    return CheckResult(f"moment evolution ({collision})", worst <= 1.0,
-                       worst, 1.0, "|J(t) - formula| / tolerance, 5 checkpoints")
+    checkpoints = {int(round(f * n_steps)) for f in (0.2, 0.4, 0.6, 0.8, 1.0)}
+    x0 = np.zeros((1, grid.dim))
+    allowance = dt_allowance * dt * np.max(np.abs(model.atoms[0].physical()))
+    out = []
+    for ci, collision in enumerate((LB, FP)):
+        path = generate_path(model, micro_t + 0.1, seed=substream(seed, 3, ci))
+        rng = substream(seed, 4, ci)
+        ens = make_ensemble(TorusField.constant(grid, 1.0), n_particles, 1.0,
+                            rng)
+        worst = -np.inf
+        for step in range(1, n_steps + 1):
+            ens = step_micro(ens, path, dt, rng, collision)
+            if step in checkpoints:
+                t = step * dt
+                formula = np.exp(-t) * path_weighted_integral(
+                    path, x0, 1.0, 0.0, t)[0, 0]
+                current = float(np.sum(ens.weights[:, None] * ens.velocities))
+                se = ens.velocities.std() / np.sqrt(n_particles)
+                worst = max(worst, (abs(current - formula) - allowance) / se)
+        out.append(CheckResult(
+            f"moment evolution ({collision})", worst < n_sigma, worst,
+            n_sigma, f"(|J(t) - formula| - {dt_allowance:g} dt max|a|) / se"))
+    return out
 
 
-def check_invariant_second_moment(model: ForceFieldModel, collision: str,
-                                  n_paths=2000, seed=0,
-                                  x_val=0.2) -> CheckResult:
-    grid = model.grid
-    b = {LB: 2.0, FP: 1.0}[collision]
+def check_invariant_second_moment(model: ForceFieldModel, amplitude: float,
+                                  mode: int, n_paths, n_sigma, seed,
+                                  x_val=0.2) -> list:
+    """Criterion 4: E[K] of the invariant profile at x against
+    1 + (b/2) a^2 cos^2(2 pi k x) for the two-point law, both collisions."""
     v_grid = np.linspace(-8.0, 8.0, 257)
-    x = np.zeros((1, grid.dim))
+    x = np.zeros((1, model.grid.dim))
     x[0, 0] = x_val
-    second = np.empty(n_paths)
-    for p in range(n_paths):
-        path = generate_path(model, 20.0, seed=substream(seed, 65, p),
-                             t_start=-20.0)
-        prof = invariant_solution(path, collision, x, v_grid)
-        _, _, k = profile_moments(prof, v_grid)
-        second[p] = k[0, 0]
-    amp = model.atoms[0].eval_at(x)[0, 0]
-    expected = 1.0 + (b / 2) * amp**2
-    se = second.std(ddof=1) / np.sqrt(n_paths)
-    gap = abs(second.mean() - expected)
-    return CheckResult(f"invariant second moment ({collision})",
-                       gap < 3 * se, gap, 3 * se,
-                       f"E[K] vs 1 + (b/2) a^2 cos^2 at x={x_val}")
+    out = []
+    for ci, collision in enumerate((LB, FP)):
+        second = np.empty(n_paths)
+        for p in range(n_paths):
+            path = generate_path(model, 20.0, seed=substream(seed, 5, ci, p),
+                                 t_start=-20.0)
+            prof = invariant_solution(path, collision, x, v_grid)
+            second[p] = profile_moments(prof, v_grid)[2][0, 0]
+        b = COLLISION_FACTOR[collision]
+        expected = 1.0 + (b / 2) * (
+            amplitude * np.cos(2 * np.pi * mode * x_val)) ** 2
+        se = second.std(ddof=1) / np.sqrt(n_paths)
+        sigmas = abs(second.mean() - expected) / se
+        out.append(CheckResult(
+            f"invariant second moment ({collision})", sigmas < n_sigma,
+            sigmas, n_sigma,
+            f"|E[K] - 1 - (b/2) a^2 cos^2| / se at x={x_val}, {n_paths} paths"))
+    return out
 
 
-def check_sympos(model: ForceFieldModel, seed=0, n_paths=4000) -> CheckResult:
+def check_sympos(model: ForceFieldModel, n_paths, n_mc, n_sigma,
+                 seed) -> list:
+    """Criterion 5: the resolvent-covariance identity at delta = 1."""
     rep = check_sympos_identity(model, delta=1.0, n_paths=n_paths,
-                                n_mc=500, seed=seed)
-    return CheckResult("resolvent-covariance identity (delta=1)",
-                       rep.max_sigma_distance < 3.0,
-                       rep.max_sigma_distance, 3.0,
-                       "max |lhs - rhs| in combined sigmas")
+                                n_mc=n_mc, seed=seed + 6)
+    return [CheckResult("resolvent-covariance identity (delta=1)",
+                        rep.max_sigma_distance < n_sigma,
+                        rep.max_sigma_distance, n_sigma,
+                        "max |lhs - rhs| in combined sigmas")]
 
 
 def check_cov_operator(model: ForceFieldModel, cov: CovOperator,
-                       amplitude: float) -> CheckResult:
-    sym_gap = float(np.max(np.abs(cov.kernel - cov.kernel.T)))
+                       amplitude: float, mode: int, n_sigma,
+                       trace_slack) -> list:
+    """Criterion 6: kernel symmetric and nonnegative, trace <= N R, and the
+    leading pair a^2/2, sqrt(2) cos(2 pi k x_0) of the two-point law."""
     grid = cov.grid
-    eigs = np.linalg.eigvalsh(cov.kernel / grid.size)
-    ok = sym_gap < 1e-10 and eigs.min() >= -cov.tol_eig \
-        and cov.trace <= grid.dim * model.norm_bound + 1e-12
-    detail = (f"sym {sym_gap:.1e}, min eig {eigs.min():.1e}, "
-              f"trace {cov.trace:.4g}")
-    if cov.rank >= 1:
-        lam_gap = abs(cov.eigenvalues[0] - amplitude**2 / 2)
-        ok = ok and lam_gap < 3 * cov.kernel_stderr + 1e-10
+    sym_gap = float(np.max(np.abs(cov.kernel - cov.kernel.T)))
+    min_eig = float(np.linalg.eigvalsh(cov.kernel / grid.size).min())
+    trace_bound = grid.dim * model.norm_bound + trace_slack
+    lam_gap = abs((cov.eigenvalues[0] if cov.rank else 0.0) - amplitude**2 / 2)
+    lam_tol = n_sigma * cov.kernel_stderr + 1e-10
+    out = [CheckResult("covariance kernel symmetry", sym_gap < 1e-10,
+                       sym_gap, 1e-10),
+           CheckResult("covariance kernel nonnegative",
+                       min_eig >= -cov.tol_eig, min_eig, -cov.tol_eig,
+                       "min eigenvalue"),
+           CheckResult("covariance trace <= N R", cov.trace <= trace_bound,
+                       cov.trace, trace_bound),
+           CheckResult("leading eigenvalue a^2/2", lam_gap < lam_tol,
+                       lam_gap, lam_tol)]
+    if cov.rank:
         target = np.sqrt(2) * np.cos(
-            2 * np.pi * grid.coords()[0]).reshape(-1)
-        z = cov.eigenfields[0].physical().reshape(-1)[: grid.size]
+            2 * np.pi * mode * grid.coords()[0]).reshape(-1)
+        z = cov.eigenfields[0].physical()[0].reshape(-1)
         corr = abs(float(np.dot(z, target))
                    / (np.linalg.norm(z) * np.linalg.norm(target)))
-        ok = ok and corr > 0.999
-        detail += f", lambda1 gap {lam_gap:.1e}, corr {corr:.5f}"
-    return CheckResult("covariance operator spectrum", ok,
-                       sym_gap, 1e-10, detail)
+        out.append(CheckResult("leading eigenfield", corr > 0.999, corr,
+                               0.999, "correlation with sqrt(2) cos"))
+    return out
 
 
 def check_coefficients_closed_form(coeffs: HydroCoefficients,
-                                   amplitude: float, mode: int) -> CheckResult:
-    """Stored diffusion values against the enumeration for the stored label.
+                                   amplitude: float, mode: int,
+                                   tolerance) -> list:
+    """Criterion 7: stored diffusion values against the two-atom enumeration
+    for the stored label.  `tolerance` maps the per-entry standard errors to
+    the allowed gap, per entry or as one number.
 
     A relabelled field (values computed for one collision kind, flagged as
     the other) fails here: the b-dependent term differs by a^2/2 E[e x e].
     """
-    grid = coeffs.diffusion.grid
-    oracle = closed_form_two_point_diffusion(amplitude, mode,
-                                             coeffs.collision, grid)
-    tol = 3 * float(np.max(coeffs.diffusion_stderr)) + 1e-9
-    gap = float(np.max(np.abs(coeffs.diffusion.values - oracle.values)))
-    return CheckResult(f"diffusion closed form ({coeffs.collision})",
-                       gap <= tol, gap, tol, "two-atom enumeration")
+    oracle = closed_form_two_point_diffusion(amplitude, mode, coeffs.collision,
+                                             coeffs.diffusion.grid)
+    excess = float(np.max(np.abs(coeffs.diffusion.values - oracle.values)
+                          - tolerance(coeffs.diffusion_stderr)))
+    return [CheckResult(f"diffusion closed form ({coeffs.collision})",
+                        excess <= 0.0, excess, 0.0,
+                        "max of |K - enumeration| - tolerance")]
 
 
-def check_enhancement(coeffs, cov) -> CheckResult:
+def check_enhancement(coeffs: HydroCoefficients, cov: CovOperator,
+                      strato_bound) -> list:
+    """Criteria 7 and 8: K - Id and K - Id - sum phi phi^T nonnegative at
+    every grid point, the Ito/Stratonovich split consistent, and for
+    velocity diffusion the Stratonovich matrix within strato_bound of Id."""
     rep = verify_enhancement(coeffs, cov)
-    detail = (f"min eig K-Id {rep.min_eig_over_base:.2e}, "
-              f"min eig K-Id-noise {rep.min_eig_over_noise:.2e}, "
-              f"split gap {rep.consistency_gap:.2e}")
-    if coeffs.collision == FP:
-        strato_dev = float(np.max(np.abs(
-            rep.strato_diffusion.values[0, 0] - 1.0)))
-        detail += f", strato deviation {strato_dev:.1e}"
-        return CheckResult("enhancement + strato degeneracy",
-                           rep.passed and strato_dev < 1e-12,
-                           strato_dev, 1e-12, detail)
-    return CheckResult("enhancement inequalities", rep.passed,
-                       rep.consistency_gap, rep.tolerance, detail)
+    c, tol = coeffs.collision, rep.tolerance
+    out = [CheckResult(f"K - Id nonnegative ({c})",
+                       rep.min_eig_over_base >= -tol, rep.min_eig_over_base,
+                       -tol, "min eigenvalue"),
+           CheckResult(f"K - Id - noise nonnegative ({c})",
+                       rep.min_eig_over_noise >= -tol,
+                       rep.min_eig_over_noise, -tol, "min eigenvalue"),
+           CheckResult(f"Ito/Stratonovich split ({c})",
+                       rep.consistency_gap <= tol, rep.consistency_gap, tol)]
+    if c == FP:
+        dev = float(np.max(np.abs(rep.strato_diffusion.values[0, 0] - 1.0)))
+        out.append(CheckResult("Stratonovich degeneracy (fp)",
+                               dev <= strato_bound, dev, strato_bound,
+                               "max |K_strato - Id|"))
+    return out
 
 
-def check_spde_suite(coeffs, cov, seed=0) -> list:
+def check_spde_suite(coeffs: HydroCoefficients, cov: CovOperator, n_qv,
+                     qv_bound, seed) -> list:
+    """Criterion 9: heat-equation oracle, mass at every checkpoint,
+    linearity under shared noise, and the quadratic variation of <rho, xi>
+    over n_qv realizations."""
     grid = coeffs.diffusion.grid
-    out = []
-    # heat oracle with identity diffusion
+    n = grid.dim
     ident = HydroCoefficients(
         closed_form_two_point_diffusion(0.0, 1, coeffs.collision, grid),
         TorusField.zeros(grid, 1), coeffs.collision,
         coeffs.collision_factor, TorusField.zeros(grid, 2),
-        np.zeros((grid.dim, grid.dim) + grid.shape),
-        np.zeros((grid.dim,) + grid.shape), coeffs.n_mc)
+        np.zeros((n, n) + grid.shape), np.zeros((n,) + grid.shape), 1)
     rho0 = TorusField.from_function(
         grid, 0, lambda *xs: 1.0 + np.cos(2 * np.pi * xs[0]))
     sol = mean_equation_solve(ident, rho0, 0.05, 1e-5)
     expected = 0.5 * np.exp(-4 * np.pi**2 * 0.05)
-    rel = abs(abs(sol.spectrum()[(1,) + (0,) * (grid.dim - 1)]) - expected) \
+    heat_rel = abs(abs(sol.spectrum()[(1,) + (0,) * (n - 1)]) - expected) \
         / expected
-    out.append(CheckResult("heat-equation oracle", rel < 1e-4, rel, 1e-4))
-    # mass and linearity under shared noise
-    res = run_ensemble(coeffs, cov, rho0, 0.005, 1e-5, 4, seed=seed + 1,
-                       xi_fields=[TorusField.constant(grid, 1.0)])
-    mass_dev = float(np.max(np.abs(res.samples[-1][:, 0]
-                                   - pairing(rho0, TorusField.constant(grid, 1.0)))))
-    out.append(CheckResult("mass conservation", mass_dev < 1e-10,
-                           mass_dev, 1e-10))
+
+    one = TorusField.constant(grid, 1.0)
+    res = run_ensemble(coeffs, cov, rho0, 0.005, 1e-5, 4, seed=seed + 7,
+                       xi_fields=[one])
+    mass_dev = float(np.max(np.abs(res.samples[:, :, 0]
+                                   - pairing(rho0, one))))
+
     rho_b = TorusField.from_function(
-        grid, 0, lambda *xs: 0.3 + 0.2 * np.sin(2 * np.pi * xs[0]))
-    ra = run_ensemble(coeffs, cov, rho0, 0.005, 1e-5, 4, seed=seed + 2)
-    rb = run_ensemble(coeffs, cov, rho_b, 0.005, 1e-5, 4, seed=seed + 2)
-    rc = run_ensemble(coeffs, cov, 2.0 * rho0 + (-0.5) * rho_b,
-                      0.005, 1e-5, 4, seed=seed + 2)
-    lin_gap = float(np.max(np.abs(
-        rc.mean_hat[-1] - 2.0 * ra.mean_hat[-1] + 0.5 * rb.mean_hat[-1])))
-    out.append(CheckResult("linearity under shared noise", lin_gap < 1e-10,
-                           lin_gap, 1e-10))
+        grid, 0, lambda *xs: 0.4 - 0.2 * np.sin(2 * np.pi * xs[0]))
+    kw = dict(horizon=0.005, dt=1e-5, n_realizations=4, seed=seed + 8)
+    ra = run_ensemble(coeffs, cov, rho0, **kw)
+    rb = run_ensemble(coeffs, cov, rho_b, **kw)
+    rc = run_ensemble(coeffs, cov, 2.0 * rho0 + (-1.0) * rho_b, **kw)
+    lin_dev = float(np.max(np.abs(
+        rc.mean_hat[-1] - 2.0 * ra.mean_hat[-1] + rb.mean_hat[-1])))
+
     xi = TorusField.from_function(
         grid, 0, lambda *xs: np.sin(2 * np.pi * xs[0]) / (2 * np.pi))
-    qv = quadratic_variation_check(coeffs, cov,
-                                   TorusField.constant(grid, 1.0), xi,
-                                   0.005, 1e-5, 128, seed=seed + 3)
-    out.append(CheckResult("quadratic variation", qv.mean_relative_gap < 0.10,
-                           qv.mean_relative_gap, 0.10))
-    return out
+    qv = quadratic_variation_check(coeffs, cov, one, xi, 0.005, 1e-5, n_qv,
+                                   seed=seed + 9)
+    return [CheckResult("heat-equation oracle", heat_rel < 1e-4, heat_rel,
+                        1e-4, "relative error of the decaying mode"),
+            CheckResult("mass conservation", mass_dev < 1e-10, mass_dev,
+                        1e-10, "every checkpoint"),
+            CheckResult("linearity under shared noise", lin_dev < 1e-10,
+                        lin_dev, 1e-10),
+            CheckResult("quadratic variation", qv.mean_relative_gap < qv_bound,
+                        qv.mean_relative_gap, qv_bound,
+                        f"mean relative gap, {n_qv} realizations")]
 
 
 def validation_suite(cfg: ExperimentConfig) -> ValidationReport:
-    """Run every closed-form identity check at desk scale."""
+    """Run the checks of acceptance criteria 1-9 at desk sizes."""
     cfg.validate()
     grid = TorusGrid(cfg.dim, cfg.grid_m)
     model = build_model(cfg)
+    seed, amp, mode = cfg.seed, cfg.amplitude, cfg.mode
+    coeffs = {c: compute_coefficients(model, c, grid, cfg.n_mc, seed=seed)
+              for c in (LB, FP)}
+    cov = compute_cov_operator(model, grid, cfg.n_mc, seed=seed)
+    # (two-point law only, check, desk sizes and bounds), criteria 1-9
+    table = [
+        (False, check_gaussian_identities,
+         dict(n_shifts=6, bound=1e-6, seed=seed)),
+        (True, check_resolvent_closed_forms, dict(model=model, seed=seed)),
+        (False, check_moment_evolution,
+         dict(grid=grid, amplitude=amp,
+              n_particles=min(cfg.n_particles * 2, 40_000), dt=0.004,
+              n_sigma=3.0, dt_allowance=2.0, seed=seed)),
+        (True, check_invariant_second_moment,
+         dict(model=model, amplitude=amp, mode=mode,
+              n_paths=max(cfg.n_paths // 5, 200), n_sigma=3.0, seed=seed)),
+        (True, check_sympos,
+         dict(model=model, n_paths=max(cfg.n_paths // 3, 500), n_mc=500,
+              n_sigma=3.0, seed=seed)),
+        (False, check_cov_operator,
+         dict(model=model, cov=cov, amplitude=amp, mode=mode, n_sigma=3.0,
+              trace_slack=1e-12)),
+    ]
+    for c in (LB, FP):
+        table += [
+            (True, check_coefficients_closed_form,
+             dict(coeffs=coeffs[c], amplitude=amp, mode=mode,
+                  tolerance=lambda se: 3 * np.max(se) + 1e-9)),
+            (False, check_enhancement,
+             dict(coeffs=coeffs[c], cov=cov, strato_bound=1e-12)),
+        ]
+    table.append((False, check_spde_suite,
+                  dict(coeffs=coeffs[cfg.collision], cov=cov, n_qv=128,
+                       qv_bound=0.10, seed=seed)))
+    renewal = cfg.model_kind == "renewal"
     report = ValidationReport()
-    report.checks.append(check_gaussian_identities(seed=cfg.seed))
-    if cfg.model_kind == "renewal":
-        report.checks.append(check_resolvent_closed_forms(model, cfg.seed))
-        report.checks.append(check_sympos(
-            model, seed=cfg.seed, n_paths=max(cfg.n_paths // 3, 500)))
-    for collision in (LB, FP):
-        report.checks.append(check_moment_evolution(
-            grid, cfg.amplitude, collision,
-            n_particles=min(cfg.n_particles * 2, 40_000), seed=cfg.seed))
-        report.checks.append(check_invariant_second_moment(
-            model, collision, n_paths=max(cfg.n_paths // 5, 200),
-            seed=cfg.seed))
-    coeffs = compute_coefficients(model, cfg.collision, grid, cfg.n_mc,
-                                  seed=cfg.seed)
-    cov = compute_cov_operator(model, grid, cfg.n_mc, seed=cfg.seed)
-    report.checks.append(check_cov_operator(model, cov, cfg.amplitude))
-    if cfg.model_kind == "renewal":
-        report.checks.append(check_coefficients_closed_form(
-            coeffs, cfg.amplitude, cfg.mode))
-    report.checks.append(check_enhancement(coeffs, cov))
-    report.checks.extend(check_spde_suite(coeffs, cov, seed=cfg.seed))
+    for two_point_only, check, kwargs in table:
+        if renewal or not two_point_only:
+            report.checks.extend(check(**kwargs))
     report.diagnostics.append(_equilibration_gap_diagnostic(cfg, model))
     return report
 

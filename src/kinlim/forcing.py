@@ -103,9 +103,6 @@ class ForceFieldModel:
     def _draw_atom_index(self, rng) -> int:
         return int(rng.choice(len(self.atoms), p=self.weights))
 
-    def is_trivial(self) -> bool:
-        return self.kind == RENEWAL and \
-            all(np.max(np.abs(a.physical())) == 0.0 for a in self.atoms)
 
 
 def two_point_renewal(grid: TorusGrid, amplitude: float, mode: int = 1,
@@ -393,32 +390,3 @@ def estimate_stationary_covariance(model: ForceFieldModel, lag: float,
 def _path_rng(seed, index: int):
     from .rng import substream
     return substream(int(seed), 7, int(index))
-
-
-def path_to_csv(path: ForcePath, file, kmax: int = 4) -> None:
-    """One row per segment: start time, jump flag, Fourier coefficients.
-
-    Coefficients are the field components' modes with |k| <= kmax along the
-    first axis (real and imaginary parts), enough to reconstruct the
-    band-limited default atoms exactly.
-    """
-    import csv as _csv
-
-    grid = path.model.grid
-    ks = [k for k in range(-kmax, kmax + 1)]
-    with open(file, "w", newline="") as fh:
-        fh.write(f"# dim={grid.dim} m={grid.m} kmax={kmax}\n")
-        writer = _csv.writer(fh)
-        header = ["time", "jump"]
-        for c in range(grid.dim):
-            for k in ks:
-                header += [f"c{c}_k{k}_re", f"c{c}_k{k}_im"]
-        writer.writerow(header)
-        for i, sample in enumerate(path.samples):
-            coef = sample.field.spectrum()
-            row = [f"{path.times[i]:.12g}", int(path.jump_flags[i])]
-            for c in range(grid.dim):
-                for k in ks:
-                    val = coef[(c, k) + (0,) * (grid.dim - 1)]
-                    row += [f"{val.real:.12g}", f"{val.imag:.12g}"]
-            writer.writerow(row)

@@ -30,33 +30,10 @@ import numpy as np
 
 from .coefficients import CovOperator, HydroCoefficients
 from .rng import substream
-from .torus import TorusField, TorusGrid, divergence, sobolev_norm
+from .torus import TorusField, TorusGrid, divergence
 
 ITO = "ito"
 STRATONOVICH = "stratonovich"
-
-
-@dataclass
-class SpdeState:
-    rho: TorusField
-    time: float
-    mode_cutoff: int
-    dt: float
-    noise_rank: int
-
-
-@dataclass
-class NoiseIncrement:
-    """Standard normals for one step, a pure function of (seed, step)."""
-
-    gaussians: np.ndarray
-    seed: int
-    step: int
-
-
-def make_noise_increment(seed: int, step: int, rank: int) -> NoiseIncrement:
-    g = substream(seed, 31, step).standard_normal(rank)
-    return NoiseIncrement(g, seed, step)
 
 
 def stability_limit(coeffs: HydroCoefficients) -> float:
@@ -199,23 +176,6 @@ class SpdeStepper:
         else:
             noise = np.zeros_like(det)
         return det, noise
-
-
-def step_spde(state: SpdeState, coeffs: HydroCoefficients, cov: CovOperator,
-              seed: int) -> SpdeState:
-    """Single Ito step of the state; noise keyed by (seed, step index)."""
-    stepper = SpdeStepper(coeffs, cov, state.dt, state.mode_cutoff)
-    coef = state.rho.spectrum()
-    if not np.all(np.isfinite(coef)):
-        raise ValueError("state spectrum contains NaN or Inf")
-    step_index = int(round(state.time / state.dt))
-    inc = make_noise_increment(seed, step_index, stepper.noise_rank)
-    new_coef = stepper.step_hat(coef, inc.gaussians)
-    if not np.all(np.isfinite(new_coef)):
-        raise ValueError("step produced NaN or Inf in the spectrum")
-    rho = TorusField(state.rho.grid, 0, new_coef, space="spectral").to_physical()
-    return SpdeState(rho, state.time + state.dt, state.mode_cutoff, state.dt,
-                     stepper.noise_rank)
 
 
 def mean_equation_solve(coeffs: HydroCoefficients, rho_in: TorusField,
@@ -361,7 +321,3 @@ def _gradient_fields(xi: TorusField):
 def _xi_functional(stepper: SpdeStepper, coef, xi: TorusField, gaxes):
     phys = stepper.to_physical(coef)
     return (phys * xi.physical()).mean(axis=gaxes)
-
-
-def hminus1_distance(a: TorusField, b: TorusField) -> float:
-    return sobolev_norm(a - b, -1.0)

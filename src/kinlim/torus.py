@@ -13,9 +13,6 @@ across workers.
 
 from __future__ import annotations
 
-import csv
-import io
-
 import numpy as np
 
 _RANK_NAMES = {0: "scalar", 1: "vector", 2: "matrix"}
@@ -339,44 +336,3 @@ def inner(f: TorusField, g: TorusField) -> float:
     if f.grid != g.grid or f.rank != g.rank:
         raise ValueError("inner requires matching fields")
     return float(np.sum(f.physical() * g.physical()) / f.grid.size)
-
-
-# -- serialization -----------------------------------------------------------
-
-
-def field_to_csv(f: TorusField, path) -> None:
-    """One row per grid point: coordinates then component values."""
-    f = f.to_physical()
-    n = f.grid.dim
-    coords = [c.ravel() for c in f.grid.coords()]
-    comp = f.values.reshape((-1, f.grid.size)) if f.rank else \
-        f.values.reshape((1, f.grid.size))
-    header = [f"x{i}" for i in range(n)]
-    if f.rank == 0:
-        header += ["value"]
-    elif f.rank == 1:
-        header += [f"c{i}" for i in range(n)]
-    else:
-        header += [f"c{i}{j}" for i in range(n) for j in range(n)]
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# rank={_RANK_NAMES[f.rank]} dim={n} m={f.grid.m}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for p in range(f.grid.size):
-            writer.writerow([f"{coords[i][p]:.16g}" for i in range(n)]
-                            + [f"{comp[c][p]:.16g}" for c in range(comp.shape[0])])
-
-
-def field_from_csv(path) -> TorusField:
-    with open(path) as fh:
-        meta = fh.readline().strip()
-        rest = fh.read()
-    items = dict(kv.split("=") for kv in meta.lstrip("# ").split())
-    rank = {v: k for k, v in _RANK_NAMES.items()}[items["rank"]]
-    dim, m = int(items["dim"]), int(items["m"])
-    grid = TorusGrid(dim, m)
-    rows = list(csv.reader(io.StringIO(rest)))
-    data = np.array(rows[1:], dtype=float)
-    comp = data[:, dim:].T
-    shape = (dim,) * rank + grid.shape
-    return TorusField(grid, rank, comp.reshape(shape))

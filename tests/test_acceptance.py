@@ -1,7 +1,9 @@
 """Acceptance suite: every headline criterion at its stated tolerance.
 
 Each test prints one PASS/FAIL line; run with `pytest -s tests/test_acceptance.py`
-to see them.  Tolerances are pinned here, not configurable.
+to see them.  Tolerances are pinned here, not configurable.  Criteria 1-9
+run the identity checks of `kinlim.experiment` (the ones `kinlim validate`
+runs at desk sizes) with the acceptance sample sizes and bounds.
 """
 
 import time
@@ -9,23 +11,22 @@ import time
 import numpy as np
 import pytest
 
-from kinlim.coefficients import (check_sympos_identity, compute_coefficients,
-                                 compute_cov_operator)
+from kinlim.coefficients import compute_coefficients, compute_cov_operator
 from kinlim.config import ExperimentConfig
-from kinlim.equilibrium import (FP, LB, gaussian_identities_check,
-                                invariant_solution, path_weighted_integral,
-                                profile_moments)
-from kinlim.experiment import (build_model, convergence_study,
-                               default_initial_density, verify_enhancement)
-from kinlim.forcing import (constant_two_point_renewal, generate_path,
-                            resolvent_apply, resolvent_r1r0_apply,
-                            sample_stationary, two_point_renewal)
-from kinlim.kinetic import (KineticRunConfig, make_ensemble, run_rescaled,
-                            step_micro)
+from kinlim.equilibrium import FP, LB
+from kinlim.experiment import (CheckResult, check_coefficients_closed_form,
+                               check_cov_operator, check_enhancement,
+                               check_gaussian_identities,
+                               check_invariant_second_moment,
+                               check_moment_evolution,
+                               check_resolvent_closed_forms, check_spde_suite,
+                               check_sympos, convergence_study,
+                               default_initial_density)
+from kinlim.forcing import generate_path, two_point_renewal
+from kinlim.kinetic import KineticRunConfig, run_rescaled
 from kinlim.rng import substream
-from kinlim.spde import (mean_equation_solve, quadratic_variation_check,
-                         run_ensemble)
-from kinlim.torus import TorusField, TorusGrid, pairing, sobolev_norm
+from kinlim.spde import mean_equation_solve, run_ensemble
+from kinlim.torus import TorusGrid, sobolev_norm
 
 AMP = 0.5
 SEED = 20240801
@@ -35,6 +36,20 @@ def announce(num, passed, detail):
     status = "PASS" if passed else "FAIL"
     print(f"\n[criterion {num:02d}] {status}: {detail}")
     assert passed, f"criterion {num}: {detail}"
+
+
+def announce_checks(num, results):
+    announce(num, all(c.passed for c in results),
+             "".join(f"\n    {c.line()}" for c in results))
+
+
+def run_timed(num, gate_s, check, **kwargs):
+    """Run a check and add its wall time as one more result."""
+    start = time.perf_counter()
+    results = check(**kwargs)
+    elapsed = time.perf_counter() - start
+    announce_checks(num, results + [CheckResult(
+        "elapsed s", elapsed < gate_s, elapsed, gate_s)])
 
 
 @pytest.fixture(scope="module")
@@ -63,184 +78,51 @@ def cov(model, grid):
 
 
 def test_criterion_01_gaussian_identities():
-    start = time.perf_counter()
-    rng = substream(SEED, 1)
-    worst = 0.0
-    for _ in range(20):
-        w = rng.uniform(-3.0, 3.0, size=1)
-        z = rng.uniform(-3.0, 3.0, size=1)
-        rep = gaussian_identities_check(w, z)
-        worst = max(worst, rep.max_rel_error)
-        assert rep.l1_bound_holds
-    elapsed = time.perf_counter() - start
-    announce(1, worst < 1e-6 and elapsed < 5.0,
-             f"20 random shifts, max rel error {worst:.2e} (< 1e-6), "
-             f"{elapsed:.2f} s (< 5 s)")
+    run_timed(1, 5.0, check_gaussian_identities, n_shifts=20, bound=1e-6,
+              seed=SEED)
 
 
 def test_criterion_02_resolvent_closed_forms(model):
-    s = sample_stationary(model, substream(SEED, 2))
-    e = s.field.physical()
-    r0 = resolvent_apply(model, 0.0, s).physical()
-    r1 = resolvent_apply(model, 1.0, s).physical()
-    r10 = resolvent_r1r0_apply(model, s).physical()
-    exact = (np.array_equal(r0, e) and np.array_equal(r1, 0.5 * e)
-             and np.array_equal(r10, r0 - r1))
-    announce(2, exact,
-             "R0(e) = e, R1(e) = e/2, R1R0 = R0 - R1, all exact")
+    announce_checks(2, check_resolvent_closed_forms(model, seed=SEED))
 
 
 def test_criterion_03_moment_evolution(grid):
-    start = time.perf_counter()
-    model = constant_two_point_renewal(grid, AMP)
-    n, micro_t, dt = 100_000, 2.0, 0.002
-    x0 = np.zeros((1, 1))
-    rho0 = TorusField.constant(grid, 1.0)
-    worst_sigmas = 0.0
-    for ci, collision in enumerate((LB, FP)):
-        path = generate_path(model, micro_t + 0.1, seed=substream(SEED, 3, ci))
-        rng = substream(SEED, 4, ci)
-        ens = make_ensemble(rho0, n, 1.0, rng)
-        n_steps = int(round(micro_t / dt))
-        checks = {int(round(f * n_steps)) for f in (0.2, 0.4, 0.6, 0.8, 1.0)}
-        for step in range(1, n_steps + 1):
-            ens = step_micro(ens, path, dt, rng, collision)
-            if step in checks:
-                t = step * dt
-                expected = np.exp(-t) * path_weighted_integral(
-                    path, x0, 1.0, 0.0, t)[0, 0]
-                observed = float(np.sum(ens.weights[:, None] * ens.velocities))
-                se = ens.velocities.std() / np.sqrt(n)
-                worst_sigmas = max(worst_sigmas, abs(observed - expected) / se)
-    elapsed = time.perf_counter() - start
-    announce(3, worst_sigmas < 3.0 and elapsed < 30.0,
-             f"current vs relaxation formula, both collisions, 5 checkpoints: "
-             f"worst {worst_sigmas:.2f} sigma (< 3), {elapsed:.1f} s (< 30 s)")
+    run_timed(3, 30.0, check_moment_evolution, grid=grid, amplitude=AMP,
+              n_particles=100_000, dt=0.002, n_sigma=3.0, dt_allowance=0.0,
+              seed=SEED)
 
 
 def test_criterion_04_invariant_second_moment(model):
-    start = time.perf_counter()
-    n_paths = 10_000
-    v_grid = np.linspace(-8.0, 8.0, 257)
-    x_val = 0.2
-    x = np.array([[x_val]])
-    detail = []
-    ok = True
-    for ci, (collision, b) in enumerate(((LB, 2.0), (FP, 1.0))):
-        second = np.empty(n_paths)
-        for p in range(n_paths):
-            path = generate_path(model, 20.0,
-                                 seed=substream(SEED, 5, ci, p),
-                                 t_start=-20.0)
-            prof = invariant_solution(path, collision, x, v_grid)
-            _, _, k = profile_moments(prof, v_grid)
-            second[p] = k[0, 0]
-        expected = 1.0 + (b / 2) * (AMP * np.cos(2 * np.pi * x_val)) ** 2
-        se = second.std(ddof=1) / np.sqrt(n_paths)
-        sigmas = abs(second.mean() - expected) / se
-        ok &= sigmas < 3.0
-        detail.append(f"{collision}: {sigmas:.2f} sigma")
-    elapsed = time.perf_counter() - start
-    announce(4, ok and elapsed < 60.0,
-             f"E[K] vs 1 + (b/2) a^2 cos^2 at 1e4 paths: "
-             f"{', '.join(detail)} (< 3), {elapsed:.1f} s (< 60 s)")
+    run_timed(4, 60.0, check_invariant_second_moment, model=model,
+              amplitude=AMP, mode=1, n_paths=10_000, n_sigma=3.0, seed=SEED)
 
 
 def test_criterion_05_sympos_identity(model):
-    rep = check_sympos_identity(model, delta=1.0, n_paths=10_000,
-                                n_mc=1_000, seed=SEED + 6)
-    announce(5, rep.max_sigma_distance < 3.0,
-             f"resolvent-covariance identity at delta=1: both sides within "
-             f"{rep.max_sigma_distance:.2f} combined sigma (< 3), entrywise")
+    announce_checks(5, check_sympos(model, n_paths=10_000, n_mc=1_000,
+                                    n_sigma=3.0, seed=SEED))
 
 
-def test_criterion_06_cov_operator(model, grid, cov):
-    sym_gap = float(np.max(np.abs(cov.kernel - cov.kernel.T)))
-    eigs = np.linalg.eigvalsh(cov.kernel / grid.size)
-    lam_tol = 3 * cov.kernel_stderr + 1e-10
-    lam_gap = abs(cov.eigenvalues[0] - AMP**2 / 2)
-    target = np.sqrt(2) * np.cos(2 * np.pi * grid.axis())
-    z = cov.eigenfields[0].physical()[0]
-    corr = abs(float(np.dot(z, target))
-               / (np.linalg.norm(z) * np.linalg.norm(target)))
-    ok = (sym_gap < 1e-10 and eigs.min() >= -cov.tol_eig
-          and cov.trace <= grid.dim * model.norm_bound
-          and lam_gap < lam_tol and corr > 0.999)
-    announce(6, ok,
-             f"kernel symmetric to {sym_gap:.1e} (< 1e-10), min eig "
-             f"{eigs.min():.1e} >= -tol, trace {cov.trace:.4g} <= N*R = "
-             f"{grid.dim * model.norm_bound:.4g}, lambda1 gap {lam_gap:.1e}, "
-             f"eigenfunction correlation {corr:.5f} (> 0.999)")
+def test_criterion_06_cov_operator(model, cov):
+    announce_checks(6, check_cov_operator(model, cov, AMP, mode=1,
+                                          n_sigma=3.0, trace_slack=0.0))
 
 
-def test_criterion_07_coefficient_closed_forms(grid, lb_coeffs, fp_coeffs,
-                                               cov):
-    xs = grid.axis()
-    ok = True
-    details = []
-    for coeffs, coef in ((lb_coeffs, 1.5), (fp_coeffs, 1.0)):
-        expected = 1.0 + coef * AMP**2 * np.cos(2 * np.pi * xs) ** 2
-        tol = 3 * coeffs.diffusion_stderr[0, 0] + 1e-10
-        gap = np.max(np.abs(coeffs.diffusion.values[0, 0] - expected) - tol)
-        ok &= bool(np.all(np.abs(coeffs.diffusion.values[0, 0] - expected)
-                          <= tol))
-        details.append(f"{coeffs.collision} closed form within 3 se")
-    rep = verify_enhancement(lb_coeffs, cov)
-    ok &= rep.min_eig_over_base >= -rep.tolerance
-    ok &= rep.min_eig_over_noise >= -rep.tolerance
-    announce(7, ok,
-             f"{'; '.join(details)}; K - Id psd (min eig "
-             f"{rep.min_eig_over_base:.1e}) and K - Id - sum phi phi^T psd "
-             f"(min eig {rep.min_eig_over_noise:.1e}) at every grid point")
+def test_criterion_07_coefficient_closed_forms(lb_coeffs, fp_coeffs, cov):
+    results = []
+    for coeffs in (lb_coeffs, fp_coeffs):
+        results += check_coefficients_closed_form(
+            coeffs, AMP, mode=1, tolerance=lambda se: 3 * se + 1e-10)
+    announce_checks(7, results + check_enhancement(lb_coeffs, cov,
+                                                   strato_bound=0.0))
 
 
 def test_criterion_08_strato_degeneracy(fp_coeffs, cov):
-    rep = verify_enhancement(fp_coeffs, cov)
-    dev = float(np.max(np.abs(rep.strato_diffusion.values[0, 0] - 1.0)))
-    announce(8, dev == 0.0,
-             f"velocity-diffusion Stratonovich matrix equals Id exactly "
-             f"(deviation {dev:.1e})")
+    announce_checks(8, check_enhancement(fp_coeffs, cov, strato_bound=0.0))
 
 
-def test_criterion_09_spde_solver(grid, lb_coeffs, cov):
-    from kinlim.coefficients import closed_form_two_point_diffusion, \
-        HydroCoefficients
-    ident = HydroCoefficients(
-        closed_form_two_point_diffusion(0.0, 1, LB, grid),
-        TorusField.zeros(grid, 1), LB, 2.0, TorusField.zeros(grid, 2),
-        np.zeros((1, 1) + grid.shape), np.zeros((1,) + grid.shape), 1)
-    rho0 = TorusField.from_function(
-        grid, 0, lambda x: 1.0 + np.cos(2 * np.pi * x))
-    sol = mean_equation_solve(ident, rho0, 0.05, 1e-5)
-    expected = 0.5 * np.exp(-4 * np.pi**2 * 0.05)
-    heat_rel = abs(abs(sol.spectrum()[1]) - expected) / expected
-
-    one = TorusField.constant(grid, 1.0)
-    mass0 = pairing(rho0, one)
-    res = run_ensemble(lb_coeffs, cov, rho0, 0.005, 1e-5, 4, seed=SEED + 7,
-                       xi_fields=[one])
-    mass_dev = float(np.max(np.abs(res.samples[:, :, 0] - mass0)))
-
-    rho_b = TorusField.from_function(
-        grid, 0, lambda x: 0.4 - 0.2 * np.sin(2 * np.pi * x))
-    kw = dict(horizon=0.005, dt=1e-5, n_realizations=4, seed=SEED + 8)
-    ra = run_ensemble(lb_coeffs, cov, rho0, **kw)
-    rb = run_ensemble(lb_coeffs, cov, rho_b, **kw)
-    rc = run_ensemble(lb_coeffs, cov, 2.0 * rho0 + (-1.0) * rho_b, **kw)
-    lin_dev = float(np.max(np.abs(
-        rc.mean_hat[-1] - 2.0 * ra.mean_hat[-1] + rb.mean_hat[-1])))
-
-    xi = TorusField.from_function(
-        grid, 0, lambda x: np.sin(2 * np.pi * x) / (2 * np.pi))
-    qv = quadratic_variation_check(lb_coeffs, cov,
-                                   TorusField.constant(grid, 1.0), xi,
-                                   0.005, 1e-5, 256, seed=SEED + 9)
-    ok = (heat_rel < 1e-4 and mass_dev < 1e-10 and lin_dev < 1e-10
-          and qv.mean_relative_gap < 0.10)
-    announce(9, ok,
-             f"heat oracle rel {heat_rel:.1e} (< 1e-4), mass dev "
-             f"{mass_dev:.1e} (< 1e-10), linearity {lin_dev:.1e} (< 1e-10), "
-             f"QV gap {qv.mean_relative_gap:.3f} (< 0.10 at n=256)")
+def test_criterion_09_spde_solver(lb_coeffs, cov):
+    announce_checks(9, check_spde_suite(lb_coeffs, cov, n_qv=256,
+                                        qv_bound=0.10, seed=SEED))
 
 
 def test_criterion_10_mean_equation(grid, lb_coeffs, cov):

@@ -97,6 +97,16 @@ def test_simulate_spde_and_converge_pipeline(tmp_path):
     assert len(table) == 1 + 12
 
 
+def test_simulate_spde_2d_columns_follow_forced_axis(tmp_path):
+    cfg, path = mini_config(tmp_path, dim=2, grid_m=16)
+    assert main(["coeffs", "--config", path]) == 0
+    assert main(["simulate-spde", "--config", path]) == 0
+    rows = (tmp_path / "out" / "spde_ensemble.csv").read_text().splitlines()
+    last = dict(zip(rows[0].split(","), rows[-1].split(",")))
+    # the noise acts along x_0, so mode (1, 0) fluctuates
+    assert float(last["var_k1"]) > 0
+
+
 def test_seed_override_changes_hash_not_manifest_match(tmp_path):
     cfg, path = mini_config(tmp_path)
     assert main(["coeffs", "--config", path, "--seed", "11"]) == 0

@@ -206,22 +206,6 @@ def test_ou_resolvent_identity_mc(ou_model):
     assert r10 == pytest.approx(r0 - r1, abs=0.15 * A)
 
 
-def test_path_csv_export(tmp_path, model):
-    from kinlim.forcing import path_to_csv
-    path = generate_path(model, 5.0, seed=61)
-    out = tmp_path / "path.csv"
-    path_to_csv(path, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0].startswith("# dim=1")
-    assert lines[1].startswith("time,jump,")
-    assert len(lines) == 2 + len(path.samples)
-    # first segment is not a jump; mode +-1 carries the atom amplitude a/2
-    first = lines[2].split(",")
-    assert first[1] == "0"
-    coefs = np.array(first[2:], dtype=float)
-    assert np.max(np.abs(coefs)) == pytest.approx(A / 2, rel=1e-10)
-
-
 def test_empirical_fourier_estimator_is_exact_sum(model):
     # the spectral density estimator equals the direct characteristic sum
     from kinlim.kinetic import ParticleEnsemble, moments

@@ -5,8 +5,8 @@ from kinlim.equilibrium import FP, LB
 from kinlim.forcing import (constant_two_point_renewal, generate_path,
                             two_point_renewal, zero_renewal)
 from kinlim.kinetic import (KineticRunConfig, ParticleEnsemble,
-                            corrector_decomposition, make_ensemble, moments,
-                            run_rescaled, step_micro)
+                            corrector_decomposition, functional_samples,
+                            moments, run_rescaled, step_micro)
 from kinlim.rng import substream
 from kinlim.torus import TorusField, TorusGrid, pairing
 
@@ -265,3 +265,16 @@ def test_equilibrium_invariance_both_collisions(grid):
         for est in run.estimates:
             k_global = est.pressure.physical().mean(axis=-1)[0, 0]
             assert abs(k_global - 1.0) < 3 * se + 0.01
+
+
+def test_functional_samples_same_for_any_worker_count(grid):
+    cfg = KineticRunConfig(LB, 0.5, 0.05, 0.025, 200, grid)
+    model = two_point_renewal(grid, A)
+    rho0 = TorusField.from_function(
+        grid, 0, lambda x: 1.0 + 0.5 * np.cos(2 * np.pi * x))
+    xi = [TorusField.from_function(grid, 0,
+                                   lambda x: np.cos(2 * np.pi * x))]
+    one = functional_samples(cfg, model, rho0, xi, 3, seed=4, n_workers=1)
+    two = functional_samples(cfg, model, rho0, xi, 3, seed=4, n_workers=2)
+    assert np.array_equal(one[0], two[0])
+    assert np.array_equal(one[1], two[1])

@@ -5,11 +5,10 @@ from kinlim.coefficients import (compute_coefficients, compute_cov_operator,
                                  HydroCoefficients)
 from kinlim.equilibrium import FP, LB
 from kinlim.forcing import two_point_renewal, zero_renewal
-from kinlim.spde import (ITO, STRATONOVICH, EnsembleResult, SpdeState,
-                         SpdeStepper, mean_equation_solve,
+from kinlim.spde import (ITO, STRATONOVICH, SpdeStepper, mean_equation_solve,
                          quadratic_variation_check, run_ensemble,
-                         stability_limit, step_spde)
-from kinlim.torus import TorusField, TorusGrid, pairing, sobolev_norm
+                         stability_limit)
+from kinlim.torus import TorusField, TorusGrid, sobolev_norm
 
 A = 0.5
 
@@ -91,17 +90,6 @@ def test_determinism_bit_identical(grid):
     r2 = run_ensemble(coeffs, cov, rho0, **kw)
     assert np.array_equal(r1.mean_hat, r2.mean_hat)
     assert np.array_equal(r1.samples, r2.samples)
-
-
-def test_step_spde_single_step_mass(grid):
-    coeffs, cov = lb_setup(grid)
-    rho0 = rho_one_plus_cos(grid)
-    state = SpdeState(rho0, 0.0, grid.m // 2, 1e-5, cov.rank)
-    out = step_spde(state, coeffs, cov, seed=8)
-    one = TorusField.constant(grid, 1.0)
-    assert pairing(out.rho, one) == pytest.approx(pairing(rho0, one),
-                                                  abs=1e-12)
-    assert out.time == pytest.approx(1e-5)
 
 
 def test_ensemble_mean_matches_deterministic_solve(grid):

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from kinlim.torus import (TorusField, TorusGrid, divergence, field_from_csv,
-                          field_to_csv, gradient, laplacian, matrix_divergence,
-                          pairing, sobolev_norm)
+from kinlim.torus import (TorusField, TorusGrid, divergence, gradient,
+                          laplacian, matrix_divergence, pairing, sobolev_norm)
 
 
 @pytest.fixture
@@ -177,13 +176,3 @@ def test_eval_at_matches_grid(grid):
     k = np.fft.fftfreq(grid.m, d=1.0 / grid.m)
     direct = np.sum(coef * np.exp(2j * np.pi * k * 0.1234)).real
     assert f.eval_at(x)[0] == pytest.approx(direct, rel=1e-12)
-
-
-def test_csv_round_trip(tmp_path, grid):
-    rng = np.random.default_rng(7)
-    f = TorusField(grid, 1, rng.standard_normal((1,) + grid.shape))
-    p = tmp_path / "field.csv"
-    field_to_csv(f, p)
-    g = field_from_csv(p)
-    assert g.rank == 1 and g.grid == grid
-    assert np.max(np.abs(g.values - f.values)) < 1e-12
