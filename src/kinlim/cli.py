@@ -9,13 +9,13 @@ file checksums.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
 import numpy as np
 
 from . import __version__
+from .coefficients import KernelTooLarge
 from .config import ExperimentConfig, RunManifest
 from .experiment import (build_model, coefficients_stage, convergence_study,
                          default_initial_density, default_test_functions,
@@ -24,6 +24,7 @@ from .forcing import generate_path
 from .kinetic import KineticRunConfig, run_rescaled
 from .rng import substream
 from .spde import run_ensemble
+from .table import write_table
 from .torus import TorusGrid, sobolev_norm
 
 
@@ -84,21 +85,17 @@ def cmd_simulate_kinetic(args) -> int:
         kcfg = KineticRunConfig(cfg.collision, eps, cfg.horizon,
                                 cfg.micro_dt(eps), cfg.n_particles, grid,
                                 estimator="fourier")
-        path = generate_path(model, kcfg.micro_horizon * (1 + 1e-9) + 1e-9,
+        path = generate_path(model, kcfg.path_horizon,
                              seed=substream(cfg.seed, 201, i))
         run = run_rescaled(kcfg, path, rho0, substream(cfg.seed, 202, i),
                            n_checkpoints=cfg.n_checkpoints,
                            track_corrector=True)
         series_path = os.path.join(cfg.out_dir, f"kinetic_eps{eps}_series.csv")
-        with open(series_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "J0", "J1", "J2", "J3",
-                             "rho_hminus1", "corrector_hminus1"])
-            for j, (t, est) in enumerate(zip(run.times, run.estimates)):
-                writer.writerow(
-                    [f"{t:.10g}"] + [f"{v:.10g}" for v in est.totals]
-                    + [f"{sobolev_norm(est.rho, -1.0):.10g}",
-                       f"{run.corrector_norms[j]:.10g}"])
+        write_table(series_path, ["t", "J0", "J1", "J2", "J3", "rho_hminus1",
+                                  "corrector_hminus1"],
+                    [[t, *est.totals, sobolev_norm(est.rho, -1.0), c]
+                     for t, est, c in zip(run.times, run.estimates,
+                                          run.corrector_norms)], 10)
         manifest.add_file(series_path)
         for j, (t, est) in enumerate(zip(run.times, run.estimates)):
             cp_path = os.path.join(cfg.out_dir,
@@ -113,18 +110,13 @@ def cmd_simulate_kinetic(args) -> int:
 
 
 def _write_checkpoint(path, grid, t, est):
-    coords = [c.ravel() for c in grid.coords()]
-    rho = est.rho.physical().ravel()
-    cur = est.current.physical().reshape(grid.dim, -1)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# t={t:.10g} dim={grid.dim} m={grid.m}\n")
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(grid.dim)] + ["rho"]
-                        + [f"J{i}" for i in range(grid.dim)])
-        for p in range(grid.size):
-            writer.writerow([f"{coords[i][p]:.10g}" for i in range(grid.dim)]
-                            + [f"{rho[p]:.10g}"]
-                            + [f"{cur[i][p]:.10g}" for i in range(grid.dim)])
+    columns = [c.reshape(1, -1) for c in grid.coords()] + [
+        est.rho.physical().reshape(1, -1),
+        est.current.physical().reshape(grid.dim, -1)]
+    write_table(path, [f"x{i}" for i in range(grid.dim)] + ["rho"]
+                + [f"J{i}" for i in range(grid.dim)],
+                np.concatenate(columns).T, 10,
+                dict(t=t, dim=grid.dim, m=grid.m))
 
 
 def cmd_simulate_spde(args) -> int:
@@ -139,24 +131,15 @@ def cmd_simulate_spde(args) -> int:
                        n_checkpoints=cfg.n_checkpoints)
     out_path = os.path.join(cfg.out_dir, "spde_ensemble.csv")
     n_modes = min(8, cfg.grid_m // 2)
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["t"]
-        header += [f"mean_re_k{k}" for k in range(n_modes)]
-        header += [f"var_k{k}" for k in range(n_modes)]
-        for name, _ in xi:
-            header += [f"{name}_q{q}" for q in (10, 50, 90)]
-        writer.writerow(header)
-        # modes (k, 0, ...) along the forced axis
-        axis_modes = (slice(0, n_modes),) + (0,) * (grid.dim - 1)
-        for i, t in enumerate(res.times):
-            row = [f"{t:.10g}"]
-            row += [f"{m.real:.10g}" for m in res.mean_hat[i][axis_modes]]
-            row += [f"{v:.10g}" for v in res.var_hat[i][axis_modes]]
-            for j in range(len(xi)):
-                qs = np.percentile(res.samples[i][:, j], [10, 50, 90])
-                row += [f"{q:.10g}" for q in qs]
-            writer.writerow(row)
+    header = ["t"] + [f"mean_re_k{k}" for k in range(n_modes)] \
+        + [f"var_k{k}" for k in range(n_modes)] \
+        + [f"{name}_q{q}" for name, _ in xi for q in (10, 50, 90)]
+    # modes (k, 0, ...) along the forced axis
+    axis_modes = (slice(0, n_modes),) + (0,) * (grid.dim - 1)
+    rows = [[t, *res.mean_hat[i][axis_modes].real, *res.var_hat[i][axis_modes],
+             *np.percentile(res.samples[i], [10, 50, 90], axis=0).T.ravel()]
+            for i, t in enumerate(res.times)]
+    write_table(out_path, header, rows, 10)
     manifest = RunManifest(cfg.content_hash(), __version__, "spde",
                            {"spde": cfg.seed + 5000})
     manifest.add_file(out_path)
@@ -175,12 +158,8 @@ def cmd_converge(args) -> int:
     rep = convergence_study(cfg, coeffs, cov)
     table_path = os.path.join(cfg.out_dir, "converge_table.csv")
     rows = rep.table_rows()
-    with open(table_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: (f"{v:.8g}" if isinstance(v, float) else v)
-                             for k, v in row.items()})
+    write_table(table_path, list(rows[0]), [list(r.values()) for r in rows],
+                8)
     lines = [f"stage converge (kinlim {__version__})",
              f"epsilons: {rep.epsilons}",
              f"law samples: kinetic {cfg.n_realizations} x "
@@ -230,7 +209,11 @@ def main(argv=None) -> int:
         p.add_argument("--threads", type=int, default=None)
         p.set_defaults(func=fn)
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except KernelTooLarge as err:   # refused before any Monte Carlo work
+        print(f"kinlim: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -26,8 +26,6 @@ the dropped tail is reported as a modelling-error bound.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,9 +34,11 @@ from .equilibrium import FP, LB, _check_collision, path_weighted_integral
 from .forcing import (ForceFieldModel, generate_path, resolvent_apply,
                       resolvent_r1r0_apply, sample_stationary)
 from .rng import substream
+from .table import read_table, write_table
 from .torus import TorusField, TorusGrid, divergence, matrix_divergence
 
 COLLISION_FACTOR = {LB: 2.0, FP: 1.0}
+MAX_KERNEL_DIM = 1024    # side N * M^N of the dense covariance kernel
 
 
 @dataclass
@@ -127,9 +127,7 @@ def compute_coefficients(model: ForceFieldModel, collision: str,
         drift2[i] = r10.physical() * divergence(s.field).physical()[None]
     _centering_check(e_draws, grid)
 
-    eye = np.zeros((n_dim, n_dim) + grid.shape)
-    for d in range(n_dim):
-        eye[d, d] = 1.0
+    eye = np.eye(n_dim).reshape((n_dim, n_dim) + (1,) * n_dim)
     diff_draws = eye[None] + 0.5 * (sym0 + (b - 1.0) * sym1)
     diff_vals = diff_draws.mean(axis=0)
     diff_se = diff_draws.std(axis=0, ddof=1) / np.sqrt(n_mc)
@@ -158,17 +156,27 @@ def compute_coefficients(model: ForceFieldModel, collision: str,
     )
 
 
+class KernelTooLarge(ValueError):
+    """The grid's dense covariance kernel would exceed MAX_KERNEL_DIM."""
+
+
+def check_kernel_size(grid: TorusGrid) -> None:
+    dim = grid.dim * grid.size
+    if dim > MAX_KERNEL_DIM:
+        largest = 1 << int(np.log2(MAX_KERNEL_DIM / grid.dim) / grid.dim)
+        raise KernelTooLarge(
+            f"covariance kernel dimension {dim} (grid_m={grid.m} in "
+            f"{grid.dim}-D) exceeds the dense-kernel cap {MAX_KERNEL_DIM}; "
+            f"the largest grid allowed in {grid.dim}-D is grid_m={largest}")
+
+
 def compute_cov_operator(model: ForceFieldModel, grid: TorusGrid, n_mc: int,
-                         tol_eig: float = None, seed=0,
-                         max_kernel_dim: int = 1024,
-                         resolvent_kwargs: dict = None) -> CovOperator:
+                         seed=0, resolvent_kwargs: dict = None) -> CovOperator:
     """Monte Carlo kernel estimate and dense symmetric eigendecomposition."""
     if n_mc < 100:
         raise ValueError("need n_mc >= 100")
+    check_kernel_size(grid)
     dim = grid.dim * grid.size
-    if dim > max_kernel_dim:
-        raise ValueError(f"kernel dimension {dim} exceeds {max_kernel_dim}; "
-                         "coarsen the grid or raise max_kernel_dim")
     kw = resolvent_kwargs or {}
     acc = np.zeros((dim, dim))
     acc_sq = np.zeros((dim, dim))
@@ -193,8 +201,7 @@ def compute_cov_operator(model: ForceFieldModel, grid: TorusGrid, n_mc: int,
     eigvals = eigvals[::-1]
     eigvecs = eigvecs[:, ::-1]
     trace = float(np.trace(op))
-    if tol_eig is None:
-        tol_eig = abs(trace) * 1e-10 + 3.0 * se_fro
+    tol_eig = abs(trace) * 1e-10 + 3.0 * se_fro
     if eigvals[-1] < -10.0 * max(tol_eig, 1e-300):
         raise ValueError("kernel estimate far from nonnegative; raise n_mc")
     keep = eigvals > tol_eig
@@ -249,20 +256,17 @@ def _pointwise_min_eig(mat_vals: np.ndarray, grid: TorusGrid) -> float:
     return float(np.min(np.linalg.eigvalsh(mats)))
 
 
-def verify_enhancement(coeffs: HydroCoefficients, cov: CovOperator,
-                       tol: float = None) -> EnhancementReport:
+def verify_enhancement(coeffs: HydroCoefficients,
+                       cov: CovOperator) -> EnhancementReport:
     """Check K >= Id, K >= Id + sum phi phi^T, and the Ito/Stratonovich split.
 
     A violation beyond tolerance yields passed=False rather than an
     exception, so callers can report the margins.
     """
     grid = coeffs.diffusion.grid
-    if tol is None:
-        tol = 10.0 * float(np.max(coeffs.diffusion_stderr)) \
-            + 3.0 * cov.kernel_stderr + cov.dropped_tail + 1e-10
-    eye = np.zeros((grid.dim, grid.dim) + grid.shape)
-    for d in range(grid.dim):
-        eye[d, d] = 1.0
+    tol = 10.0 * float(np.max(coeffs.diffusion_stderr)) \
+        + 3.0 * cov.kernel_stderr + cov.dropped_tail + 1e-10
+    eye = np.eye(grid.dim).reshape((grid.dim,) * 2 + (1,) * grid.dim)
     k_vals = coeffs.diffusion.physical()
     noise_diag = cov.noise_diagonal().physical()
     m1 = _pointwise_min_eig(k_vals - eye, grid)
@@ -289,23 +293,21 @@ class SymposReport:
 
 def check_sympos_identity(model: ForceFieldModel, delta: float = 1.0,
                           n_paths: int = 10_000, n_mc: int = 2_000,
-                          t_trunc: float = 20.0, seed=0,
-                          points: np.ndarray = None) -> SymposReport:
+                          seed=0) -> SymposReport:
     """Monte Carlo of both sides of the stationary identity
 
         E[R_delta(E(0)) (x)sym E(0)] = 2 delta E[(int_-inf^0 e^(delta s) E(s) ds)^(x)2].
 
     The left side averages over stationary draws (exact for two-point laws);
-    the right side integrates sampled paths over a [-T, 0] truncation.
+    the right side integrates sampled paths over [-20, 0].  Both sides are
+    taken at four points along the first axis.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     grid = model.grid
-    if points is None:
-        pts = np.zeros((4, grid.dim))
-        pts[:, 0] = np.array([0.0, 0.1, 0.2, 0.35])
-    else:
-        pts = np.atleast_2d(points)
+    t_trunc = 20.0
+    pts = np.zeros((4, grid.dim))
+    pts[:, 0] = np.array([0.0, 0.1, 0.2, 0.35])
     npts = pts.shape[0]
     n = grid.dim
     lhs_draws = np.empty((n_mc, npts, n, n))
@@ -359,86 +361,56 @@ def closed_form_two_point_diffusion(amplitude: float, mode: int,
 def coefficients_to_csv(coeffs: HydroCoefficients, path) -> None:
     grid = coeffs.diffusion.grid
     n = grid.dim
-    coords = [c.ravel() for c in grid.coords()]
-    diff = coeffs.diffusion.physical().reshape(n * n, grid.size)
-    drift = coeffs.drift.physical().reshape(n, grid.size)
-    r1s = coeffs.r1_sym.physical().reshape(n * n, grid.size)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# collision={coeffs.collision} b={coeffs.collision_factor} "
-                 f"dim={n} m={grid.m} n_mc={coeffs.n_mc}\n")
-        writer = csv.writer(fh)
-        header = [f"x{i}" for i in range(n)]
-        header += [f"K{i}{j}" for i in range(n) for j in range(n)]
-        header += [f"Theta{i}" for i in range(n)]
-        header += [f"R1sym{i}{j}" for i in range(n) for j in range(n)]
-        writer.writerow(header)
-        for p in range(grid.size):
-            row = [f"{coords[i][p]:.16g}" for i in range(n)]
-            row += [f"{diff[c][p]:.16g}" for c in range(n * n)]
-            row += [f"{drift[c][p]:.16g}" for c in range(n)]
-            row += [f"{r1s[c][p]:.16g}" for c in range(n * n)]
-            writer.writerow(row)
+    header = [f"x{i}" for i in range(n)]
+    header += [f"K{i}{j}" for i in range(n) for j in range(n)]
+    header += [f"Theta{i}" for i in range(n)]
+    header += [f"R1sym{i}{j}" for i in range(n) for j in range(n)]
+    columns = [c.reshape(1, -1) for c in grid.coords()] + [
+        f.physical().reshape(-1, grid.size)
+        for f in (coeffs.diffusion, coeffs.drift, coeffs.r1_sym)]
+    meta = dict(collision=coeffs.collision, b=repr(coeffs.collision_factor),
+                dim=n, m=grid.m, n_mc=coeffs.n_mc)  # b as "2.0", not "2"
+    write_table(path, header, np.concatenate(columns).T, 16, meta)
 
 
 def coefficients_from_csv(path) -> HydroCoefficients:
-    with open(path) as fh:
-        meta = dict(kv.split("=") for kv in
-                    fh.readline().lstrip("# ").split())
-        rows = list(csv.reader(io.StringIO(fh.read())))
-    n, m = int(meta["dim"]), int(meta["m"])
-    grid = TorusGrid(n, m)
-    data = np.array(rows[1:], dtype=float)
-    diff = data[:, n:n + n * n].T.reshape((n, n) + grid.shape)
-    drift = data[:, n + n * n:2 * n + n * n].T.reshape((n,) + grid.shape)
-    r1s = data[:, 2 * n + n * n:].T.reshape((n, n) + grid.shape)
-    zeros_m = np.zeros((n, n) + grid.shape)
-    zeros_v = np.zeros((n,) + grid.shape)
+    """Coefficients as written by `coefficients_to_csv`; the file carries no
+    standard errors, so those read as zero."""
+    meta, _, rows = read_table(path)
+    n = int(meta["dim"])
+    grid = TorusGrid(n, int(meta["m"]))
+    mat, vec = (n, n) + grid.shape, (n,) + grid.shape
+    diff, drift, r1s = np.split(np.array(rows, dtype=float).T[n:],
+                                [n * n, n * n + n])
     return HydroCoefficients(
-        diffusion=TorusField(grid, 2, diff),
-        drift=TorusField(grid, 1, drift),
-        collision=meta["collision"],
-        collision_factor=float(meta["b"]),
-        r1_sym=TorusField(grid, 2, r1s),
-        diffusion_stderr=zeros_m,
-        drift_stderr=zeros_v,
-        n_mc=int(meta["n_mc"]),
-    )
+        TorusField(grid, 2, diff.reshape(mat)),
+        TorusField(grid, 1, drift.reshape(vec)), meta["collision"],
+        float(meta["b"]), TorusField(grid, 2, r1s.reshape(mat)),
+        np.zeros(mat), np.zeros(vec), int(meta["n_mc"]))
 
 
 def spectrum_to_csv(cov: CovOperator, path) -> None:
     grid = cov.grid
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# dim={grid.dim} m={grid.m} trace={cov.trace:.16g} "
-                 f"dropped={cov.dropped_tail:.16g} tol={cov.tol_eig:.16g} "
-                 f"kse={cov.kernel_stderr:.16g}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["k", "eigenvalue"]
-                        + [f"z{c}_{p}" for c in range(grid.dim)
-                           for p in range(grid.size)])
-        for k, (lam, z) in enumerate(zip(cov.eigenvalues, cov.eigenfields)):
-            flat = z.physical().reshape(-1)
-            writer.writerow([k, f"{lam:.16g}"]
-                            + [f"{val:.16g}" for val in flat])
+    header = ["k", "eigenvalue"] + [f"z{c}_{p}" for c in range(grid.dim)
+                                    for p in range(grid.size)]
+    rows = [[k, lam] + z.physical().reshape(-1).tolist()
+            for k, (lam, z) in enumerate(zip(cov.eigenvalues,
+                                             cov.eigenfields))]
+    meta = dict(dim=grid.dim, m=grid.m, trace=cov.trace,
+                dropped=cov.dropped_tail, tol=cov.tol_eig,
+                kse=cov.kernel_stderr)
+    write_table(path, header, rows, 16, meta)
 
 
 def spectrum_from_csv(path) -> CovOperator:
-    with open(path) as fh:
-        meta = dict(kv.split("=") for kv in fh.readline().lstrip("# ").split())
-        rows = list(csv.reader(io.StringIO(fh.read())))
+    meta, header, rows = read_table(path)
     grid = TorusGrid(int(meta["dim"]), int(meta["m"]))
-    eigenvalues, fields = [], []
-    for row in rows[1:]:
-        eigenvalues.append(float(row[1]))
-        vals = np.array(row[2:], dtype=float).reshape(
-            (grid.dim,) + grid.shape)
-        fields.append(TorusField(grid, 1, vals))
-    eigenvalues = np.array(eigenvalues)
+    data = np.array(rows, dtype=float).reshape(len(rows), len(header))
+    eigenvalues = data[:, 1]
+    fields = [TorusField(grid, 1, vals.reshape((grid.dim,) + grid.shape))
+              for vals in data[:, 2:]]
     # reconstruct the kernel from the kept spectrum (dropped tail reported)
-    dim = grid.dim * grid.size
-    kernel = np.zeros((dim, dim))
-    for lam, z in zip(eigenvalues, fields):
-        flat = z.physical().reshape(-1)
-        kernel += lam * np.outer(flat, flat)
+    kernel = (data[:, 2:].T * eigenvalues) @ data[:, 2:]
     return CovOperator(grid, kernel, eigenvalues, fields,
                        float(meta["trace"]), float(meta["dropped"]),
                        float(meta["tol"]), float(meta["kse"]))

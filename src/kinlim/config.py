@@ -74,15 +74,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
-        raw = {}
-        for line in text.splitlines():
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line: {line!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            raw[key] = val
+        raw = _key_values(text)
         kwargs = {}
         for f in fields(cls):
             if f.name not in raw:
@@ -117,6 +109,20 @@ class ExperimentConfig:
 
     def micro_dt(self, epsilon: float) -> float:
         return self.dt_micro_factor * epsilon**2
+
+
+def _key_values(text: str) -> dict:
+    """`key = value` lines of a config or manifest; '#' starts a comment."""
+    raw = {}
+    for line in text.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"bad config line: {line!r}")
+        key, val = (s.strip() for s in line.split("=", 1))
+        raw[key] = val
+    return raw
 
 
 def file_checksum(path) -> str:
@@ -155,18 +161,9 @@ class RunManifest:
 
     @classmethod
     def load(cls, path) -> "RunManifest":
-        out = cls("", "", "")
         with open(path) as fh:
-            for line in fh:
-                key, val = (s.strip() for s in line.split("=", 1))
-                if key == "config_hash":
-                    out.config_hash = val
-                elif key == "code_version":
-                    out.code_version = val
-                elif key == "stage":
-                    out.stage = val
-                elif key.startswith("seed."):
-                    out.stage_seeds[key[5:]] = int(val)
-                elif key.startswith("file."):
-                    out.files[key[5:]] = val
-        return out
+            raw = _key_values(fh.read())
+        return cls(raw.get("config_hash", ""), raw.get("code_version", ""),
+                   raw.get("stage", ""),
+                   {k[5:]: int(v) for k, v in raw.items() if k[:5] == "seed."},
+                   {k[5:]: v for k, v in raw.items() if k[:5] == "file."})

@@ -36,6 +36,7 @@ from .forcing import ForcePath
 from .torus import TorusGrid
 
 _GAUSS4_NODES, _GAUSS4_WEIGHTS = np.polynomial.legendre.leggauss(4)
+_FLOW_RATE = 8      # characteristic substeps per unit time
 
 
 def _flow_backward(path: ForcePath, x, v, t_from: float, targets, n_sub: int):
@@ -108,7 +109,7 @@ def _quadratic_weights(s, t0, tm, t1):
 def mild_lb_oracle(f0, x_grid: TorusGrid, v_axis: np.ndarray, path: ForcePath,
                    t_final: float, t_start: float = 0.0,
                    window: float = 0.05, tol: float = 1e-8,
-                   max_sweeps: int = 50, flow_rate: int = 8) -> np.ndarray:
+                   max_sweeps: int = 50) -> np.ndarray:
     """March the mild solution from t_start to t_final on the phase grid.
 
     `f0` is either an array of shape (m, nv) or a callable f0(x, v) used for
@@ -166,7 +167,7 @@ def mild_lb_oracle(f0, x_grid: TorusGrid, v_axis: np.ndarray, path: ForcePath,
             wts = 0.5 * (tau - t0) * _GAUSS4_WEIGHTS
             order = np.argsort(nodes)[::-1]
             stop_times = list(nodes[order]) + [t0]
-            states = _flow_backward(path, xm, vm, tau, stop_times, flow_rate)
+            states = _flow_backward(path, xm, vm, tau, stop_times, _FLOW_RATE)
             targets[tau] = {
                 "nodes": nodes[order], "weights": wts[order],
                 "states": states[:-1], "state_t0": states[-1],

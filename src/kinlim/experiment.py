@@ -8,14 +8,14 @@ pure function of (config, seed).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import stats
 
 from . import __version__
 from .coefficients import (COLLISION_FACTOR, CovOperator, HydroCoefficients,
-                           check_sympos_identity,
+                           check_kernel_size, check_sympos_identity,
                            closed_form_two_point_diffusion,
                            coefficients_from_csv, coefficients_to_csv,
                            compute_coefficients, compute_cov_operator,
@@ -70,12 +70,13 @@ def default_initial_density(grid: TorusGrid) -> TorusField:
 # -- coefficient stage -------------------------------------------------------------
 
 
-def coefficients_stage(cfg: ExperimentConfig, out_dir=None):
+def coefficients_stage(cfg: ExperimentConfig):
     """Compute limit-equation data, write the CSV contract files + manifest."""
     cfg.validate()
-    out = out_dir or cfg.out_dir
+    out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
     grid = TorusGrid(cfg.dim, cfg.grid_m)
+    check_kernel_size(grid)
     model = build_model(cfg)
     coeffs = compute_coefficients(model, cfg.collision, grid, cfg.n_mc,
                                   seed=cfg.seed)
@@ -160,8 +161,7 @@ def _ks_statistic(a, b) -> float:
 
 
 def convergence_study(cfg: ExperimentConfig, coeffs: HydroCoefficients,
-                      cov: CovOperator, n_workers: int = None
-                      ) -> ConvergenceReport:
+                      cov: CovOperator) -> ConvergenceReport:
     """Compare the laws of <rho^eps_T, xi> and <rho_T, xi> over the eps sweep."""
     cfg.validate()
     if len(cfg.epsilons) < 3:
@@ -174,7 +174,6 @@ def convergence_study(cfg: ExperimentConfig, coeffs: HydroCoefficients,
     xi = default_test_functions(grid)
     xi_names = [n for n, _ in xi]
     xi_fields = [f for _, f in xi]
-    workers = cfg.threads if n_workers is None else n_workers
 
     kin_samples, kin_floors = [], []
     for i, eps in enumerate(cfg.epsilons):
@@ -182,7 +181,7 @@ def convergence_study(cfg: ExperimentConfig, coeffs: HydroCoefficients,
                                 cfg.micro_dt(eps), cfg.n_particles, grid)
         samples, floors = functional_samples(
             kcfg, model, rho0, xi_fields, cfg.n_realizations,
-            seed=1000 + 17 * i + cfg.seed, n_workers=workers)
+            seed=1000 + 17 * i + cfg.seed, n_workers=cfg.threads)
         kin_samples.append(samples)
         kin_floors.append(floors)
     spde_res = run_ensemble(coeffs, cov, rho0, cfg.horizon, cfg.dt_spde,
@@ -451,11 +450,9 @@ def check_spde_suite(coeffs: HydroCoefficients, cov: CovOperator, n_qv,
     over n_qv realizations."""
     grid = coeffs.diffusion.grid
     n = grid.dim
-    ident = HydroCoefficients(
-        closed_form_two_point_diffusion(0.0, 1, coeffs.collision, grid),
-        TorusField.zeros(grid, 1), coeffs.collision,
-        coeffs.collision_factor, TorusField.zeros(grid, 2),
-        np.zeros((n, n) + grid.shape), np.zeros((n,) + grid.shape), 1)
+    ident = replace(coeffs, drift=TorusField.zeros(grid, 1),
+                    diffusion=closed_form_two_point_diffusion(
+                        0.0, 1, coeffs.collision, grid))
     rho0 = TorusField.from_function(
         grid, 0, lambda *xs: 1.0 + np.cos(2 * np.pi * xs[0]))
     sol = mean_equation_solve(ident, rho0, 0.05, 1e-5)
@@ -497,6 +494,7 @@ def validation_suite(cfg: ExperimentConfig) -> ValidationReport:
     """Run the checks of acceptance criteria 1-9 at desk sizes."""
     cfg.validate()
     grid = TorusGrid(cfg.dim, cfg.grid_m)
+    check_kernel_size(grid)
     model = build_model(cfg)
     seed, amp, mode = cfg.seed, cfg.amplitude, cfg.mode
     coeffs = {c: compute_coefficients(model, c, grid, cfg.n_mc, seed=seed)

@@ -48,24 +48,20 @@ class ForceSample:
 class ForceFieldModel:
     """Stationary mixing force field (renewal or OU-driven)."""
 
-    def __init__(self, kind, grid, atoms=None, weights=None, link_basis=None,
-                 clip_radius=5.0, sobolev_index=6.0, mixing_rate=1.0):
+    def __init__(self, kind, grid, atoms=None, link_basis=None,
+                 clip_radius=5.0, sobolev_index=6.0):
         if kind not in (RENEWAL, OU):
             raise ValueError(f"unknown model kind {kind!r}")
         self.kind = kind
         self.grid = grid
         self.sobolev_index = float(sobolev_index)
-        self.mixing_rate = float(mixing_rate)
+        self.mixing_rate = 1.0
         self.jump_rate = 1.0
         if kind == RENEWAL:
             if not atoms:
                 raise ValueError("renewal model needs at least one atom")
             self.atoms = list(atoms)
-            if weights is None:
-                weights = np.full(len(self.atoms), 1.0 / len(self.atoms))
-            self.weights = np.asarray(weights, dtype=float)
-            if abs(self.weights.sum() - 1.0) > 1e-12 or (self.weights < 0).any():
-                raise ValueError("atom weights must be a probability vector")
+            self.weights = np.full(len(self.atoms), 1.0 / len(self.atoms))
             mean = sum(w * a.physical() for w, a in zip(self.weights, self.atoms))
             if np.max(np.abs(mean)) > 1e-12:
                 raise ValueError("base law must be centred")

@@ -28,10 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibrium import FP, LB, _check_collision
+from .equilibrium import LB, _check_collision
 from .forcing import ForceFieldModel, ForcePath, generate_path
 from .rng import as_generator, parallel_map, substream
-from .torus import TorusField, TorusGrid, divergence, sobolev_norm
+from .torus import TorusField, TorusGrid, divergence, pairing, sobolev_norm
 
 
 @dataclass
@@ -71,21 +71,28 @@ class KineticRunConfig:
     dt: float                  # micro time step
     n_particles: int
     grid: TorusGrid
-    moment_cap: int = 3
     estimator: str = "histogram"
 
     def __post_init__(self):
         _check_collision(self.collision)
         if self.dt > 0.1 * self.epsilon**2 + 1e-15:
             raise ValueError("micro step too large: need dt <= 0.1 eps^2")
-        if self.moment_cap > 3:
-            raise ValueError("velocity moments tracked up to order 3 only")
         if self.estimator not in ("histogram", "fourier"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
 
     @property
     def micro_horizon(self) -> float:
         return self.horizon / self.epsilon**2
+
+    @property
+    def n_steps(self) -> int:
+        """Micro steps over the horizon, each at most `dt` long."""
+        return max(int(np.ceil(self.micro_horizon / self.dt - 1e-9)), 1)
+
+    @property
+    def path_horizon(self) -> float:
+        """Length of a force path that covers the run, with rounding slack."""
+        return self.micro_horizon * (1 + 1e-9) + 1e-9
 
 
 @dataclass
@@ -94,8 +101,6 @@ class DensityEstimate:
     current: TorusField          # vector first moment
     pressure: TorusField         # matrix second moment
     totals: np.ndarray           # total |v|^m moments, m = 0..3
-    estimator: str
-    mass: float
 
 
 # -- initial data ---------------------------------------------------------------
@@ -129,53 +134,14 @@ def sample_positions(rho: TorusField, n: int, seed) -> np.ndarray:
     return out
 
 
-def equilibrium_velocities(path: ForcePath, collision: str,
-                           positions: np.ndarray, seed) -> np.ndarray:
-    """Velocities drawn from the local invariant profile at each position.
-
-    Needs a path with past history (t_start <= -5).  Jump collisions mix the
-    Maxwellian shift over an exponential lookback time; diffusion collisions
-    shift by the exponentially weighted past force.
-    """
-    _check_collision(collision)
-    if path.t_start > -5.0:
-        raise ValueError("equilibrium init needs a path spanning [-T, 0], T >= 5")
-    rng = as_generator(seed)
-    n = positions.shape[0]
-    dim = positions.shape[1]
-    noise = rng.standard_normal((n, dim))
-    pieces = list(path.segments_between(path.t_start, 0.0))
-    if collision == FP:
-        shift = np.zeros((n, dim))
-        for t0, t1, sample in pieces:
-            w = np.exp(min(t1, 0.0)) - np.exp(t0)
-            shift += w * sample.field.eval_at(positions)
-        return noise + shift
-    # lookback time per particle, truncated at the available past
-    tau = np.minimum(-np.log1p(-rng.random(n)), -path.t_start)
-    shift = np.zeros((n, dim))
-    for t0, t1, sample in pieces:
-        lo = np.maximum(t0, -tau)
-        hi = np.minimum(t1, 0.0)
-        overlap = np.maximum(hi - lo, 0.0)
-        shift += overlap[:, None] * sample.field.eval_at(positions)
-    return noise + shift
-
-
-def make_ensemble(rho_init: TorusField, n: int, epsilon: float, seed,
-                  velocity_init: str = "maxwellian",
-                  path: ForcePath = None,
-                  collision: str = None) -> ParticleEnsemble:
-    from .torus import pairing
+def make_ensemble(rho_init: TorusField, n: int, epsilon: float,
+                  seed) -> ParticleEnsemble:
+    """n equal-weight particles: positions from rho_init, Maxwellian
+    velocities."""
     rng = as_generator(seed)
     mass = pairing(rho_init, TorusField.constant(rho_init.grid, 1.0))
     pos = sample_positions(rho_init, n, rng)
-    if velocity_init == "maxwellian":
-        vel = rng.standard_normal(pos.shape)
-    elif velocity_init == "equilibrium":
-        vel = equilibrium_velocities(path, collision, pos, rng)
-    else:
-        raise ValueError(f"unknown velocity_init {velocity_init!r}")
+    vel = rng.standard_normal(pos.shape)
     w = np.full(n, mass / n)
     return ParticleEnsemble(pos, vel, w, epsilon)
 
@@ -221,8 +187,8 @@ def _deposit_linear(grid: TorusGrid, positions: np.ndarray,
     g = positions * m
     i0 = np.floor(g).astype(np.int64) % m
     frac = g - np.floor(g)
-    out_shape = values.shape[1:] + grid.shape
-    flat = np.zeros(values.shape[1:] + (grid.size,))
+    comp = values.reshape(values.shape[0], -1)
+    flat = np.zeros((comp.shape[1], grid.size))
     # accumulate over the 2^dim corner combinations
     for corner in range(1 << dim):
         idx = np.zeros(positions.shape[0], dtype=np.int64)
@@ -232,14 +198,11 @@ def _deposit_linear(grid: TorusGrid, positions: np.ndarray,
             node = (i0[:, d] + up) % m
             idx = idx * m + node
             w = w * (frac[:, d] if up else 1.0 - frac[:, d])
-        if values.ndim == 1:
-            flat += np.bincount(idx, weights=values * w, minlength=grid.size)
-        else:
-            comp = values.reshape(values.shape[0], -1)
-            for c in range(comp.shape[1]):
-                flat.reshape(-1, grid.size)[c] += np.bincount(
-                    idx, weights=comp[:, c] * w, minlength=grid.size)
-    return flat.reshape(out_shape) * grid.size  # deposit / cell volume
+        for c in range(comp.shape[1]):
+            flat[c] += np.bincount(idx, weights=comp[:, c] * w,
+                                   minlength=grid.size)
+    # deposit / cell volume
+    return flat.reshape(values.shape[1:] + grid.shape) * grid.size
 
 
 def _empirical_modes(grid: TorusGrid, positions: np.ndarray,
@@ -247,7 +210,6 @@ def _empirical_modes(grid: TorusGrid, positions: np.ndarray,
     """Exact empirical Fourier sums sum_i values_i exp(-2 pi i k.x_i)."""
     m = grid.m
     kmax = min(kmax, m // 2 - 1)
-    freq = np.fft.fftfreq(m, d=1.0 / m).astype(int)
     comp_shape = values.shape[1:]
     vals2 = values.reshape(values.shape[0], -1)
     spec_flat = np.zeros((vals2.shape[1], grid.size), dtype=complex)
@@ -266,30 +228,20 @@ def moments(ens: ParticleEnsemble, grid: TorusGrid,
     v = ens.velocities
     speeds = np.linalg.norm(v, axis=1)
     totals = np.array([np.sum(w * speeds**m) for m in range(4)])
-    val_rho = w
-    val_j = w[:, None] * v
-    val_k = w[:, None, None] * (v[:, :, None] * v[:, None, :])
+    # per-particle values of the rank 0, 1 and 2 moments
+    vals = [w, w[:, None] * v,
+            w[:, None, None] * (v[:, :, None] * v[:, None, :])]
     if estimator == "histogram":
-        rho = TorusField(grid, 0, _deposit_linear(grid, ens.positions, val_rho))
-        cur = TorusField(grid, 1, _deposit_linear(grid, ens.positions, val_j))
-        pres = TorusField(grid, 2, _deposit_linear(grid, ens.positions, val_k))
+        rho, cur, pres = [TorusField(grid, rank, _deposit_linear(
+            grid, ens.positions, x)) for rank, x in enumerate(vals)]
     elif estimator == "fourier":
-        if kmax is None:
-            kmax = grid.m // 4
-        rho = TorusField(grid, 0,
-                         _empirical_modes(grid, ens.positions,
-                                          val_rho[:, None], kmax
-                                          ).reshape(grid.shape),
-                         space="spectral").to_physical()
-        cur = TorusField(grid, 1,
-                         _empirical_modes(grid, ens.positions, val_j, kmax),
-                         space="spectral").to_physical()
-        pres = TorusField(grid, 2,
-                          _empirical_modes(grid, ens.positions, val_k, kmax),
-                          space="spectral").to_physical()
+        kmax = grid.m // 4 if kmax is None else kmax
+        rho, cur, pres = [TorusField(grid, rank, _empirical_modes(
+            grid, ens.positions, x, kmax), space="spectral").to_physical()
+            for rank, x in enumerate(vals)]
     else:
         raise ValueError(f"unknown estimator {estimator!r}")
-    return DensityEstimate(rho, cur, pres, totals, estimator, ens.mass)
+    return DensityEstimate(rho, cur, pres, totals)
 
 
 # -- corrector diagnostic ----------------------------------------------------------
@@ -320,65 +272,70 @@ class KineticRun:
     corrector_norms: np.ndarray = field(default=None)  # sup_t ||theta||_{H^-1}
 
 
+def _evolve(cfg: KineticRunConfig, path: ForcePath, rho_init: TorusField,
+            rng, checkpoint_steps, record) -> ParticleEnsemble:
+    """Draw the ensemble from `rng`, then take cfg.n_steps micro steps on
+    the same stream, calling `record(ens)` after each step in
+    `checkpoint_steps` (0 is the initial ensemble).  The one stepping loop
+    of `run_rescaled` and `functional_samples`."""
+    if not path.covers(0.0, cfg.micro_horizon):
+        raise ValueError("force path horizon too short for the rescaled run")
+    dt = cfg.micro_horizon / cfg.n_steps
+    ens = make_ensemble(rho_init, cfg.n_particles, cfg.epsilon, rng)
+    if 0 in checkpoint_steps:
+        record(ens)
+    for step in range(1, cfg.n_steps + 1):
+        ens = step_micro(ens, path, dt, rng, cfg.collision)
+        if step in checkpoint_steps:
+            record(ens)
+    return ens
+
+
 def run_rescaled(cfg: KineticRunConfig, path: ForcePath,
                  rho_init: TorusField, seed,
-                 velocity_init: str = "maxwellian",
                  n_checkpoints: int = 10,
-                 track_corrector: bool = False,
-                 kmax: int = None) -> KineticRun:
+                 track_corrector: bool = False) -> KineticRun:
     """Evolve one conditioned realization over macro time [0, horizon].
 
     All particles share `path` (the conditioning environment); the collision
     and thermal noise is particle-independent.  Checkpoints are evenly spaced
     in macro time, including both endpoints.
     """
-    micro_t = cfg.micro_horizon
-    if not path.covers(0.0, micro_t):
-        raise ValueError("force path horizon too short for the rescaled run")
-    n_steps = max(int(np.ceil(micro_t / cfg.dt - 1e-9)), 1)
-    dt = micro_t / n_steps
-    rng = as_generator(seed)
-    ens = make_ensemble(rho_init, cfg.n_particles, cfg.epsilon, rng,
-                        velocity_init=velocity_init, path=path,
-                        collision=cfg.collision)
-    checkpoint_steps = np.unique(np.round(
-        np.linspace(0, n_steps, n_checkpoints + 1)).astype(int))
+    checkpoint_steps = set(np.round(
+        np.linspace(0, cfg.n_steps, n_checkpoints + 1)).astype(int).tolist())
     times, estimates, norms = [], [], []
 
     def record(e):
-        est = moments(e, cfg.grid, estimator=cfg.estimator, kmax=kmax)
+        est = moments(e, cfg.grid, estimator=cfg.estimator)
         times.append(e.time)
         estimates.append(est)
         if track_corrector:
             est_f = est if cfg.estimator == "fourier" else \
-                moments(e, cfg.grid, estimator="fourier", kmax=kmax)
+                moments(e, cfg.grid, estimator="fourier")
             e_now = path.value_at(min(e.micro_time, path.t_end)).field
             theta, _ = corrector_decomposition(est_f, e_now, cfg.epsilon)
             norms.append(sobolev_norm(theta, -1.0))
 
-    record(ens)
-    for step in range(1, n_steps + 1):
-        ens = step_micro(ens, path, dt, rng, cfg.collision)
-        if step in checkpoint_steps:
-            record(ens)
+    ens = _evolve(cfg, path, rho_init, as_generator(seed), checkpoint_steps,
+                  record)
     return KineticRun(times, estimates, ens,
                       np.asarray(norms) if track_corrector else None)
 
 
 def functional_samples(cfg: KineticRunConfig, model: ForceFieldModel,
                        rho_init: TorusField, xi_fields, n_realizations: int,
-                       seed: int, n_workers: int = 1,
-                       velocity_init: str = "maxwellian"):
+                       seed: int, n_workers: int = 1):
     """Samples of the position functionals <rho_T, xi> across realizations.
 
-    Each realization draws its own force path and its own particle noise.
+    Realization r runs on its own force path, drawn from stream
+    (seed, 11, r), and its own particle noise, stream (seed, 12, r).
     Returns (samples, noise_floor), both (n_realizations, len(xi_fields)):
     `noise_floor` is the estimated conditional (particle-sampling) variance
     of each sample, mass^2 Var(xi(X)) / n.  By the law of total variance,
     subtracting its mean from the sample variance estimates the variance of
     the underlying law of <rho_T, xi> itself.
     """
-    args = [(cfg, model, rho_init, xi_fields, seed, r, velocity_init)
+    args = [(cfg, model, rho_init, xi_fields, seed, r)
             for r in range(n_realizations)]
     rows = parallel_map(_one_functional_sample, args, n_workers)
     arr = np.asarray(rows)
@@ -387,18 +344,10 @@ def functional_samples(cfg: KineticRunConfig, model: ForceFieldModel,
 
 
 def _one_functional_sample(args):
-    cfg, model, rho_init, xi_fields, seed, r, velocity_init = args
-    micro_t = cfg.micro_horizon
-    path = generate_path(model, micro_t * (1 + 1e-9) + 1e-9,
-                         seed=substream(seed, 11, r))
-    n_steps = max(int(np.ceil(micro_t / cfg.dt - 1e-9)), 1)
-    dt = micro_t / n_steps
-    rng = substream(seed, 12, r)
-    ens = make_ensemble(rho_init, cfg.n_particles, cfg.epsilon, rng,
-                        velocity_init=velocity_init, path=path,
-                        collision=cfg.collision)
-    for _ in range(n_steps):
-        ens = step_micro(ens, path, dt, rng, cfg.collision)
+    cfg, model, rho_init, xi_fields, seed, r = args
+    path = generate_path(model, cfg.path_horizon, seed=substream(seed, 11, r))
+    ens = _evolve(cfg, path, rho_init, substream(seed, 12, r),
+                  checkpoint_steps=(), record=None)
     out = np.empty(2 * len(xi_fields))
     n = ens.n_particles
     for j, xi in enumerate(xi_fields):

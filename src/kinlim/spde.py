@@ -24,13 +24,14 @@ any batch or worker layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import pairwise
 
 import numpy as np
 
 from .coefficients import CovOperator, HydroCoefficients
 from .rng import substream
-from .torus import TorusField, TorusGrid, divergence
+from .torus import TorusField, TorusGrid, divergence, gradient
 
 ITO = "ito"
 STRATONOVICH = "stratonovich"
@@ -53,7 +54,7 @@ class SpdeStepper:
     """
 
     def __init__(self, coeffs: HydroCoefficients, cov: CovOperator, dt: float,
-                 mode_cutoff: int = None, scheme: str = ITO):
+                 scheme: str = ITO):
         if scheme not in (ITO, STRATONOVICH):
             raise ValueError(f"unknown scheme {scheme!r}")
         grid = coeffs.diffusion.grid
@@ -65,14 +66,8 @@ class SpdeStepper:
         self.grid = grid
         self.dt = float(dt)
         self.scheme = scheme
-        self.mode_cutoff = grid.m // 2 if mode_cutoff is None else mode_cutoff
         ks = grid.wavenumbers()
         self._ik = [2j * np.pi * k for k in ks]
-        # Galerkin projection mask
-        mask = np.ones(grid.shape, dtype=bool)
-        for k in ks:
-            mask &= np.abs(k) <= self.mode_cutoff
-        self._mask = mask
 
         diff_vals = coeffs.diffusion.physical()
         phis = [] if cov is None else cov.noise_fields()
@@ -98,8 +93,8 @@ class SpdeStepper:
         for i in range(grid.dim):
             for j in range(grid.dim):
                 mu += 4 * np.pi**2 * kbar[i, j] * ks[i] * ks[j]
-        self._cn_minus = (1.0 - 0.5 * dt * mu) * mask
-        self._cn_plus_inv = mask / (1.0 + 0.5 * dt * mu)
+        self._cn_minus = 1.0 - 0.5 * dt * mu
+        self._cn_plus_inv = 1.0 / (1.0 + 0.5 * dt * mu)
 
     # -- spectral helpers ---------------------------------------------------
 
@@ -107,12 +102,10 @@ class SpdeStepper:
         return tuple(range(arr.ndim - self.grid.dim, arr.ndim))
 
     def to_physical(self, coef):
-        return np.fft.ifftn(coef * self._mask, axes=self._axes(coef)).real \
-            * self.grid.size
+        return np.fft.ifftn(coef, axes=self._axes(coef)).real * self.grid.size
 
     def to_spectral(self, phys):
-        return np.fft.fftn(phys, axes=self._axes(phys)) / self.grid.size \
-            * self._mask
+        return np.fft.fftn(phys, axes=self._axes(phys)) / self.grid.size
 
     def _grad(self, coef):
         return [self.to_physical(ik * coef) for ik in self._ik]
@@ -150,47 +143,30 @@ class SpdeStepper:
         """One step on spectral coefficients; g: standard normals (..., rank)."""
         phys = self.to_physical(coef)
         drift_hat = self._explicit_drift_hat(coef, phys)
-        if self.scheme == ITO or self.noise_rank == 0 or g is None:
-            noise_hat = 0.0
-            if g is not None and self.noise_rank:
-                noise_hat = np.sqrt(2 * self.dt) * self._noise_hat(phys, g)
-            return (self._cn_minus * coef + self.dt * drift_hat + noise_hat) \
-                * self._cn_plus_inv
-        # Stratonovich: Heun (midpoint) rule on the noise term
+        det = self._cn_minus * coef + self.dt * drift_hat
+        if g is None or self.noise_rank == 0:
+            return det * self._cn_plus_inv
         root = np.sqrt(2 * self.dt)
         noise0 = self._noise_hat(phys, g)
-        pred = (self._cn_minus * coef + self.dt * drift_hat
-                + root * noise0) * self._cn_plus_inv
+        if self.scheme == ITO:
+            return (det + root * noise0) * self._cn_plus_inv
+        # Stratonovich: Heun (midpoint) rule on the noise term
+        pred = (det + root * noise0) * self._cn_plus_inv
         noise1 = self._noise_hat(self.to_physical(pred), g)
-        return (self._cn_minus * coef + self.dt * drift_hat
-                + root * 0.5 * (noise0 + noise1)) * self._cn_plus_inv
-
-    def martingale_parts_hat(self, coef, g):
-        """(deterministic update, noise increment) of one Ito step."""
-        phys = self.to_physical(coef)
-        drift_hat = self._explicit_drift_hat(coef, phys)
-        det = (self._cn_minus * coef + self.dt * drift_hat) * self._cn_plus_inv
-        if self.noise_rank:
-            noise = np.sqrt(2 * self.dt) * self._noise_hat(phys, g) \
-                * self._cn_plus_inv
-        else:
-            noise = np.zeros_like(det)
-        return det, noise
+        return (det + root * 0.5 * (noise0 + noise1)) * self._cn_plus_inv
 
 
 def mean_equation_solve(coeffs: HydroCoefficients, rho_in: TorusField,
-                        horizon: float, dt: float, include_drift: bool = True,
-                        mode_cutoff: int = None) -> TorusField:
+                        horizon: float, dt: float, include_drift: bool = True
+                        ) -> TorusField:
     """Deterministic solve of d_t r = div(K grad r + Theta r) (noise off).
 
     `include_drift=False` drops the Theta term, leaving the pure
     enhanced-diffusion equation for the ensemble average.
     """
-    work = coeffs if include_drift else HydroCoefficients(
-        coeffs.diffusion, TorusField.zeros(coeffs.diffusion.grid, 1),
-        coeffs.collision, coeffs.collision_factor, coeffs.r1_sym,
-        coeffs.diffusion_stderr, coeffs.drift_stderr, coeffs.n_mc)
-    stepper = SpdeStepper(work, None, dt, mode_cutoff)
+    work = coeffs if include_drift else replace(
+        coeffs, drift=TorusField.zeros(coeffs.diffusion.grid, 1))
+    stepper = SpdeStepper(work, None, dt)
     n_steps = int(round(horizon / dt))
     coef = rho_in.spectrum().copy()
     for _ in range(n_steps):
@@ -206,39 +182,45 @@ class EnsembleResult:
     samples: np.ndarray         # (n_checkpoints, n_realizations, n_xi)
     min_rho: float              # most negative physical value seen
     noise_rank: int
-    dt: float
 
     def mean_field(self, grid: TorusGrid, idx: int = -1) -> TorusField:
         return TorusField(grid, 0, self.mean_hat[idx],
                           space="spectral").to_physical()
 
 
+def _realizations(stepper: SpdeStepper, rho_in: TorusField, n_steps: int,
+                  n_realizations: int, seed: int):
+    """Spectra (n_realizations, grid shape) of independent realizations
+    started at rho_in, after 0, 1, ..., n_steps steps.  Realization r draws
+    its standard normals from stream (seed, 41, r)."""
+    noise = np.empty((n_realizations, n_steps, stepper.noise_rank))
+    for r in range(n_realizations):
+        noise[r] = substream(seed, 41, r).standard_normal(noise.shape[1:])
+    coef = np.broadcast_to(rho_in.spectrum(),
+                           (n_realizations,) + rho_in.grid.shape).copy()
+    yield coef
+    for step in range(n_steps):
+        coef = stepper.step_hat(coef, noise[:, step, :])
+        yield coef
+
+
 def run_ensemble(coeffs: HydroCoefficients, cov: CovOperator,
                  rho_in: TorusField, horizon: float, dt: float,
                  n_realizations: int, seed: int, xi_fields=(),
-                 n_checkpoints: int = 5, scheme: str = ITO,
-                 mode_cutoff: int = None) -> EnsembleResult:
+                 n_checkpoints: int = 5, scheme: str = ITO) -> EnsembleResult:
     """Batched ensemble of independent realizations with law statistics."""
     if n_realizations < 2:
         raise ValueError("need at least two realizations")
-    grid = rho_in.grid
-    stepper = SpdeStepper(coeffs, cov, dt, mode_cutoff, scheme)
+    stepper = SpdeStepper(coeffs, cov, dt, scheme)
     n_steps = int(round(horizon / dt))
-    rank = stepper.noise_rank
-    # per-realization noise blocks, pure functions of (seed, realization)
-    noise = np.empty((n_realizations, n_steps, rank))
-    for r in range(n_realizations):
-        noise[r] = substream(seed, 41, r).standard_normal((n_steps, rank))
-    coef = np.broadcast_to(rho_in.spectrum(),
-                           (n_realizations,) + grid.shape).copy()
     xi_phys = [xi.physical() for xi in xi_fields]
-    checkpoint_steps = np.unique(np.round(
-        np.linspace(0, n_steps, n_checkpoints + 1)).astype(int))
+    checkpoint_steps = set(np.round(
+        np.linspace(0, n_steps, n_checkpoints + 1)).astype(int).tolist())
     times, means, var_list, samp = [], [], [], []
     min_rho = np.inf
-    gaxes = tuple(range(1, 1 + grid.dim))
+    gaxes = tuple(range(1, 1 + rho_in.grid.dim))
 
-    def record(step):
+    def record(step, coef):
         times.append(step * dt)
         means.append(coef.mean(axis=0))
         var_list.append(np.var(coef.real, axis=0) + np.var(coef.imag, axis=0))
@@ -249,16 +231,15 @@ def run_ensemble(coeffs: HydroCoefficients, cov: CovOperator,
         samp.append(row)
         return float(phys.min())
 
-    min_rho = min(min_rho, record(0))
-    for step in range(1, n_steps + 1):
-        coef = stepper.step_hat(coef, noise[:, step - 1, :])
+    for step, coef in enumerate(_realizations(stepper, rho_in, n_steps,
+                                              n_realizations, seed)):
         if step in checkpoint_steps:
             if not np.all(np.isfinite(coef)):
                 raise ValueError("ensemble spectrum lost finiteness")
-            min_rho = min(min_rho, record(step))
+            min_rho = min(min_rho, record(step, coef))
     return EnsembleResult(np.array(times), np.array(means),
                           np.array(var_list), np.array(samp), min_rho,
-                          rank, dt)
+                          stepper.noise_rank)
 
 
 @dataclass
@@ -270,6 +251,7 @@ class QvReport:
     mean_relative_gap: float
     martingale_mean: float      # ensemble mean of M_T (should be ~ 0)
     martingale_se: float
+    final: np.ndarray           # per-realization <rho_T, xi>
 
 
 def quadratic_variation_check(coeffs: HydroCoefficients, cov: CovOperator,
@@ -278,46 +260,35 @@ def quadratic_variation_check(coeffs: HydroCoefficients, cov: CovOperator,
                               seed: int) -> QvReport:
     """Accumulate M_t = <rho_t, xi> - <rho_0, xi> - int <drift, xi> along each
     path and compare sum (dM)^2 with the predicted rate 2 ||S^1/2(rho grad xi)||^2.
+
+    The paths are those of `run_ensemble` with the same seed; each increment
+    dM is <step - noiseless step, xi> from the step's left endpoint.
     """
     grid = rho_in.grid
-    stepper = SpdeStepper(coeffs, cov, dt, None, ITO)
+    stepper = SpdeStepper(coeffs, cov, dt, ITO)
     n_steps = int(round(horizon / dt))
-    rank = stepper.noise_rank
-    noise = np.empty((n_realizations, n_steps, rank))
-    for r in range(n_realizations):
-        noise[r] = substream(seed, 41, r).standard_normal((n_steps, rank))
-    coef = np.broadcast_to(rho_in.spectrum(),
-                           (n_realizations,) + grid.shape).copy()
+    if n_steps < 1:
+        raise ValueError("horizon shorter than one step")
     gaxes = tuple(range(1, 1 + grid.dim))
-    grad_xi = [g.physical() for g in _gradient_fields(xi)]
-    phi = [p.physical() for p in cov.noise_fields()]
+    grad_xi = gradient(xi).physical()
+    xi_phys = xi.physical()
     qv_emp = np.zeros(n_realizations)
     qv_pred = np.zeros(n_realizations)
     mart = np.zeros(n_realizations)
-    for step in range(n_steps):
-        phys = stepper.to_physical(coef)
+    paths = _realizations(stepper, rho_in, n_steps, n_realizations, seed)
+    for before, after in pairwise(paths):
+        phys = stepper.to_physical(before)
         # predicted rate: 2 sum_k <phi_k, rho grad xi>^2 (left endpoint)
-        for k in range(rank):
+        for phi in stepper._phi:
             proj = np.zeros(n_realizations)
             for i in range(grid.dim):
-                proj += (phys * phi[k][i] * grad_xi[i]).mean(axis=gaxes)
+                proj += (phys * phi[i] * grad_xi[i]).mean(axis=gaxes)
             qv_pred += 2.0 * dt * proj**2
-        det, noi = stepper.martingale_parts_hat(coef, noise[:, step, :])
-        dm = _xi_functional(stepper, noi, xi, gaxes)
+        noise = stepper.to_physical(after - stepper.step_hat(before))
+        dm = (noise * xi_phys).mean(axis=gaxes)
         qv_emp += dm**2
         mart += dm
-        coef = det + noi
+    final = (stepper.to_physical(after) * xi_phys).mean(axis=gaxes)
     gaps = np.abs(qv_emp - qv_pred) / np.maximum(qv_pred, 1e-300)
     return QvReport(qv_emp, qv_pred, float(gaps.mean()), float(mart.mean()),
-                    float(mart.std(ddof=1) / np.sqrt(n_realizations)))
-
-
-def _gradient_fields(xi: TorusField):
-    from .torus import gradient
-    g = gradient(xi)
-    return [g.component(i) for i in range(xi.grid.dim)]
-
-
-def _xi_functional(stepper: SpdeStepper, coef, xi: TorusField, gaxes):
-    phys = stepper.to_physical(coef)
-    return (phys * xi.physical()).mean(axis=gaxes)
+                    float(mart.std(ddof=1) / np.sqrt(n_realizations)), final)

@@ -113,3 +113,26 @@ def test_seed_override_changes_hash_not_manifest_match(tmp_path):
     out = tmp_path / "out"
     manifest = RunManifest.load(out / "manifest_coeffs.txt")
     assert manifest.stage_seeds["coeffs"] == 11
+
+
+def test_oversized_kernel_refused_before_monte_carlo(tmp_path, capsys,
+                                                     monkeypatch):
+    # 2-D at grid_m = 32 is a 2048-wide dense kernel, above the 1024 cap;
+    # simulate-kinetic at that grid stays valid, so the config accepts it
+    from kinlim import experiment
+
+    def no_monte_carlo(*args, **kwargs):
+        raise AssertionError("Monte Carlo work before the kernel check")
+
+    monkeypatch.setattr(experiment, "compute_coefficients", no_monte_carlo)
+    cfg, path = mini_config(tmp_path, dim=2, grid_m=32)
+    cfg.validate()
+    for stage in ("coeffs", "validate"):
+        assert main([stage, "--config", path]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "1024" in err[0] and "grid_m=16" in err[0]
+    assert not (tmp_path / "out" / "coefficients.csv").exists()
+    for run in (experiment.coefficients_stage, experiment.validation_suite):
+        with pytest.raises(ValueError, match="grid_m=16"):
+            run(cfg)

@@ -34,9 +34,6 @@ def test_config_validation(grid):
         KineticRunConfig(LB, 0.5, 0.05, dt=0.05, n_particles=10, grid=grid)
     with pytest.raises(ValueError):
         KineticRunConfig("xx", 0.5, 0.05, dt=0.01, n_particles=10, grid=grid)
-    with pytest.raises(ValueError):
-        KineticRunConfig(LB, 0.5, 0.05, dt=0.01, n_particles=10, grid=grid,
-                         moment_cap=4)
 
 
 def test_zero_velocity_zero_force_positions_fixed(grid):
@@ -278,3 +275,26 @@ def test_functional_samples_same_for_any_worker_count(grid):
     two = functional_samples(cfg, model, rho0, xi, 3, seed=4, n_workers=2)
     assert np.array_equal(one[0], two[0])
     assert np.array_equal(one[1], two[1])
+
+
+def test_functional_samples_rows_are_run_rescaled_functionals(grid):
+    # row r of functional_samples is the functionals of run_rescaled's final
+    # ensemble on the path of stream (seed, 11, r) and particle stream
+    # (seed, 12, r), bit for bit
+    cfg = KineticRunConfig(FP, 0.5, 0.05, 0.025, 300, grid)
+    model = two_point_renewal(grid, A)
+    rho0 = TorusField.from_function(
+        grid, 0, lambda x: 1.0 + 0.5 * np.cos(2 * np.pi * x))
+    xi = [TorusField.constant(grid, 1.0),
+          TorusField.from_function(grid, 0, lambda x: np.sin(2 * np.pi * x))]
+    samples, floors = functional_samples(cfg, model, rho0, xi, 3, seed=8)
+    for r in range(3):
+        path = generate_path(model, cfg.path_horizon,
+                             seed=substream(8, 11, r))
+        ens = run_rescaled(cfg, path, rho0, substream(8, 12, r),
+                           n_checkpoints=2).ensemble
+        for j, f in enumerate(xi):
+            vals = f.eval_at(ens.positions)
+            assert samples[r, j] == float(np.sum(ens.weights * vals))
+            assert floors[r, j] == ens.mass**2 * float(vals.var(ddof=1)) \
+                / ens.n_particles

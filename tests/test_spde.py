@@ -137,6 +137,18 @@ def test_quadratic_variation_rank_one(grid):
     assert rep.predicted.mean() == pytest.approx(rate * 0.005, rel=0.05)
 
 
+def test_quadratic_variation_paths_are_run_ensemble_paths(grid):
+    # the check steps the realizations run_ensemble steps for the same seed
+    coeffs, cov = lb_setup(grid)
+    rho0 = rho_one_plus_cos(grid)
+    xi = TorusField.from_function(grid, 0, lambda x: np.sin(2 * np.pi * x))
+    rep = quadratic_variation_check(coeffs, cov, rho0, xi, 0.001, 1e-5,
+                                    n_realizations=6, seed=21)
+    res = run_ensemble(coeffs, cov, rho0, 0.001, 1e-5, 6, seed=21,
+                       xi_fields=[xi])
+    assert np.array_equal(rep.final, res.samples[-1][:, 0])
+
+
 def test_zero_noise_qv_trivial(grid):
     model = zero_renewal(grid)
     coeffs = compute_coefficients(model, LB, grid, n_mc=128, seed=12)
