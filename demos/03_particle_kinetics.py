@@ -9,7 +9,7 @@ the same force path.
 import numpy as np
 
 from kinlim.equilibrium import LB, invariant_solution
-from kinlim.forcing import generate_path, two_point_renewal
+from kinlim.forcing import PathBlock, generate_path, two_point_renewal
 from kinlim.kinetic import KineticRunConfig, make_ensemble, run_rescaled, \
     step_micro
 from kinlim.rng import substream
@@ -36,11 +36,12 @@ for t, est in zip(run.times, run.estimates):
 # velocity law against the local equilibrium from the same path history
 micro_t = 5.0
 long_path = generate_path(model, micro_t + 20.0, seed=13, t_start=-20.0)
+block = PathBlock([long_path])
 rng = substream(14)
 ens = make_ensemble(TorusField.constant(grid, 1.0), 40_000, 1.0, rng)
 dt = 0.02
 for _ in range(int(micro_t / dt)):
-    ens = step_micro(ens, long_path, dt, rng, LB)
+    ens = step_micro(ens, block, dt, rng, LB)
 hist, edges = np.histogram(ens.velocities[:, 0], bins=48, range=(-6, 6),
                            density=True)
 v_grid = np.linspace(-8, 8, 257)

@@ -25,7 +25,7 @@ from .config import ExperimentConfig, RunManifest
 from .equilibrium import (FP, LB, gaussian_identities_check,
                           invariant_solution, path_weighted_integral,
                           profile_moments)
-from .forcing import (ForceFieldModel, constant_two_point_renewal,
+from .forcing import (ForceFieldModel, PathBlock, constant_two_point_renewal,
                       generate_path, ou_single_mode, resolvent_apply,
                       resolvent_r1r0_apply, sample_stationary,
                       two_point_renewal)
@@ -176,12 +176,13 @@ def convergence_study(cfg: ExperimentConfig, coeffs: HydroCoefficients,
     xi_fields = [f for _, f in xi]
 
     kin_samples, kin_floors = [], []
+    # the kinetic streams of eps index i are keyed (seed, 13, i, ...)
     for i, eps in enumerate(cfg.epsilons):
         kcfg = KineticRunConfig(cfg.collision, eps, cfg.horizon,
                                 cfg.micro_dt(eps), cfg.n_particles, grid)
         samples, floors = functional_samples(
             kcfg, model, rho0, xi_fields, cfg.n_realizations,
-            seed=1000 + 17 * i + cfg.seed, n_workers=cfg.threads)
+            seed=(cfg.seed, 13, i), n_workers=cfg.threads)
         kin_samples.append(samples)
         kin_floors.append(floors)
     spde_res = run_ensemble(coeffs, cov, rho0, cfg.horizon, cfg.dt_spde,
@@ -312,12 +313,13 @@ def check_moment_evolution(grid: TorusGrid, amplitude: float, n_particles,
     out = []
     for ci, collision in enumerate((LB, FP)):
         path = generate_path(model, micro_t + 0.1, seed=substream(seed, 3, ci))
+        block = PathBlock([path])
         rng = substream(seed, 4, ci)
         ens = make_ensemble(TorusField.constant(grid, 1.0), n_particles, 1.0,
                             rng)
         worst = -np.inf
         for step in range(1, n_steps + 1):
-            ens = step_micro(ens, path, dt, rng, collision)
+            ens = step_micro(ens, block, dt, rng, collision)
             if step in checkpoints:
                 t = step * dt
                 formula = np.exp(-t) * path_weighted_integral(
@@ -551,9 +553,10 @@ def _equilibration_gap_diagnostic(cfg: ExperimentConfig,
     rng = substream(cfg.seed, 72)
     rho0 = TorusField.constant(grid, 1.0)
     ens = make_ensemble(rho0, 20_000, eps, rng)
-    dt = 0.02
-    for _ in range(int(micro_t / dt)):
-        ens = step_micro(ens, path, dt, rng, cfg.collision)
+    dt = cfg.micro_dt(eps)
+    block = PathBlock([path])
+    for _ in range(int(round(micro_t / dt))):
+        ens = step_micro(ens, block, dt, rng, cfg.collision)
     v_grid = np.linspace(-8.0, 8.0, 129)
     # compare the global velocity histogram against the x-averaged local
     # equilibrium of the same path realization, seen from the final time

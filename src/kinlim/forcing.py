@@ -31,6 +31,9 @@ from .torus import TorusField, TorusGrid, vector_sobolev_norm
 RENEWAL = "renewal"
 OU = "ou"
 
+# slack of the span checks `ForcePath.covers` and `PathBlock.covers`
+_COVER_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class ForceSample:
@@ -159,6 +162,14 @@ def sample_stationary(model: ForceFieldModel, seed) -> ForceSample:
     return ForceSample(model.link(u), model.norm_bound, state=u.copy())
 
 
+def _segment_of(n_breakpoints_at_or_before, last):
+    """The segment holding a time t, given how many breakpoints are <= t:
+    segment i is [times[i], times[i+1]) (right-continuous at breakpoints),
+    clipped to [0, last].  The one rule of `ForcePath.segment_index` and
+    `PathBlock.eval_at`."""
+    return np.clip(n_breakpoints_at_or_before - 1, 0, last)
+
+
 @dataclass
 class ForcePath:
     """One sampled trajectory t -> E(t, .), piecewise constant in time.
@@ -183,12 +194,12 @@ class ForcePath:
     def t_end(self) -> float:
         return float(self.times[-1])
 
-    def covers(self, a: float, b: float, tol: float = 1e-9) -> bool:
-        return self.t_start - tol <= a and b <= self.t_end + tol
+    def covers(self, a: float, b: float) -> bool:
+        return self.t_start - _COVER_TOL <= a and b <= self.t_end + _COVER_TOL
 
     def segment_index(self, t) -> np.ndarray:
-        idx = np.searchsorted(self.times, t, side="right") - 1
-        return np.clip(idx, 0, len(self.samples) - 1)
+        return _segment_of(np.searchsorted(self.times, t, side="right"),
+                           len(self.samples) - 1)
 
     def value_at(self, t: float) -> ForceSample:
         if not self.covers(t, t):
@@ -217,6 +228,59 @@ class ForcePath:
             i += 1
         if a == b:
             yield a, b, self.samples[int(self.segment_index(a))]
+
+
+class PathBlock:
+    """The force paths of a block of R realizations, tabulated once so that
+    one lookup per time finds every realization's current value.
+
+    `times[r]` is path r's breakpoints padded with +inf, and
+    `field_index[r, i]` points into `fields` for its i-th segment.  A field
+    shared by several segments or paths (an atom of a renewal law) is one
+    entry of `fields`, so it is evaluated once per lookup.
+    """
+
+    def __init__(self, paths):
+        self.paths = list(paths)
+        if not self.paths:
+            raise ValueError("a path block needs at least one path")
+        width = max(len(p.times) for p in self.paths)
+        self.times = np.full((self.size, width), np.inf)
+        self.field_index = np.zeros((self.size, width - 1), dtype=np.intp)
+        self.last_segment = np.array([len(p.samples) - 1 for p in self.paths])
+        self.t_end = np.array([p.t_end for p in self.paths])
+        self.fields = []
+        index_of = {}
+        for r, p in enumerate(self.paths):
+            self.times[r, :len(p.times)] = p.times
+            for i, sample in enumerate(p.samples):
+                j = index_of.setdefault(id(sample.field), len(self.fields))
+                if j == len(self.fields):
+                    self.fields.append(sample.field)
+                self.field_index[r, i] = j
+
+    @property
+    def size(self) -> int:
+        return len(self.paths)
+
+    def covers(self, a: float, b: float) -> bool:
+        return bool((self.times[:, 0] - _COVER_TOL <= a).all()
+                    and (b <= self.t_end + _COVER_TOL).all())
+
+    def eval_at(self, t: float, points: np.ndarray) -> np.ndarray:
+        """Force at time t at `points` (npts, dim), which come in R equal
+        consecutive runs: run r feels path r.  Returns (npts, dim)."""
+        seg = _segment_of((self.times <= t).sum(axis=1), self.last_segment)
+        which = self.field_index[np.arange(self.size), seg]
+        if (which == which[0]).all():
+            return self.fields[which[0]].eval_at(points)
+        runs = points.reshape(self.size, -1, points.shape[1])
+        out = np.empty(runs.shape)
+        for j in np.unique(which):
+            rows = np.flatnonzero(which == j)
+            vals = self.fields[j].eval_at(runs[rows].reshape(-1, runs.shape[2]))
+            out[rows] = vals.reshape((rows.size,) + runs.shape[1:])
+        return out.reshape(points.shape)
 
 
 def generate_path(model: ForceFieldModel, horizon: float, dt_ou: float = 0.01,

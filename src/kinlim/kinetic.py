@@ -7,6 +7,14 @@ random density rho at fixed environment.  Micro (fast) time s relates to the
 macroscopic clock through t = eps^2 s; positions advance by eps*V per unit
 micro time.
 
+A block of R realizations is stepped as one flat ParticleEnsemble of R*n
+particles, realization r's n particles in rows r*n .. (r+1)*n - 1, with one
+force path per realization (a `PathBlock`) and one random stream for the
+whole block.  Each step looks up every realization's current force value in
+one vectorised search, evaluates each distinct force sample once on the
+particles that feel it, and draws the collision randomness once for the
+block.  A single run (`run_rescaled`) is a block of one.
+
 Stepping is a first-order splitting, vectorised over particles:
 
 * positions: explicit Euler with the step-start velocity, wrapped into [0,1);
@@ -17,9 +25,11 @@ Stepping is a first-order splitting, vectorised over particles:
 * velocities, diffusion collisions ('fp'): exact Ornstein-Uhlenbeck update
   exp(-dt) V + (1 - exp(-dt)) E + Gaussian noise of variance 1 - exp(-2 dt).
 
-Randomness is drawn from a counter-based stream owned by the realization, so
-ensembles are reproducible for any number of workers (realizations are the
-parallel unit; reductions happen in realization order).
+Randomness is drawn from counter-based streams keyed by realization (force
+paths) and by block (particles), and `functional_samples` forms its blocks
+from the particle count alone, so ensembles are reproducible for any number
+of workers (blocks are the parallel unit; reductions happen in realization
+order).
 """
 
 from __future__ import annotations
@@ -29,9 +39,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .equilibrium import LB, _check_collision
-from .forcing import ForceFieldModel, ForcePath, generate_path
+from .forcing import ForceFieldModel, ForcePath, PathBlock, generate_path
 from .rng import as_generator, parallel_map, substream
 from .torus import TorusField, TorusGrid, divergence, pairing, sobolev_norm
+
+# Particles per block in `functional_samples`: a block holds as many whole
+# realizations as fit, and at least one.  Measured (BENCH_block_stepping.json,
+# lb, 1-D m=64): 250-particle realizations step at about the same cost per
+# particle-step in blocks of 32 and of 64, and a 10^4-particle realization
+# stepped alone was not slower than in a block of six.  So runs of a few
+# hundred particles share blocks, runs of 10^4 or more stay alone, and the
+# 64 x 250 particles of converge-1d-lb make two blocks for two workers.
+BLOCK_PARTICLES = 1 << 13
 
 
 @dataclass
@@ -135,31 +154,39 @@ def sample_positions(rho: TorusField, n: int, seed) -> np.ndarray:
 
 
 def make_ensemble(rho_init: TorusField, n: int, epsilon: float,
-                  seed) -> ParticleEnsemble:
-    """n equal-weight particles: positions from rho_init, Maxwellian
-    velocities."""
+                  seed, realizations: int = 1) -> ParticleEnsemble:
+    """`realizations` runs of n equal-weight particles, each run carrying
+    the mass of rho_init: positions from rho_init, Maxwellian velocities."""
     rng = as_generator(seed)
     mass = pairing(rho_init, TorusField.constant(rho_init.grid, 1.0))
-    pos = sample_positions(rho_init, n, rng)
+    pos = sample_positions(rho_init, realizations * n, rng)
     vel = rng.standard_normal(pos.shape)
-    w = np.full(n, mass / n)
+    w = np.full(realizations * n, mass / n)
     return ParticleEnsemble(pos, vel, w, epsilon)
 
 
 # -- stepping ---------------------------------------------------------------------
 
 
-def step_micro(ens: ParticleEnsemble, path: ForcePath, dt: float, seed,
+def step_micro(ens: ParticleEnsemble, block: PathBlock, dt: float, seed,
                collision: str) -> ParticleEnsemble:
-    """Advance every particle by one micro time step."""
+    """Advance every particle of a block by one micro time step.
+
+    `block` holds the force paths of R realizations (a single run is
+    `PathBlock([path])`); `ens` holds R runs of equally many particles, run
+    r feeling path r.
+    """
     _check_collision(collision)
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if ens.n_particles % block.size:
+        raise ValueError(f"{ens.n_particles} particles do not split into "
+                         f"{block.size} equal runs")
     s = ens.micro_time
-    if not path.covers(s, s + dt):
+    if not block.covers(s, s + dt):
         raise ValueError(f"force path does not cover [{s}, {s + dt}]")
     rng = as_generator(seed)
-    e_vals = path.value_at(s).field.eval_at(ens.positions)
+    e_vals = block.eval_at(s, ens.positions)
     new_pos = np.mod(ens.positions + ens.epsilon * dt * ens.velocities, 1.0)
     v = ens.velocities
     if collision == LB:
@@ -272,20 +299,22 @@ class KineticRun:
     corrector_norms: np.ndarray = field(default=None)  # sup_t ||theta||_{H^-1}
 
 
-def _evolve(cfg: KineticRunConfig, path: ForcePath, rho_init: TorusField,
+def _evolve(cfg: KineticRunConfig, block: PathBlock, rho_init: TorusField,
             rng, checkpoint_steps, record) -> ParticleEnsemble:
-    """Draw the ensemble from `rng`, then take cfg.n_steps micro steps on
-    the same stream, calling `record(ens)` after each step in
-    `checkpoint_steps` (0 is the initial ensemble).  The one stepping loop
-    of `run_rescaled` and `functional_samples`."""
-    if not path.covers(0.0, cfg.micro_horizon):
+    """Draw cfg.n_particles particles per path of `block` from `rng`, then
+    take cfg.n_steps micro steps of the block on the same stream, calling
+    `record(ens)` after each step in `checkpoint_steps` (0 is the initial
+    ensemble).  The one stepping loop of `run_rescaled` and
+    `functional_samples`."""
+    if not block.covers(0.0, cfg.micro_horizon):
         raise ValueError("force path horizon too short for the rescaled run")
     dt = cfg.micro_horizon / cfg.n_steps
-    ens = make_ensemble(rho_init, cfg.n_particles, cfg.epsilon, rng)
+    ens = make_ensemble(rho_init, cfg.n_particles, cfg.epsilon, rng,
+                        realizations=block.size)
     if 0 in checkpoint_steps:
         record(ens)
     for step in range(1, cfg.n_steps + 1):
-        ens = step_micro(ens, path, dt, rng, cfg.collision)
+        ens = step_micro(ens, block, dt, rng, cfg.collision)
         if step in checkpoint_steps:
             record(ens)
     return ens
@@ -316,42 +345,54 @@ def run_rescaled(cfg: KineticRunConfig, path: ForcePath,
             theta, _ = corrector_decomposition(est_f, e_now, cfg.epsilon)
             norms.append(sobolev_norm(theta, -1.0))
 
-    ens = _evolve(cfg, path, rho_init, as_generator(seed), checkpoint_steps,
-                  record)
+    ens = _evolve(cfg, PathBlock([path]), rho_init, as_generator(seed),
+                  checkpoint_steps, record)
     return KineticRun(times, estimates, ens,
                       np.asarray(norms) if track_corrector else None)
 
 
 def functional_samples(cfg: KineticRunConfig, model: ForceFieldModel,
                        rho_init: TorusField, xi_fields, n_realizations: int,
-                       seed: int, n_workers: int = 1):
+                       seed, n_workers: int = 1):
     """Samples of the position functionals <rho_T, xi> across realizations.
 
+    `seed` is an integer or a tuple of integers, the key of every stream
+    drawn here.  Realizations are stepped in blocks of
+    max(1, BLOCK_PARTICLES // cfg.n_particles) consecutive realizations (the
+    last block may hold fewer), which are the unit handed to workers.
     Realization r runs on its own force path, drawn from stream
-    (seed, 11, r), and its own particle noise, stream (seed, 12, r).
+    (*seed, 11, r); block b draws its particles and their noise from stream
+    (*seed, 12, b).
     Returns (samples, noise_floor), both (n_realizations, len(xi_fields)):
     `noise_floor` is the estimated conditional (particle-sampling) variance
     of each sample, mass^2 Var(xi(X)) / n.  By the law of total variance,
     subtracting its mean from the sample variance estimates the variance of
     the underlying law of <rho_T, xi> itself.
     """
-    args = [(cfg, model, rho_init, xi_fields, seed, r)
-            for r in range(n_realizations)]
-    rows = parallel_map(_one_functional_sample, args, n_workers)
-    arr = np.asarray(rows)
+    key = seed if isinstance(seed, tuple) else (seed,)
+    per_block = max(1, BLOCK_PARTICLES // cfg.n_particles)
+    args = [(cfg, model, rho_init, xi_fields, key, b,
+             range(start, min(start + per_block, n_realizations)))
+            for b, start in enumerate(range(0, n_realizations, per_block))]
+    rows = parallel_map(_block_functionals, args, n_workers)
+    arr = np.concatenate(rows)
     n_xi = len(xi_fields)
     return arr[:, :n_xi], arr[:, n_xi:]
 
 
-def _one_functional_sample(args):
-    cfg, model, rho_init, xi_fields, seed, r = args
-    path = generate_path(model, cfg.path_horizon, seed=substream(seed, 11, r))
-    ens = _evolve(cfg, path, rho_init, substream(seed, 12, r),
+def _block_functionals(args):
+    cfg, model, rho_init, xi_fields, key, b, realizations = args
+    paths = PathBlock([
+        generate_path(model, cfg.path_horizon, seed=substream(*key, 11, r))
+        for r in realizations])
+    ens = _evolve(cfg, paths, rho_init, substream(*key, 12, b),
                   checkpoint_steps=(), record=None)
-    out = np.empty(2 * len(xi_fields))
-    n = ens.n_particles
+    n = cfg.n_particles
+    weights = ens.weights.reshape(paths.size, n)
+    mass = weights.sum(axis=1)
+    out = np.empty((paths.size, 2 * len(xi_fields)))
     for j, xi in enumerate(xi_fields):
-        vals = xi.eval_at(ens.positions)
-        out[j] = float(np.sum(ens.weights * vals))
-        out[len(xi_fields) + j] = ens.mass**2 * float(vals.var(ddof=1)) / n
+        vals = xi.eval_at(ens.positions).reshape(paths.size, n)
+        out[:, j] = np.sum(weights * vals, axis=1)
+        out[:, len(xi_fields) + j] = mass**2 * vals.var(axis=1, ddof=1) / n
     return out

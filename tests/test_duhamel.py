@@ -4,8 +4,8 @@ import pytest
 from kinlim.duhamel import mild_lb_oracle
 from kinlim.equilibrium import LB, equilibrium_mean_velocity, invariant_solution, \
     maxwellian, path_weighted_integral
-from kinlim.forcing import (constant_two_point_renewal, generate_path,
-                            two_point_renewal, zero_renewal)
+from kinlim.forcing import (PathBlock, constant_two_point_renewal,
+                            generate_path, two_point_renewal, zero_renewal)
 from kinlim.torus import TorusGrid
 
 VMAX = 8.0
@@ -139,7 +139,8 @@ def test_particles_match_oracle_on_shared_path():
     pos = pos[:n]
     ens = ParticleEnsemble(pos, rng.standard_normal((n, 1)),
                            np.full(n, 1.0 / n), 1.0)
+    block = PathBlock([path])
     for _ in range(int(round(t_final / dt))):
-        ens = step_micro(ens, path, dt, rng, LB)
+        ens = step_micro(ens, block, dt, rng, LB)
     observed = float(np.mean(np.cos(2 * np.pi * ens.positions[:, 0])))
     assert observed == pytest.approx(target, abs=0.01)

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
+from kinlim import experiment
 from kinlim.coefficients import compute_coefficients, compute_cov_operator
 from kinlim.config import ExperimentConfig
 from kinlim.equilibrium import FP, LB
 from kinlim.experiment import (_ks_statistic, _monotone_with_slack,
                                build_model, check_coefficients_closed_form,
                                check_enhancement, coefficients_stage,
+                               convergence_study, default_initial_density,
                                default_test_functions, load_coefficient_stage,
                                validation_suite)
 from kinlim.forcing import two_point_renewal
+from kinlim.kinetic import KineticRunConfig, functional_samples
 from kinlim.torus import TorusGrid
 
 
@@ -33,6 +36,40 @@ def test_ks_statistic_point_masses():
     b[::2] = 0.5
     assert _ks_statistic(a, b) == 0.0
     assert _ks_statistic(a, a + 1.0) == 1.0
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_convergence_study_kinetic_streams_keyed_by_seed_and_eps(monkeypatch):
+    # the kinetic streams were once seeded with 1000 + 17 i + seed, so seed
+    # 24 at eps index 0 and seed 7 at eps index 1 drew the same samples
+    def stream_keys(seed):
+        keys = []
+
+        def capture(kcfg, model, rho0, xi, n_realizations, seed, n_workers):
+            keys.append(seed)
+            if len(keys) == 2:
+                raise _Stop
+            return np.zeros((n_realizations, len(xi))), \
+                np.zeros((n_realizations, len(xi)))
+        monkeypatch.setattr(experiment, "functional_samples", capture)
+        with pytest.raises(_Stop):
+            convergence_study(ExperimentConfig(grid_m=32, seed=seed),
+                              None, None)
+        return keys
+
+    key_24, key_7 = stream_keys(24)[0], stream_keys(7)[1]
+    assert key_24 != key_7
+    grid = TorusGrid(1, 32)
+    kcfg = KineticRunConfig(LB, 0.5, 0.025, 0.025, 200, grid)
+    model = two_point_renewal(grid, 0.5)
+    rho0 = default_initial_density(grid)
+    xi = [f for _, f in default_test_functions(grid)]
+    a, _ = functional_samples(kcfg, model, rho0, xi, 2, seed=key_24)
+    b, _ = functional_samples(kcfg, model, rho0, xi, 2, seed=key_7)
+    assert not np.array_equal(a[:, 1:], b[:, 1:])
 
 
 def test_mislabel_detection():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from kinlim import kinetic
 from kinlim.equilibrium import FP, LB
-from kinlim.forcing import (constant_two_point_renewal, generate_path,
-                            two_point_renewal, zero_renewal)
+from kinlim.forcing import (PathBlock, constant_two_point_renewal,
+                            generate_path, ou_single_mode, two_point_renewal,
+                            zero_renewal)
 from kinlim.kinetic import (KineticRunConfig, ParticleEnsemble,
                             corrector_decomposition, functional_samples,
                             moments, run_rescaled, step_micro)
@@ -39,8 +41,8 @@ def test_config_validation(grid):
 def test_zero_velocity_zero_force_positions_fixed(grid):
     n = 1000
     ens = uniform_ensemble(n, 0.5, 1, velocities=np.zeros((n, 1)))
-    path = zero_path(grid, 1.0)
-    out = step_micro(ens, path, 0.02, substream(2), LB)
+    block = PathBlock([zero_path(grid, 1.0)])
+    out = step_micro(ens, block, 0.02, substream(2), LB)
     assert np.array_equal(out.positions, ens.positions)
 
 
@@ -50,10 +52,10 @@ def test_fp_velocity_marginal_relaxes_to_maxwellian(grid):
     rng = substream(3)
     ens = ParticleEnsemble(rng.random((n, 1)), np.full((n, 1), 2.0),
                            np.full(n, 1.0 / n), 1.0)
-    path = zero_path(grid, 10.0)
+    block = PathBlock([zero_path(grid, 10.0)])
     dt = 0.05
     for _ in range(200):
-        ens = step_micro(ens, path, dt, rng, FP)
+        ens = step_micro(ens, block, dt, rng, FP)
     var = ens.velocities.var()
     assert 0.94 < var < 1.06
     assert abs(ens.velocities.mean()) < 4 / np.sqrt(n)
@@ -66,10 +68,10 @@ def test_lb_jump_fraction(grid):
     v0 = np.full((n, 1), 5.0)  # marker velocity, overwritten on first jump
     ens = ParticleEnsemble(rng.random((n, 1)), v0.copy(),
                            np.full(n, 1.0 / n), 1.0)
-    path = zero_path(grid, 2.0)
+    block = PathBlock([zero_path(grid, 2.0)])
     t, dt = 0.7, 0.005
     for _ in range(int(round(t / dt))):
-        ens = step_micro(ens, path, dt, rng, LB)
+        ens = step_micro(ens, block, dt, rng, LB)
     jumped = np.mean(ens.velocities[:, 0] != 5.0)
     # per-step no-jump probability exp(-dt) compounds to exp(-t) exactly
     expected = -np.expm1(-t)
@@ -79,9 +81,9 @@ def test_lb_jump_fraction(grid):
 
 def test_path_coverage_error(grid):
     ens = uniform_ensemble(100, 0.5, 5)
-    path = zero_path(grid, 0.01)
+    block = PathBlock([zero_path(grid, 0.01)])
     with pytest.raises(ValueError):
-        step_micro(ens, path, 0.02, substream(6), LB)
+        step_micro(ens, block, 0.02, substream(6), LB)
 
 
 def test_moments_single_particle(grid):
@@ -153,13 +155,14 @@ def test_moment_evolution_identity_both_collisions(grid):
     x0 = np.array([[0.0]])
     for collision in (LB, FP):
         path = generate_path(model, micro_t + 0.1, seed=21)
+        block = PathBlock([path])
         rng = substream(22)
         ens = uniform_ensemble(n, 1.0, 23)
         j0 = float(np.sum(ens.weights[:, None] * ens.velocities))
         n_steps = int(round(micro_t / dt))
         check = {int(round(f * n_steps)) for f in (0.2, 0.4, 0.6, 0.8, 1.0)}
         for step in range(1, n_steps + 1):
-            ens = step_micro(ens, path, dt, rng, collision)
+            ens = step_micro(ens, block, dt, rng, collision)
             if step in check:
                 t = step * dt
                 drift = np.exp(-t) * path_weighted_integral(
@@ -189,8 +192,9 @@ def test_fp_exact_gaussian_kernel(grid):
     ens = ParticleEnsemble(np.full((n, 1), x0), np.full((n, 1), w0),
                            np.full(n, 1.0 / n), 1.0)
     rng = substream(31)
+    block = PathBlock([path])
     for _ in range(int(round(t / dt))):
-        ens = step_micro(ens, path, dt, rng, FP)
+        ens = step_micro(ens, block, dt, rng, FP)
     disp = ens.positions[:, 0] - x0  # no wraps: 5+ sigma margin
     vel = ens.velocities[:, 0]
     # exact moments for dV = (e0 - V)dt + sqrt(2) dB from rest
@@ -264,7 +268,7 @@ def test_equilibrium_invariance_both_collisions(grid):
             assert abs(k_global - 1.0) < 3 * se + 0.01
 
 
-def test_functional_samples_same_for_any_worker_count(grid):
+def test_functional_samples_same_for_any_worker_count(grid, monkeypatch):
     cfg = KineticRunConfig(LB, 0.5, 0.05, 0.025, 200, grid)
     model = two_point_renewal(grid, A)
     rho0 = TorusField.from_function(
@@ -275,13 +279,23 @@ def test_functional_samples_same_for_any_worker_count(grid):
     two = functional_samples(cfg, model, rho0, xi, 3, seed=4, n_workers=2)
     assert np.array_equal(one[0], two[0])
     assert np.array_equal(one[1], two[1])
+    # two realizations per block: five realizations make three blocks, so
+    # the two workers each step at least one of them
+    monkeypatch.setattr(kinetic, "BLOCK_PARTICLES", 2 * cfg.n_particles)
+    one = functional_samples(cfg, model, rho0, xi, 5, seed=4, n_workers=1)
+    two = functional_samples(cfg, model, rho0, xi, 5, seed=4, n_workers=2)
+    assert one[0].shape == (5, 1)
+    assert np.array_equal(one[0], two[0])
+    assert np.array_equal(one[1], two[1])
 
 
-def test_functional_samples_rows_are_run_rescaled_functionals(grid):
-    # row r of functional_samples is the functionals of run_rescaled's final
-    # ensemble on the path of stream (seed, 11, r) and particle stream
-    # (seed, 12, r), bit for bit
+def test_functional_samples_rows_are_run_rescaled_functionals(grid,
+                                                              monkeypatch):
+    # with one realization per block, row r of functional_samples is the
+    # functionals of run_rescaled's final ensemble on the path of stream
+    # (seed, 11, r) and particle stream (seed, 12, r), bit for bit
     cfg = KineticRunConfig(FP, 0.5, 0.05, 0.025, 300, grid)
+    monkeypatch.setattr(kinetic, "BLOCK_PARTICLES", cfg.n_particles)
     model = two_point_renewal(grid, A)
     rho0 = TorusField.from_function(
         grid, 0, lambda x: 1.0 + 0.5 * np.cos(2 * np.pi * x))
@@ -298,3 +312,41 @@ def test_functional_samples_rows_are_run_rescaled_functionals(grid):
             assert samples[r, j] == float(np.sum(ens.weights * vals))
             assert floors[r, j] == ens.mass**2 * float(vals.var(ddof=1)) \
                 / ens.n_particles
+
+
+@pytest.mark.parametrize("dim,kind", [(1, "renewal"), (1, "ou"),
+                                      (2, "renewal")])
+def test_block_step_particles_feel_their_own_path(dim, kind):
+    # in one lb step of a block from rest, a particle that does not jump
+    # ends at velocity dt * E_r(s, x), E_r the value of its own
+    # realization's path at the step start
+    grid = TorusGrid(dim, 16)
+    model = (two_point_renewal(grid, A) if kind == "renewal"
+             else ou_single_mode(grid, A))
+    paths = [generate_path(model, 3.0, seed=substream(30, r))
+             for r in range(6)]
+    block = PathBlock(paths)
+    n, dt = 50, 0.01
+    pos = substream(31).random((block.size * n, dim))
+    starts = [0.0, 0.7, 1.9, 2.5] + [float(p.times[1]) for p in paths[:2]]
+    for s in starts:
+        ens = ParticleEnsemble(pos, np.zeros(pos.shape),
+                               np.full(pos.shape[0], 1.0 / n), 1.0, time=s)
+        rng = substream(32)
+        jumps = substream(32).random(pos.shape[0]) < -np.expm1(-dt)
+        out = step_micro(ens, block, dt, rng, LB)
+        assert out.n_particles == block.size * n
+        for r, path in enumerate(paths):
+            rows = slice(r * n, (r + 1) * n)
+            want = dt * path.value_at(s).field.eval_at(pos[rows])
+            stay = ~jumps[rows]
+            assert np.array_equal(out.velocities[rows][stay], want[stay])
+            assert np.array_equal(block.eval_at(s, pos)[rows],
+                                  path.value_at(s).field.eval_at(pos[rows]))
+
+
+def test_block_step_rejects_uneven_runs(grid):
+    paths = [zero_path(grid, 1.0), zero_path(grid, 1.0)]
+    with pytest.raises(ValueError):
+        step_micro(uniform_ensemble(101, 0.5, 5), PathBlock(paths), 0.02,
+                   substream(6), LB)
