@@ -39,6 +39,9 @@ from .torus import TorusField, TorusGrid, divergence, matrix_divergence
 
 COLLISION_FACTOR = {LB: 2.0, FP: 1.0}
 MAX_KERNEL_DIM = 1024    # side N * M^N of the dense covariance kernel
+# Significant digits of coefficients.csv and spectrum.csv: %.17g gives back
+# every double, so later stages run on exactly the coefficients computed.
+CONTRACT_DIGITS = 17
 
 
 @dataclass
@@ -370,7 +373,8 @@ def coefficients_to_csv(coeffs: HydroCoefficients, path) -> None:
         for f in (coeffs.diffusion, coeffs.drift, coeffs.r1_sym)]
     meta = dict(collision=coeffs.collision, b=repr(coeffs.collision_factor),
                 dim=n, m=grid.m, n_mc=coeffs.n_mc)  # b as "2.0", not "2"
-    write_table(path, header, np.concatenate(columns).T, 16, meta)
+    write_table(path, header, np.concatenate(columns).T, CONTRACT_DIGITS,
+                meta)
 
 
 def coefficients_from_csv(path) -> HydroCoefficients:
@@ -399,7 +403,7 @@ def spectrum_to_csv(cov: CovOperator, path) -> None:
     meta = dict(dim=grid.dim, m=grid.m, trace=cov.trace,
                 dropped=cov.dropped_tail, tol=cov.tol_eig,
                 kse=cov.kernel_stderr)
-    write_table(path, header, rows, 16, meta)
+    write_table(path, header, rows, CONTRACT_DIGITS, meta)
 
 
 def spectrum_from_csv(path) -> CovOperator:

@@ -8,12 +8,11 @@ macroscopic clock through t = eps^2 s; positions advance by eps*V per unit
 micro time.
 
 A block of R realizations is stepped as one flat ParticleEnsemble of R*n
-particles, realization r's n particles in rows r*n .. (r+1)*n - 1, with one
-force path per realization (a `PathBlock`) and one random stream for the
-whole block.  Each step looks up every realization's current force value in
-one vectorised search, evaluates each distinct force sample once on the
-particles that feel it, and draws the collision randomness once for the
-block.  A single run (`run_rescaled`) is a block of one.
+particles (realization r in rows r*n .. (r+1)*n - 1) with one force path per
+realization (a `PathBlock`) and one random stream for the block.  Each step
+finds every realization's force value in one vectorised search, evaluates
+each distinct force sample once on the particles that feel it, and draws the
+collision randomness once.  A single run (`run_rescaled`) is a block of one.
 
 Stepping is a first-order splitting, vectorised over particles:
 
@@ -25,11 +24,15 @@ Stepping is a first-order splitting, vectorised over particles:
 * velocities, diffusion collisions ('fp'): exact Ornstein-Uhlenbeck update
   exp(-dt) V + (1 - exp(-dt)) E + Gaussian noise of variance 1 - exp(-2 dt).
 
+`moments` passes the per-particle values w, w V, w V V^T to one estimator;
+the Fourier one sums them exactly from one (n, 2 kmax + 1) phase table per
+axis, in O(n N (2 kmax + 1)) memory, never O(n (2 kmax + 1)^N).
+
 Randomness is drawn from counter-based streams keyed by realization (force
 paths) and by block (particles), and `functional_samples` forms its blocks
 from the particle count alone, so ensembles are reproducible for any number
 of workers (blocks are the parallel unit; reductions happen in realization
-order).
+order), and moment sums do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -208,66 +211,78 @@ def step_micro(ens: ParticleEnsemble, block: PathBlock, dt: float, seed,
 
 def _deposit_linear(grid: TorusGrid, positions: np.ndarray,
                     values: np.ndarray) -> np.ndarray:
-    """Cloud-in-cell deposition of per-particle values onto grid nodes."""
-    m = grid.m
-    dim = grid.dim
+    """Cloud-in-cell deposition of per-particle values (n, C) onto grid
+    nodes; returns (C,) + grid.shape."""
+    m, dim = grid.m, grid.dim
     g = positions * m
     i0 = np.floor(g).astype(np.int64) % m
     frac = g - np.floor(g)
-    comp = values.reshape(values.shape[0], -1)
-    flat = np.zeros((comp.shape[1], grid.size))
+    flat = np.zeros((values.shape[1], grid.size))
     # accumulate over the 2^dim corner combinations
     for corner in range(1 << dim):
         idx = np.zeros(positions.shape[0], dtype=np.int64)
         w = np.ones(positions.shape[0])
         for d in range(dim):
             up = (corner >> d) & 1
-            node = (i0[:, d] + up) % m
-            idx = idx * m + node
+            idx = idx * m + (i0[:, d] + up) % m
             w = w * (frac[:, d] if up else 1.0 - frac[:, d])
-        for c in range(comp.shape[1]):
-            flat[c] += np.bincount(idx, weights=comp[:, c] * w,
+        for c in range(values.shape[1]):
+            flat[c] += np.bincount(idx, weights=values[:, c] * w,
                                    minlength=grid.size)
     # deposit / cell volume
-    return flat.reshape(values.shape[1:] + grid.shape) * grid.size
+    return flat.reshape((values.shape[1],) + grid.shape) * grid.size
 
 
 def _empirical_modes(grid: TorusGrid, positions: np.ndarray,
                      values: np.ndarray, kmax: int) -> np.ndarray:
-    """Exact empirical Fourier sums sum_i values_i exp(-2 pi i k.x_i)."""
-    m = grid.m
+    """Exact sums S_c(k) = sum_i values_ic exp(-2 pi i k.x_i) of real values
+    (n, C) for max_d |k_d| <= min(kmax, m/2 - 1), zero outside; returns
+    (C,) + grid.shape in FFT order.  From per-axis tables exp(-2 pi i k x_d)
+    (n, 2 kmax + 1), in O(n N (2 kmax + 1)) memory: values^T @ table_0 in 1-D,
+    (values_c * table_0)^T @ table_1 per component in 2-D, each one gemm over
+    all particles, for k_N >= 0 only, as S(-k) = conj S(k).
+    """
+    n, m, dim = positions.shape[0], grid.m, grid.dim
     kmax = min(kmax, m // 2 - 1)
-    comp_shape = values.shape[1:]
-    vals2 = values.reshape(values.shape[0], -1)
-    spec_flat = np.zeros((vals2.shape[1], grid.size), dtype=complex)
-    kgrid = np.stack([k.ravel() for k in grid.wavenumbers()], axis=1).astype(int)
-    keep = np.nonzero(np.max(np.abs(kgrid), axis=1) <= kmax)[0]
-    phase = np.exp(-2j * np.pi * (positions @ kgrid[keep].T))  # (n, nkeep)
-    spec_flat[:, keep] = vals2.T @ phase
-    del phase
-    return spec_flat.reshape(comp_shape + grid.shape)
+    ks = np.arange(-kmax, kmax + 1)
+    half = [np.exp(-2j * np.pi * np.outer(x, ks[kmax:])) for x in positions.T]
+    full = [np.concatenate([h[:, :0:-1].conj(), h], 1) for h in half[:-1]]
+    sums = []
+    for lead in [values] if dim == 1 else values.T[:, :, None]:
+        for table in full:
+            lead = (lead[:, :, None] * table[:, None, :]).reshape(n, -1)
+        sums.append(lead.T @ half[-1])
+    s = np.concatenate(sums).reshape(-1, *[ks.size] * (dim - 1), kmax + 1)
+    spec = np.zeros((len(s),) + grid.shape, dtype=complex)
+    spec[np.ix_(range(len(s)), *[ks % m] * dim)] = np.concatenate(
+        [np.flip(s, tuple(range(1, s.ndim)))[..., :-1].conj(), s], axis=-1)
+    return spec
 
 
 def moments(ens: ParticleEnsemble, grid: TorusGrid,
             estimator: str = "histogram", kmax: int = None) -> DensityEstimate:
-    """Density, current and pressure fields plus total velocity moments."""
-    w = ens.weights
-    v = ens.velocities
+    """Density, current and pressure fields plus total velocity moments, from
+    the per-particle values w, w v, w v v^T in one call of the estimator:
+    cloud-in-cell 'histogram' or exact 'fourier' sums for |k_d| <= kmax
+    (default m/4, see `_empirical_modes`)."""
+    w, v = ens.weights, ens.velocities
+    n, dim = v.shape
     speeds = np.linalg.norm(v, axis=1)
     totals = np.array([np.sum(w * speeds**m) for m in range(4)])
-    # per-particle values of the rank 0, 1 and 2 moments
-    vals = [w, w[:, None] * v,
-            w[:, None, None] * (v[:, :, None] * v[:, None, :])]
+    # per-particle values of the rank 0, 1 and 2 moments, side by side
+    vals = np.concatenate([w[:, None], w[:, None] * v, (w[:, None, None] * (
+        v[:, :, None] * v[:, None, :])).reshape(n, -1)], axis=1)
     if estimator == "histogram":
-        rho, cur, pres = [TorusField(grid, rank, _deposit_linear(
-            grid, ens.positions, x)) for rank, x in enumerate(vals)]
+        flat, space = _deposit_linear(grid, ens.positions, vals), "physical"
     elif estimator == "fourier":
         kmax = grid.m // 4 if kmax is None else kmax
-        rho, cur, pres = [TorusField(grid, rank, _empirical_modes(
-            grid, ens.positions, x, kmax), space="spectral").to_physical()
-            for rank, x in enumerate(vals)]
+        flat = _empirical_modes(grid, ens.positions, vals, kmax)
+        space = "spectral"
     else:
         raise ValueError(f"unknown estimator {estimator!r}")
+    rho, cur, pres = [TorusField(
+        grid, rank, flat[lo:lo + dim**rank].reshape((dim,) * rank + grid.shape),
+        space=space).to_physical() for rank, lo in enumerate((0, 1, 1 + dim))]
     return DensityEstimate(rho, cur, pres, totals)
 
 

@@ -254,3 +254,23 @@ def test_csv_round_trip(tmp_path, grid, model):
     assert np.max(np.abs(k2.eigenfields[0].values
                          - cov.eigenfields[0].values)) < 1e-12
     assert k2.trace == pytest.approx(cov.trace)
+
+
+def test_contract_files_give_back_the_computed_doubles(tmp_path, model):
+    # coefficients.csv and spectrum.csv hold every double exactly, so the
+    # SPDE stages read the coefficients the coeffs stage computed
+    grid = model.grid
+    coeffs = compute_coefficients(model, LB, grid, n_mc=150, seed=23)
+    cov = compute_cov_operator(model, grid, n_mc=150, seed=24)
+    coefficients_to_csv(coeffs, tmp_path / "coefficients.csv")
+    spectrum_to_csv(cov, tmp_path / "spectrum.csv")
+    c2 = coefficients_from_csv(tmp_path / "coefficients.csv")
+    k2 = spectrum_from_csv(tmp_path / "spectrum.csv")
+    for name in ("diffusion", "drift", "r1_sym"):
+        assert np.array_equal(getattr(c2, name).values,
+                              getattr(coeffs, name).values)
+    assert np.array_equal(k2.eigenvalues, cov.eigenvalues)
+    assert np.array_equal(np.array([z.values for z in k2.eigenfields]),
+                          np.array([z.values for z in cov.eigenfields]))
+    assert (k2.trace, k2.dropped_tail, k2.tol_eig, k2.kernel_stderr) == \
+        (cov.trace, cov.dropped_tail, cov.tol_eig, cov.kernel_stderr)

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +19,42 @@ from kinlim.rng import substream
 from kinlim.torus import TorusField, TorusGrid, pairing
 
 A = 0.5
+ROOT = Path(__file__).resolve().parents[1]
+
+# Hashes of the Fourier moments in 1-D (criterion 11's 64 points and 50000
+# particles) and 2-D (32x32, 10^4 particles), and of the corrector norms of a
+# short tracked run, printed by a process whose BLAS thread count is fixed
+# by the environment.
+BLAS_THREADS_PROBE = """
+import hashlib
+import numpy as np
+from kinlim.forcing import generate_path, two_point_renewal
+from kinlim.kinetic import (KineticRunConfig, ParticleEnsemble, moments,
+                            run_rescaled)
+from kinlim.rng import substream
+from kinlim.torus import TorusField, TorusGrid
+
+def digest(*arrays):
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+for dim, m, n in ((1, 64, 50_000), (2, 32, 10_000)):
+    rng = substream(7, dim)
+    ens = ParticleEnsemble(rng.random((n, dim)), rng.standard_normal((n, dim)),
+                           np.full(n, 1.0 / n), 0.5)
+    est = moments(ens, TorusGrid(dim, m), estimator="fourier")
+    print(dim, digest(est.rho.values, est.current.values,
+                      est.pressure.values))
+grid = TorusGrid(1, 64)
+cfg = KineticRunConfig("lb", 0.5, 0.01, 0.025, 50_000, grid,
+                       estimator="fourier")
+path = generate_path(two_point_renewal(grid, 0.5), cfg.path_horizon,
+                     seed=substream(7, 3))
+rho0 = TorusField.from_function(
+    grid, 0, lambda x: 1.0 + 0.5 * np.cos(2 * np.pi * x))
+run = run_rescaled(cfg, path, rho0, substream(7, 4), n_checkpoints=2,
+                   track_corrector=True)
+print("corrector", digest(run.corrector_norms))
+"""
 
 
 @pytest.fixture
@@ -123,6 +165,37 @@ def test_moments_fourier_estimator_mass_exact(grid):
     est = moments(ens, grid, estimator="fourier")
     one = TorusField.constant(grid, 1.0)
     assert pairing(est.rho, one) == pytest.approx(ens.mass, abs=1e-12)
+
+
+def test_fourier_moments_do_not_depend_on_blas_threads():
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_PROBE],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == 3
+    assert outputs[0] == outputs[1]
+
+
+def test_fourier_moments_hold_no_particles_by_modes_temporary():
+    # 2-D, m=32, default kmax=8: a 10^4 x 17^2 complex phase matrix would
+    # take 46 MB; a per-axis table is at most 10^4 x 17 (2.7 MB)
+    grid2 = TorusGrid(2, 32)
+    ens = uniform_ensemble(10_000, 0.5, 64, dim=2)
+    moments(ens, grid2, estimator="fourier")  # first-call set-up untraced
+    tracemalloc.start()
+    try:
+        moments(ens, grid2, estimator="fourier")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_run_rescaled_uniform_equilibrium(grid):
