@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .forcing import ForcePath
 
@@ -168,6 +167,8 @@ class GaussianIdentityReport:
 
 def _iterated_quad(fn, dim, lo, hi, tol):
     """Adaptive quadrature of fn over [lo, hi]^dim (dim 1 or 2)."""
+    from scipy import integrate   # only the identity checks integrate
+
     if dim == 1:
         val, _ = integrate.quad(lambda v: fn(np.array([v])), lo, hi,
                                 epsabs=tol, epsrel=tol, limit=200)

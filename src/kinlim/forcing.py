@@ -234,10 +234,12 @@ class PathBlock:
     """The force paths of a block of R realizations, tabulated once so that
     one lookup per time finds every realization's current value.
 
-    `times[r]` is path r's breakpoints padded with +inf, and
-    `field_index[r, i]` points into `fields` for its i-th segment.  A field
-    shared by several segments or paths (an atom of a renewal law) is one
-    entry of `fields`, so it is evaluated once per lookup.
+    `times[r]` is path r's breakpoints padded with +inf, and path r's i-th
+    segment holds `field_sign[r, i] * fields[field_index[r, i]]`.  Fields
+    equal in value, or equal up to sign (the atoms +a and -a of a symmetric
+    renewal law), are one entry of `fields`, so each lookup evaluates one
+    field per distinct entry; negation is exact in floating point, so the
+    signed values are bit for bit those of the negated field.
     """
 
     def __init__(self, paths):
@@ -247,6 +249,7 @@ class PathBlock:
         width = max(len(p.times) for p in self.paths)
         self.times = np.full((self.size, width), np.inf)
         self.field_index = np.zeros((self.size, width - 1), dtype=np.intp)
+        self.field_sign = np.ones((self.size, width - 1))
         self.last_segment = np.array([len(p.samples) - 1 for p in self.paths])
         self.t_end = np.array([p.t_end for p in self.paths])
         self.fields = []
@@ -254,10 +257,21 @@ class PathBlock:
         for r, p in enumerate(self.paths):
             self.times[r, :len(p.times)] = p.times
             for i, sample in enumerate(p.samples):
-                j = index_of.setdefault(id(sample.field), len(self.fields))
-                if j == len(self.fields):
-                    self.fields.append(sample.field)
-                self.field_index[r, i] = j
+                self.field_index[r, i], self.field_sign[r, i] = \
+                    self._entry(sample.field, index_of)
+
+    def _entry(self, f: TorusField, index_of: dict):
+        """(index into `fields`, sign) of field f; f is appended to `fields`
+        unless it or its negation is there.  `index_of` maps the exact
+        values of every entry to its index."""
+        key = (f.space, f.values.shape, f.values.tobytes())
+        negated = key[:2] + ((-f.values).tobytes(),)
+        if negated in index_of:
+            return index_of[negated], -1.0
+        if key not in index_of:
+            index_of[key] = len(self.fields)
+            self.fields.append(f)
+        return index_of[key], 1.0
 
     @property
     def size(self) -> int:
@@ -269,17 +283,24 @@ class PathBlock:
 
     def eval_at(self, t: float, points: np.ndarray) -> np.ndarray:
         """Force at time t at `points` (npts, dim), which come in R equal
-        consecutive runs: run r feels path r.  Returns (npts, dim)."""
+        consecutive runs: run r feels path r.  Returns a new (npts, dim)
+        array."""
         seg = _segment_of((self.times <= t).sum(axis=1), self.last_segment)
-        which = self.field_index[np.arange(self.size), seg]
-        if (which == which[0]).all():
-            return self.fields[which[0]].eval_at(points)
+        rows = np.arange(self.size)
+        which = self.field_index[rows, seg]
+        sign = self.field_sign[rows, seg]
         runs = points.reshape(self.size, -1, points.shape[1])
-        out = np.empty(runs.shape)
-        for j in np.unique(which):
-            rows = np.flatnonzero(which == j)
-            vals = self.fields[j].eval_at(runs[rows].reshape(-1, runs.shape[2]))
-            out[rows] = vals.reshape((rows.size,) + runs.shape[1:])
+        if (which == which[0]).all():
+            out = self.fields[which[0]].eval_at(points).reshape(runs.shape)
+        else:
+            out = np.empty(runs.shape)
+            for j in np.unique(which):
+                sel = np.flatnonzero(which == j)
+                vals = self.fields[j].eval_at(
+                    runs[sel].reshape(-1, runs.shape[2]))
+                out[sel] = vals.reshape((sel.size,) + runs.shape[1:])
+        if (sign < 0).any():
+            out *= sign[:, None, None]
         return out.reshape(points.shape)
 
 

@@ -188,17 +188,25 @@ class TorusField:
         return out.reshape((pts.shape[0],) + comp) if comp else out[:, 0]
 
     def _build_mode_cache(self):
-        """Real cos/sin representation over canonical (half-lattice) modes."""
+        """Real cos/sin representation over canonical (half-lattice) modes.
+
+        Real and imaginary parts below 1e-14 of the largest coefficient are
+        FFT rounding and are zeroed, like whole modes below it, so that a
+        cosine field evaluates no sine series."""
         coef = self.spectrum()
         comp = coef.shape[: self.rank]
         ncomp = int(np.prod(comp)) if comp else 1
         flat = coef.reshape((ncomp, self.grid.size))
         mags = np.abs(flat).max(axis=0)
-        keep = mags > 1e-14 * max(mags.max(), 1e-300)
+        tol = 1e-14 * max(mags.max(), 1e-300)
+        keep = mags > tol
+        re, im = flat.real.copy(), flat.imag.copy()
+        re[np.abs(re) <= tol] = 0.0
+        im[np.abs(im) <= tol] = 0.0
         kgrid = np.stack([k.ravel() for k in self.grid.wavenumbers()],
                          axis=1).astype(int)
         m = self.grid.m
-        c0 = flat[:, 0].real.copy() if keep[0] else np.zeros(ncomp)
+        c0 = re[:, 0] if keep[0] else np.zeros(ncomp)
         pair_idx, self_idx = [], []
         for idx in np.nonzero(keep)[0]:
             k = kgrid[idx]
@@ -211,10 +219,9 @@ class TorusField:
                 if nz > 0:                 # canonical member of the +/- pair
                     pair_idx.append(idx)
         k_pair = kgrid[pair_idx].astype(float)
-        re_p = flat[:, pair_idx].real.copy()
-        im_p = flat[:, pair_idx].imag.copy()
+        re_p, im_p = re[:, pair_idx], im[:, pair_idx]
         k_self = kgrid[self_idx].astype(float)
-        c_self = flat[:, self_idx].real.copy()
+        c_self = re[:, self_idx]
         return comp, c0, k_pair, re_p, im_p, k_self, c_self
 
     # -- arithmetic ---------------------------------------------------------

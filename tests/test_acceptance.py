@@ -173,6 +173,9 @@ def test_criterion_12_convergence_trend(grid, model, lb_coeffs, cov):
         n_spde_realizations=256,
         n_mc=200,
         seed=SEED % 100_000,
+        # bit-identical for any worker count, so two workers change only
+        # the wall time
+        threads=2,
     )
     rep = convergence_study(cfg, lb_coeffs, cov)
     elapsed = time.perf_counter() - start

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from kinlim.forcing import (ForceFieldModel, constant_two_point_renewal,
+from kinlim.equilibrium import LB
+from kinlim.forcing import (ForceFieldModel, ForcePath, ForceSample, PathBlock,
+                            constant_two_point_renewal,
                             estimate_stationary_covariance, generate_path,
                             ou_single_mode, resolvent_apply,
                             resolvent_r1r0_apply, sample_stationary,
                             two_point_renewal, zero_renewal)
+from kinlim.kinetic import ParticleEnsemble, step_micro
 from kinlim.rng import substream
 from kinlim.torus import TorusField, TorusGrid, vector_sobolev_norm
 
@@ -253,3 +256,65 @@ def test_empirical_fourier_estimator_every_rank_is_exact_sum(dim, m, kmax):
         [x.reshape(n, -1) for x in per_rank], axis=1), kmax)
     assert raw.shape == (1 + dim + dim**2,) + grid.shape
     assert np.all(raw.reshape(len(raw), -1)[:, ~band] == 0)
+
+
+def constant_path(model, field, horizon=1.0):
+    """A path that sits at one field over [0, horizon]."""
+    return ForcePath(model, np.array([0.0, horizon]),
+                     [ForceSample(field, model.norm_bound)], seed=0)
+
+
+def count_eval_calls(monkeypatch):
+    calls = []
+    orig = TorusField.eval_at
+
+    def counted(self, points):
+        calls.append(points.shape[0])
+        return orig(self, points)
+    monkeypatch.setattr(TorusField, "eval_at", counted)
+    return calls
+
+
+def test_path_block_evaluates_a_field_and_its_negation_once(monkeypatch,
+                                                            model):
+    # realizations on +a and -a share one entry of `fields`; each step makes
+    # one evaluation on all particles and flips the sign of run 1
+    plus, minus = model.atoms
+    paths = [constant_path(model, plus), constant_path(model, minus)]
+    block = PathBlock(paths)
+    assert block.fields == [plus]
+    assert block.field_sign[:, 0].tolist() == [1.0, -1.0]
+    n, dt = 40, 0.01
+    pos = substream(40).random((2 * n, 1))
+    ens = ParticleEnsemble(pos, np.zeros(pos.shape), np.full(2 * n, 1.0 / n),
+                           1.0)
+    calls = count_eval_calls(monkeypatch)
+    for step in range(5):
+        ens = step_micro(ens, block, dt, substream(41, step), LB)
+    assert calls == [2 * n] * 5
+    vals = block.eval_at(0.3, pos)
+    for r, path in enumerate(paths):
+        rows = slice(r * n, (r + 1) * n)
+        assert np.array_equal(vals[rows],
+                              path.value_at(0.3).field.eval_at(pos[rows]))
+
+
+def test_path_block_keeps_other_fields_apart(monkeypatch, grid, model):
+    # a field equal to neither +a nor -a is an entry of its own
+    plus, minus = model.atoms
+    other = TorusField.from_function(
+        grid, 1, lambda x: np.sin(2 * np.pi * x)[None])
+    paths = [constant_path(model, f) for f in (minus, other, plus)]
+    block = PathBlock(paths)
+    assert block.fields == [minus, other]
+    assert block.field_index[:, 0].tolist() == [0, 1, 0]
+    assert block.field_sign[:, 0].tolist() == [1.0, 1.0, -1.0]
+    n = 30
+    pos = substream(42).random((3 * n, 1))
+    calls = count_eval_calls(monkeypatch)
+    vals = block.eval_at(0.5, pos)
+    assert sorted(calls) == [n, 2 * n]
+    for r, path in enumerate(paths):
+        rows = slice(r * n, (r + 1) * n)
+        assert np.array_equal(vals[rows],
+                              path.value_at(0.5).field.eval_at(pos[rows]))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kinlim.forcing import two_point_renewal
 from kinlim.torus import (TorusField, TorusGrid, divergence, gradient,
                           laplacian, matrix_divergence, pairing, sobolev_norm)
 
@@ -176,3 +177,30 @@ def test_eval_at_matches_grid(grid):
     k = np.fft.fftfreq(grid.m, d=1.0 / grid.m)
     direct = np.sum(coef * np.exp(2j * np.pi * k * 0.1234)).real
     assert f.eval_at(x)[0] == pytest.approx(direct, rel=1e-12)
+
+
+def test_cosine_atom_has_no_sine_terms(grid):
+    # FFT rounding leaves ~1e-17 imaginary parts on a cosine; they are
+    # zeroed, so evaluation skips the sine series
+    a = 0.5
+    atom = two_point_renewal(grid, a).atoms[0]
+    _, _, k_pair, _, im_p, _, _ = atom._build_mode_cache()
+    assert k_pair.tolist() == [[1.0]]
+    assert not im_p.any()
+    x = np.random.default_rng(7).random((1000, 1))
+    vals = atom.eval_at(x)[:, 0]
+    assert np.max(np.abs(vals - a * np.cos(2 * np.pi * x[:, 0]))) < 1e-15
+
+
+@pytest.mark.parametrize("sin_weight", [1.0, 1e-6])
+def test_sine_terms_are_kept(grid, sin_weight):
+    # a genuine sine part, even one 1e-6 of the cosine, is well above the
+    # rounding tolerance
+    f = TorusField.from_function(
+        grid, 0, lambda x: np.cos(2 * np.pi * x)
+        + sin_weight * np.sin(2 * np.pi * x))
+    im_p = f._build_mode_cache()[4]
+    assert im_p.any()
+    x = np.random.default_rng(8).random((1000, 1))
+    want = np.cos(2 * np.pi * x[:, 0]) + sin_weight * np.sin(2 * np.pi * x[:, 0])
+    assert np.max(np.abs(f.eval_at(x) - want)) < 1e-15
