@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .experiment import (build_model, coefficients_stage, convergence_study,
 from .forcing import generate_path
 from .kinetic import KineticRunConfig, run_rescaled
 from .rng import substream
-from .spde import run_ensemble
+from .spde import run_ensemble, stability_limit
 from .table import write_table
 from .torus import TorusGrid, sobolev_norm
 
@@ -120,6 +121,7 @@ def _write_checkpoint(path, grid, t, est):
 
 
 def cmd_simulate_spde(args) -> int:
+    start = time.perf_counter()
     cfg = _load_config(args)
     grid = TorusGrid(cfg.dim, cfg.grid_m)
     coeffs, cov = load_coefficient_stage(cfg.out_dir)
@@ -144,9 +146,17 @@ def cmd_simulate_spde(args) -> int:
                            {"spde": cfg.seed + 5000})
     manifest.add_file(out_path)
     manifest.save(os.path.join(cfg.out_dir, "manifest_spde.txt"))
+    elapsed = time.perf_counter() - start
     lines = [f"stage simulate-spde (kinlim {__version__})",
              f"{cfg.n_spde_realizations} realizations, noise rank "
              f"{res.noise_rank}, min rho {res.min_rho:.4g}",
+             f"dt_spde / stability_limit = "
+             f"{cfg.dt_spde / stability_limit(coeffs):.4g}",
+             f"{res.n_steps} steps, {res.transforms_per_step} transforms "
+             f"per step",
+             f"stage {elapsed:.3g} s, "
+             f"{cfg.n_spde_realizations * res.n_steps / elapsed:.4g} "
+             f"realization-steps/s",
              f"wrote {out_path}"]
     _report(cfg, "report_spde.txt", lines)
     return 0

@@ -218,26 +218,6 @@ def compute_cov_operator(model: ForceFieldModel, grid: TorusGrid, n_mc: int,
                        float(tol_eig), se_fro)
 
 
-def apply_cov_operator(cov: CovOperator, v: TorusField) -> TorusField:
-    """Direct kernel quadrature (S v)_i(x) = sum_j int H(i,x,j,y) v_j(y) dy."""
-    if v.grid != cov.grid or v.rank != 1:
-        raise ValueError("need a vector field on the operator's grid")
-    flat = v.physical().reshape(-1)
-    out = cov.kernel @ flat / cov.grid.size
-    return TorusField(cov.grid, 1, out.reshape((cov.grid.dim,) + cov.grid.shape))
-
-
-def apply_sqrt_cov(cov: CovOperator, v: TorusField) -> TorusField:
-    """Spectral square root: sum_k sqrt(lambda_k) <v, zeta_k> zeta_k."""
-    if v.grid != cov.grid or v.rank != 1:
-        raise ValueError("need a vector field on the operator's grid")
-    from .torus import inner
-    out = np.zeros((cov.grid.dim,) + cov.grid.shape)
-    for lam, z in zip(cov.eigenvalues, cov.eigenfields):
-        out += np.sqrt(lam) * inner(v, z) * z.physical()
-    return TorusField(cov.grid, 1, out)
-
-
 # -- structural checks ------------------------------------------------------------
 
 

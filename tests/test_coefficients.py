@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from kinlim.coefficients import (apply_cov_operator, apply_sqrt_cov,
-                                 check_sympos_identity,
+from kinlim.coefficients import (check_sympos_identity,
                                  closed_form_two_point_diffusion,
                                  coefficients_from_csv, coefficients_to_csv,
                                  compute_coefficients, compute_cov_operator,
@@ -132,36 +131,6 @@ def test_kernel_reconstruction(grid):
     gap = np.max(np.abs(recon - cov.kernel))
     # reconstruction off by at most round-off plus the dropped tail
     assert gap <= 1e-8 * max(cov.trace, 1.0) + cov.dropped_tail * grid.size
-
-
-def test_apply_sqrt_twice_matches_kernel(grid, model):
-    rng = np.random.default_rng(9)
-    coef = np.zeros(grid.shape, dtype=complex)
-    for k in (1, 2, 3):
-        c = rng.standard_normal() + 1j * rng.standard_normal()
-        coef[k] += c
-        coef[-k] += np.conj(c)
-    v = TorusField(grid, 1,
-                   TorusField(grid, 0, coef, space="spectral")
-                   .to_physical().values[None, :])
-    cov = compute_cov_operator(model, grid, n_mc=150, seed=10)
-    twice = apply_sqrt_cov(cov, apply_sqrt_cov(cov, v))
-    direct = apply_cov_operator(cov, v)
-    assert np.max(np.abs(twice.values - direct.values)) < 1e-8 * cov.trace
-
-
-def test_apply_sqrt_eigen_relation_and_orthogonal(grid, model):
-    cov = compute_cov_operator(model, grid, n_mc=150, seed=11)
-    z1 = cov.eigenfields[0]
-    out = apply_sqrt_cov(cov, z1)
-    assert np.max(np.abs(out.values - np.sqrt(cov.eigenvalues[0]) * z1.values)) \
-        < 1e-10
-    # a field orthogonal to the eigenspace maps to zero
-    w = TorusField.from_function(
-        grid, 1, lambda x: np.sin(4 * np.pi * x)[None, :])
-    assert np.max(np.abs(apply_sqrt_cov(cov, w).values)) < 1e-10
-    with pytest.raises(ValueError):
-        apply_sqrt_cov(cov, TorusField.zeros(TorusGrid(1, 32), 1))
 
 
 def test_enhancement_report(grid, model):

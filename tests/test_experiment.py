@@ -53,13 +53,24 @@ def test_ks_statistic_equals_scipy():
         assert _ks_statistic(a, b) == float(stats.ks_2samp(a, b).statistic)
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_scipy(tmp_path):
+    # neither the import nor a mini coeffs + simulate-spde run loads scipy
     src = str(Path(__file__).resolve().parents[1] / "src")
+    cfg = ExperimentConfig(grid_m=16, horizon=0.001, n_mc=100,
+                           n_spde_realizations=8, n_checkpoints=2,
+                           dt_spde=1e-4, out_dir=str(tmp_path / "out"))
+    cfg.save(tmp_path / "config.txt")
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import kinlim.cli; "
-            "print(sorted(k for k in sys.modules if k.startswith('scipy')))")
-    proc = subprocess.run([sys.executable, "-c", code, src],
+            "loaded = lambda: sorted(k for k in sys.modules "
+            "if k.startswith('scipy')); print(loaded()); "
+            "assert kinlim.cli.main(['coeffs', '--config', sys.argv[2]]) == 0; "
+            "assert kinlim.cli.main(['simulate-spde', '--config', "
+            "sys.argv[2]]) == 0; print(loaded())")
+    proc = subprocess.run([sys.executable, "-c", code, src,
+                           str(tmp_path / "config.txt")],
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    lines = proc.stdout.strip().splitlines()
+    assert lines[0] == "[]" and lines[-1] == "[]"
 
 
 class _Stop(Exception):

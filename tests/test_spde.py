@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from test_dim2_and_ou import two_point_2d
 
-from kinlim.coefficients import (compute_coefficients, compute_cov_operator,
-                                 HydroCoefficients)
+from kinlim.coefficients import (CovOperator, compute_coefficients,
+                                 compute_cov_operator, HydroCoefficients)
 from kinlim.equilibrium import FP, LB
 from kinlim.forcing import two_point_renewal, zero_renewal
-from kinlim.spde import (ITO, STRATONOVICH, SpdeStepper, mean_equation_solve,
+from kinlim.spde import (ITO, STRATONOVICH, SpdeStepper, _full_spectrum,
+                         _half_spectrum, mean_equation_solve,
                          quadratic_variation_check, run_ensemble,
                          stability_limit)
-from kinlim.torus import TorusField, TorusGrid, sobolev_norm
+from kinlim.torus import TorusField, TorusGrid, divergence, sobolev_norm
 
 A = 0.5
 
@@ -203,3 +205,163 @@ def test_weak_order_halving(grid):
         errs.append(sobolev_norm(out - ref, 0.0))
     ratio = errs[0] / errs[1]
     assert 1.4 < ratio < 2.6
+
+
+class FullComplexStep:
+    """The full-complex step the fused half-spectrum step replaced: seven
+    transforms per 2-D Ito step, drift and noise transformed apart."""
+
+    def __init__(self, coeffs, cov, dt, scheme):
+        grid = coeffs.diffusion.grid
+        self.axes = tuple(range(1, 1 + grid.dim))
+        self.size, self.dt, self.scheme = grid.size, dt, scheme
+        ks = grid.wavenumbers()
+        self.ik = [2j * np.pi * k for k in ks]
+        phis = cov.noise_fields()
+        self.phi = [p.physical() for p in phis]
+        diff, theta = coeffs.diffusion.physical(), coeffs.drift.physical()
+        if scheme == STRATONOVICH:
+            diff = diff - cov.noise_diagonal().physical()
+            theta = theta - sum(p.physical() * divergence(p).physical()[None]
+                                for p in phis)
+        kbar = diff.reshape(grid.dim, grid.dim, -1).mean(axis=-1)
+        kbar = 0.5 * (kbar + kbar.T)
+        self.theta = theta
+        self.kvar = diff - kbar.reshape(kbar.shape + (1,) * grid.dim)
+        mu = sum(4 * np.pi**2 * kbar[i, j] * ks[i] * ks[j]
+                 for i in range(grid.dim) for j in range(grid.dim))
+        self.cn_minus = 1.0 - 0.5 * dt * mu
+        self.cn_plus_inv = 1.0 / (1.0 + 0.5 * dt * mu)
+
+    def phys(self, coef):
+        return np.fft.ifftn(coef, axes=self.axes).real * self.size
+
+    def div(self, comps):
+        return sum(ik * np.fft.fftn(c, axes=self.axes) / self.size
+                   for ik, c in zip(self.ik, comps))
+
+    def noise(self, rho, g):
+        gs = g.reshape(g.shape + (1,) * len(self.axes))
+        return sum(self.div([rho * phi[i] * gs[:, k]
+                             for i in range(len(self.axes))])
+                   for k, phi in enumerate(self.phi))
+
+    def step(self, coef, g):
+        rho = self.phys(coef)
+        grads = [self.phys(ik * coef) for ik in self.ik]
+        det = self.cn_minus * coef + self.dt * self.div(
+            [self.theta[i] * rho + sum(self.kvar[i, j] * grads[j]
+                                       for j in range(len(grads)))
+             for i in range(len(grads))])
+        root = np.sqrt(2 * self.dt)
+        noise0 = self.noise(rho, g)
+        if self.scheme == ITO:
+            return (det + root * noise0) * self.cn_plus_inv
+        pred = (det + root * noise0) * self.cn_plus_inv
+        noise1 = self.noise(self.phys(pred), g)
+        return (det + root * 0.5 * (noise0 + noise1)) * self.cn_plus_inv
+
+
+def rank_two_cov(grid):
+    """Noise fields sqrt(2) cos(2 pi x) e_0 and sqrt(2) sin(2 pi (x + y)) e_1
+    with eigenvalues 0.1 and 0.05: each axis has one zero noise component."""
+    x, y = grid.coords()
+    zetas = [np.stack([np.sqrt(2) * np.cos(2 * np.pi * x), 0 * x]),
+             np.stack([0 * x, np.sqrt(2) * np.sin(2 * np.pi * (x + y))])]
+    return CovOperator(grid, None, np.array([0.1, 0.05]),
+                       [TorusField(grid, 1, z) for z in zetas], 0.15, 0.0,
+                       0.0, 0.0)
+
+
+def hermitian_unpaired_nyquist(full, grid):
+    """The full spectrum with each pair c(k), c(-k) that has k_i = m/2 on an
+    earlier axis and 0 < |k_last| < m/2 replaced by its Hermitian part: the
+    one part of such a pair that a half spectrum holds."""
+    axes = tuple(range(full.ndim - grid.dim, full.ndim))
+    mirror = np.conj(np.roll(np.flip(full, axes), 1, axes))
+    ks = grid.wavenumbers()
+    nyq = grid.m // 2
+    unpaired = np.zeros(grid.shape, dtype=bool)
+    for k in ks[:-1]:
+        unpaired |= np.abs(k) == nyq
+    unpaired &= (ks[-1] != 0) & (np.abs(ks[-1]) != nyq)
+    return np.where(unpaired, 0.5 * (full + mirror), full)
+
+
+def equivalence_case(name):
+    if name == "1d":
+        return lb_setup(TorusGrid(1, 64))
+    grid = TorusGrid(2, 16)
+    if name == "2d-e0":       # the benchmark law: zero fields are dropped
+        return lb_setup(grid, n_mc=100)
+    model = two_point_2d(grid, 0.4)
+    coeffs = compute_coefficients(model, LB, grid, n_mc=100, seed=2)
+    if name == "2d-full":     # every component and K01 non-zero
+        return coeffs, compute_cov_operator(model, grid, n_mc=100, seed=3)
+    return coeffs, rank_two_cov(grid)
+
+
+@pytest.mark.parametrize("scheme", [ITO, STRATONOVICH])
+@pytest.mark.parametrize("case", ["1d", "2d-e0", "2d-full", "rank-2"])
+def test_fused_step_matches_full_complex_step(case, scheme):
+    coeffs, cov = equivalence_case(case)
+    grid = coeffs.diffusion.grid
+    dt = 0.5 * stability_limit(coeffs)
+    stepper = SpdeStepper(coeffs, cov, dt, scheme)
+    oracle = FullComplexStep(coeffs, cov, dt, scheme)
+    rho0 = TorusField.from_function(
+        grid, 0, lambda *xs: 1.0 + 0.5 * np.cos(2 * np.pi * xs[0] - 1.0)
+        + 0.3 * np.sin(2 * np.pi * xs[-1]))
+    full = np.broadcast_to(rho0.spectrum(), (3,) + grid.shape).copy()
+    plain = full.copy()
+    half = full[..., :grid.m // 2 + 1].copy()
+    g = np.random.default_rng(5).standard_normal((50, 3, stepper.noise_rank))
+    for step in range(50):
+        half = stepper.step_hat(half, g[step])
+        full = oracle.step(hermitian_unpaired_nyquist(full, grid), g[step])
+        plain = oracle.step(plain, g[step])
+    ref = oracle.phys(full)
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(stepper.to_physical(half) - ref)) <= 1e-12 * scale
+    # without content on unpaired Nyquist pairs the full-complex step is
+    # matched as it is; with it, the dropped part moved rho by 9.7e-7
+    bound = 1e-12 if case in ("1d", "2d-e0") else 1e-5
+    assert np.max(np.abs(oracle.phys(plain) - ref)) <= bound * scale
+    # the mass is the k = 0 coefficient, untouched to the bit
+    assert np.all(half[(Ellipsis,) + (0,) * grid.dim]
+                  == rho0.spectrum()[(0,) * grid.dim])
+
+
+@pytest.mark.parametrize("case", ["1d", "2d-e0", "2d-full"])
+def test_transforms_per_step_counts_the_step(case, monkeypatch):
+    coeffs, cov = equivalence_case(case)
+    stepper = SpdeStepper(coeffs, cov, 1e-5)
+    calls = []
+    for name in ("to_physical", "to_spectral"):
+        orig = getattr(SpdeStepper, name)
+
+        def counted(self, arr, _orig=orig):
+            calls.append(1)
+            return _orig(self, arr)
+        monkeypatch.setattr(SpdeStepper, name, counted)
+    grid = coeffs.diffusion.grid
+    coef = np.zeros((2, *grid.shape[:-1], grid.m // 2 + 1), dtype=complex)
+    stepper.step_hat(coef, np.ones((2, stepper.noise_rank)))
+    assert len(calls) == stepper.transforms_per_step
+    assert stepper.transforms_per_step == {"1d": 3, "2d-e0": 3,
+                                           "2d-full": 5}[case]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_full_spectrum_completes_the_half(dim):
+    grid = TorusGrid(dim, 8)
+    phys = np.random.default_rng(dim).standard_normal((3,) + grid.shape)
+    axes = tuple(range(1, 1 + dim))
+    full = np.fft.fftn(phys, axes=axes)
+    out = _full_spectrum(_half_spectrum(full), grid)
+    assert out.shape == full.shape
+    assert np.max(np.abs(out - full)) < 1e-12
+    # the added modes are the exact conjugates c(-k) = conj c(k) of kept ones
+    back = np.conj(np.roll(np.flip(out, axes), 1, axes))
+    assert np.array_equal(back[..., grid.m // 2 + 1:],
+                          out[..., grid.m // 2 + 1:])
