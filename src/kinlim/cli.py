@@ -84,13 +84,11 @@ def cmd_simulate_kinetic(args) -> int:
     lines = [f"stage simulate-kinetic (kinlim {__version__})"]
     for i, eps in enumerate(cfg.epsilons):
         kcfg = KineticRunConfig(cfg.collision, eps, cfg.horizon,
-                                cfg.micro_dt(eps), cfg.n_particles, grid,
-                                estimator="fourier")
+                                cfg.micro_dt(eps), cfg.n_particles, grid)
         path = generate_path(model, kcfg.path_horizon,
                              seed=substream(cfg.seed, 201, i))
         run = run_rescaled(kcfg, path, rho0, substream(cfg.seed, 202, i),
-                           n_checkpoints=cfg.n_checkpoints,
-                           track_corrector=True)
+                           n_checkpoints=cfg.n_checkpoints)
         series_path = os.path.join(cfg.out_dir, f"kinetic_eps{eps}_series.csv")
         write_table(series_path, ["t", "J0", "J1", "J2", "J3", "rho_hminus1",
                                   "corrector_hminus1"],

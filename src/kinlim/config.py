@@ -83,8 +83,6 @@ class ExperimentConfig:
             default = getattr(cls, f.name)
             if isinstance(default, tuple):
                 kwargs[f.name] = tuple(float(x) for x in val.split(","))
-            elif isinstance(default, bool):
-                kwargs[f.name] = val.lower() in ("1", "true", "yes")
             elif isinstance(default, int):
                 kwargs[f.name] = int(val)
             elif isinstance(default, float):

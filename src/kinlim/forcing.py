@@ -59,7 +59,6 @@ class ForceFieldModel:
         self.grid = grid
         self.sobolev_index = float(sobolev_index)
         self.mixing_rate = 1.0
-        self.jump_rate = 1.0
         if kind == RENEWAL:
             if not atoms:
                 raise ValueError("renewal model needs at least one atom")
@@ -183,7 +182,6 @@ class ForcePath:
     model: ForceFieldModel
     times: np.ndarray
     samples: list
-    seed: int
     jump_flags: np.ndarray = field(default=None)
 
     @property
@@ -210,7 +208,7 @@ class ForcePath:
     def shifted(self, offset: float) -> "ForcePath":
         """Same realization on a translated clock (times + offset)."""
         return ForcePath(self.model, self.times + offset, self.samples,
-                         self.seed, self.jump_flags)
+                         self.jump_flags)
 
     def segments_between(self, a: float, b: float):
         """Yield (t0, t1, sample) pieces covering [a, b]."""
@@ -310,7 +308,6 @@ def generate_path(model: ForceFieldModel, horizon: float, dt_ou: float = 0.01,
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     rng = as_generator(seed)
-    seed_val = seed if isinstance(seed, (int, np.integer)) else -1
     if model.kind == RENEWAL:
         times = [t_start]
         idx = model._draw_atom_index(rng)
@@ -328,7 +325,7 @@ def generate_path(model: ForceFieldModel, horizon: float, dt_ou: float = 0.01,
         samples = [ForceSample(model.atoms[i], model.norm_bound) for i in indices]
         flags = np.zeros(len(samples), dtype=bool)
         flags[1:] = True
-        return ForcePath(model, np.asarray(times), samples, int(seed_val), flags)
+        return ForcePath(model, np.asarray(times), samples, flags)
     if dt_ou <= 0:
         raise ValueError("dt_ou must be positive for the OU construction")
     n = int(np.ceil(horizon / dt_ou))
@@ -343,7 +340,7 @@ def generate_path(model: ForceFieldModel, horizon: float, dt_ou: float = 0.01,
     samples = [ForceSample(model.link(s), model.norm_bound, state=s)
                for s in states]
     flags = np.zeros(len(samples), dtype=bool)
-    return ForcePath(model, times, samples, int(seed_val), flags)
+    return ForcePath(model, times, samples, flags)
 
 
 # -- resolvents ----------------------------------------------------------------
@@ -360,7 +357,7 @@ def _ou_time_quadrature(model, sample, weight_fn, horizon, dt, n_replicates, rng
 
     Replicates run in antithetic pairs (mirrored Brownian increments), which
     removes the noise exactly while the clipping is inactive and leaves the
-    estimator unbiased otherwise.
+    Monte Carlo mean unbiased otherwise.
     """
     if sample.state is None:
         raise ValueError("OU resolvents need the underlying state")

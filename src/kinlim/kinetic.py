@@ -27,9 +27,12 @@ Stepping is a first-order splitting, vectorised over particles:
 * velocities, diffusion collisions ('fp'): exact Ornstein-Uhlenbeck update
   exp(-dt) V + (1 - exp(-dt)) E + Gaussian noise of variance 1 - exp(-2 dt).
 
-`moments` passes the per-particle values w, w V, w V V^T to one estimator;
-the Fourier one sums them exactly from one (n, 2 kmax + 1) phase table per
-axis, in O(n N (2 kmax + 1)) memory, never O(n (2 kmax + 1)^N).
+`moments` estimates the density, current and pressure fields by the exact
+Fourier sums of the per-particle values w, w V, w V V^T on the modes
+max_d |k_d| <= m/4, from one (n, m/2 + 1) phase table per axis, in
+O(n N m) memory, never O(n (m/2 + 1)^N).  `_evolve` is the one stepping
+loop: `run_rescaled`, `functional_samples` and the moment-evolution check
+of `kinlim.experiment` all step through it.
 
 Randomness is drawn from counter-based streams keyed by realization (force
 paths) and by block (particles), and `functional_samples` forms its blocks
@@ -40,7 +43,7 @@ order), and moment sums do not depend on the BLAS thread count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,14 +99,11 @@ class KineticRunConfig:
     dt: float                  # micro time step
     n_particles: int
     grid: TorusGrid
-    estimator: str = "histogram"
 
     def __post_init__(self):
         _check_collision(self.collision)
         if self.dt > 0.1 * self.epsilon**2 + 1e-15:
             raise ValueError("micro step too large: need dt <= 0.1 eps^2")
-        if self.estimator not in ("histogram", "fourier"):
-            raise ValueError(f"unknown estimator {self.estimator!r}")
 
     @property
     def micro_horizon(self) -> float:
@@ -218,30 +218,6 @@ def step_micro(ens: ParticleEnsemble, block: PathBlock, dt: float, seed,
 # -- moment estimation ---------------------------------------------------------------
 
 
-def _deposit_linear(grid: TorusGrid, positions: np.ndarray,
-                    values: np.ndarray) -> np.ndarray:
-    """Cloud-in-cell deposition of per-particle values (n, C) onto grid
-    nodes; returns (C,) + grid.shape."""
-    m, dim = grid.m, grid.dim
-    g = positions * m
-    i0 = np.floor(g).astype(np.int64) % m
-    frac = g - np.floor(g)
-    flat = np.zeros((values.shape[1], grid.size))
-    # accumulate over the 2^dim corner combinations
-    for corner in range(1 << dim):
-        idx = np.zeros(positions.shape[0], dtype=np.int64)
-        w = np.ones(positions.shape[0])
-        for d in range(dim):
-            up = (corner >> d) & 1
-            idx = idx * m + (i0[:, d] + up) % m
-            w = w * (frac[:, d] if up else 1.0 - frac[:, d])
-        for c in range(values.shape[1]):
-            flat[c] += np.bincount(idx, weights=values[:, c] * w,
-                                   minlength=grid.size)
-    # deposit / cell volume
-    return flat.reshape((values.shape[1],) + grid.shape) * grid.size
-
-
 def _empirical_modes(grid: TorusGrid, positions: np.ndarray,
                      values: np.ndarray, kmax: int) -> np.ndarray:
     """Exact sums S_c(k) = sum_i values_ic exp(-2 pi i k.x_i) of real values
@@ -268,12 +244,10 @@ def _empirical_modes(grid: TorusGrid, positions: np.ndarray,
     return spec
 
 
-def moments(ens: ParticleEnsemble, grid: TorusGrid,
-            estimator: str = "histogram", kmax: int = None) -> DensityEstimate:
-    """Density, current and pressure fields plus total velocity moments, from
-    the per-particle values w, w v, w v v^T in one call of the estimator:
-    cloud-in-cell 'histogram' or exact 'fourier' sums for |k_d| <= kmax
-    (default m/4, see `_empirical_modes`)."""
+def moments(ens: ParticleEnsemble, grid: TorusGrid) -> DensityEstimate:
+    """Density, current and pressure fields plus total velocity moments:
+    the exact sums of the per-particle values w, w v, w v v^T on the modes
+    max_d |k_d| <= m/4 (`_empirical_modes`), in one call."""
     w, v = ens.weights, ens.velocities
     n, dim = v.shape
     speeds = np.linalg.norm(v, axis=1)
@@ -281,17 +255,11 @@ def moments(ens: ParticleEnsemble, grid: TorusGrid,
     # per-particle values of the rank 0, 1 and 2 moments, side by side
     vals = np.concatenate([w[:, None], w[:, None] * v, (w[:, None, None] * (
         v[:, :, None] * v[:, None, :])).reshape(n, -1)], axis=1)
-    if estimator == "histogram":
-        flat, space = _deposit_linear(grid, ens.positions, vals), "physical"
-    elif estimator == "fourier":
-        kmax = grid.m // 4 if kmax is None else kmax
-        flat = _empirical_modes(grid, ens.positions, vals, kmax)
-        space = "spectral"
-    else:
-        raise ValueError(f"unknown estimator {estimator!r}")
+    flat = _empirical_modes(grid, ens.positions, vals, grid.m // 4)
     rho, cur, pres = [TorusField(
         grid, rank, flat[lo:lo + dim**rank].reshape((dim,) * rank + grid.shape),
-        space=space).to_physical() for rank, lo in enumerate((0, 1, 1 + dim))]
+        space="spectral").to_physical()
+        for rank, lo in enumerate((0, 1, 1 + dim))]
     return DensityEstimate(rho, cur, pres, totals)
 
 
@@ -320,59 +288,54 @@ class KineticRun:
     times: list
     estimates: list            # DensityEstimate per checkpoint
     ensemble: ParticleEnsemble
-    corrector_norms: np.ndarray = field(default=None)  # sup_t ||theta||_{H^-1}
+    corrector_norms: np.ndarray  # ||theta||_{H^-1} per checkpoint
 
 
 def _evolve(cfg: KineticRunConfig, block: PathBlock, rho_init: TorusField,
             rng, checkpoint_steps, record) -> ParticleEnsemble:
     """Draw cfg.n_particles particles per path of `block` from `rng`, then
     take cfg.n_steps micro steps of the block on the same stream, calling
-    `record(ens)` after each step in `checkpoint_steps` (0 is the initial
-    ensemble).  The one stepping loop of `run_rescaled` and
-    `functional_samples`."""
+    `record(step, ens)` after each step in `checkpoint_steps` (0 is the
+    initial ensemble).  The one stepping loop of the kinetic model."""
     if not block.covers(0.0, cfg.micro_horizon):
         raise ValueError("force path horizon too short for the rescaled run")
     dt = cfg.micro_horizon / cfg.n_steps
     ens = make_ensemble(rho_init, cfg.n_particles, cfg.epsilon, rng,
                         realizations=block.size)
     if 0 in checkpoint_steps:
-        record(ens)
+        record(0, ens)
     for step in range(1, cfg.n_steps + 1):
         ens = step_micro(ens, block, dt, rng, cfg.collision)
         if step in checkpoint_steps:
-            record(ens)
+            record(step, ens)
     return ens
 
 
 def run_rescaled(cfg: KineticRunConfig, path: ForcePath,
                  rho_init: TorusField, seed,
-                 n_checkpoints: int = 10,
-                 track_corrector: bool = False) -> KineticRun:
+                 n_checkpoints: int = 10) -> KineticRun:
     """Evolve one conditioned realization over macro time [0, horizon].
 
     All particles share `path` (the conditioning environment); the collision
     and thermal noise is particle-independent.  Checkpoints are evenly spaced
-    in macro time, including both endpoints.
+    in macro time, including both endpoints; at each one the moments and
+    the H^-1 norm of the corrector theta are recorded.
     """
     checkpoint_steps = set(np.round(
         np.linspace(0, cfg.n_steps, n_checkpoints + 1)).astype(int).tolist())
     times, estimates, norms = [], [], []
 
-    def record(e):
-        est = moments(e, cfg.grid, estimator=cfg.estimator)
+    def record(step, e):
+        est = moments(e, cfg.grid)
         times.append(e.time)
         estimates.append(est)
-        if track_corrector:
-            est_f = est if cfg.estimator == "fourier" else \
-                moments(e, cfg.grid, estimator="fourier")
-            e_now = path.value_at(min(e.micro_time, path.t_end)).field
-            theta, _ = corrector_decomposition(est_f, e_now, cfg.epsilon)
-            norms.append(sobolev_norm(theta, -1.0))
+        e_now = path.value_at(min(e.micro_time, path.t_end)).field
+        theta, _ = corrector_decomposition(est, e_now, cfg.epsilon)
+        norms.append(sobolev_norm(theta, -1.0))
 
     ens = _evolve(cfg, PathBlock([path]), rho_init, as_generator(seed),
                   checkpoint_steps, record)
-    return KineticRun(times, estimates, ens,
-                      np.asarray(norms) if track_corrector else None)
+    return KineticRun(times, estimates, ens, np.asarray(norms))
 
 
 def functional_samples(cfg: KineticRunConfig, model: ForceFieldModel,

@@ -34,23 +34,11 @@ in 2-D.  The Heun step adds one inverse transform and the fluxes once
 more; since the noise is linear in rho, its mean noise is the noise of
 (rho + rho_pred) / 2.
 
-A real field's spectrum pairs c(-k) = conj c(k).  The full-complex state
-stored both halves and, on the Nyquist wavenumber -m/2 (which is its own
-negative), let a flux feed an imaginary, non-Hermitian part that rho never
-shows but the gradient along that axis did.  The half spectrum still holds
-it wherever it holds both members of a pair: in 1-D and on the last-axis
-modes 0 and m/2.  On the modes with k_i = m/2 on an earlier axis and
-0 < k_last < m/2 it holds one member, so that part is dropped there: the
-derivative along axis i is taken as zero on them.  For states without
-content there (1-D, every law that varies along x_0 only) the step is the
-full-complex step up to rounding: for the law +/- a cos(2 pi x_0) e_0 at
-m = 16, 1000 realizations after 40 steps at 0.87 of the stability limit,
-the dropped part of the full-complex state was 2.7e-17 (mass 1), and the
-ensemble means, variances and functionals of the two steps agreed to
-5.6e-16 relative.  For the 2-D two-point law with atoms
-+/- (a cos(2 pi x_0), a/2 sin(2 pi x_1)) at m = 16 the two steps moved rho
-apart by 9.7e-7 relative after 50 steps at half the stability limit, and by
-5.9e-10 at dt = 1e-5.
+A real field's spectrum pairs c(-k) = conj c(k).  The Nyquist wavenumber
+m/2 is its own negative on the grid, so an odd derivative there would feed
+an imaginary part that no real field has; as usual for real fields, the
+derivative symbol 2 pi i k_i is set to zero on every mode with
+|k_i| = m/2 (the second-order Crank-Nicolson symbol keeps k_i^2).
 
 Realizations are advanced in batch; each realization's Gaussian increments
 come from its own counter-based stream, so ensembles are reproducible for
@@ -59,7 +47,7 @@ any batch or worker layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import pairwise
 
 import numpy as np
@@ -103,12 +91,9 @@ class SpdeStepper:
         self.dt = float(dt)
         self.scheme = scheme
         ks = [_half_spectrum(k) for k in grid.wavenumbers()]
-        # the half spectrum holds one member of each pair k, -k with
-        # 0 < |k_last| < m/2; where such a k has k_i = m/2 on an earlier axis
-        # the derivative along i is zero (module docstring)
-        unpaired = (ks[-1] != 0) & (np.abs(ks[-1]) != grid.m // 2)
-        self._ik = [2j * np.pi * np.where(
-            (np.abs(k) == grid.m // 2) & unpaired, 0, k) for k in ks]
+        # odd derivatives vanish on the Nyquist modes (module docstring)
+        self._ik = [2j * np.pi * np.where(np.abs(k) == grid.m // 2, 0, k)
+                    for k in ks]
 
         diff_vals = coeffs.diffusion.physical()
         phis = [] if cov is None else cov.noise_fields()
@@ -231,16 +216,9 @@ def _full_spectrum(half, grid: TorusGrid):
 
 
 def mean_equation_solve(coeffs: HydroCoefficients, rho_in: TorusField,
-                        horizon: float, dt: float, include_drift: bool = True
-                        ) -> TorusField:
-    """Deterministic solve of d_t r = div(K grad r + Theta r) (noise off).
-
-    `include_drift=False` drops the Theta term, leaving the pure
-    enhanced-diffusion equation for the ensemble average.
-    """
-    work = coeffs if include_drift else replace(
-        coeffs, drift=TorusField.zeros(coeffs.diffusion.grid, 1))
-    stepper = SpdeStepper(work, None, dt)
+                        horizon: float, dt: float) -> TorusField:
+    """Deterministic solve of d_t r = div(K grad r + Theta r) (noise off)."""
+    stepper = SpdeStepper(coeffs, None, dt)
     n_steps = int(round(horizon / dt))
     coef = _half_spectrum(rho_in.spectrum())
     for _ in range(n_steps):

@@ -336,10 +336,3 @@ def pairing(f: TorusField, g: TorusField) -> float:
     if f.grid != g.grid:
         raise ValueError("pairing requires a common grid")
     return float(np.sum(f.physical() * g.physical()) / f.grid.size)
-
-
-def inner(f: TorusField, g: TorusField) -> float:
-    """L^2 inner product summed over components, any common rank."""
-    if f.grid != g.grid or f.rank != g.rank:
-        raise ValueError("inner requires matching fields")
-    return float(np.sum(f.physical() * g.physical()) / f.grid.size)

@@ -146,14 +146,13 @@ def test_criterion_11_corrector_scaling(grid, model):
     n_paths = 3
     sup_norms = []
     for i, eps in enumerate(eps_list):
-        cfg = KineticRunConfig(LB, eps, 0.05, 0.1 * eps**2, 50_000, grid,
-                               estimator="fourier")
+        cfg = KineticRunConfig(LB, eps, 0.05, 0.1 * eps**2, 50_000, grid)
         vals = []
         for p in range(n_paths):
             path = generate_path(model, cfg.micro_horizon * 1.001 + 1e-9,
                                  seed=substream(SEED, 11, i, p))
             run = run_rescaled(cfg, path, rho0, substream(SEED, 12, i, p),
-                               n_checkpoints=10, track_corrector=True)
+                               n_checkpoints=10)
             vals.append(run.corrector_norms.max())
         sup_norms.append(np.mean(vals))
     slope = np.polyfit(np.log(eps_list), np.log(sup_norms), 1)[0]

@@ -1,5 +1,6 @@
 """The benchmark wraps kinlim functions by name; renaming one breaks it."""
 
+import collections
 import json
 import os
 import subprocess
@@ -33,12 +34,41 @@ print(json.dumps({"n_steps": cfg.n_steps, "step_calls": step_calls,
 """
 
 
-def _run_in_bench(code):
+# The coeffs, simulate-kinetic and simulate-spde stages of a tiny 1-D config
+# through `kinlim.cli.main` under the span hooks; prints the stage exit
+# codes, the counters and the number of spans of each name.
+TRACED_STAGES = """
+import collections
+import json
+import os
+import sys
+import spans
+import kinlim.cli
+
+rec = spans.SpanRecorder()
+spans.install(rec)
+out = sys.argv[1]
+config = os.path.join(out, "tiny.cfg")
+with open(config, "w") as fh:
+    fh.write("dim = 1\\ngrid_m = 16\\nepsilons = 0.5\\nhorizon = 0.002\\n"
+             "dt_spde = 0.0001\\nn_particles = 100\\nn_realizations = 2\\n"
+             "n_spde_realizations = 2\\nn_mc = 100\\nn_checkpoints = 2\\n"
+             f"seed = 3\\nout_dir = {out}\\n")
+codes = [kinlim.cli.main([stage, "--config", config])
+         for stage in ("coeffs", "simulate-kinetic", "simulate-spde")]
+spans_of = collections.Counter(rec.names[i] for i in rec.name_id)
+print(json.dumps({"codes": codes, "counters": rec.counters,
+                  "spans": spans_of}))
+"""
+
+
+def _run_in_bench(code, *args):
     # in a subprocess: install() patches kinlim for the whole interpreter
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    return subprocess.run([sys.executable, "-c", code], cwd=ROOT / "bench",
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          cwd=ROOT / "bench",
                           env=env, capture_output=True, text=True)
 
 
@@ -55,3 +85,19 @@ def test_benchmark_traces_every_particle_step():
     assert out["kinetic.particle_steps"] == 5 * 200 * out["n_steps"]
     assert out["step_calls"] == 3 * out["n_steps"]
     assert out["kinetic.lb_jumps_expected"] > 0
+
+
+def test_benchmark_traces_every_stage_layer(tmp_path):
+    # each layer metric the benchmark reports from these stages reads a
+    # counter or a span that a removed or renamed kinlim name would leave 0
+    proc = _run_in_bench(TRACED_STAGES, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["codes"] == [0, 0, 0]
+    counters = collections.Counter(out["counters"])
+    spans_of = collections.Counter(out["spans"])
+    assert counters["coefficients.kernel_dim"] == 16
+    assert counters["spde.step_hat.ffts"] > 0
+    assert counters["spde.noise_bytes"] > 0
+    assert spans_of["kinetic.moments"] == 2  # one micro step: 0 and 1
+    assert spans_of["forcing.value_at"] > 0

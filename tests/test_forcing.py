@@ -211,17 +211,14 @@ def test_ou_resolvent_identity_mc(ou_model):
 
 def test_empirical_fourier_estimator_is_exact_sum(model):
     # the spectral density estimator equals the direct characteristic sum
-    from kinlim.kinetic import ParticleEnsemble, moments
+    from kinlim.kinetic import _empirical_modes
     grid = model.grid
     rng = substream(62)
     n = 500
-    ens = ParticleEnsemble(rng.random((n, 1)), rng.standard_normal((n, 1)),
-                           np.full(n, 1.0 / n), 0.5)
-    est = moments(ens, grid, estimator="fourier", kmax=5)
-    coef = est.rho.spectrum()
+    pos, w = rng.random((n, 1)), np.full(n, 1.0 / n)
+    coef = _empirical_modes(grid, pos, w[:, None], 5)[0]
     for k in (0, 1, 3, 5):
-        direct = np.sum(ens.weights
-                        * np.exp(-2j * np.pi * k * ens.positions[:, 0]))
+        direct = np.sum(w * np.exp(-2j * np.pi * k * pos[:, 0]))
         assert coef[k] == pytest.approx(direct, abs=1e-12)
     assert abs(coef[6]) < 1e-15  # beyond the retained band
 
@@ -229,39 +226,43 @@ def test_empirical_fourier_estimator_is_exact_sum(model):
 @pytest.mark.parametrize("dim, m, kmax", [(1, 16, 3), (1, 16, 40),
                                           (2, 8, 2), (2, 8, 9)])
 def test_empirical_fourier_estimator_every_rank_is_exact_sum(dim, m, kmax):
-    # rho, every component of J and every component of the pressure equal
-    # the direct sums sum_i v_i exp(-2 pi i k.x_i) on the band
-    # max_d |k_d| <= min(kmax, m/2 - 1) (kmax 40 and 9 are clamped), and the
-    # sums are exactly zero outside it
-    from kinlim.kinetic import ParticleEnsemble, _empirical_modes, moments
+    # every value column gives the direct sum sum_i v_i exp(-2 pi i k.x_i)
+    # on the band max_d |k_d| <= min(kmax, m/2 - 1) (kmax 40 and 9 are
+    # clamped) and exactly zero outside it; `moments` gives rho, every
+    # component of J and of the pressure on its band max_d |k_d| <= m/4
+    from kinlim.kinetic import _empirical_modes, moments
     grid = TorusGrid(dim, m)
     rng = substream(63, dim, kmax)
     n = 200
     ens = ParticleEnsemble(rng.random((n, dim)), rng.standard_normal((n, dim)),
                            rng.random(n) / n, 0.5)
-    est = moments(ens, grid, estimator="fourier", kmax=kmax)
     ks = np.stack([k.ravel() for k in grid.wavenumbers()], axis=1)
-    band = np.max(np.abs(ks), axis=1) <= min(kmax, m // 2 - 1)
-    assert 0 < band.sum() < band.size
     phase = np.exp(-2j * np.pi * (ens.positions @ ks.T))  # (n, m^dim)
     w, v = ens.weights, ens.velocities
     per_rank = [w, w[:, None] * v,
                 w[:, None, None] * v[:, :, None] * v[:, None, :]]
-    for fld, vals in zip((est.rho, est.current, est.pressure), per_rank):
-        direct = np.tensordot(vals, phase, axes=(0, 0))  # comp + (m^dim,)
-        coef = fld.spectrum().reshape(direct.shape)
-        assert np.max(np.abs(coef[..., band] - direct[..., band])) < 1e-12
-        assert np.max(np.abs(coef[..., ~band])) < 1e-15
+    direct = [np.tensordot(x, phase, axes=(0, 0)) for x in per_rank]
     raw = _empirical_modes(grid, ens.positions, np.concatenate(
         [x.reshape(n, -1) for x in per_rank], axis=1), kmax)
     assert raw.shape == (1 + dim + dim**2,) + grid.shape
-    assert np.all(raw.reshape(len(raw), -1)[:, ~band] == 0)
+    flat = raw.reshape(len(raw), -1)
+    band = np.max(np.abs(ks), axis=1) <= min(kmax, m // 2 - 1)
+    assert 0 < band.sum() < band.size
+    want = np.concatenate([d.reshape(-1, ks.shape[0]) for d in direct])
+    assert np.max(np.abs(flat[:, band] - want[:, band])) < 1e-12
+    assert np.all(flat[:, ~band] == 0)
+    est = moments(ens, grid)
+    band = np.max(np.abs(ks), axis=1) <= m // 4
+    for fld, d in zip((est.rho, est.current, est.pressure), direct):
+        coef = fld.spectrum().reshape(d.shape)
+        assert np.max(np.abs(coef[..., band] - d[..., band])) < 1e-12
+        assert np.max(np.abs(coef[..., ~band])) < 1e-15
 
 
 def constant_path(model, field, horizon=1.0):
     """A path that sits at one field over [0, horizon]."""
     return ForcePath(model, np.array([0.0, horizon]),
-                     [ForceSample(field, model.norm_bound)], seed=0)
+                     [ForceSample(field, model.norm_bound)])
 
 
 def count_eval_calls(monkeypatch):

@@ -41,18 +41,16 @@ for dim, m, n in ((1, 64, 50_000), (2, 32, 10_000)):
     rng = substream(7, dim)
     ens = ParticleEnsemble(rng.random((n, dim)), rng.standard_normal((n, dim)),
                            np.full(n, 1.0 / n), 0.5)
-    est = moments(ens, TorusGrid(dim, m), estimator="fourier")
+    est = moments(ens, TorusGrid(dim, m))
     print(dim, digest(est.rho.values, est.current.values,
                       est.pressure.values))
 grid = TorusGrid(1, 64)
-cfg = KineticRunConfig("lb", 0.5, 0.01, 0.025, 50_000, grid,
-                       estimator="fourier")
+cfg = KineticRunConfig("lb", 0.5, 0.01, 0.025, 50_000, grid)
 path = generate_path(two_point_renewal(grid, 0.5), cfg.path_horizon,
                      seed=substream(7, 3))
 rho0 = TorusField.from_function(
     grid, 0, lambda x: 1.0 + 0.5 * np.cos(2 * np.pi * x))
-run = run_rescaled(cfg, path, rho0, substream(7, 4), n_checkpoints=2,
-                   track_corrector=True)
+run = run_rescaled(cfg, path, rho0, substream(7, 4), n_checkpoints=2)
 print("corrector", digest(run.corrector_norms))
 """
 
@@ -129,7 +127,9 @@ def test_path_coverage_error(grid):
 
 
 def test_moments_single_particle(grid):
-    # particle sitting on a grid node deposits v0 x v0 / cell volume there
+    # a particle of weight w = 1 on a grid node: each of the 2 m/4 + 1 = 33
+    # retained modes has phase 1 there, so rho = 33 w and the pressure
+    # 33 w v0^2 = 74.25 at the node
     v0 = np.array([[1.5]])
     pos = np.array([[0.25]])
     ens = ParticleEnsemble(pos, v0, np.array([1.0]), 1.0)
@@ -137,9 +137,8 @@ def test_moments_single_particle(grid):
     assert est.totals[0] == pytest.approx(1.0)
     assert est.totals[1] == pytest.approx(1.5)
     node = int(0.25 * grid.m)
-    assert est.pressure.values[0, 0, node] == pytest.approx(
-         v0[0, 0] ** 2 * grid.m)
-    assert est.rho.values[node] == pytest.approx(grid.m)
+    assert est.pressure.values[0, 0, node] == pytest.approx(33 * 1.5**2)
+    assert est.rho.values[node] == pytest.approx(33.0)
     assert pairing(est.rho, TorusField.constant(grid, 1.0)) == pytest.approx(1.0)
 
 
@@ -162,7 +161,7 @@ def test_moments_zero_velocities(grid):
 
 def test_moments_fourier_estimator_mass_exact(grid):
     ens = uniform_ensemble(5000, 0.5, 9)
-    est = moments(ens, grid, estimator="fourier")
+    est = moments(ens, grid)
     one = TorusField.constant(grid, 1.0)
     assert pairing(est.rho, one) == pytest.approx(ens.mass, abs=1e-12)
 
@@ -188,10 +187,10 @@ def test_fourier_moments_hold_no_particles_by_modes_temporary():
     # take 46 MB; a per-axis table is at most 10^4 x 17 (2.7 MB)
     grid2 = TorusGrid(2, 32)
     ens = uniform_ensemble(10_000, 0.5, 64, dim=2)
-    moments(ens, grid2, estimator="fourier")  # first-call set-up untraced
+    moments(ens, grid2)  # first-call set-up untraced
     tracemalloc.start()
     try:
-        moments(ens, grid2, estimator="fourier")
+        moments(ens, grid2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -290,7 +289,7 @@ def test_corrector_trivial_cases(grid):
     e = model.atoms[0]
     n = 4000
     ens = uniform_ensemble(n, 0.25, 41, velocities=np.zeros((n, 1)))
-    est = moments(ens, grid, estimator="fourier")
+    est = moments(ens, grid)
     # J = 0 and e = 0: theta = 0, zeta = rho
     zero_e = TorusField.zeros(grid, 1)
     theta, zeta = corrector_decomposition(est, zero_e, 0.25)
@@ -300,7 +299,7 @@ def test_corrector_trivial_cases(grid):
     const_est = moments(
         ParticleEnsemble(np.linspace(0, 1, n, endpoint=False)[:, None],
                          np.ones((n, 1)), np.full(n, 1.0 / n), 0.25),
-        grid, estimator="fourier")
+        grid)
     e_const = TorusField.constant(grid, np.array([0.7]))
     theta2, _ = corrector_decomposition(const_est, e_const, 0.25)
     assert np.max(np.abs(theta2.values)) < 1e-9
@@ -314,11 +313,9 @@ def test_corrector_scaling_smoke(grid):
     norms = {}
     for eps in (0.5, 0.25):
         cfg = KineticRunConfig(LB, eps, 0.02, dt=0.1 * eps**2,
-                               n_particles=20_000, grid=grid,
-                               estimator="fourier")
+                               n_particles=20_000, grid=grid)
         path = generate_path(model, cfg.micro_horizon + 1.0, seed=51)
-        run = run_rescaled(cfg, path, rho0, seed=52, n_checkpoints=5,
-                           track_corrector=True)
+        run = run_rescaled(cfg, path, rho0, seed=52, n_checkpoints=5)
         norms[eps] = run.corrector_norms.max()
     ratio = norms[0.5] / norms[0.25]
     assert 1.0 < ratio < 4.0
