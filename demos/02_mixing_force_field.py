@@ -37,8 +37,8 @@ for lag in (0.0, 0.5, 1.0, 2.0):
           f"(se {est.stderr[0, 0, 0]:.4f}, exact {amp**2*np.exp(-lag):+.4f})")
 
 s = sample_stationary(model, 4)
-r0 = resolvent_apply(model, 0.0, s)
-r1 = resolvent_apply(model, 1.0, s)
+r0 = resolvent_apply(model, 0.0, s, seed=7)
+r1 = resolvent_apply(model, 1.0, s, seed=8)
 print(f"\nrenewal resolvents: max|R0(e) - e| = "
       f"{np.max(np.abs(r0.physical() - s.field.physical())):.1e}, "
       f"max|R1(e) - e/2| = "

@@ -23,7 +23,7 @@ from .experiment import (build_model, coefficients_stage, convergence_study,
                          load_coefficient_stage, validation_suite)
 from .forcing import generate_path
 from .kinetic import KineticRunConfig, run_rescaled
-from .rng import substream
+from .rng import KINETIC_PARTICLES, KINETIC_PATH, substream
 from .spde import run_ensemble, stability_limit
 from .table import write_table
 from .torus import TorusGrid, sobolev_norm
@@ -86,8 +86,9 @@ def cmd_simulate_kinetic(args) -> int:
         kcfg = KineticRunConfig(cfg.collision, eps, cfg.horizon,
                                 cfg.micro_dt(eps), cfg.n_particles, grid)
         path = generate_path(model, kcfg.path_horizon,
-                             seed=substream(cfg.seed, 201, i))
-        run = run_rescaled(kcfg, path, rho0, substream(cfg.seed, 202, i),
+                             seed=substream(cfg.seed, KINETIC_PATH, i))
+        run = run_rescaled(kcfg, path, rho0,
+                           substream(cfg.seed, KINETIC_PARTICLES, i),
                            n_checkpoints=cfg.n_checkpoints)
         series_path = os.path.join(cfg.out_dir, f"kinetic_eps{eps}_series.csv")
         write_table(series_path, ["t", "J0", "J1", "J2", "J3", "rho_hminus1",
@@ -126,7 +127,7 @@ def cmd_simulate_spde(args) -> int:
     rho0 = default_initial_density(grid)
     xi = default_test_functions(grid)
     res = run_ensemble(coeffs, cov, rho0, cfg.horizon, cfg.dt_spde,
-                       cfg.n_spde_realizations, seed=cfg.seed + 5000,
+                       cfg.n_spde_realizations, seed=cfg.seed,
                        xi_fields=[f for _, f in xi],
                        n_checkpoints=cfg.n_checkpoints)
     out_path = os.path.join(cfg.out_dir, "spde_ensemble.csv")
@@ -141,7 +142,7 @@ def cmd_simulate_spde(args) -> int:
             for i, t in enumerate(res.times)]
     write_table(out_path, header, rows, 10)
     manifest = RunManifest(cfg.content_hash(), __version__, "spde",
-                           {"spde": cfg.seed + 5000})
+                           {"spde": cfg.seed})
     manifest.add_file(out_path)
     manifest.save(os.path.join(cfg.out_dir, "manifest_spde.txt"))
     elapsed = time.perf_counter() - start

@@ -33,7 +33,8 @@ import numpy as np
 from .equilibrium import FP, LB, _check_collision, path_weighted_integral
 from .forcing import (ForceFieldModel, generate_path, resolvent_apply,
                       resolvent_r1r0_apply, sample_stationary)
-from .rng import substream
+from .rng import (R0, R1, R1R0, SAMPLE, STATIONARY, SYMPOS_LHS,
+                  SYMPOS_RESOLVENT, SYMPOS_RHS, substream)
 from .table import read_table, write_table
 from .torus import TorusField, TorusGrid, divergence, matrix_divergence
 
@@ -104,8 +105,16 @@ def _centering_check(draws: np.ndarray, grid: TorusGrid):
         raise ValueError("empirical force law is not centred (beyond 5 sigma)")
 
 
+def _stationary_draw(model: ForceFieldModel, seed, i: int, kw: dict):
+    """Stationary draw i and its R0 image, from streams (seed, STATIONARY,
+    SAMPLE | R0, i): the draws both estimators below share."""
+    s = sample_stationary(model, substream(seed, STATIONARY, SAMPLE, i))
+    return s, resolvent_apply(model, 0.0, s,
+                              substream(seed, STATIONARY, R0, i), **kw)
+
+
 def compute_coefficients(model: ForceFieldModel, collision: str,
-                         grid: TorusGrid, n_mc: int, seed=0,
+                         grid: TorusGrid, n_mc: int, seed,
                          resolvent_kwargs: dict = None) -> HydroCoefficients:
     """Monte Carlo of the limit diffusion matrix and drift fields."""
     _check_collision(collision)
@@ -118,12 +127,12 @@ def compute_coefficients(model: ForceFieldModel, collision: str,
     sym0 = np.empty((n_mc, n_dim, n_dim) + grid.shape)
     sym1 = np.empty_like(sym0)
     drift2 = np.empty((n_mc, n_dim) + grid.shape)
+    key = (seed, STATIONARY)
     for i in range(n_mc):
-        s = sample_stationary(model, substream(seed, 1, i))
+        s, r0 = _stationary_draw(model, seed, i, kw)
         ev = s.field.physical()
-        r0 = resolvent_apply(model, 0.0, s, seed=substream(seed, 2, i), **kw)
-        r1 = resolvent_apply(model, 1.0, s, seed=substream(seed, 3, i), **kw)
-        r10 = resolvent_r1r0_apply(model, s, seed=substream(seed, 4, i), **kw)
+        r1 = resolvent_apply(model, 1.0, s, substream(key, R1, i), **kw)
+        r10 = resolvent_r1r0_apply(model, s, substream(key, R1R0, i), **kw)
         e_draws[i] = ev
         sym0[i] = _sym_outer(ev, r0.physical())
         sym1[i] = _sym_outer(r1.physical(), ev)
@@ -174,7 +183,7 @@ def check_kernel_size(grid: TorusGrid) -> None:
 
 
 def compute_cov_operator(model: ForceFieldModel, grid: TorusGrid, n_mc: int,
-                         seed=0, resolvent_kwargs: dict = None) -> CovOperator:
+                         seed, resolvent_kwargs: dict = None) -> CovOperator:
     """Monte Carlo kernel estimate and dense symmetric eigendecomposition."""
     if n_mc < 100:
         raise ValueError("need n_mc >= 100")
@@ -184,11 +193,9 @@ def compute_cov_operator(model: ForceFieldModel, grid: TorusGrid, n_mc: int,
     acc = np.zeros((dim, dim))
     acc_sq = np.zeros((dim, dim))
     for i in range(n_mc):
-        s = sample_stationary(model, substream(seed, 5, i))
-        ev = s.field.physical().reshape(dim)
-        r0 = resolvent_apply(model, 0.0, s, seed=substream(seed, 6, i),
-                             **kw).physical().reshape(dim)
-        outer = np.outer(r0, ev)
+        s, r0 = _stationary_draw(model, seed, i, kw)
+        outer = np.outer(r0.physical().reshape(dim),
+                         s.field.physical().reshape(dim))
         outer = 0.5 * (outer + outer.T)      # explicit symmetrisation
         acc += outer
         acc_sq += outer**2
@@ -276,14 +283,15 @@ class SymposReport:
 
 def check_sympos_identity(model: ForceFieldModel, delta: float = 1.0,
                           n_paths: int = 10_000, n_mc: int = 2_000,
-                          seed=0) -> SymposReport:
+                          *, seed) -> SymposReport:
     """Monte Carlo of both sides of the stationary identity
 
         E[R_delta(E(0)) (x)sym E(0)] = 2 delta E[(int_-inf^0 e^(delta s) E(s) ds)^(x)2].
 
     The left side averages over stationary draws (exact for two-point laws);
     the right side integrates sampled paths over [-20, 0].  Both sides are
-    taken at four points along the first axis.
+    taken at four points along the first axis.  Draws append SYMPOS_LHS,
+    SYMPOS_RESOLVENT or SYMPOS_RHS and the draw index to the key `seed`.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -295,16 +303,16 @@ def check_sympos_identity(model: ForceFieldModel, delta: float = 1.0,
     n = grid.dim
     lhs_draws = np.empty((n_mc, npts, n, n))
     for i in range(n_mc):
-        s = sample_stationary(model, substream(seed, 21, i))
+        s = sample_stationary(model, substream(seed, SYMPOS_LHS, i))
         ev = s.field.eval_at(pts)
-        rv = resolvent_apply(model, delta, s,
-                             seed=substream(seed, 22, i)).eval_at(pts)
+        rv = resolvent_apply(model, delta, s, substream(
+            seed, SYMPOS_RESOLVENT, i)).eval_at(pts)
         lhs_draws[i] = rv[:, :, None] * ev[:, None, :] \
             + ev[:, :, None] * rv[:, None, :]
     rhs_draws = np.empty((n_paths, npts, n, n))
     for p in range(n_paths):
-        path = generate_path(model, t_trunc, seed=substream(seed, 23, p),
-                             t_start=-t_trunc)
+        path = generate_path(model, t_trunc, t_start=-t_trunc,
+                             seed=substream(seed, SYMPOS_RHS, p))
         integ = path_weighted_integral(path, pts, delta, -t_trunc, 0.0)
         rhs_draws[p] = 2.0 * delta * integ[:, :, None] * integ[:, None, :]
     lhs = lhs_draws.mean(axis=0)

@@ -30,7 +30,9 @@ from .forcing import (ForceFieldModel, PathBlock, constant_two_point_renewal,
                       resolvent_r1r0_apply, sample_stationary,
                       two_point_renewal)
 from .kinetic import KineticRunConfig, _evolve, functional_samples
-from .rng import substream
+from .rng import (CONVERGE_KINETIC, GAUSSIAN_SHIFTS, INVARIANT_PATHS,
+                  MOMENT_PARTICLES, MOMENT_PATH, RESOLVENT_FORMS,
+                  SPDE_LINEARITY, SPDE_MASS, SPDE_QV, SYMPOS, substream)
 from .spde import (mean_equation_solve, quadratic_variation_check,
                    run_ensemble)
 from .torus import TorusField, TorusGrid, pairing
@@ -182,17 +184,16 @@ def convergence_study(cfg: ExperimentConfig, coeffs: HydroCoefficients,
     xi_fields = [f for _, f in xi]
 
     kin_samples, kin_floors = [], []
-    # the kinetic streams of eps index i are keyed (seed, 13, i, ...)
     for i, eps in enumerate(cfg.epsilons):
         kcfg = KineticRunConfig(cfg.collision, eps, cfg.horizon,
                                 cfg.micro_dt(eps), cfg.n_particles, grid)
         samples, floors = functional_samples(
             kcfg, model, rho0, xi_fields, cfg.n_realizations,
-            seed=(cfg.seed, 13, i), n_workers=cfg.threads)
+            seed=(cfg.seed, CONVERGE_KINETIC, i), n_workers=cfg.threads)
         kin_samples.append(samples)
         kin_floors.append(floors)
     spde_res = run_ensemble(coeffs, cov, rho0, cfg.horizon, cfg.dt_spde,
-                            cfg.n_spde_realizations, seed=cfg.seed + 5000,
+                            cfg.n_spde_realizations, seed=cfg.seed,
                             xi_fields=xi_fields, n_checkpoints=1)
     spde_samples = spde_res.samples[-1]
 
@@ -231,8 +232,8 @@ def convergence_study(cfg: ExperimentConfig, coeffs: HydroCoefficients,
 # -- identity checks: acceptance criteria 1-9 ---------------------------------------
 #
 # One implementation per criterion.  Each check takes its sample sizes, its
-# bounds and its seed from the caller and draws from the streams
-# (seed, 1..5, ...) and seed + 6 .. seed + 9, so `validation_suite` (desk
+# bounds and its seed from the caller and draws from the streams of its
+# criterion in the key table of `kinlim.rng`, so `validation_suite` (desk
 # sizes) and the acceptance tests (pinned sizes) run the same code.
 # Tolerances that absorb rounding or a fixed discretisation error do not
 # depend on the sample size; they are the same for every caller and fixed
@@ -271,7 +272,7 @@ class ValidationReport:
 def check_gaussian_identities(n_shifts, bound, seed) -> list:
     """Criterion 1: Gaussian norm identities and the L1 bound at random
     shifts w, z in [-3, 3]."""
-    rng = substream(seed, 1)
+    rng = substream(seed, GAUSSIAN_SHIFTS)
     reps = [gaussian_identities_check(rng.uniform(-3.0, 3.0, size=1),
                                       rng.uniform(-3.0, 3.0, size=1))
             for _ in range(n_shifts)]
@@ -286,11 +287,12 @@ def check_gaussian_identities(n_shifts, bound, seed) -> list:
 
 def check_resolvent_closed_forms(model: ForceFieldModel, seed) -> list:
     """Criterion 2: R0(e) = e, R1(e) = e/2 and R1 R0 = R0 - R1, exactly."""
-    s = sample_stationary(model, substream(seed, 2))
+    rng = substream(seed, RESOLVENT_FORMS)
+    s = sample_stationary(model, rng)
     e = s.field.physical()
-    r0 = resolvent_apply(model, 0.0, s).physical()
-    r1 = resolvent_apply(model, 1.0, s).physical()
-    r10 = resolvent_r1r0_apply(model, s).physical()
+    r0 = resolvent_apply(model, 0.0, s, rng).physical()
+    r1 = resolvent_apply(model, 1.0, s, rng).physical()
+    r10 = resolvent_r1r0_apply(model, s, rng).physical()
     worst = max(np.max(np.abs(r0 - e)), np.max(np.abs(r1 - 0.5 * e)),
                 np.max(np.abs(r10 - (r0 - r1))))
     return [CheckResult("renewal resolvents", worst == 0.0, worst, 0.0,
@@ -320,7 +322,8 @@ def check_moment_evolution(grid: TorusGrid, amplitude: float, n_particles,
         step_dt = micro_t / cfg.n_steps
         checkpoints = {int(round(f * cfg.n_steps))
                        for f in (0.2, 0.4, 0.6, 0.8, 1.0)}
-        path = generate_path(model, micro_t + 0.1, seed=substream(seed, 3, ci))
+        path = generate_path(model, micro_t + 0.1,
+                             seed=substream(seed, MOMENT_PATH, ci))
         sigmas = []
 
         def record(step, ens):
@@ -331,7 +334,8 @@ def check_moment_evolution(grid: TorusGrid, amplitude: float, n_particles,
             se = ens.velocities.std() / np.sqrt(n_particles)
             sigmas.append((abs(current - formula) - allowance) / se)
 
-        _evolve(cfg, PathBlock([path]), uniform, substream(seed, 4, ci),
+        _evolve(cfg, PathBlock([path]), uniform,
+                substream(seed, MOMENT_PARTICLES, ci),
                 checkpoints, record)
         worst = max(sigmas)
         out.append(CheckResult(
@@ -352,8 +356,8 @@ def check_invariant_second_moment(model: ForceFieldModel, amplitude: float,
     for ci, collision in enumerate((LB, FP)):
         second = np.empty(n_paths)
         for p in range(n_paths):
-            path = generate_path(model, 20.0, seed=substream(seed, 5, ci, p),
-                                 t_start=-20.0)
+            path = generate_path(model, 20.0, t_start=-20.0,
+                                 seed=substream(seed, INVARIANT_PATHS, ci, p))
             prof = invariant_solution(path, collision, x, v_grid)
             second[p] = profile_moments(prof, v_grid)[2][0, 0]
         b = COLLISION_FACTOR[collision]
@@ -372,7 +376,7 @@ def check_sympos(model: ForceFieldModel, n_paths, n_mc, n_sigma,
                  seed) -> list:
     """Criterion 5: the resolvent-covariance identity at delta = 1."""
     rep = check_sympos_identity(model, delta=1.0, n_paths=n_paths,
-                                n_mc=n_mc, seed=seed + 6)
+                                n_mc=n_mc, seed=(seed, SYMPOS))
     return [CheckResult("resolvent-covariance identity (delta=1)",
                         rep.max_sigma_distance < n_sigma,
                         rep.max_sigma_distance, n_sigma,
@@ -470,24 +474,24 @@ def check_spde_suite(coeffs: HydroCoefficients, cov: CovOperator, n_qv,
         / expected
 
     one = TorusField.constant(grid, 1.0)
-    res = run_ensemble(coeffs, cov, rho0, 0.005, 1e-5, 4, seed=seed + 7,
-                       xi_fields=[one])
+    res = run_ensemble(coeffs, cov, rho0, 0.005, 1e-5, 4,
+                       seed=(seed, SPDE_MASS), xi_fields=[one])
     mass_dev = float(np.max(np.abs(res.samples[:, :, 0]
                                    - pairing(rho0, one))))
 
     rho_b = TorusField.from_function(
         grid, 0, lambda *xs: 0.4 - 0.2 * np.sin(2 * np.pi * xs[0]))
-    kw = dict(horizon=0.005, dt=1e-5, n_realizations=4, seed=seed + 8)
-    ra = run_ensemble(coeffs, cov, rho0, **kw)
-    rb = run_ensemble(coeffs, cov, rho_b, **kw)
-    rc = run_ensemble(coeffs, cov, 2.0 * rho0 + (-1.0) * rho_b, **kw)
+    kw = dict(horizon=0.005, dt=1e-5, n_realizations=4,
+              seed=(seed, SPDE_LINEARITY))
+    ra, rb, rc = [run_ensemble(coeffs, cov, rho, **kw)
+                  for rho in (rho0, rho_b, 2.0 * rho0 + (-1.0) * rho_b)]
     lin_dev = float(np.max(np.abs(
         rc.mean_hat[-1] - 2.0 * ra.mean_hat[-1] + rb.mean_hat[-1])))
 
     xi = TorusField.from_function(
         grid, 0, lambda *xs: np.sin(2 * np.pi * xs[0]) / (2 * np.pi))
     qv = quadratic_variation_check(coeffs, cov, one, xi, 0.005, 1e-5, n_qv,
-                                   seed=seed + 9)
+                                   seed=(seed, SPDE_QV))
     return [CheckResult("heat-equation oracle", heat_rel < 1e-4, heat_rel,
                         1e-4, "relative error of the decaying mode"),
             CheckResult("mass conservation", mass_dev < 1e-10, mass_dev,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import as_generator
+from .rng import COVARIANCE_PATH, as_generator, substream
 from .torus import TorusField, TorusGrid, vector_sobolev_norm
 
 RENEWAL = "renewal"
@@ -303,7 +303,7 @@ class PathBlock:
 
 
 def generate_path(model: ForceFieldModel, horizon: float, dt_ou: float = 0.01,
-                  seed=0, t_start: float = 0.0) -> ForcePath:
+                  *, seed, t_start: float = 0.0) -> ForcePath:
     """Stationary path on [t_start, t_start + horizon]."""
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -382,7 +382,7 @@ def _ou_time_quadrature(model, sample, weight_fn, horizon, dt, n_replicates, rng
 
 
 def resolvent_apply(model: ForceFieldModel, lam: float, sample: ForceSample,
-                    seed=0, horizon: float = None, dt: float = 0.05,
+                    seed, horizon: float = None, dt: float = 0.05,
                     n_replicates: int = 256) -> TorusField:
     """Resolvent R_lam applied to the field observable at the given sample.
 
@@ -403,7 +403,7 @@ def resolvent_apply(model: ForceFieldModel, lam: float, sample: ForceSample,
 
 
 def resolvent_r1r0_apply(model: ForceFieldModel, sample: ForceSample,
-                         seed=0, horizon: float = None, dt: float = 0.05,
+                         seed, horizon: float = None, dt: float = 0.05,
                          n_replicates: int = 256) -> TorusField:
     """Composition R_1 R_0 applied to the field observable.
 
@@ -435,10 +435,11 @@ class CovarianceEstimate:
 
 
 def estimate_stationary_covariance(model: ForceFieldModel, lag: float,
-                                   n_paths: int, seed=0,
+                                   n_paths: int, seed,
                                    pairs=None, dt_ou: float = 0.01
                                    ) -> CovarianceEstimate:
-    """Sample the stationary two-time covariance kernel at point pairs."""
+    """Sample the stationary two-time covariance kernel at point pairs; path
+    p draws from the stream key `seed` followed by (COVARIANCE_PATH, p)."""
     if lag < 0:
         raise ValueError("lag must be nonnegative")
     if n_paths < 2:
@@ -456,15 +457,10 @@ def estimate_stationary_covariance(model: ForceFieldModel, lag: float,
     horizon = max(lag, dt_ou)
     for p in range(n_paths):
         path = generate_path(model, horizon, dt_ou=dt_ou,
-                             seed=_path_rng(seed, p))
+                             seed=substream(seed, COVARIANCE_PATH, p))
         e0 = path.value_at(0.0).field.eval_at(pairs[:, 1, :])
         et = path.value_at(lag).field.eval_at(pairs[:, 0, :])
         acc[p] = et[:, :, None] * e0[:, None, :]
     mean = acc.mean(axis=0)
     stderr = acc.std(axis=0, ddof=1) / np.sqrt(n_paths)
     return CovarianceEstimate(lag, pairs, mean, stderr, n_paths)
-
-
-def _path_rng(seed, index: int):
-    from .rng import substream
-    return substream(int(seed), 7, int(index))

@@ -49,7 +49,7 @@ import numpy as np
 
 from .equilibrium import LB, _check_collision
 from .forcing import ForceFieldModel, ForcePath, PathBlock, generate_path
-from .rng import as_generator, parallel_map, substream
+from .rng import PARTICLES, PATH, as_generator, parallel_map, substream
 from .torus import TorusField, TorusGrid, divergence, pairing, sobolev_norm
 
 # Particles per block in `functional_samples`: a block holds as many whole
@@ -343,22 +343,20 @@ def functional_samples(cfg: KineticRunConfig, model: ForceFieldModel,
                        seed, n_workers: int = 1):
     """Samples of the position functionals <rho_T, xi> across realizations.
 
-    `seed` is an integer or a tuple of integers, the key of every stream
-    drawn here.  Realizations are stepped in blocks of
-    max(1, BLOCK_PARTICLES // cfg.n_particles) consecutive realizations (the
-    last block may hold fewer), which are the unit handed to workers.
-    Realization r runs on its own force path, drawn from stream
-    (*seed, 11, r); block b draws its particles and their noise from stream
-    (*seed, 12, b).
+    `seed` is the caller's stream key (`kinlim.rng`).  Realizations are
+    stepped in blocks of max(1, BLOCK_PARTICLES // cfg.n_particles)
+    consecutive realizations (the last block may hold fewer), which are the
+    unit handed to workers.  Realization r runs on its own force path, drawn
+    from the key followed by (PATH, r); block b draws its particles and
+    their noise from the key followed by (PARTICLES, b).
     Returns (samples, noise_floor), both (n_realizations, len(xi_fields)):
     `noise_floor` is the estimated conditional (particle-sampling) variance
     of each sample, mass^2 Var(xi(X)) / n.  By the law of total variance,
     subtracting its mean from the sample variance estimates the variance of
     the underlying law of <rho_T, xi> itself.
     """
-    key = seed if isinstance(seed, tuple) else (seed,)
     per_block = max(1, BLOCK_PARTICLES // cfg.n_particles)
-    args = [(cfg, model, rho_init, xi_fields, key, b,
+    args = [(cfg, model, rho_init, xi_fields, seed, b,
              range(start, min(start + per_block, n_realizations)))
             for b, start in enumerate(range(0, n_realizations, per_block))]
     rows = parallel_map(_block_functionals, args, n_workers)
@@ -368,11 +366,11 @@ def functional_samples(cfg: KineticRunConfig, model: ForceFieldModel,
 
 
 def _block_functionals(args):
-    cfg, model, rho_init, xi_fields, key, b, realizations = args
+    cfg, model, rho_init, xi_fields, seed, b, realizations = args
     paths = PathBlock([
-        generate_path(model, cfg.path_horizon, seed=substream(*key, 11, r))
+        generate_path(model, cfg.path_horizon, seed=substream(seed, PATH, r))
         for r in realizations])
-    ens = _evolve(cfg, paths, rho_init, substream(*key, 12, b),
+    ens = _evolve(cfg, paths, rho_init, substream(seed, PARTICLES, b),
                   checkpoint_steps=(), record=None)
     n = cfg.n_particles
     weights = ens.weights.reshape(paths.size, n)

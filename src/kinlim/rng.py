@@ -1,10 +1,16 @@
 """Reproducible random streams for parallel Monte Carlo.
 
-Every stochastic stage draws from a Philox (counter-based) generator keyed by
-the master seed plus a tuple of integer indices (stage, realization, step,
-...).  Streams are therefore pure functions of their key, independent of how
-work is split across processes, and block draws within one stream happen in a
-fixed order.
+Every draw comes from a Philox (counter-based) generator keyed by a tuple of
+integers (seed, tag, ...).  A stream is a pure function of its key, so it
+does not depend on how work is split across processes, block draws within
+one stream happen in a fixed order, and two streams are independent when
+their keys differ.  Keys of different length never collide.
+
+The table below decides which stream each draw uses.  key[0] is always the
+config seed, never a sum with it; key[1] is a role tag, and a role owns
+every key that starts with it.  Functions reused under several roles take
+their caller's key and append a tag of their own (the second block), so
+(seed, 7, 41, r) is realization r of criterion 9's mass run.
 """
 
 from __future__ import annotations
@@ -13,18 +19,46 @@ from multiprocessing import get_context
 
 import numpy as np
 
+# -- the stream-key table ----------------------------------------------------
+# Role tags (key[1]) and the keys each role draws; c is a collision index,
+# i an eps index, p a path, r a realization.
+GAUSSIAN_SHIFTS = 1      # criterion 1: (seed, 1)
+RESOLVENT_FORMS = 2      # criterion 2: (seed, 2), a draw, then its resolvents
+MOMENT_PATH = 3          # criterion 3: (seed, 3, c)
+MOMENT_PARTICLES = 4     # criterion 3: (seed, 4, c)
+INVARIANT_PATHS = 5      # criterion 4: (seed, 5, c, p)
+SYMPOS = 6               # criterion 5: (seed, 6, SYMPOS_*, .)
+SPDE_MASS = 7            # criterion 9: (seed, 7, SPDE_NOISE, r)
+SPDE_LINEARITY = 8       # criterion 9: (seed, 8, SPDE_NOISE, r)
+SPDE_QV = 9              # criterion 9: (seed, 9, SPDE_NOISE, r)
+CONVERGE_KINETIC = 13    # converge: (seed, 13, i, PATH | PARTICLES, .)
+STATIONARY = 20          # coefficients and covariance, stationary draw n:
+#                          (seed, 20, SAMPLE | R0 | R1 | R1R0, n)
+SPDE_NOISE = 41          # converge and simulate-spde: (seed, 41, r)
+KINETIC_PATH = 201       # simulate-kinetic: (seed, 201, i)
+KINETIC_PARTICLES = 202  # simulate-kinetic: (seed, 202, i)
+# Appended after the caller's key.
+SAMPLE, R0, R1, R1R0 = 1, 2, 3, 4    # a stationary draw and its resolvents
+PATH, PARTICLES = 11, 12             # functional_samples: path r, block b
+SYMPOS_LHS, SYMPOS_RESOLVENT, SYMPOS_RHS = 21, 22, 23   # check_sympos_identity
+COVARIANCE_PATH = 7                  # estimate_stationary_covariance: path p
+# and SPDE_NOISE, r: run_ensemble and quadratic_variation_check
 
-def substream(seed: int, *key: int) -> np.random.Generator:
-    """Generator for the (seed, *key) stream."""
-    ss = np.random.SeedSequence(int(seed), spawn_key=tuple(int(k) for k in key))
+
+def substream(seed, *tags) -> np.random.Generator:
+    """Generator for the stream keyed (seed, *tags); `seed` is the config
+    seed or a key tuple that starts with it."""
+    key = (*seed, *tags) if isinstance(seed, tuple) else (seed, *tags)
+    ss = np.random.SeedSequence(int(key[0]),
+                                spawn_key=tuple(int(k) for k in key[1:]))
     return np.random.Generator(np.random.Philox(ss))
 
 
 def as_generator(seed) -> np.random.Generator:
-    """Accept either an integer seed or an existing Generator."""
+    """An existing Generator as it is, else the stream of a seed or key."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return substream(int(seed))
+    return substream(seed)
 
 
 def parallel_map(fn, items, n_workers: int = 1):

@@ -53,7 +53,7 @@ from itertools import pairwise
 import numpy as np
 
 from .coefficients import CovOperator, HydroCoefficients
-from .rng import substream
+from .rng import SPDE_NOISE, substream
 from .torus import TorusField, TorusGrid, divergence, gradient
 
 ITO = "ito"
@@ -243,13 +243,15 @@ class EnsembleResult:
 
 
 def _realizations(stepper: SpdeStepper, rho_in: TorusField, n_steps: int,
-                  n_realizations: int, seed: int):
+                  n_realizations: int, seed):
     """Half spectra (n_realizations, half grid shape) of independent
     realizations started at rho_in, after 0, 1, ..., n_steps steps.
-    Realization r draws its standard normals from stream (seed, 41, r)."""
+    Realization r draws its standard normals from the stream key `seed`
+    followed by (SPDE_NOISE, r)."""
     noise = np.empty((n_realizations, n_steps, stepper.noise_rank))
     for r in range(n_realizations):
-        noise[r] = substream(seed, 41, r).standard_normal(noise.shape[1:])
+        noise[r] = substream(seed, SPDE_NOISE, r).standard_normal(
+            noise.shape[1:])
     start = _half_spectrum(rho_in.spectrum())
     coef = np.broadcast_to(start, (n_realizations,) + start.shape).copy()
     yield coef
@@ -260,7 +262,7 @@ def _realizations(stepper: SpdeStepper, rho_in: TorusField, n_steps: int,
 
 def run_ensemble(coeffs: HydroCoefficients, cov: CovOperator,
                  rho_in: TorusField, horizon: float, dt: float,
-                 n_realizations: int, seed: int, xi_fields=(),
+                 n_realizations: int, seed, xi_fields=(),
                  n_checkpoints: int = 5, scheme: str = ITO) -> EnsembleResult:
     """Batched ensemble of independent realizations with law statistics."""
     if n_realizations < 2:
@@ -314,7 +316,7 @@ class QvReport:
 def quadratic_variation_check(coeffs: HydroCoefficients, cov: CovOperator,
                               rho_in: TorusField, xi: TorusField,
                               horizon: float, dt: float, n_realizations: int,
-                              seed: int) -> QvReport:
+                              seed) -> QvReport:
     """Accumulate M_t = <rho_t, xi> - <rho_0, xi> - int <drift, xi> along each
     path and compare sum (dM)^2 with the predicted rate 2 ||S^1/2(rho grad xi)||^2.
 

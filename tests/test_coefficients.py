@@ -197,15 +197,15 @@ def test_scaling_covariance(grid):
 
 def test_n_mc_validation(grid, model):
     with pytest.raises(ValueError):
-        compute_coefficients(model, LB, grid, n_mc=10)
+        compute_coefficients(model, LB, grid, n_mc=10, seed=0)
     with pytest.raises(ValueError):
-        compute_cov_operator(model, grid, n_mc=10)
+        compute_cov_operator(model, grid, n_mc=10, seed=0)
 
 
 def test_kernel_dimension_guard(model):
     big = TorusGrid(2, 64)
     with pytest.raises(ValueError):
-        compute_cov_operator(model, big, n_mc=128)
+        compute_cov_operator(model, big, n_mc=128, seed=0)
 
 
 def test_csv_round_trip(tmp_path, grid, model):

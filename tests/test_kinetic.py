@@ -218,33 +218,6 @@ def test_run_rescaled_uniform_equilibrium(grid):
         assert est.totals[3] <= 10.0 * j3_0
 
 
-def test_moment_evolution_identity_both_collisions(grid):
-    # space-homogeneous force: total current matches
-    # exp(-t) J(0) + mass * int exp(-(t-s)) E(s) ds at the checkpoints
-    from kinlim.equilibrium import path_weighted_integral
-    model = constant_two_point_renewal(grid, A)
-    micro_t, dt, n = 2.0, 0.004, 40_000
-    x0 = np.array([[0.0]])
-    for collision in (LB, FP):
-        path = generate_path(model, micro_t + 0.1, seed=21)
-        block = PathBlock([path])
-        rng = substream(22)
-        ens = uniform_ensemble(n, 1.0, 23)
-        j0 = float(np.sum(ens.weights[:, None] * ens.velocities))
-        n_steps = int(round(micro_t / dt))
-        check = {int(round(f * n_steps)) for f in (0.2, 0.4, 0.6, 0.8, 1.0)}
-        for step in range(1, n_steps + 1):
-            ens = step_micro(ens, block, dt, rng, collision)
-            if step in check:
-                t = step * dt
-                drift = np.exp(-t) * path_weighted_integral(
-                    path, x0, 1.0, 0.0, t)[0, 0]
-                expected = np.exp(-t) * j0 + ens.mass * drift
-                observed = float(np.sum(ens.weights[:, None] * ens.velocities))
-                se = ens.velocities.std() / np.sqrt(n)
-                assert abs(observed - expected) < 3 * se + 2 * dt * A
-
-
 def test_fp_exact_gaussian_kernel(grid):
     # frozen space-homogeneous force: (X, V) after micro time t is Gaussian
     # with mean and covariance of the explicit Ornstein-Uhlenbeck solution
