@@ -61,6 +61,8 @@ def cmd_coeffs(args) -> int:
         f"grid_m={cfg.grid_m} n_mc={cfg.n_mc}",
         f"noise rank {cov.rank}, trace {cov.trace:.6g}, "
         f"dropped tail {cov.dropped_tail:.3g}",
+        f"covariance QR width {cov.qr_width} (kernel side "
+        f"{cov.grid.dim * cov.grid.size}, 2 n_mc = {2 * cfg.n_mc})",
         f"enhancement: min eig(K - Id) = {report.min_eig_over_base:.3e}",
         f"enhancement: min eig(K - Id - noise) = "
         f"{report.min_eig_over_noise:.3e}",
@@ -153,6 +155,8 @@ def cmd_simulate_spde(args) -> int:
              f"{cfg.dt_spde / stability_limit(coeffs):.4g}",
              f"{res.n_steps} steps, {res.transforms_per_step} transforms "
              f"per step",
+             f"{res.block_realizations} realizations per block, "
+             f"{res.blocks_per_step} blocks per step",
              f"stage {elapsed:.3g} s, "
              f"{cfg.n_spde_realizations * res.n_steps / elapsed:.4g} "
              f"realization-steps/s",

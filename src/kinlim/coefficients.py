@@ -19,14 +19,20 @@ averages over stationary draws, with per-entry standard errors; for the
 default two-point base law every second-moment average is deterministic, so
 the estimates coincide with the two-atom enumeration exactly.
 
-The kernel is discretised by grid quadrature (uniform weight M^-N), stored
-dense, and eigendecomposed; eigenvalues below a noise floor are dropped and
-the dropped tail is reported as a modelling-error bound.
+Both estimators read one pass of n stationary draws E and their R_0
+images (`draw_stationary`).  The kernel is discretised by grid quadrature
+(uniform weight M^-N).  Its Monte Carlo estimate (1/2n)(R E^T + E R^T), with
+the draws as columns of R and E, has rank at most 2n, so it is never formed:
+a thin QR [R E] = Q T gives H = Q M Q^T with a small k x k matrix M,
+k = min(N M^N, 2n), and the eigenfields are Q times the eigenvectors of M.
+Eigenvalues below a noise floor are dropped and the dropped tail is
+reported as a modelling-error bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +45,7 @@ from .table import read_table, write_table
 from .torus import TorusField, TorusGrid, divergence, matrix_divergence
 
 COLLISION_FACTOR = {LB: 2.0, FP: 1.0}
-MAX_KERNEL_DIM = 1024    # side N * M^N of the dense covariance kernel
+MAX_KERNEL_DIM = 1024    # side N * M^N of the covariance kernel
 # Significant digits of coefficients.csv and spectrum.csv: %.17g gives back
 # every double, so later stages run on exactly the coefficients computed.
 CONTRACT_DIGITS = 17
@@ -64,17 +70,40 @@ class CovOperator:
     """Noise covariance operator on vector fields, in spectral form."""
 
     grid: TorusGrid
-    kernel: np.ndarray           # (N*M^N, N*M^N) kernel values H
     eigenvalues: np.ndarray      # kept eigenvalues, descending
     eigenfields: list            # orthonormal TorusField vectors
     trace: float
     dropped_tail: float          # trace mass of the dropped eigenvalues
     tol_eig: float
     kernel_stderr: float         # Frobenius standard error of the kernel
+    factors: tuple = field(default=None, repr=False)
+    # (R_0 E, E) draws, (n, N*M^N) each; None when the kept spectrum is all
+    # there is (read back from spectrum.csv)
 
     @property
     def rank(self) -> int:
         return len(self.eigenvalues)
+
+    @property
+    def qr_width(self) -> int:
+        """Columns k = min(N*M^N, 2n) of the thin QR basis; 0 without
+        factors."""
+        if self.factors is None:
+            return 0
+        return min(self.factors[0].shape[1], 2 * len(self.factors[0]))
+
+    @cached_property
+    def kernel(self) -> np.ndarray:
+        """Dense (N*M^N, N*M^N) kernel values H, built on first read:
+        (1/2n)(R E^T + E R^T) from the factors, else sum_k lambda_k z_k z_k^T
+        from the kept spectrum."""
+        if self.factors is None:
+            z = np.array([f.physical() for f in self.eigenfields]).reshape(
+                self.rank, self.grid.dim * self.grid.size)
+            return (z.T * self.eigenvalues) @ z
+        r0, e = self.factors
+        half = r0.T @ e / len(r0)
+        return 0.5 * (half + half.T)
 
     def noise_fields(self) -> list:
         """sqrt(lambda_k) * zeta_k, the Wiener-expansion amplitudes."""
@@ -105,39 +134,66 @@ def _centering_check(draws: np.ndarray, grid: TorusGrid):
         raise ValueError("empirical force law is not centred (beyond 5 sigma)")
 
 
-def _stationary_draw(model: ForceFieldModel, seed, i: int, kw: dict):
-    """Stationary draw i and its R0 image, from streams (seed, STATIONARY,
-    SAMPLE | R0, i): the draws both estimators below share."""
-    s = sample_stationary(model, substream(seed, STATIONARY, SAMPLE, i))
-    return s, resolvent_apply(model, 0.0, s,
-                              substream(seed, STATIONARY, R0, i), **kw)
+@dataclass
+class StationaryDraws:
+    """n_mc stationary draws E and their R_0 images, from the streams
+    (seed, STATIONARY, SAMPLE | R0, i): the one pass both estimators read."""
+
+    seed: object
+    samples: list                # ForceSample per draw
+    e: np.ndarray                # (n_mc, N) + grid shape, values of E
+    r0: np.ndarray               # (n_mc, N) + grid shape, values of R_0 E
+
+
+def draw_stationary(model: ForceFieldModel, grid: TorusGrid, n_mc: int,
+                    seed, resolvent_kwargs: dict = None) -> StationaryDraws:
+    """One pass of n_mc stationary draws and their R_0 images."""
+    if n_mc < 100:
+        raise ValueError("need n_mc >= 100")
+    kw = resolvent_kwargs or {}
+    samples = []
+    e = np.empty((n_mc, grid.dim) + grid.shape)
+    r0 = np.empty_like(e)
+    for i in range(n_mc):
+        s = sample_stationary(model, substream(seed, STATIONARY, SAMPLE, i))
+        samples.append(s)
+        e[i] = s.field.physical()
+        r0[i] = resolvent_apply(model, 0.0, s, substream(
+            seed, STATIONARY, R0, i), **kw).physical()
+    return StationaryDraws(seed, samples, e, r0)
+
+
+def _draws_for(draws, model, grid, n_mc, seed, kw) -> StationaryDraws:
+    """`draws` if given (checked against n_mc and seed), else a new pass."""
+    if draws is None:
+        return draw_stationary(model, grid, n_mc, seed, kw)
+    if len(draws.samples) != n_mc or draws.seed != seed:
+        raise ValueError("stationary draws of another n_mc or seed")
+    return draws
 
 
 def compute_coefficients(model: ForceFieldModel, collision: str,
                          grid: TorusGrid, n_mc: int, seed,
-                         resolvent_kwargs: dict = None) -> HydroCoefficients:
+                         resolvent_kwargs: dict = None,
+                         draws: StationaryDraws = None) -> HydroCoefficients:
     """Monte Carlo of the limit diffusion matrix and drift fields."""
     _check_collision(collision)
-    if n_mc < 100:
-        raise ValueError("need n_mc >= 100")
     b = COLLISION_FACTOR[collision]
     kw = resolvent_kwargs or {}
+    draws = _draws_for(draws, model, grid, n_mc, seed, kw)
     n_dim = grid.dim
-    e_draws = np.empty((n_mc, n_dim) + grid.shape)
     sym0 = np.empty((n_mc, n_dim, n_dim) + grid.shape)
     sym1 = np.empty_like(sym0)
     drift2 = np.empty((n_mc, n_dim) + grid.shape)
     key = (seed, STATIONARY)
-    for i in range(n_mc):
-        s, r0 = _stationary_draw(model, seed, i, kw)
-        ev = s.field.physical()
+    for i, s in enumerate(draws.samples):
+        ev = draws.e[i]
         r1 = resolvent_apply(model, 1.0, s, substream(key, R1, i), **kw)
         r10 = resolvent_r1r0_apply(model, s, substream(key, R1R0, i), **kw)
-        e_draws[i] = ev
-        sym0[i] = _sym_outer(ev, r0.physical())
+        sym0[i] = _sym_outer(ev, draws.r0[i])
         sym1[i] = _sym_outer(r1.physical(), ev)
         drift2[i] = r10.physical() * divergence(s.field).physical()[None]
-    _centering_check(e_draws, grid)
+    _centering_check(draws.e, grid)
 
     eye = np.eye(n_dim).reshape((n_dim, n_dim) + (1,) * n_dim)
     diff_draws = eye[None] + 0.5 * (sym0 + (b - 1.0) * sym1)
@@ -183,46 +239,46 @@ def check_kernel_size(grid: TorusGrid) -> None:
 
 
 def compute_cov_operator(model: ForceFieldModel, grid: TorusGrid, n_mc: int,
-                         seed, resolvent_kwargs: dict = None) -> CovOperator:
-    """Monte Carlo kernel estimate and dense symmetric eigendecomposition."""
-    if n_mc < 100:
-        raise ValueError("need n_mc >= 100")
+                         seed, resolvent_kwargs: dict = None,
+                         draws: StationaryDraws = None) -> CovOperator:
+    """Monte Carlo kernel estimate and its eigenpairs, from a thin QR of the
+    draws and a k x k symmetric eigenproblem (module docstring)."""
     check_kernel_size(grid)
+    draws = _draws_for(draws, model, grid, n_mc, seed, resolvent_kwargs)
     dim = grid.dim * grid.size
-    kw = resolvent_kwargs or {}
-    acc = np.zeros((dim, dim))
-    acc_sq = np.zeros((dim, dim))
-    for i in range(n_mc):
-        s, r0 = _stationary_draw(model, seed, i, kw)
-        outer = np.outer(r0.physical().reshape(dim),
-                         s.field.physical().reshape(dim))
-        outer = 0.5 * (outer + outer.T)      # explicit symmetrisation
-        acc += outer
-        acc_sq += outer**2
-    kernel = acc / n_mc
-    kernel = 0.5 * (kernel + kernel.T)
-    var = np.maximum(acc_sq / n_mc - (acc / n_mc) ** 2, 0.0) \
-        * n_mc / max(n_mc - 1, 1)
-    se_entries = np.sqrt(var / n_mc)
+    r0 = draws.r0.reshape(n_mc, dim)
+    e = draws.e.reshape(n_mc, dim)
+    q, t = np.linalg.qr(np.concatenate([r0, e]).T)
+    half = t[:, :n_mc] @ t[:, n_mc:].T / n_mc
+    small = 0.5 * (half + half.T)            # Q^T H Q
     weight = 1.0 / grid.size
-    se_fro = float(np.sqrt(np.sum((se_entries * weight) ** 2)))
-    op = kernel * weight                     # quadrature-weighted operator
-    eigvals, eigvecs = np.linalg.eigh(op)
+    eigvals, eigvecs = np.linalg.eigh(small * weight)
     eigvals = eigvals[::-1]
     eigvecs = eigvecs[:, ::-1]
-    trace = float(np.trace(op))
+    # Frobenius standard error: the entry variances of the draws' symmetrised
+    # outer products sum to n/(n-1) (mean_i |outer_i|_F^2 - |H|_F^2), with
+    # |outer_i|_F^2 = (|r_i|^2 |e_i|^2 + (r_i . e_i)^2) / 2 and
+    # |H|_F = |Q^T H Q|_F
+    dots = np.einsum("ij,ij->i", r0, e)
+    sq = 0.5 * (np.einsum("ij,ij->i", r0, r0) * np.einsum("ij,ij->i", e, e)
+                + dots**2)
+    var_sum = max(sq.mean() - np.sum(small**2), 0.0) * n_mc / (n_mc - 1)
+    se_fro = weight * float(np.sqrt(var_sum / n_mc))
+    trace = weight * float(dots.mean())
     tol_eig = abs(trace) * 1e-10 + 3.0 * se_fro
     if eigvals[-1] < -10.0 * max(tol_eig, 1e-300):
         raise ValueError("kernel estimate far from nonnegative; raise n_mc")
     keep = eigvals > tol_eig
     dropped = float(np.sum(np.clip(eigvals[~keep], 0.0, None)))
     fields = []
-    for j in np.nonzero(keep)[0]:
-        vec = eigvecs[:, j] * np.sqrt(grid.size)   # L^2-normalised
+    for vec in (q @ eigvecs[:, keep]).T:
+        # sign rule: the first value above 1e-8 of the largest is positive
+        big = np.abs(vec) > 1e-8 * np.max(np.abs(vec))
+        vec = vec * (np.sqrt(grid.size) * np.sign(vec[np.argmax(big)]))
         fields.append(TorusField(grid, 1,
                                  vec.reshape((grid.dim,) + grid.shape)))
-    return CovOperator(grid, kernel, eigvals[keep], fields, trace, dropped,
-                       float(tol_eig), se_fro)
+    return CovOperator(grid, eigvals[keep], fields, trace, dropped,
+                       float(tol_eig), se_fro, (r0, e))
 
 
 # -- structural checks ------------------------------------------------------------
@@ -401,8 +457,7 @@ def spectrum_from_csv(path) -> CovOperator:
     eigenvalues = data[:, 1]
     fields = [TorusField(grid, 1, vals.reshape((grid.dim,) + grid.shape))
               for vals in data[:, 2:]]
-    # reconstruct the kernel from the kept spectrum (dropped tail reported)
-    kernel = (data[:, 2:].T * eigenvalues) @ data[:, 2:]
-    return CovOperator(grid, kernel, eigenvalues, fields,
+    # `kernel` comes from the kept spectrum (dropped tail reported)
+    return CovOperator(grid, eigenvalues, fields,
                        float(meta["trace"]), float(meta["dropped"]),
                        float(meta["tol"]), float(meta["kse"]))

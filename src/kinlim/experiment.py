@@ -19,7 +19,7 @@ from .coefficients import (COLLISION_FACTOR, CovOperator, HydroCoefficients,
                            closed_form_two_point_diffusion,
                            coefficients_from_csv, coefficients_to_csv,
                            compute_coefficients, compute_cov_operator,
-                           spectrum_from_csv, spectrum_to_csv,
+                           draw_stationary, spectrum_from_csv, spectrum_to_csv,
                            verify_enhancement)
 from .config import ExperimentConfig, RunManifest
 from .equilibrium import (FP, LB, gaussian_identities_check,
@@ -79,9 +79,11 @@ def coefficients_stage(cfg: ExperimentConfig):
     grid = TorusGrid(cfg.dim, cfg.grid_m)
     check_kernel_size(grid)
     model = build_model(cfg)
+    draws = draw_stationary(model, grid, cfg.n_mc, cfg.seed)
     coeffs = compute_coefficients(model, cfg.collision, grid, cfg.n_mc,
-                                  seed=cfg.seed)
-    cov = compute_cov_operator(model, grid, cfg.n_mc, seed=cfg.seed)
+                                  seed=cfg.seed, draws=draws)
+    cov = compute_cov_operator(model, grid, cfg.n_mc, seed=cfg.seed,
+                               draws=draws)
     report = verify_enhancement(coeffs, cov)
     cpath = os.path.join(out, "coefficients.csv")
     spath = os.path.join(out, "spectrum.csv")
@@ -510,9 +512,10 @@ def validation_suite(cfg: ExperimentConfig) -> ValidationReport:
     check_kernel_size(grid)
     model = build_model(cfg)
     seed, amp, mode = cfg.seed, cfg.amplitude, cfg.mode
-    coeffs = {c: compute_coefficients(model, c, grid, cfg.n_mc, seed=seed)
-              for c in (LB, FP)}
-    cov = compute_cov_operator(model, grid, cfg.n_mc, seed=seed)
+    draws = draw_stationary(model, grid, cfg.n_mc, seed)
+    coeffs = {c: compute_coefficients(model, c, grid, cfg.n_mc, seed=seed,
+                                      draws=draws) for c in (LB, FP)}
+    cov = compute_cov_operator(model, grid, cfg.n_mc, seed=seed, draws=draws)
     # (two-point law only, check, desk sizes and bounds), criteria 1-9
     table = [
         (False, check_gaussian_identities,

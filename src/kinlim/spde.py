@@ -40,9 +40,15 @@ an imaginary part that no real field has; as usual for real fields, the
 derivative symbol 2 pi i k_i is set to zero on every mode with
 |k_i| = m/2 (the second-order Crank-Nicolson symbol keeps k_i^2).
 
-Realizations are advanced in batch; each realization's Gaussian increments
-come from its own counter-based stream, so ensembles are reproducible for
-any batch or worker layout.
+Realizations are advanced in blocks of BLOCK_VALUES grid values
+(max(1, BLOCK_VALUES // M^N) realizations, the last block may hold fewer),
+one `step_hat` call per block, so the step's temporaries stay cache-sized
+whatever the ensemble size; each step writes every block into one fresh
+state array, and checkpoint statistics go through physical space block by
+block too.  Every transform acts on each realization alone, so blocked
+and one-block stepping are bit-identical.  Each realization's Gaussian
+increments come from its own counter-based stream, so ensembles are
+reproducible for any block or worker layout.
 """
 
 from __future__ import annotations
@@ -58,6 +64,9 @@ from .torus import TorusField, TorusGrid, divergence, gradient
 
 ITO = "ito"
 STRATONOVICH = "stratonovich"
+# Grid values per block of realizations that one step_hat call advances:
+# a physical array of a block is 128 kB (64 realizations at 2-D m=16)
+BLOCK_VALUES = 1 << 14
 
 
 def stability_limit(coeffs: HydroCoefficients) -> float:
@@ -236,10 +245,20 @@ class EnsembleResult:
     noise_rank: int
     n_steps: int
     transforms_per_step: int
+    blocks_per_step: int        # step_hat calls per step
+    block_realizations: int     # realizations per block (last may hold fewer)
 
     def mean_field(self, grid: TorusGrid, idx: int = -1) -> TorusField:
         return TorusField(grid, 0, self.mean_hat[idx],
                           space="spectral").to_physical()
+
+
+def _blocks(n_realizations: int, grid: TorusGrid) -> list:
+    """Slices of consecutive realizations of BLOCK_VALUES grid values each
+    (at least one realization); the last block may hold fewer."""
+    size = max(1, BLOCK_VALUES // grid.size)
+    return [slice(lo, min(lo + size, n_realizations))
+            for lo in range(0, n_realizations, size)]
 
 
 def _realizations(stepper: SpdeStepper, rho_in: TorusField, n_steps: int,
@@ -255,8 +274,12 @@ def _realizations(stepper: SpdeStepper, rho_in: TorusField, n_steps: int,
     start = _half_spectrum(rho_in.spectrum())
     coef = np.broadcast_to(start, (n_realizations,) + start.shape).copy()
     yield coef
+    blocks = _blocks(n_realizations, stepper.grid)
     for step in range(n_steps):
-        coef = stepper.step_hat(coef, noise[:, step, :])
+        new = np.empty_like(coef)
+        for b in blocks:
+            new[b] = stepper.step_hat(coef[b], noise[b, step, :])
+        coef = new
         yield coef
 
 
@@ -276,18 +299,22 @@ def run_ensemble(coeffs: HydroCoefficients, cov: CovOperator,
     min_rho = np.inf
     grid = rho_in.grid
     gaxes = tuple(range(1, 1 + grid.dim))
+    blocks = _blocks(n_realizations, grid)
 
     def record(step, coef):
         times.append(step * dt)
         means.append(_full_spectrum(coef.mean(axis=0), grid))
         var_list.append(_full_spectrum(
             np.var(coef.real, axis=0) + np.var(coef.imag, axis=0), grid))
-        phys = stepper.to_physical(coef)
         row = np.empty((n_realizations, len(xi_phys)))
-        for j, xi in enumerate(xi_phys):
-            row[:, j] = (phys * xi).mean(axis=gaxes)
+        low = np.inf
+        for b in blocks:
+            phys = stepper.to_physical(coef[b])
+            for j, xi in enumerate(xi_phys):
+                row[b, j] = (phys * xi).mean(axis=gaxes)
+            low = min(low, float(phys.min()))
         samp.append(row)
-        return float(phys.min())
+        return low
 
     for step, coef in enumerate(_realizations(stepper, rho_in, n_steps,
                                               n_realizations, seed)):
@@ -298,7 +325,8 @@ def run_ensemble(coeffs: HydroCoefficients, cov: CovOperator,
     return EnsembleResult(np.array(times), np.array(means),
                           np.array(var_list), np.array(samp), min_rho,
                           stepper.noise_rank, n_steps,
-                          stepper.transforms_per_step)
+                          stepper.transforms_per_step, len(blocks),
+                          blocks[0].stop - blocks[0].start)
 
 
 @dataclass

@@ -105,6 +105,12 @@ def test_simulate_spde_2d_columns_follow_forced_axis(tmp_path):
     last = dict(zip(rows[0].split(","), rows[-1].split(",")))
     # the noise acts along x_0, so mode (1, 0) fluctuates
     assert float(last["var_k1"]) > 0
+    # the reports name the covariance's QR width (kernel side 512,
+    # 2 n_mc = 200) and the stepping blocks (2^14 // 256 = 64 realizations)
+    out = tmp_path / "out"
+    assert "covariance QR width 200" in (out / "report_coeffs.txt").read_text()
+    assert "64 realizations per block, 1 blocks per step" in \
+        (out / "report_spde.txt").read_text()
 
 
 def test_seed_override_changes_hash_not_manifest_match(tmp_path):
@@ -124,6 +130,7 @@ def test_oversized_kernel_refused_before_monte_carlo(tmp_path, capsys,
     def no_monte_carlo(*args, **kwargs):
         raise AssertionError("Monte Carlo work before the kernel check")
 
+    monkeypatch.setattr(experiment, "draw_stationary", no_monte_carlo)
     monkeypatch.setattr(experiment, "compute_coefficients", no_monte_carlo)
     cfg, path = mini_config(tmp_path, dim=2, grid_m=32)
     cfg.validate()

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,13 +11,16 @@ from kinlim.coefficients import (check_sympos_identity,
                                  closed_form_two_point_diffusion,
                                  coefficients_from_csv, coefficients_to_csv,
                                  compute_coefficients, compute_cov_operator,
-                                 spectrum_from_csv, spectrum_to_csv,
-                                 verify_enhancement)
+                                 draw_stationary, spectrum_from_csv,
+                                 spectrum_to_csv, verify_enhancement)
+from kinlim.config import ExperimentConfig, file_checksum
 from kinlim.equilibrium import FP, LB
-from kinlim.forcing import two_point_renewal, zero_renewal
+from kinlim.forcing import (ForceFieldModel, ou_single_mode,
+                            two_point_renewal, zero_renewal)
 from kinlim.torus import TorusField, TorusGrid
 
 A = 0.5
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -244,3 +253,126 @@ def test_contract_files_give_back_the_computed_doubles(tmp_path, model):
                           np.array([z.values for z in cov.eigenfields]))
     assert (k2.trace, k2.dropped_tail, k2.tol_eig, k2.kernel_stderr) == \
         (cov.trace, cov.dropped_tail, cov.tol_eig, cov.kernel_stderr)
+
+
+# -- low-rank covariance against the dense estimate ---------------------------
+
+
+def dense_reference(draws, grid):
+    """The dense estimate: per-draw symmetrised outer products accumulated
+    into (dim, dim) arrays, their per-entry standard errors, and a full
+    symmetric eigendecomposition of the weighted kernel."""
+    n = len(draws.samples)
+    dim = grid.dim * grid.size
+    acc = np.zeros((dim, dim))
+    acc_sq = np.zeros((dim, dim))
+    for r, e in zip(draws.r0.reshape(n, dim), draws.e.reshape(n, dim)):
+        outer = np.outer(r, e)
+        outer = 0.5 * (outer + outer.T)
+        acc += outer
+        acc_sq += outer**2
+    kernel = acc / n
+    var = np.maximum(acc_sq / n - kernel**2, 0.0) * n / (n - 1)
+    se_fro = float(np.sqrt(np.sum(var / n))) / grid.size
+    eigvals, eigvecs = np.linalg.eigh(kernel / grid.size)
+    return kernel, se_fro, eigvals[::-1], eigvecs[:, ::-1]
+
+
+def three_atom_law(grid):
+    """Atoms a1, a2 and -(a1 + a2): a centred law with a rank-two kernel."""
+    x = grid.coords()[0]
+    a1 = np.zeros((grid.dim,) + grid.shape)
+    a2 = np.zeros_like(a1)
+    a1[0] = A * np.cos(2 * np.pi * x)
+    a2[-1] = A * np.sin(4 * np.pi * x)
+    fields = [TorusField(grid, 1, v) for v in (a1, a2, -(a1 + a2))]
+    return ForceFieldModel("renewal", grid, atoms=fields)
+
+
+@pytest.mark.parametrize("law", ["three-atom", "ou"])
+def test_low_rank_matches_dense_reference(law):
+    if law == "three-atom":    # 2-D m=16: QR width 2 n_mc = 400 < 512
+        grid, n_mc = TorusGrid(2, 16), 200
+        model, kw = three_atom_law(grid), None
+    else:                      # 1-D m=16: QR width 16, every column
+        grid, n_mc = TorusGrid(1, 16), 100
+        model = ou_single_mode(grid, A, clip_radius=8.0)
+        kw = dict(horizon=12.0, dt=0.05, n_replicates=16)
+    draws = draw_stationary(model, grid, n_mc, seed=9, resolvent_kwargs=kw)
+    cov = compute_cov_operator(model, grid, n_mc, seed=9, draws=draws)
+    kernel, se_fro, eigvals, eigvecs = dense_reference(draws, grid)
+    assert cov.qr_width == min(grid.dim * grid.size, 2 * n_mc)
+    assert cov.rank == (2 if law == "three-atom" else 1)
+    assert np.allclose(cov.eigenvalues, eigvals[:cov.rank], rtol=1e-12,
+                       atol=0)
+    for k, z in enumerate(cov.eigenfields):
+        unit = z.physical().reshape(-1) / np.sqrt(grid.size)
+        assert abs(abs(unit @ eigvecs[:, k]) - 1.0) < 1e-10
+    assert np.max(np.abs(cov.kernel - kernel)) < 1e-14 * np.max(kernel)
+    if law == "ou":
+        assert cov.kernel_stderr == pytest.approx(se_fro, rel=1e-10)
+
+
+def test_eigenfield_sign_rule(grid, model):
+    # the first value above 1e-8 of the largest is positive: +sqrt(2) cos
+    cov = compute_cov_operator(model, grid, n_mc=100, seed=5)
+    z = cov.eigenfields[0].values[0]
+    target = np.sqrt(2) * np.cos(2 * np.pi * grid.axis())
+    assert np.max(np.abs(z - target)) < 1e-12
+    for z in compute_cov_operator(three_atom_law(grid), grid, n_mc=100,
+                                  seed=5).eigenfields:
+        flat = z.physical().reshape(-1)
+        assert flat[np.argmax(np.abs(flat) > 1e-8 * np.abs(flat).max())] > 0
+
+
+def test_estimators_share_one_stationary_pass(grid, model):
+    draws = draw_stationary(model, grid, 100, seed=3)
+    for collision in (LB, FP):
+        fresh = compute_coefficients(model, collision, grid, 100, seed=3)
+        shared = compute_coefficients(model, collision, grid, 100, seed=3,
+                                      draws=draws)
+        for name in ("diffusion", "drift", "r1_sym"):
+            assert np.array_equal(getattr(fresh, name).values,
+                                  getattr(shared, name).values)
+    fresh = compute_cov_operator(model, grid, 100, seed=3)
+    shared = compute_cov_operator(model, grid, 100, seed=3, draws=draws)
+    assert np.array_equal(fresh.eigenfields[0].values,
+                          shared.eigenfields[0].values)
+    with pytest.raises(ValueError):
+        compute_cov_operator(model, grid, 100, seed=4, draws=draws)
+    with pytest.raises(ValueError):
+        compute_coefficients(model, LB, grid, 101, seed=3, draws=draws)
+
+
+def test_cov_operator_holds_no_dense_kernel():
+    # 2-D m=16: the dense estimate held two 512 x 512 accumulators and an
+    # eigh of a third (16.8 MB); the thin QR needs a few (512, 200) arrays
+    grid = TorusGrid(2, 16)
+    model = two_point_renewal(grid, A)
+    tracemalloc.start()
+    try:
+        cov = compute_cov_operator(model, grid, n_mc=100, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cov.rank == 1
+    assert peak < 8e6
+
+
+def test_spectrum_does_not_depend_on_blas_threads(tmp_path):
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        config = tmp_path / f"threads{threads}.cfg"
+        ExperimentConfig(dim=2, grid_m=16, n_mc=100, seed=1,
+                         out_dir=str(out)).save(config)
+        env = dict(os.environ, OMP_NUM_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run([sys.executable, "-m", "kinlim", "coeffs",
+                               "--config", str(config)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(file_checksum(out / "spectrum.csv"))
+    assert digests[0] == digests[1]

@@ -1,9 +1,11 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from test_dim2_and_ou import two_point_2d
 
+from kinlim import spde
 from kinlim.coefficients import (CovOperator, compute_coefficients,
                                  compute_cov_operator, HydroCoefficients)
 from kinlim.equilibrium import FP, LB
@@ -273,7 +275,7 @@ def rank_two_cov(grid):
     x, y = grid.coords()
     zetas = [np.stack([np.sqrt(2) * np.cos(2 * np.pi * x), 0 * x]),
              np.stack([0 * x, np.sqrt(2) * np.sin(2 * np.pi * (x + y))])]
-    return CovOperator(grid, None, np.array([0.1, 0.05]),
+    return CovOperator(grid, np.array([0.1, 0.05]),
                        [TorusField(grid, 1, z) for z in zetas], 0.15, 0.0,
                        0.0, 0.0)
 
@@ -349,3 +351,51 @@ def test_full_spectrum_completes_the_half(dim):
     back = np.conj(np.roll(np.flip(out, axes), 1, axes))
     assert np.array_equal(back[..., grid.m // 2 + 1:],
                           out[..., grid.m // 2 + 1:])
+
+
+@pytest.mark.parametrize("case", ["1d", "2d-full"])
+def test_blocked_stepping_is_bit_identical(case, monkeypatch):
+    # 10 realizations in blocks of 3: four step_hat calls per step, the last
+    # on one realization, against one call on all ten
+    coeffs, cov = equivalence_case(case)
+    grid = coeffs.diffusion.grid
+    rho0 = TorusField.from_function(
+        grid, 0, lambda *xs: 1.0 + 0.5 * np.cos(2 * np.pi * xs[0] - 1.0))
+    xi = [TorusField.from_function(grid, 0, lambda *xs: np.sin(
+        2 * np.pi * xs[0]) / (2 * np.pi))]
+    dt = 0.5 * stability_limit(coeffs)
+    runs = []
+    for block_values in (10**9, 3 * grid.size):
+        monkeypatch.setattr(spde, "BLOCK_VALUES", block_values)
+        ens = run_ensemble(coeffs, cov, rho0, 20 * dt, dt, 10, seed=4,
+                           xi_fields=xi, n_checkpoints=4)
+        qv = quadratic_variation_check(coeffs, cov, rho0, xi[0], 20 * dt,
+                                       dt, 10, seed=4)
+        runs.append((ens, qv))
+    (one, qv_one), (blocked, qv_blocked) = runs
+    assert (one.blocks_per_step, one.block_realizations) == (1, 10)
+    assert (blocked.blocks_per_step, blocked.block_realizations) == (4, 3)
+    for name in ("times", "mean_hat", "var_hat", "samples", "min_rho"):
+        assert np.array_equal(getattr(one, name), getattr(blocked, name))
+    for name in ("empirical", "predicted", "final"):
+        assert np.array_equal(getattr(qv_one, name), getattr(qv_blocked, name))
+
+
+def test_ensemble_holds_no_realizations_by_grid_temporary():
+    # the spde-2d-lb shape: 1000 realizations at 2-D m=16, 40 steps; one
+    # state is 2.3 MB, and the unblocked step and checkpoints held 17 MB
+    coeffs, cov = equivalence_case("2d-e0")
+    grid = coeffs.diffusion.grid
+    rho0 = TorusField.from_function(
+        grid, 0, lambda *xs: 1.0 + 0.5 * np.cos(2 * np.pi * xs[0] - 1.0))
+    xi = [TorusField.from_function(grid, 0, lambda *xs: np.cos(
+        2 * np.pi * k * xs[0])) for k in range(4)]
+    tracemalloc.start()
+    try:
+        res = run_ensemble(coeffs, cov, rho0, 0.01, 2.5e-4, 1000, seed=1,
+                           xi_fields=xi, n_checkpoints=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.blocks_per_step == 16
+    assert peak < 10e6
