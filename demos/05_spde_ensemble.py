@@ -7,7 +7,8 @@ covariance-operator prediction.
 
 import numpy as np
 
-from kinlim.coefficients import compute_coefficients, compute_cov_operator
+from kinlim.coefficients import (compute_coefficients, compute_cov_operator,
+                                 draw_stationary)
 from kinlim.equilibrium import LB
 from kinlim.forcing import two_point_renewal, zero_renewal
 from kinlim.spde import (mean_equation_solve, quadratic_variation_check,
@@ -17,7 +18,9 @@ from kinlim.torus import TorusField, TorusGrid
 grid = TorusGrid(1, 64)
 amp = 0.5
 
-ident = compute_coefficients(zero_renewal(grid), LB, grid, n_mc=128, seed=31)
+zero = zero_renewal(grid)
+ident = compute_coefficients(zero, LB, grid,
+                             draw_stationary(zero, grid, 128, seed=31))
 rho0 = TorusField.from_function(grid, 0, lambda x: 1.0 + np.cos(2 * np.pi * x))
 sol = mean_equation_solve(ident, rho0, 0.05, 1e-5)
 exact = 0.5 * np.exp(-4 * np.pi**2 * 0.05)
@@ -25,8 +28,9 @@ print(f"heat oracle: mode-1 amplitude {abs(sol.spectrum()[1]):.8f}, "
       f"exact {exact:.8f}")
 
 model = two_point_renewal(grid, amp)
-coeffs = compute_coefficients(model, LB, grid, n_mc=200, seed=32)
-cov = compute_cov_operator(model, grid, n_mc=200, seed=33)
+draws = draw_stationary(model, grid, 200, seed=32)
+coeffs = compute_coefficients(model, LB, grid, draws)
+cov = compute_cov_operator(grid, draws)
 
 res = run_ensemble(coeffs, cov, rho0, 0.02, 1e-5, 128, seed=34,
                    xi_fields=[TorusField.from_function(

@@ -25,6 +25,8 @@ images (`draw_stationary`).  The kernel is discretised by grid quadrature
 the draws as columns of R and E, has rank at most 2n, so it is never formed:
 a thin QR [R E] = Q T gives H = Q M Q^T with a small k x k matrix M,
 k = min(N M^N, 2n), and the eigenfields are Q times the eigenvectors of M.
+Rows of T at the QR's round-off level are cut first (a numerical rank
+cut), so a rank-deficient kernel keeps the accuracy of a dense `eigh`.
 Eigenvalues below a noise floor are dropped and the dropped tail is
 reported as a modelling-error bound.
 """
@@ -163,29 +165,21 @@ def draw_stationary(model: ForceFieldModel, grid: TorusGrid, n_mc: int,
     return StationaryDraws(seed, samples, e, r0)
 
 
-def _draws_for(draws, model, grid, n_mc, seed, kw) -> StationaryDraws:
-    """`draws` if given (checked against n_mc and seed), else a new pass."""
-    if draws is None:
-        return draw_stationary(model, grid, n_mc, seed, kw)
-    if len(draws.samples) != n_mc or draws.seed != seed:
-        raise ValueError("stationary draws of another n_mc or seed")
-    return draws
-
-
 def compute_coefficients(model: ForceFieldModel, collision: str,
-                         grid: TorusGrid, n_mc: int, seed,
-                         resolvent_kwargs: dict = None,
-                         draws: StationaryDraws = None) -> HydroCoefficients:
-    """Monte Carlo of the limit diffusion matrix and drift fields."""
+                         grid: TorusGrid, draws: StationaryDraws,
+                         resolvent_kwargs: dict = None) -> HydroCoefficients:
+    """Monte Carlo of the limit diffusion matrix and drift fields over the
+    stationary draws; R_1 and R_1 R_0 images come from the streams
+    (seed, STATIONARY, R1 | R1R0, i) of the draws' seed."""
     _check_collision(collision)
     b = COLLISION_FACTOR[collision]
     kw = resolvent_kwargs or {}
-    draws = _draws_for(draws, model, grid, n_mc, seed, kw)
+    n_mc = len(draws.samples)
     n_dim = grid.dim
     sym0 = np.empty((n_mc, n_dim, n_dim) + grid.shape)
     sym1 = np.empty_like(sym0)
     drift2 = np.empty((n_mc, n_dim) + grid.shape)
-    key = (seed, STATIONARY)
+    key = (draws.seed, STATIONARY)
     for i, s in enumerate(draws.samples):
         ev = draws.e[i]
         r1 = resolvent_apply(model, 1.0, s, substream(key, R1, i), **kw)
@@ -238,17 +232,23 @@ def check_kernel_size(grid: TorusGrid) -> None:
             f"the largest grid allowed in {grid.dim}-D is grid_m={largest}")
 
 
-def compute_cov_operator(model: ForceFieldModel, grid: TorusGrid, n_mc: int,
-                         seed, resolvent_kwargs: dict = None,
-                         draws: StationaryDraws = None) -> CovOperator:
+def compute_cov_operator(grid: TorusGrid,
+                         draws: StationaryDraws) -> CovOperator:
     """Monte Carlo kernel estimate and its eigenpairs, from a thin QR of the
-    draws and a k x k symmetric eigenproblem (module docstring)."""
+    draws and a small symmetric eigenproblem (module docstring)."""
     check_kernel_size(grid)
-    draws = _draws_for(draws, model, grid, n_mc, seed, resolvent_kwargs)
+    n_mc = len(draws.samples)
     dim = grid.dim * grid.size
     r0 = draws.r0.reshape(n_mc, dim)
     e = draws.e.reshape(n_mc, dim)
     q, t = np.linalg.qr(np.concatenate([r0, e]).T)
+    # numerical rank cut: a row of T whose entries all sit below the QR's
+    # round-off level carries no part of the draws, only a direction of Q
+    # that would leak that round-off into the eigenfields
+    row_max = np.max(np.abs(t), axis=1)
+    rows = row_max >= max(dim, 2 * n_mc) * np.finfo(float).eps \
+        * np.max(row_max)
+    q, t = q[:, rows], t[rows]
     half = t[:, :n_mc] @ t[:, n_mc:].T / n_mc
     small = 0.5 * (half + half.T)            # Q^T H Q
     weight = 1.0 / grid.size

@@ -80,10 +80,8 @@ def coefficients_stage(cfg: ExperimentConfig):
     check_kernel_size(grid)
     model = build_model(cfg)
     draws = draw_stationary(model, grid, cfg.n_mc, cfg.seed)
-    coeffs = compute_coefficients(model, cfg.collision, grid, cfg.n_mc,
-                                  seed=cfg.seed, draws=draws)
-    cov = compute_cov_operator(model, grid, cfg.n_mc, seed=cfg.seed,
-                               draws=draws)
+    coeffs = compute_coefficients(model, cfg.collision, grid, draws)
+    cov = compute_cov_operator(grid, draws)
     report = verify_enhancement(coeffs, cov)
     cpath = os.path.join(out, "coefficients.csv")
     spath = os.path.join(out, "spectrum.csv")
@@ -513,9 +511,9 @@ def validation_suite(cfg: ExperimentConfig) -> ValidationReport:
     model = build_model(cfg)
     seed, amp, mode = cfg.seed, cfg.amplitude, cfg.mode
     draws = draw_stationary(model, grid, cfg.n_mc, seed)
-    coeffs = {c: compute_coefficients(model, c, grid, cfg.n_mc, seed=seed,
-                                      draws=draws) for c in (LB, FP)}
-    cov = compute_cov_operator(model, grid, cfg.n_mc, seed=seed, draws=draws)
+    coeffs = {c: compute_coefficients(model, c, grid, draws)
+              for c in (LB, FP)}
+    cov = compute_cov_operator(grid, draws)
     # (two-point law only, check, desk sizes and bounds), criteria 1-9
     table = [
         (False, check_gaussian_identities,

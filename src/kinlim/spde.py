@@ -44,11 +44,14 @@ Realizations are advanced in blocks of BLOCK_VALUES grid values
 (max(1, BLOCK_VALUES // M^N) realizations, the last block may hold fewer),
 one `step_hat` call per block, so the step's temporaries stay cache-sized
 whatever the ensemble size; each step writes every block into one fresh
-state array, and checkpoint statistics go through physical space block by
-block too.  Every transform acts on each realization alone, so blocked
-and one-block stepping are bit-identical.  Each realization's Gaussian
-increments come from its own counter-based stream, so ensembles are
-reproducible for any block or worker layout.
+state array.  The checkpoint samples and the quadratic-variation check go
+through physical space block by block too; only a checkpoint's ensemble
+mean and variance reduce the whole half-spectrum state at once, which keeps
+their summation order independent of the blocks.  Every transform acts on
+each realization alone, so blocked and one-block stepping are
+bit-identical.  Each realization's Gaussian increments come from its own
+counter-based stream, so ensembles are reproducible for any block or
+worker layout.
 """
 
 from __future__ import annotations
@@ -363,20 +366,24 @@ def quadratic_variation_check(coeffs: HydroCoefficients, cov: CovOperator,
     qv_emp = np.zeros(n_realizations)
     qv_pred = np.zeros(n_realizations)
     mart = np.zeros(n_realizations)
+    blocks = _blocks(n_realizations, grid)
     paths = _realizations(stepper, rho_in, n_steps, n_realizations, seed)
     for before, after in pairwise(paths):
-        phys = stepper.to_physical(before)
-        # predicted rate: 2 sum_k <phi_k, rho grad xi>^2 (left endpoint)
-        for phi in phis:
-            proj = np.zeros(n_realizations)
-            for i in range(grid.dim):
-                proj += (phys * phi[i] * grad_xi[i]).mean(axis=gaxes)
-            qv_pred += 2.0 * dt * proj**2
-        noise = stepper.to_physical(after - stepper.step_hat(before))
-        dm = (noise * xi_phys).mean(axis=gaxes)
-        qv_emp += dm**2
-        mart += dm
-    final = (stepper.to_physical(after) * xi_phys).mean(axis=gaxes)
+        for b in blocks:
+            phys = stepper.to_physical(before[b])
+            # predicted rate: 2 sum_k <phi_k, rho grad xi>^2 (left endpoint)
+            for phi in phis:
+                proj = np.zeros(len(phys))
+                for i in range(grid.dim):
+                    proj += (phys * phi[i] * grad_xi[i]).mean(axis=gaxes)
+                qv_pred[b] += 2.0 * dt * proj**2
+            noise = stepper.to_physical(after[b]
+                                        - stepper.step_hat(before[b]))
+            dm = (noise * xi_phys).mean(axis=gaxes)
+            qv_emp[b] += dm**2
+            mart[b] += dm
+    final = np.concatenate([(stepper.to_physical(after[b]) * xi_phys)
+                            .mean(axis=gaxes) for b in blocks])
     gaps = np.abs(qv_emp - qv_pred) / np.maximum(qv_pred, 1e-300)
     return QvReport(qv_emp, qv_pred, float(gaps.mean()), float(mart.mean()),
                     float(mart.std(ddof=1) / np.sqrt(n_realizations)), final)

@@ -11,7 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from kinlim.coefficients import compute_coefficients, compute_cov_operator
+from kinlim.coefficients import (compute_coefficients, compute_cov_operator,
+                                 draw_stationary)
 from kinlim.config import ExperimentConfig
 from kinlim.equilibrium import FP, LB
 from kinlim.experiment import (CheckResult, check_coefficients_closed_form,
@@ -64,17 +65,20 @@ def model(grid):
 
 @pytest.fixture(scope="module")
 def lb_coeffs(model, grid):
-    return compute_coefficients(model, LB, grid, n_mc=200, seed=SEED)
+    return compute_coefficients(model, LB, grid,
+                                draw_stationary(model, grid, 200, seed=SEED))
 
 
 @pytest.fixture(scope="module")
 def fp_coeffs(model, grid):
-    return compute_coefficients(model, FP, grid, n_mc=200, seed=SEED + 1)
+    draws = draw_stationary(model, grid, 200, seed=SEED + 1)
+    return compute_coefficients(model, FP, grid, draws)
 
 
 @pytest.fixture(scope="module")
 def cov(model, grid):
-    return compute_cov_operator(model, grid, n_mc=200, seed=SEED + 2)
+    return compute_cov_operator(grid, draw_stationary(model, grid, 200,
+                                                      seed=SEED + 2))
 
 
 def test_criterion_01_gaussian_identities():

@@ -11,7 +11,8 @@ from kinlim.coefficients import (check_sympos_identity,
                                  closed_form_two_point_diffusion,
                                  coefficients_from_csv, coefficients_to_csv,
                                  compute_coefficients, compute_cov_operator,
-                                 draw_stationary, spectrum_from_csv,
+                                 draw_stationary, KernelTooLarge,
+                                 spectrum_from_csv,
                                  spectrum_to_csv, verify_enhancement)
 from kinlim.config import ExperimentConfig, file_checksum
 from kinlim.equilibrium import FP, LB
@@ -35,15 +36,17 @@ def model(grid):
 
 def test_zero_law_coefficients(grid):
     m = zero_renewal(grid)
-    coeffs = compute_coefficients(m, LB, grid, n_mc=128, seed=1)
+    coeffs = compute_coefficients(m, LB, grid,
+                                  draw_stationary(m, grid, 128, seed=1))
     assert np.max(np.abs(coeffs.diffusion.values[0, 0] - 1.0)) < 1e-12
     assert np.max(np.abs(coeffs.drift.values)) < 1e-12
 
 
 def test_two_point_diffusion_closed_forms(grid, model):
     xs = grid.axis()
+    draws = draw_stationary(model, grid, 200, seed=2)
     for collision, coef in ((LB, 1.5), (FP, 1.0)):
-        coeffs = compute_coefficients(model, collision, grid, n_mc=200, seed=2)
+        coeffs = compute_coefficients(model, collision, grid, draws)
         expected = 1.0 + coef * A**2 * np.cos(2 * np.pi * xs) ** 2
         tol = 3 * coeffs.diffusion_stderr[0, 0] + 1e-10
         assert np.all(np.abs(coeffs.diffusion.values[0, 0] - expected) <= tol)
@@ -56,8 +59,9 @@ def test_two_point_drift_closed_form(grid, model):
     xs = grid.axis()
     c = np.cos(2 * np.pi * xs)
     s = np.sin(2 * np.pi * xs)
+    draws = draw_stationary(model, grid, 150, seed=3)
     for collision, b in ((LB, 2.0), (FP, 1.0)):
-        coeffs = compute_coefficients(model, collision, grid, n_mc=150, seed=3)
+        coeffs = compute_coefficients(model, collision, grid, draws)
         expected = (b / 2) * A**2 * 2 * c * (-2 * np.pi * s) \
             + 0.5 * A**2 * c * (-2 * np.pi * s)
         tol = 3 * np.max(coeffs.drift_stderr) + 1e-8
@@ -65,13 +69,14 @@ def test_two_point_drift_closed_form(grid, model):
 
 
 def test_cov_operator_zero_law(grid):
-    cov = compute_cov_operator(zero_renewal(grid), grid, n_mc=128, seed=4)
+    m = zero_renewal(grid)
+    cov = compute_cov_operator(grid, draw_stationary(m, grid, 128, seed=4))
     assert cov.rank == 0
     assert cov.trace == pytest.approx(0.0, abs=1e-15)
 
 
 def test_cov_operator_rank_one_spectrum(grid, model):
-    cov = compute_cov_operator(model, grid, n_mc=200, seed=5)
+    cov = compute_cov_operator(grid, draw_stationary(model, grid, 200, seed=5))
     # H(x, y) = a^2 cos(2 pi x) cos(2 pi y): rank one, lambda = a^2/2
     assert cov.rank == 1
     assert cov.eigenvalues[0] == pytest.approx(A**2 / 2, rel=1e-10)
@@ -84,7 +89,7 @@ def test_cov_operator_rank_one_spectrum(grid, model):
 
 
 def test_cov_operator_symmetry_and_psd(grid, model):
-    cov = compute_cov_operator(model, grid, n_mc=150, seed=6)
+    cov = compute_cov_operator(grid, draw_stationary(model, grid, 150, seed=6))
     assert np.max(np.abs(cov.kernel - cov.kernel.T)) < 1e-10
     op = cov.kernel / grid.size
     eigs = np.linalg.eigvalsh(op)
@@ -108,7 +113,7 @@ def test_eigenfield_orthonormality(grid):
     a2 = TorusField.from_function(grid, 1, comp2)
     m = ForceFieldModel("renewal", grid,
                         atoms=[a1, -1.0 * a1, a2, -1.0 * a2])
-    cov = compute_cov_operator(m, grid, n_mc=4000, seed=7)
+    cov = compute_cov_operator(grid, draw_stationary(m, grid, 4000, seed=7))
     assert cov.rank == 2
     for i, zi in enumerate(cov.eigenfields):
         for j, zj in enumerate(cov.eigenfields):
@@ -133,7 +138,7 @@ def test_kernel_reconstruction(grid):
     a2 = TorusField.from_function(grid, 1, comp2)
     m = ForceFieldModel("renewal", grid,
                         atoms=[a1, -1.0 * a1, a2, -1.0 * a2])
-    cov = compute_cov_operator(m, grid, n_mc=2000, seed=8)
+    cov = compute_cov_operator(grid, draw_stationary(m, grid, 2000, seed=8))
     recon = np.zeros_like(cov.kernel)
     for lam, z in zip(cov.eigenvalues, cov.eigenfields):
         flat = z.physical().reshape(-1)
@@ -144,9 +149,11 @@ def test_kernel_reconstruction(grid):
 
 
 def test_enhancement_report(grid, model):
+    draws = draw_stationary(model, grid, 150, seed=12)
+    cov = compute_cov_operator(grid,
+                               draw_stationary(model, grid, 150, seed=13))
     for collision in (LB, FP):
-        coeffs = compute_coefficients(model, collision, grid, n_mc=150, seed=12)
-        cov = compute_cov_operator(model, grid, n_mc=150, seed=13)
+        coeffs = compute_coefficients(model, collision, grid, draws)
         rep = verify_enhancement(coeffs, cov)
         assert rep.passed
         assert rep.min_eig_over_base >= -rep.tolerance
@@ -159,8 +166,9 @@ def test_enhancement_report(grid, model):
 
 def test_enhancement_zero_law(grid):
     m = zero_renewal(grid)
-    coeffs = compute_coefficients(m, LB, grid, n_mc=128, seed=14)
-    cov = compute_cov_operator(m, grid, n_mc=128, seed=15)
+    coeffs = compute_coefficients(m, LB, grid,
+                                  draw_stationary(m, grid, 128, seed=14))
+    cov = compute_cov_operator(grid, draw_stationary(m, grid, 128, seed=15))
     rep = verify_enhancement(coeffs, cov)
     assert rep.passed
     assert rep.min_eig_over_base == pytest.approx(0.0, abs=1e-12)
@@ -170,8 +178,10 @@ def test_enhancement_zero_law(grid):
 def test_enhancement_detects_mismatched_collision(grid, model):
     # coefficients computed for velocity-diffusion collisions but relabelled
     # as jump collisions break the Ito/Stratonovich consistency split
-    coeffs = compute_coefficients(model, FP, grid, n_mc=150, seed=16)
-    cov = compute_cov_operator(model, grid, n_mc=150, seed=17)
+    coeffs = compute_coefficients(model, FP, grid,
+                                  draw_stationary(model, grid, 150, seed=16))
+    cov = compute_cov_operator(grid,
+                               draw_stationary(model, grid, 150, seed=17))
     coeffs.collision_factor = 2.0   # deliberate mislabel
     rep = verify_enhancement(coeffs, cov)
     assert not rep.passed
@@ -191,13 +201,15 @@ def test_scaling_covariance(grid):
     # doubling the amplitude scales the kernel by 4 and K - Id by 4
     m1 = two_point_renewal(grid, A)
     m2 = two_point_renewal(grid, 2 * A)
-    c1 = compute_coefficients(m1, LB, grid, n_mc=150, seed=19)
-    c2 = compute_coefficients(m2, LB, grid, n_mc=150, seed=19)
+    c1 = compute_coefficients(m1, LB, grid,
+                              draw_stationary(m1, grid, 150, seed=19))
+    c2 = compute_coefficients(m2, LB, grid,
+                              draw_stationary(m2, grid, 150, seed=19))
     d1 = c1.diffusion.values[0, 0] - 1.0
     d2 = c2.diffusion.values[0, 0] - 1.0
     assert np.max(np.abs(d2 - 4.0 * d1)) < 1e-10
-    k1 = compute_cov_operator(m1, grid, n_mc=150, seed=20)
-    k2 = compute_cov_operator(m2, grid, n_mc=150, seed=20)
+    k1 = compute_cov_operator(grid, draw_stationary(m1, grid, 150, seed=20))
+    k2 = compute_cov_operator(grid, draw_stationary(m2, grid, 150, seed=20))
     assert k2.eigenvalues[0] == pytest.approx(4 * k1.eigenvalues[0], rel=1e-10)
     th1 = c1.drift.values[0]
     th2 = c2.drift.values[0]
@@ -206,20 +218,21 @@ def test_scaling_covariance(grid):
 
 def test_n_mc_validation(grid, model):
     with pytest.raises(ValueError):
-        compute_coefficients(model, LB, grid, n_mc=10, seed=0)
-    with pytest.raises(ValueError):
-        compute_cov_operator(model, grid, n_mc=10, seed=0)
+        draw_stationary(model, grid, 10, seed=0)
 
 
-def test_kernel_dimension_guard(model):
+def test_kernel_dimension_guard(grid, model):
     big = TorusGrid(2, 64)
-    with pytest.raises(ValueError):
-        compute_cov_operator(model, big, n_mc=128, seed=0)
+    # refused on the grid alone, before the draws are read
+    with pytest.raises(KernelTooLarge):
+        compute_cov_operator(big, draw_stationary(model, grid, 100, seed=0))
 
 
 def test_csv_round_trip(tmp_path, grid, model):
-    coeffs = compute_coefficients(model, LB, grid, n_mc=150, seed=21)
-    cov = compute_cov_operator(model, grid, n_mc=150, seed=22)
+    coeffs = compute_coefficients(model, LB, grid,
+                                  draw_stationary(model, grid, 150, seed=21))
+    cov = compute_cov_operator(grid,
+                               draw_stationary(model, grid, 150, seed=22))
     cpath = tmp_path / "coeffs.csv"
     spath = tmp_path / "spectrum.csv"
     coefficients_to_csv(coeffs, cpath)
@@ -239,8 +252,10 @@ def test_contract_files_give_back_the_computed_doubles(tmp_path, model):
     # coefficients.csv and spectrum.csv hold every double exactly, so the
     # SPDE stages read the coefficients the coeffs stage computed
     grid = model.grid
-    coeffs = compute_coefficients(model, LB, grid, n_mc=150, seed=23)
-    cov = compute_cov_operator(model, grid, n_mc=150, seed=24)
+    coeffs = compute_coefficients(model, LB, grid,
+                                  draw_stationary(model, grid, 150, seed=23))
+    cov = compute_cov_operator(grid,
+                               draw_stationary(model, grid, 150, seed=24))
     coefficients_to_csv(coeffs, tmp_path / "coefficients.csv")
     spectrum_to_csv(cov, tmp_path / "spectrum.csv")
     c2 = coefficients_from_csv(tmp_path / "coefficients.csv")
@@ -299,7 +314,7 @@ def test_low_rank_matches_dense_reference(law):
         model = ou_single_mode(grid, A, clip_radius=8.0)
         kw = dict(horizon=12.0, dt=0.05, n_replicates=16)
     draws = draw_stationary(model, grid, n_mc, seed=9, resolvent_kwargs=kw)
-    cov = compute_cov_operator(model, grid, n_mc, seed=9, draws=draws)
+    cov = compute_cov_operator(grid, draws)
     kernel, se_fro, eigvals, eigvecs = dense_reference(draws, grid)
     assert cov.qr_width == min(grid.dim * grid.size, 2 * n_mc)
     assert cov.rank == (2 if law == "three-atom" else 1)
@@ -315,33 +330,31 @@ def test_low_rank_matches_dense_reference(law):
 
 def test_eigenfield_sign_rule(grid, model):
     # the first value above 1e-8 of the largest is positive: +sqrt(2) cos
-    cov = compute_cov_operator(model, grid, n_mc=100, seed=5)
+    cov = compute_cov_operator(grid, draw_stationary(model, grid, 100, seed=5))
     z = cov.eigenfields[0].values[0]
     target = np.sqrt(2) * np.cos(2 * np.pi * grid.axis())
     assert np.max(np.abs(z - target)) < 1e-12
-    for z in compute_cov_operator(three_atom_law(grid), grid, n_mc=100,
-                                  seed=5).eigenfields:
+    three = three_atom_law(grid)
+    for z in compute_cov_operator(
+            grid, draw_stationary(three, grid, 100, seed=5)).eigenfields:
         flat = z.physical().reshape(-1)
         assert flat[np.argmax(np.abs(flat) > 1e-8 * np.abs(flat).max())] > 0
 
 
-def test_estimators_share_one_stationary_pass(grid, model):
-    draws = draw_stationary(model, grid, 100, seed=3)
-    for collision in (LB, FP):
-        fresh = compute_coefficients(model, collision, grid, 100, seed=3)
-        shared = compute_coefficients(model, collision, grid, 100, seed=3,
-                                      draws=draws)
-        for name in ("diffusion", "drift", "r1_sym"):
-            assert np.array_equal(getattr(fresh, name).values,
-                                  getattr(shared, name).values)
-    fresh = compute_cov_operator(model, grid, 100, seed=3)
-    shared = compute_cov_operator(model, grid, 100, seed=3, draws=draws)
-    assert np.array_equal(fresh.eigenfields[0].values,
-                          shared.eigenfields[0].values)
-    with pytest.raises(ValueError):
-        compute_cov_operator(model, grid, 100, seed=4, draws=draws)
-    with pytest.raises(ValueError):
-        compute_coefficients(model, LB, grid, 101, seed=3, draws=draws)
+def test_rank_deficient_kernel_keeps_dense_accuracy():
+    # 2-D m=16, QR width 200, kernel rank one: the QR's round-off rows of T
+    # (about 1e-14) are cut before the small eigenproblem, so the eigenfield
+    # is as close to sqrt(2) cos(2 pi x0) as the dense eigh got (2.4e-15);
+    # kept, they moved it by 2.6e-14
+    grid = TorusGrid(2, 16)
+    model = two_point_renewal(grid, A)
+    cov = compute_cov_operator(grid, draw_stationary(model, grid, 100,
+                                                     seed=1))
+    assert cov.qr_width == 200 and cov.rank == 1
+    assert cov.eigenvalues[0] == pytest.approx(A**2 / 2, rel=1e-14)
+    target = np.zeros((2,) + grid.shape)
+    target[0] = np.sqrt(2) * np.cos(2 * np.pi * grid.coords()[0])
+    assert np.max(np.abs(cov.eigenfields[0].values - target)) < 5e-15
 
 
 def test_cov_operator_holds_no_dense_kernel():
@@ -351,7 +364,8 @@ def test_cov_operator_holds_no_dense_kernel():
     model = two_point_renewal(grid, A)
     tracemalloc.start()
     try:
-        cov = compute_cov_operator(model, grid, n_mc=100, seed=1)
+        cov = compute_cov_operator(grid,
+                                   draw_stationary(model, grid, 100, seed=1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -7,7 +7,8 @@ import pytest
 from scipy import stats
 
 from kinlim import experiment
-from kinlim.coefficients import compute_coefficients, compute_cov_operator
+from kinlim.coefficients import (compute_coefficients, compute_cov_operator,
+                                 draw_stationary)
 from kinlim.config import ExperimentConfig
 from kinlim.equilibrium import FP, LB
 from kinlim.experiment import (_ks_statistic, _monotone_with_slack,
@@ -113,14 +114,15 @@ def test_mislabel_detection():
 
     grid = TorusGrid(1, 32)
     model = two_point_renewal(grid, 0.5)
-    coeffs = compute_coefficients(model, FP, grid, n_mc=120, seed=1)
+    coeffs = compute_coefficients(model, FP, grid,
+                                  draw_stationary(model, grid, 120, seed=1))
     [ok] = check_coefficients_closed_form(coeffs, 0.5, 1, tol)
     assert ok.passed
     coeffs.collision = LB           # deliberate mislabel
     coeffs.collision_factor = 2.0
     [bad] = check_coefficients_closed_form(coeffs, 0.5, 1, tol)
     assert not bad.passed
-    cov = compute_cov_operator(model, grid, n_mc=120, seed=2)
+    cov = compute_cov_operator(grid, draw_stationary(model, grid, 120, seed=2))
     assert not all(c.passed for c in
                    check_enhancement(coeffs, cov, strato_bound=1e-12))
 

@@ -7,7 +7,8 @@ from test_dim2_and_ou import two_point_2d
 
 from kinlim import spde
 from kinlim.coefficients import (CovOperator, compute_coefficients,
-                                 compute_cov_operator, HydroCoefficients)
+                                 compute_cov_operator, draw_stationary,
+                                 HydroCoefficients)
 from kinlim.equilibrium import FP, LB
 from kinlim.forcing import two_point_renewal, zero_renewal
 from kinlim.spde import (ITO, STRATONOVICH, SpdeStepper, _full_spectrum,
@@ -26,13 +27,16 @@ def grid():
 
 def identity_coeffs(grid):
     m = zero_renewal(grid)
-    return compute_coefficients(m, LB, grid, n_mc=128, seed=1)
+    return compute_coefficients(m, LB, grid,
+                                draw_stationary(m, grid, 128, seed=1))
 
 
 def lb_setup(grid, n_mc=150):
     model = two_point_renewal(grid, A)
-    coeffs = compute_coefficients(model, LB, grid, n_mc=n_mc, seed=2)
-    cov = compute_cov_operator(model, grid, n_mc=n_mc, seed=3)
+    coeffs = compute_coefficients(model, LB, grid,
+                                  draw_stationary(model, grid, n_mc, seed=2))
+    cov = compute_cov_operator(grid,
+                               draw_stationary(model, grid, n_mc, seed=3))
     return coeffs, cov
 
 
@@ -157,8 +161,10 @@ def test_quadratic_variation_paths_are_run_ensemble_paths(grid):
 
 def test_zero_noise_qv_trivial(grid):
     model = zero_renewal(grid)
-    coeffs = compute_coefficients(model, LB, grid, n_mc=128, seed=12)
-    cov = compute_cov_operator(model, grid, n_mc=128, seed=13)
+    coeffs = compute_coefficients(model, LB, grid,
+                                  draw_stationary(model, grid, 128, seed=12))
+    cov = compute_cov_operator(grid,
+                               draw_stationary(model, grid, 128, seed=13))
     rho0 = rho_one_plus_cos(grid)
     xi = TorusField.from_function(grid, 0, lambda x: np.cos(2 * np.pi * x))
     rep = quadratic_variation_check(coeffs, cov, rho0, xi, 0.004, 1e-5,
@@ -287,9 +293,11 @@ def equivalence_case(name):
     if name == "2d-e0":       # the benchmark law: zero fields are dropped
         return lb_setup(grid, n_mc=100)
     model = two_point_2d(grid, 0.4)
-    coeffs = compute_coefficients(model, LB, grid, n_mc=100, seed=2)
+    coeffs = compute_coefficients(model, LB, grid,
+                                  draw_stationary(model, grid, 100, seed=2))
     if name == "2d-full":     # every component and K01 non-zero
-        return coeffs, compute_cov_operator(model, grid, n_mc=100, seed=3)
+        draws = draw_stationary(model, grid, 100, seed=3)
+        return coeffs, compute_cov_operator(grid, draws)
     return coeffs, rank_two_cov(grid)
 
 
@@ -381,7 +389,7 @@ def test_blocked_stepping_is_bit_identical(case, monkeypatch):
         assert np.array_equal(getattr(qv_one, name), getattr(qv_blocked, name))
 
 
-def test_ensemble_holds_no_realizations_by_grid_temporary():
+def test_spde_paths_hold_no_realizations_by_grid_temporary():
     # the spde-2d-lb shape: 1000 realizations at 2-D m=16, 40 steps; one
     # state is 2.3 MB, and the unblocked step and checkpoints held 17 MB
     coeffs, cov = equivalence_case("2d-e0")
@@ -399,3 +407,13 @@ def test_ensemble_holds_no_realizations_by_grid_temporary():
         tracemalloc.stop()
     assert res.blocks_per_step == 16
     assert peak < 10e6
+    # the QV check holds two consecutive states; its unblocked transforms
+    # and noiseless step took it to 23.8 MB
+    tracemalloc.start()
+    try:
+        quadratic_variation_check(coeffs, cov, rho0, xi[1], 0.01, 2.5e-4,
+                                  1000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
