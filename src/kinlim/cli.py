@@ -106,6 +106,10 @@ def cmd_simulate_kinetic(args) -> int:
             manifest.add_file(cp_path)
         lines.append(f"eps={eps}: {len(run.times)} checkpoints, "
                      f"sup corrector H^-1 = {run.corrector_norms.max():.4g}")
+    if cfg.model_kind == "ou":
+        lines.append("corrector_hminus1 takes R0(e) = e, the renewal closed "
+                     "form; for the OU law it holds only while the clip is "
+                     "inactive")
     manifest.save(os.path.join(cfg.out_dir, "manifest_kinetic.txt"))
     _report(cfg, "report_kinetic.txt", lines)
     return 0

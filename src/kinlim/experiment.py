@@ -29,13 +29,15 @@ from .forcing import (ForceFieldModel, PathBlock, constant_two_point_renewal,
                       generate_path, ou_single_mode, resolvent_apply,
                       resolvent_r1r0_apply, sample_stationary,
                       two_point_renewal)
-from .kinetic import KineticRunConfig, _evolve, functional_samples
-from .rng import (CONVERGE_KINETIC, GAUSSIAN_SHIFTS, INVARIANT_PATHS,
-                  MOMENT_PARTICLES, MOMENT_PATH, RESOLVENT_FORMS,
+from .kinetic import (KineticRunConfig, _evolve, functional_samples,
+                      run_rescaled)
+from .rng import (CONVERGE_KINETIC, CORRECTOR_SCALING, GAUSSIAN_SHIFTS,
+                  INVARIANT_PATHS, MEAN_EQUATION, MOMENT_PARTICLES,
+                  MOMENT_PATH, PARTICLES, PATH, RESOLVENT_FORMS,
                   SPDE_LINEARITY, SPDE_MASS, SPDE_QV, SYMPOS, substream)
 from .spde import (mean_equation_solve, quadratic_variation_check,
                    run_ensemble)
-from .torus import TorusField, TorusGrid, pairing
+from .torus import TorusField, TorusGrid, pairing, sobolev_norm
 
 
 def build_model(cfg: ExperimentConfig) -> ForceFieldModel:
@@ -139,26 +141,32 @@ class ConvergenceReport:
         return rows
 
 
-def _monotone_with_slack(gaps, ses):
-    """Non-increase along rows up to one combined standard error."""
-    ok = True
-    for i in range(1, gaps.shape[0]):
-        slack = np.sqrt(ses[i] ** 2 + ses[i - 1] ** 2)
-        ok &= bool(np.all(gaps[i] <= gaps[i - 1] + slack))
-    return ok
+def _trend_excess(gaps, ses) -> float:
+    """Worst increase of a gap from one row to the next beyond one combined
+    standard error; the gaps fall monotonically up to that slack when it is
+    <= 0.  Columns whose gaps are all exactly zero cannot rise and are left
+    out, so the value is the margin of the others (-inf if none is left)."""
+    slack = np.sqrt(ses[1:] ** 2 + ses[:-1] ** 2)
+    excess = gaps[1:] - (gaps[:-1] + slack)
+    return float(np.max(excess[:, gaps.any(axis=0)], initial=-np.inf))
+
+
+def _same_point_mass(a, b) -> bool:
+    """Samples a and b are one point mass up to rounding: spreads and gap
+    within 1e-12 of the sample scale (a mass functional sums thousands of
+    weights on one side and a spectral mean on the other, so the two point
+    masses differ by ~1e-16)."""
+    scale = 1e-12 * max(np.max(np.abs(a)), np.max(np.abs(b)), 1.0)
+    return max(np.ptp(a), np.ptp(b), abs(a[0] - b[0])) <= scale
 
 
 def _ks_statistic(a, b) -> float:
-    """Two-sample KS statistic; 0 when both samples are the same point mass.
-
-    Spreads and gaps within 1e-12 of the sample scale count as rounding
-    (a mass functional sums thousands of weights on one side and a spectral
-    mean on the other, so the two point masses differ by ~1e-16).  The
-    largest gap between the empirical CDFs is h / lcm(n_a, n_b) for an
-    integer h, found exactly in integers (the value of scipy's exact mode).
+    """Two-sample KS statistic; 0 when both samples are the same point mass
+    (`_same_point_mass`).  The largest gap between the empirical CDFs is
+    h / lcm(n_a, n_b) for an integer h, found exactly in integers (the
+    value of scipy's exact mode).
     """
-    scale = 1e-12 * max(np.max(np.abs(a)), np.max(np.abs(b)), 1.0)
-    if max(np.ptp(a), np.ptp(b), abs(a[0] - b[0])) <= scale:
+    if _same_point_mass(a, b):
         return 0.0
     a, b = np.sort(a), np.sort(b)
     both = np.concatenate([a, b])
@@ -217,19 +225,21 @@ def convergence_study(cfg: ExperimentConfig, coeffs: HydroCoefficients,
         + (sv * np.sqrt(2.0 / max(cfg.n_spde_realizations - 1, 1))) ** 2)
     ks = np.array([[_ks_statistic(kin_samples[i][:, j], spde_samples[:, j])
                     for j in range(n_xi)] for i in range(n_eps)])
-    # the mass functional is a point mass on both sides; exclude it from the
-    # trend check (its gap is identically ~ 0)
-    nontrivial = [j for j, name in enumerate(xi_names) if name != "one"]
-    mean_ok = _monotone_with_slack(mean_gaps[:, nontrivial],
-                                   mean_gap_se[:, nontrivial])
-    var_ok = _monotone_with_slack(var_gaps[:, nontrivial],
-                                  var_gap_se[:, nontrivial])
+    # where both laws are one point mass (the mass functional), the gaps
+    # and their errors are exactly zero, not rounding
+    same = np.array([[_same_point_mass(kin_samples[i][:, j],
+                                       spde_samples[:, j])
+                      for j in range(n_xi)] for i in range(n_eps)])
+    for arr in (mean_gaps, mean_gap_se, var_gaps, var_gap_se):
+        arr[same] = 0.0
+    mean_ok = _trend_excess(mean_gaps, mean_gap_se) <= 0.0
+    var_ok = _trend_excess(var_gaps, var_gap_se) <= 0.0
     return ConvergenceReport(list(cfg.epsilons), xi_names, km, kv, sm, sv,
                              mean_gaps, var_gaps, mean_gap_se, var_gap_se,
                              ks, mean_ok, var_ok)
 
 
-# -- identity checks: acceptance criteria 1-9 ---------------------------------------
+# -- acceptance criteria 1-12 --------------------------------------------------------
 #
 # One implementation per criterion.  Each check takes its sample sizes, its
 # bounds and its seed from the caller and draws from the streams of its
@@ -503,8 +513,90 @@ def check_spde_suite(coeffs: HydroCoefficients, cov: CovOperator, n_qv,
                         f"mean relative gap, {n_qv} realizations")]
 
 
+def check_mean_equation(coeffs: HydroCoefficients, cov: CovOperator,
+                        horizon, dt, n_realizations, n_sigma, seed) -> list:
+    """Criterion 10: the SPDE ensemble mean at the horizon against the
+    drift-diffusion solve of `mean_equation_solve`, both from the default
+    initial density, in the H^-1 norm, within n_sigma standard errors
+    aggregated with the same H^-1 weights."""
+    grid = coeffs.diffusion.grid
+    rho0 = default_initial_density(grid)
+    res = run_ensemble(coeffs, cov, rho0, horizon, dt, n_realizations,
+                       seed=(seed, MEAN_EQUATION))
+    det = mean_equation_solve(coeffs, rho0, horizon, dt)
+    dist = sobolev_norm(res.mean_field(grid) - det, -1.0)
+    weights = (1.0 + grid.laplace_symbol()) ** (-1.0)
+    se = float(np.sqrt(np.sum(weights * res.var_hat[-1] / n_realizations)))
+    return [CheckResult("ensemble mean vs drift solve",
+                        dist < n_sigma * se, dist, n_sigma * se,
+                        f"H^-1 distance, bound {n_sigma:g} se at "
+                        f"{n_realizations} realizations")]
+
+
+def check_corrector_scaling(model: ForceFieldModel, collision, epsilons,
+                            horizon, dt_factor, n_particles, n_paths,
+                            n_checkpoints, exponent_range, seed) -> list:
+    """Criterion 11: the corrector theta^eps vanishes like eps.
+
+    For each eps, n_paths runs of n_particles particles, each run on its
+    own force path, give the mean over runs of sup_t ||theta^eps||_{H^-1}
+    over n_checkpoints + 1 times; the exponent of a log-log fit of these
+    over eps must lie in exponent_range.  Observed is how far it lies
+    outside.  Run p at eps index i draws its path from (seed,
+    CORRECTOR_SCALING, i, PATH, p) and its particles from (...,
+    PARTICLES, p).  The corrector uses R0(e) = e
+    (`corrector_decomposition`), so the check needs a renewal law.
+    """
+    if len(epsilons) < 2:
+        raise ValueError("need at least two epsilon values for an exponent")
+    rho0 = default_initial_density(model.grid)
+    sup_norms = []
+    for i, eps in enumerate(epsilons):
+        cfg = KineticRunConfig(collision, eps, horizon, dt_factor * eps**2,
+                               n_particles, model.grid)
+        key = (seed, CORRECTOR_SCALING, i)
+        sups = []
+        for p in range(n_paths):
+            path = generate_path(model, cfg.path_horizon,
+                                 seed=substream(key, PATH, p))
+            run = run_rescaled(cfg, path, rho0, substream(key, PARTICLES, p),
+                               n_checkpoints)
+            sups.append(run.corrector_norms.max())
+        sup_norms.append(np.mean(sups))
+    slope = np.polyfit(np.log(epsilons), np.log(sup_norms), 1)[0]
+    lo, hi = exponent_range
+    return [CheckResult(
+        "corrector scaling exponent", lo <= slope <= hi,
+        max(lo - slope, slope - hi), 0.0,
+        f"fitted exponent {slope:.3f} in [{lo:g}, {hi:g}]; mean sup_t "
+        f"H^-1 norm {', '.join(f'{v:.4f}' for v in sup_norms)} at eps "
+        f"{', '.join(f'{e:g}' for e in epsilons)}, {n_paths} paths x "
+        f"{n_particles} particles")]
+
+
+def check_convergence_trend(cfg: ExperimentConfig, coeffs: HydroCoefficients,
+                            cov: CovOperator) -> list:
+    """Criterion 12: the per-xi mean and variance gaps of
+    `convergence_study(cfg, coeffs, cov)` fall over the eps sweep up to one
+    combined standard error.  Observed is the worst gap increase beyond
+    that slack (`_trend_excess`); the detail lists the gaps per eps."""
+    rep = convergence_study(cfg, coeffs, cov)
+    out = []
+    for name, ok, gaps, ses in (
+            ("mean", rep.mean_trend_ok, rep.mean_gaps, rep.mean_gap_se),
+            ("variance", rep.var_trend_ok, rep.var_gaps, rep.var_gap_se)):
+        rows = "; ".join(f"eps={eps:g}: " + ", ".join(f"{g:.4g}" for g in row)
+                         for eps, row in zip(rep.epsilons, gaps))
+        out.append(CheckResult(
+            f"{name}-gap trend", ok, _trend_excess(gaps, ses), 0.0,
+            f"gap increase - 1 se; gaps of {', '.join(rep.xi_names)} at "
+            f"{rows}"))
+    return out
+
+
 def validation_suite(cfg: ExperimentConfig) -> ValidationReport:
-    """Run the checks of acceptance criteria 1-9 at desk sizes."""
+    """Run the checks of acceptance criteria 1-11 at desk sizes taken from
+    the config.  Criterion 12 is the `converge` stage's job."""
     cfg.validate()
     grid = TorusGrid(cfg.dim, cfg.grid_m)
     check_kernel_size(grid)
@@ -514,7 +606,7 @@ def validation_suite(cfg: ExperimentConfig) -> ValidationReport:
     coeffs = {c: compute_coefficients(model, c, grid, draws)
               for c in (LB, FP)}
     cov = compute_cov_operator(grid, draws)
-    # (two-point law only, check, desk sizes and bounds), criteria 1-9
+    # (two-point law only, check, desk sizes and bounds), criteria 1-11
     table = [
         (False, check_gaussian_identities,
          dict(n_shifts=6, bound=1e-6, seed=seed)),
@@ -541,9 +633,21 @@ def validation_suite(cfg: ExperimentConfig) -> ValidationReport:
             (False, check_enhancement,
              dict(coeffs=coeffs[c], cov=cov, strato_bound=1e-12)),
         ]
-    table.append((False, check_spde_suite,
-                  dict(coeffs=coeffs[cfg.collision], cov=cov, n_qv=128,
-                       qv_bound=0.10, seed=seed)))
+    table += [
+        (False, check_spde_suite,
+         dict(coeffs=coeffs[cfg.collision], cov=cov, n_qv=128, qv_bound=0.10,
+              seed=seed)),
+        (False, check_mean_equation,
+         dict(coeffs=coeffs[cfg.collision], cov=cov, horizon=cfg.horizon,
+              dt=cfg.dt_spde, n_realizations=cfg.n_spde_realizations,
+              n_sigma=4.0, seed=seed)),
+        (True, check_corrector_scaling,
+         dict(model=model, collision=cfg.collision, epsilons=cfg.epsilons,
+              horizon=cfg.horizon, dt_factor=cfg.dt_micro_factor,
+              n_particles=min(cfg.n_particles * 10, 20_000), n_paths=3,
+              n_checkpoints=cfg.n_checkpoints, exponent_range=(0.7, 1.3),
+              seed=seed)),
+    ]
     renewal = cfg.model_kind == "renewal"
     report = ValidationReport()
     for two_point_only, check, kwargs in table:

@@ -58,7 +58,6 @@ class ForceFieldModel:
         self.kind = kind
         self.grid = grid
         self.sobolev_index = float(sobolev_index)
-        self.mixing_rate = 1.0
         if kind == RENEWAL:
             if not atoms:
                 raise ValueError("renewal model needs at least one atom")
@@ -71,7 +70,6 @@ class ForceFieldModel:
                 (vector_sobolev_norm(a, self.sobolev_index) for a in self.atoms),
                 default=0.0,
             )
-            self._atom_values = np.stack([a.physical() for a in self.atoms])
         else:
             if not link_basis:
                 raise ValueError("ou model needs a link basis")
@@ -382,28 +380,26 @@ def _ou_time_quadrature(model, sample, weight_fn, horizon, dt, n_replicates, rng
 
 
 def resolvent_apply(model: ForceFieldModel, lam: float, sample: ForceSample,
-                    seed, horizon: float = None, dt: float = 0.05,
+                    seed, horizon: float = 40.0, dt: float = 0.05,
                     n_replicates: int = 256) -> TorusField:
     """Resolvent R_lam applied to the field observable at the given sample.
 
     Renewal: closed form e / (1 + lam).  OU: time-quadrature Monte Carlo of
-    integral exp(-lam t) E[E_t(e)] dt over a finite horizon (default
-    40 / mixing_rate, so the truncation error is exp(-40) times smaller than
-    the Monte Carlo error).
+    integral exp(-lam t) E[E_t(e)] dt over a finite horizon (default 40:
+    the OU state decorrelates at rate 1, so the truncated tail is of order
+    exp(-40), far below the Monte Carlo error).
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     if model.kind == RENEWAL:
         return sample.field * (1.0 / (1.0 + lam))
-    if horizon is None:
-        horizon = 40.0 / model.mixing_rate
     rng = as_generator(seed)
     return _ou_time_quadrature(model, sample, lambda t: np.exp(-lam * t),
                                horizon, dt, n_replicates, rng)
 
 
 def resolvent_r1r0_apply(model: ForceFieldModel, sample: ForceSample,
-                         seed, horizon: float = None, dt: float = 0.05,
+                         seed, horizon: float = 40.0, dt: float = 0.05,
                          n_replicates: int = 256) -> TorusField:
     """Composition R_1 R_0 applied to the field observable.
 
@@ -413,8 +409,6 @@ def resolvent_r1r0_apply(model: ForceFieldModel, sample: ForceSample,
     """
     if model.kind == RENEWAL:
         return sample.field * 0.5
-    if horizon is None:
-        horizon = 40.0 / model.mixing_rate
     rng = as_generator(seed)
     return _ou_time_quadrature(model, sample, lambda t: -np.expm1(-t),
                                horizon, dt, n_replicates, rng)

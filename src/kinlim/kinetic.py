@@ -271,8 +271,10 @@ def corrector_decomposition(dens: DensityEstimate, e_now: TorusField,
     """Split rho = theta + zeta with theta = eps * div(J + rho R0(E)).
 
     Uses the renewal closed form R0(e) = e, so `e_now` is the current force
-    field itself.  theta captures the fast, O(eps) part of the density; its
-    dual-norm decay in eps is one of the scaling diagnostics.
+    field itself.  For the OU law that form holds only while the link's
+    clip is inactive, so there theta is an approximation.  theta captures
+    the fast, O(eps) part of the density; its dual-norm decay in eps is one
+    of the scaling diagnostics.
     """
     flux = dens.current + e_now.scale_pointwise(dens.rho)
     theta = epsilon * divergence(flux)

@@ -31,15 +31,19 @@ SYMPOS = 6               # criterion 5: (seed, 6, SYMPOS_*, .)
 SPDE_MASS = 7            # criterion 9: (seed, 7, SPDE_NOISE, r)
 SPDE_LINEARITY = 8       # criterion 9: (seed, 8, SPDE_NOISE, r)
 SPDE_QV = 9              # criterion 9: (seed, 9, SPDE_NOISE, r)
-CONVERGE_KINETIC = 13    # converge: (seed, 13, i, PATH | PARTICLES, .)
+MEAN_EQUATION = 10       # criterion 10: (seed, 10, SPDE_NOISE, r)
+CONVERGE_KINETIC = 13    # converge, criterion 12:
+#                          (seed, 13, i, PATH | PARTICLES, .)
+CORRECTOR_SCALING = 14   # criterion 11: (seed, 14, i, PATH | PARTICLES, p)
 STATIONARY = 20          # coefficients and covariance, stationary draw n:
 #                          (seed, 20, SAMPLE | R0 | R1 | R1R0, n)
-SPDE_NOISE = 41          # converge and simulate-spde: (seed, 41, r)
+SPDE_NOISE = 41          # converge, simulate-spde, criterion 12: (seed, 41, r)
 KINETIC_PATH = 201       # simulate-kinetic: (seed, 201, i)
 KINETIC_PARTICLES = 202  # simulate-kinetic: (seed, 202, i)
 # Appended after the caller's key.
 SAMPLE, R0, R1, R1R0 = 1, 2, 3, 4    # a stationary draw and its resolvents
-PATH, PARTICLES = 11, 12             # functional_samples: path r, block b
+PATH, PARTICLES = 11, 12             # functional_samples: path r, block b;
+#                                      check_corrector_scaling: run p
 SYMPOS_LHS, SYMPOS_RESOLVENT, SYMPOS_RHS = 21, 22, 23   # check_sympos_identity
 COVARIANCE_PATH = 7                  # estimate_stationary_covariance: path p
 # and SPDE_NOISE, r: run_ensemble and quadratic_variation_check

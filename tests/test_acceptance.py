@@ -1,14 +1,18 @@
 """Acceptance suite: every headline criterion at its stated tolerance.
 
-Each test prints one PASS/FAIL line; run with `pytest -s tests/test_acceptance.py`
-to see them.  Tolerances are pinned here, not configurable.  Criteria 1-9
-run the identity checks of `kinlim.experiment` (the ones `kinlim validate`
-runs at desk sizes) with the acceptance sample sizes and bounds.
+Each test prints one PASS/FAIL line per check; run with
+`pytest -s tests/test_acceptance.py` to see them.  Sizes and tolerances are
+pinned here, not configurable.  Every criterion runs its check of
+`kinlim.experiment` with the acceptance sample sizes and bounds; `kinlim
+validate` runs the same checks of criteria 1-11 at desk sizes, and
+criterion 12 is the `converge` stage's study.  The only draw made here is
+the one stationary pass that feeds the coefficients and the covariance;
+every check draws from its own keys `(SEED, tag, ...)` of the stream
+table in `kinlim.rng`.
 """
 
 import time
 
-import numpy as np
 import pytest
 
 from kinlim.coefficients import (compute_coefficients, compute_cov_operator,
@@ -16,32 +20,25 @@ from kinlim.coefficients import (compute_coefficients, compute_cov_operator,
 from kinlim.config import ExperimentConfig
 from kinlim.equilibrium import FP, LB
 from kinlim.experiment import (CheckResult, check_coefficients_closed_form,
-                               check_cov_operator, check_enhancement,
-                               check_gaussian_identities,
+                               check_convergence_trend,
+                               check_corrector_scaling, check_cov_operator,
+                               check_enhancement, check_gaussian_identities,
                                check_invariant_second_moment,
-                               check_moment_evolution,
+                               check_mean_equation, check_moment_evolution,
                                check_resolvent_closed_forms, check_spde_suite,
-                               check_sympos, convergence_study,
-                               default_initial_density)
-from kinlim.forcing import generate_path, two_point_renewal
-from kinlim.kinetic import KineticRunConfig, run_rescaled
-from kinlim.rng import substream
-from kinlim.spde import mean_equation_solve, run_ensemble
-from kinlim.torus import TorusGrid, sobolev_norm
+                               check_sympos)
+from kinlim.forcing import two_point_renewal
+from kinlim.torus import TorusGrid
 
 AMP = 0.5
 SEED = 20240801
 
 
-def announce(num, passed, detail):
-    status = "PASS" if passed else "FAIL"
-    print(f"\n[criterion {num:02d}] {status}: {detail}")
-    assert passed, f"criterion {num}: {detail}"
-
-
 def announce_checks(num, results):
-    announce(num, all(c.passed for c in results),
-             "".join(f"\n    {c.line()}" for c in results))
+    passed = all(c.passed for c in results)
+    detail = "".join(f"\n    {c.line()}" for c in results)
+    print(f"\n[criterion {num:02d}] {'PASS' if passed else 'FAIL'}: {detail}")
+    assert passed, f"criterion {num}: {detail}"
 
 
 def run_timed(num, gate_s, check, **kwargs):
@@ -64,21 +61,25 @@ def model(grid):
 
 
 @pytest.fixture(scope="module")
-def lb_coeffs(model, grid):
-    return compute_coefficients(model, LB, grid,
-                                draw_stationary(model, grid, 200, seed=SEED))
+def draws(model, grid):
+    # one pass for both collisions and the covariance, as `coeffs` and
+    # `validate` make it
+    return draw_stationary(model, grid, 200, seed=SEED)
 
 
 @pytest.fixture(scope="module")
-def fp_coeffs(model, grid):
-    draws = draw_stationary(model, grid, 200, seed=SEED + 1)
+def lb_coeffs(model, grid, draws):
+    return compute_coefficients(model, LB, grid, draws)
+
+
+@pytest.fixture(scope="module")
+def fp_coeffs(model, grid, draws):
     return compute_coefficients(model, FP, grid, draws)
 
 
 @pytest.fixture(scope="module")
-def cov(model, grid):
-    return compute_cov_operator(grid, draw_stationary(model, grid, 200,
-                                                      seed=SEED + 2))
+def cov(grid, draws):
+    return compute_cov_operator(grid, draws)
 
 
 def test_criterion_01_gaussian_identities():
@@ -129,45 +130,20 @@ def test_criterion_09_spde_solver(lb_coeffs, cov):
                                         qv_bound=0.10, seed=SEED))
 
 
-def test_criterion_10_mean_equation(grid, lb_coeffs, cov):
-    start = time.perf_counter()
-    rho0 = default_initial_density(grid)
-    t, dt, n = 0.05, 1e-5, 512
-    res = run_ensemble(lb_coeffs, cov, rho0, t, dt, n, seed=SEED + 10)
-    det = mean_equation_solve(lb_coeffs, rho0, t, dt)
-    dist = sobolev_norm(res.mean_field(grid) - det, -1.0)
-    weights = (1.0 + grid.laplace_symbol()) ** (-1.0)
-    se = float(np.sqrt(np.sum(weights * res.var_hat[-1] / n)))
-    elapsed = time.perf_counter() - start
-    announce(10, dist < 4 * se and elapsed < 300.0,
-             f"ensemble mean vs drift solve: H^-1 distance {dist:.2e} "
-             f"< 4 se = {4 * se:.2e} at n=512, {elapsed:.1f} s (< 300 s)")
+def test_criterion_10_mean_equation(lb_coeffs, cov):
+    run_timed(10, 300.0, check_mean_equation, coeffs=lb_coeffs, cov=cov,
+              horizon=0.05, dt=1e-5, n_realizations=512, n_sigma=4.0,
+              seed=SEED)
 
 
-def test_criterion_11_corrector_scaling(grid, model):
-    rho0 = default_initial_density(grid)
-    eps_list = (0.5, 0.25, 0.125)
-    n_paths = 3
-    sup_norms = []
-    for i, eps in enumerate(eps_list):
-        cfg = KineticRunConfig(LB, eps, 0.05, 0.1 * eps**2, 50_000, grid)
-        vals = []
-        for p in range(n_paths):
-            path = generate_path(model, cfg.micro_horizon * 1.001 + 1e-9,
-                                 seed=substream(SEED, 11, i, p))
-            run = run_rescaled(cfg, path, rho0, substream(SEED, 12, i, p),
-                               n_checkpoints=10)
-            vals.append(run.corrector_norms.max())
-        sup_norms.append(np.mean(vals))
-    slope = np.polyfit(np.log(eps_list), np.log(sup_norms), 1)[0]
-    announce(11, 0.7 <= slope <= 1.3,
-             f"sup_t dual norm of the corrector over eps {eps_list}: "
-             f"{[f'{v:.4f}' for v in sup_norms]}, fitted exponent "
-             f"{slope:.3f} in [0.7, 1.3]")
+def test_criterion_11_corrector_scaling(model):
+    announce_checks(11, check_corrector_scaling(
+        model, LB, epsilons=(0.5, 0.25, 0.125), horizon=0.05, dt_factor=0.1,
+        n_particles=50_000, n_paths=3, n_checkpoints=10,
+        exponent_range=(0.7, 1.3), seed=SEED))
 
 
-def test_criterion_12_convergence_trend(grid, model, lb_coeffs, cov):
-    start = time.perf_counter()
+def test_criterion_12_convergence_trend(lb_coeffs, cov):
     cfg = ExperimentConfig(
         epsilons=(0.5, 0.25, 0.125),
         horizon=0.05,
@@ -180,19 +156,5 @@ def test_criterion_12_convergence_trend(grid, model, lb_coeffs, cov):
         # the wall time
         threads=2,
     )
-    rep = convergence_study(cfg, lb_coeffs, cov)
-    elapsed = time.perf_counter() - start
-    lines = []
-    for i, eps in enumerate(rep.epsilons):
-        lines.append(
-            f"eps={eps}: mean gaps "
-            f"{[f'{g:.4f}' for g in rep.mean_gaps[i]]}, var gaps "
-            f"{[f'{g:.5f}' for g in rep.var_gaps[i]]}, KS "
-            f"{[f'{k:.3f}' for k in rep.ks_stats[i]]}")
-    print("\n" + "\n".join(lines))
-    announce(12, rep.mean_trend_ok and rep.var_trend_ok and elapsed < 1800.0,
-             f"per-xi mean/variance gaps decrease monotonically over "
-             f"eps {rep.epsilons} up to 1 se slack "
-             f"(mean {'ok' if rep.mean_trend_ok else 'VIOLATED'}, "
-             f"variance {'ok' if rep.var_trend_ok else 'VIOLATED'}), "
-             f"{elapsed / 60:.1f} min (< 30 min)")
+    run_timed(12, 1800.0, check_convergence_trend, cfg=cfg, coeffs=lb_coeffs,
+              cov=cov)

@@ -81,6 +81,20 @@ def test_simulate_kinetic_writes_series(tmp_path):
     assert (out / "kinetic_eps0.5_cp00.csv").exists()
 
 
+def test_simulate_kinetic_ou_report_states_corrector_closed_form(tmp_path):
+    # the corrector column takes the renewal R0(e) = e, which the OU law
+    # meets only while its clip is inactive; the report says so
+    reports = []
+    for kind in ("renewal", "ou"):
+        cfg, path = mini_config(tmp_path, epsilons=(0.5,), n_particles=400,
+                                model_kind=kind)
+        assert main(["simulate-kinetic", "--config", path]) == 0
+        reports.append((tmp_path / "out" / "report_kinetic.txt").read_text())
+    renewal, ou = reports
+    assert "R0(e) = e" not in renewal
+    assert "corrector_hminus1 takes R0(e) = e" in ou and "OU" in ou
+
+
 def test_simulate_spde_and_converge_pipeline(tmp_path):
     cfg, path = mini_config(tmp_path)
     assert main(["coeffs", "--config", path]) == 0

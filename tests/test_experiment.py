@@ -11,7 +11,7 @@ from kinlim.coefficients import (compute_coefficients, compute_cov_operator,
                                  draw_stationary)
 from kinlim.config import ExperimentConfig
 from kinlim.equilibrium import FP, LB
-from kinlim.experiment import (_ks_statistic, _monotone_with_slack,
+from kinlim.experiment import (_ks_statistic, _trend_excess,
                                build_model, check_coefficients_closed_form,
                                check_enhancement, coefficients_stage,
                                convergence_study, default_initial_density,
@@ -25,13 +25,19 @@ from kinlim.torus import TorusGrid
 def test_monotone_with_slack():
     gaps = np.array([[0.5], [0.3], [0.2]])
     ses = np.array([[0.01], [0.01], [0.01]])
-    assert _monotone_with_slack(gaps, ses)
+    assert _trend_excess(gaps, ses) <= 0.0
     gaps_bad = np.array([[0.2], [0.5], [0.2]])
-    assert not _monotone_with_slack(gaps_bad, ses)
+    assert _trend_excess(gaps_bad, ses) > 0.0
     # increase within one combined standard error is tolerated
     gaps_noisy = np.array([[0.20], [0.21], [0.19]])
     ses_wide = np.array([[0.01], [0.01], [0.01]])
-    assert _monotone_with_slack(gaps_noisy, ses_wide)
+    assert _trend_excess(gaps_noisy, ses_wide) <= 0.0
+    # a column of exact-zero gaps (a point mass on both sides) cannot rise
+    # and leaves the margin of the others as it is
+    zeros = np.zeros((3, 1))
+    for g in (gaps, gaps_bad):
+        assert _trend_excess(np.hstack([g, zeros]), np.hstack([ses, zeros])) \
+            == _trend_excess(g, ses)
 
 
 def test_ks_statistic_point_masses():
@@ -106,6 +112,25 @@ def test_convergence_study_kinetic_streams_keyed_by_seed_and_eps(monkeypatch):
     a, _ = functional_samples(kcfg, model, rho0, xi, 2, seed=key_24)
     b, _ = functional_samples(kcfg, model, rho0, xi, 2, seed=key_7)
     assert not np.array_equal(a[:, 1:], b[:, 1:])
+
+
+def test_point_mass_functional_has_exact_zero_gaps():
+    # the mass functional is one point mass on both sides: its table cells
+    # are exact zeros, not rounding that moves with every upstream change
+    cfg = ExperimentConfig(grid_m=16, epsilons=(0.6, 0.5, 0.4),
+                           horizon=0.002, n_particles=100, n_realizations=64,
+                           n_spde_realizations=64, n_mc=100, dt_spde=5e-5,
+                           seed=3)
+    grid = TorusGrid(1, 16)
+    model = build_model(cfg)
+    draws = draw_stationary(model, grid, 100, seed=3)
+    rep = convergence_study(cfg, compute_coefficients(model, LB, grid, draws),
+                            compute_cov_operator(grid, draws))
+    one = rep.xi_names.index("one")
+    cells = (rep.mean_gaps, rep.mean_gap_se, rep.var_gaps, rep.var_gap_se,
+             rep.ks_stats)
+    assert all((c[:, one] == 0.0).all() for c in cells)
+    assert (np.delete(rep.mean_gap_se, one, axis=1) > 0.0).all()
 
 
 def test_mislabel_detection():

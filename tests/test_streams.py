@@ -3,9 +3,12 @@
 Runs every stage and `validate` on a mini config at one seed with
 `rng.substream` wrapped, and records each key with the role that drew it.
 A role is where the draw starts (the outermost kinlim call below the stage
-dispatch) and the line that builds the stream.
+dispatch) and the line that builds the stream.  The acceptance suite runs
+the same checks as `validate`; its source is read to show that it draws
+nothing else.
 """
 
+import ast
 import collections
 import os
 import sys
@@ -78,5 +81,27 @@ def test_every_key_comes_from_the_table_and_serves_one_role(tmp_path,
     shared = {k: roles for k, roles in keys.items() if len(roles) > 1}
     assert not shared, f"keys drawn by two roles: {shared}"
     # every stage and check drew: the table's role tags all appear
-    assert {k[1] for k in keys} == {1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 20, 41,
-                                    201, 202}
+    assert {k[1] for k in keys} == {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 13, 14,
+                                    20, 41, 201, 202}
+
+
+def test_acceptance_suite_draws_only_the_stationary_pass():
+    # every other draw of the acceptance suite happens inside a check of
+    # `kinlim.experiment`, keyed by the table; no seed arithmetic
+    path = os.path.join(os.path.dirname(__file__), "test_acceptance.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    calls = [node.func.attr if isinstance(node.func, ast.Attribute)
+             else getattr(node.func, "id", None)
+             for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    sampling = {"substream", "run_ensemble", "run_rescaled", "generate_path",
+                "draw_stationary", "functional_samples", "as_generator"}
+    assert [c for c in calls if c in sampling] == ["draw_stationary"]
+    [draw] = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "draw_stationary"]
+    assert [(k.arg, getattr(k.value, "id", None)) for k in draw.keywords] \
+        == [("seed", "SEED")]
+    assert not any(isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+                   and "SEED" in {getattr(node.left, "id", None),
+                                  getattr(node.right, "id", None)}
+                   for node in ast.walk(tree))
