@@ -7,8 +7,7 @@ generator have closed forms that the limit coefficients are built from.
 
 import numpy as np
 
-from kinlim.forcing import (estimate_stationary_covariance, generate_path,
-                            ou_single_mode, resolvent_apply,
+from kinlim.forcing import (generate_path, ou_single_mode, resolvent_apply,
                             sample_stationary, two_point_renewal)
 from kinlim.rng import substream
 from kinlim.torus import TorusGrid
@@ -29,12 +28,16 @@ print(f"jump count over 2000 paths: mean {np.mean(counts):.3f}, "
       f"variance {np.var(counts):.3f} (Poisson(10): both 10)")
 
 x = np.array([[0.0]])
-pairs = np.stack([x, x], axis=1)
 print("\nlag-t covariance of E(t,0) E(0,0) against a^2 exp(-t):")
 for lag in (0.0, 0.5, 1.0, 2.0):
-    est = estimate_stationary_covariance(model, lag, 3000, seed=3, pairs=pairs)
-    print(f"  lag {lag:3.1f}: {est.values[0, 0, 0]:+.4f} "
-          f"(se {est.stderr[0, 0, 0]:.4f}, exact {amp**2*np.exp(-lag):+.4f})")
+    prods = np.empty(3000)
+    for p in range(prods.size):
+        path = generate_path(model, max(lag, 0.01), seed=substream(3, 7, p))
+        prods[p] = path.value_at(lag).field.eval_at(x)[0, 0] \
+            * path.value_at(0.0).field.eval_at(x)[0, 0]
+    se = prods.std(ddof=1) / np.sqrt(prods.size)
+    print(f"  lag {lag:3.1f}: {prods.mean():+.4f} "
+          f"(se {se:.4f}, exact {amp**2*np.exp(-lag):+.4f})")
 
 s = sample_stationary(model, 4)
 r0 = resolvent_apply(model, 0.0, s, seed=7)

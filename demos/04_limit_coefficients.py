@@ -16,11 +16,12 @@ from kinlim.torus import TorusGrid
 grid = TorusGrid(1, 64)
 amp = 0.5
 model = two_point_renewal(grid, amp)
-# one pass of stationary draws and their R_0 images feeds both estimators
+# one pass of stationary draws and their resolvent images is the only input
+# of both estimators
 draws = draw_stationary(model, grid, 200, seed=21)
 
 for collision, coef in ((LB, 1.5), (FP, 1.0)):
-    coeffs = compute_coefficients(model, collision, grid, draws)
+    coeffs = compute_coefficients(draws, collision)
     xs = grid.axis()
     closed = 1.0 + coef * amp**2 * np.cos(2 * np.pi * xs) ** 2
     gap = np.max(np.abs(coeffs.diffusion.values[0, 0] - closed))
@@ -29,14 +30,14 @@ for collision, coef in ((LB, 1.5), (FP, 1.0)):
     print(f"    peak enhancement K(0) - 1 = "
           f"{coeffs.diffusion.values[0, 0, 0] - 1:.4f}")
 
-cov = compute_cov_operator(grid, draws)
+cov = compute_cov_operator(draws)
 print(f"\nnoise covariance: rank {cov.rank}, trace {cov.trace:.6f} "
       f"(exact a^2/2 = {amp**2/2}), dropped tail {cov.dropped_tail:.1e}")
 print(f"leading eigenvalue {cov.eigenvalues[0]:.6f}; eigenfield peak "
       f"{np.max(np.abs(cov.eigenfields[0].values)):.4f} "
       f"(exact sqrt(2) = {np.sqrt(2):.4f})")
 
-coeffs = compute_coefficients(model, LB, grid, draws)
+coeffs = compute_coefficients(draws, LB)
 rep = verify_enhancement(coeffs, cov)
 print(f"\nenhancement checks: min eig(K - Id) = {rep.min_eig_over_base:.2e}, "
       f"min eig(K - Id - sum phi phi^T) = {rep.min_eig_over_noise:.2e}")

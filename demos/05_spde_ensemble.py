@@ -19,8 +19,7 @@ grid = TorusGrid(1, 64)
 amp = 0.5
 
 zero = zero_renewal(grid)
-ident = compute_coefficients(zero, LB, grid,
-                             draw_stationary(zero, grid, 128, seed=31))
+ident = compute_coefficients(draw_stationary(zero, grid, 128, seed=31), LB)
 rho0 = TorusField.from_function(grid, 0, lambda x: 1.0 + np.cos(2 * np.pi * x))
 sol = mean_equation_solve(ident, rho0, 0.05, 1e-5)
 exact = 0.5 * np.exp(-4 * np.pi**2 * 0.05)
@@ -29,8 +28,8 @@ print(f"heat oracle: mode-1 amplitude {abs(sol.spectrum()[1]):.8f}, "
 
 model = two_point_renewal(grid, amp)
 draws = draw_stationary(model, grid, 200, seed=32)
-coeffs = compute_coefficients(model, LB, grid, draws)
-cov = compute_cov_operator(grid, draws)
+coeffs = compute_coefficients(draws, LB)
+cov = compute_cov_operator(draws)
 
 res = run_ensemble(coeffs, cov, rho0, 0.02, 1e-5, 128, seed=34,
                    xi_fields=[TorusField.from_function(

@@ -16,7 +16,6 @@ import time
 import numpy as np
 
 from . import __version__
-from .coefficients import KernelTooLarge
 from .config import ExperimentConfig, RunManifest
 from .experiment import (build_model, coefficients_stage, convergence_study,
                          default_initial_density, default_test_functions,
@@ -226,11 +225,7 @@ def main(argv=None) -> int:
         p.add_argument("--threads", type=int, default=None)
         p.set_defaults(func=fn)
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except KernelTooLarge as err:   # refused before any Monte Carlo work
-        print(f"kinlim: {err}", file=sys.stderr)
-        return 2
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -19,16 +19,19 @@ averages over stationary draws, with per-entry standard errors; for the
 default two-point base law every second-moment average is deterministic, so
 the estimates coincide with the two-atom enumeration exactly.
 
-Both estimators read one pass of n stationary draws E and their R_0
-images (`draw_stationary`).  The kernel is discretised by grid quadrature
-(uniform weight M^-N).  Its Monte Carlo estimate (1/2n)(R E^T + E R^T), with
-the draws as columns of R and E, has rank at most 2n, so it is never formed:
-a thin QR [R E] = Q T gives H = Q M Q^T with a small k x k matrix M,
-k = min(N M^N, 2n), and the eigenfields are Q times the eigenvectors of M.
-Rows of T at the QR's round-off level are cut first (a numerical rank
-cut), so a rank-deficient kernel keeps the accuracy of a dense `eigh`.
-Eigenvalues below a noise floor are dropped and the dropped tail is
-reported as a modelling-error bound.
+Both estimators take one pass of n stationary draws E and their R_0, R_1
+and R_1 R_0 images (`draw_stationary`) as their only input.  The kernel is
+discretised by grid quadrature (uniform weight M^-N).  Its Monte Carlo
+estimate (1/2n)(R E^T + E R^T), with the draws as columns of R and E, has
+rank at most 2n, so it is never formed: a thin QR [R E] = Q T gives
+H = Q M Q^T with a small k x k matrix M, k = min(N M^N, 2n), and the
+eigenfields are Q times the eigenvectors of M.  Rows of T at the QR's
+round-off level are cut first (a numerical rank cut), so a rank-deficient
+kernel keeps the accuracy of a dense `eigh`.  The estimate vanishes off the
+range of Q, so its smallest eigenvalue is the smallest of M, or 0 when Q
+has fewer than N M^N columns; with the symmetry of M it is what the
+nonnegativity check reads.  Eigenvalues below a noise floor are dropped and
+the dropped tail is reported as a modelling-error bound.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from .table import read_table, write_table
 from .torus import TorusField, TorusGrid, divergence, matrix_divergence
 
 COLLISION_FACTOR = {LB: 2.0, FP: 1.0}
-MAX_KERNEL_DIM = 1024    # side N * M^N of the covariance kernel
 # Significant digits of coefficients.csv and spectrum.csv: %.17g gives back
 # every double, so later stages run on exactly the coefficients computed.
 CONTRACT_DIGITS = 17
@@ -78,6 +80,11 @@ class CovOperator:
     dropped_tail: float          # trace mass of the dropped eigenvalues
     tol_eig: float
     kernel_stderr: float         # Frobenius standard error of the kernel
+    # smallest eigenvalue of the whole weighted estimate and the largest
+    # asymmetry of the small matrix diagonalised; a spectrum read back from
+    # spectrum.csv keeps only positive eigenvalues and reads 0 for both
+    min_eigenvalue: float = 0.0
+    symmetry_gap: float = 0.0
     factors: tuple = field(default=None, repr=False)
     # (R_0 E, E) draws, (n, N*M^N) each; None when the kept spectrum is all
     # there is (read back from spectrum.csv)
@@ -98,7 +105,8 @@ class CovOperator:
     def kernel(self) -> np.ndarray:
         """Dense (N*M^N, N*M^N) kernel values H, built on first read:
         (1/2n)(R E^T + E R^T) from the factors, else sum_k lambda_k z_k z_k^T
-        from the kept spectrum."""
+        from the kept spectrum.  No stage reads it; its readers are the
+        tests and the benchmark's traced runs."""
         if self.factors is None:
             z = np.array([f.physical() for f in self.eigenfields]).reshape(
                 self.rank, self.grid.dim * self.grid.size)
@@ -127,7 +135,7 @@ def _sym_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[:, None] * b[None, :] + b[:, None] * a[None, :]
 
 
-def _centering_check(draws: np.ndarray, grid: TorusGrid):
+def _centering_check(draws: np.ndarray):
     n = draws.shape[0]
     mean = draws.mean(axis=0)
     std = draws.std(axis=0, ddof=1) if n > 1 else np.zeros_like(mean)
@@ -138,56 +146,59 @@ def _centering_check(draws: np.ndarray, grid: TorusGrid):
 
 @dataclass
 class StationaryDraws:
-    """n_mc stationary draws E and their R_0 images, from the streams
-    (seed, STATIONARY, SAMPLE | R0, i): the one pass both estimators read."""
+    """n_mc stationary draws E and their R_0, R_1 and R_1 R_0 images, from
+    the streams (seed, STATIONARY, SAMPLE | R0 | R1 | R1R0, i): the one
+    input of both estimators.  Each array is (n_mc, N) + grid shape."""
 
-    seed: object
-    samples: list                # ForceSample per draw
-    e: np.ndarray                # (n_mc, N) + grid shape, values of E
-    r0: np.ndarray               # (n_mc, N) + grid shape, values of R_0 E
+    grid: TorusGrid
+    e: np.ndarray
+    r0: np.ndarray
+    r1: np.ndarray
+    r1r0: np.ndarray
+
+    @property
+    def n_mc(self) -> int:
+        return len(self.e)
 
 
 def draw_stationary(model: ForceFieldModel, grid: TorusGrid, n_mc: int,
                     seed, resolvent_kwargs: dict = None) -> StationaryDraws:
-    """One pass of n_mc stationary draws and their R_0 images."""
+    """One pass of n_mc stationary draws and their resolvent images; the
+    draws must be centred within 5 sigma."""
     if n_mc < 100:
         raise ValueError("need n_mc >= 100")
     kw = resolvent_kwargs or {}
-    samples = []
+    key = (seed, STATIONARY)
     e = np.empty((n_mc, grid.dim) + grid.shape)
-    r0 = np.empty_like(e)
+    r0, r1, r1r0 = np.empty_like(e), np.empty_like(e), np.empty_like(e)
     for i in range(n_mc):
-        s = sample_stationary(model, substream(seed, STATIONARY, SAMPLE, i))
-        samples.append(s)
+        s = sample_stationary(model, substream(key, SAMPLE, i))
         e[i] = s.field.physical()
-        r0[i] = resolvent_apply(model, 0.0, s, substream(
-            seed, STATIONARY, R0, i), **kw).physical()
-    return StationaryDraws(seed, samples, e, r0)
+        r0[i] = resolvent_apply(model, 0.0, s, substream(key, R0, i),
+                                **kw).physical()
+        r1[i] = resolvent_apply(model, 1.0, s, substream(key, R1, i),
+                                **kw).physical()
+        r1r0[i] = resolvent_r1r0_apply(model, s, substream(key, R1R0, i),
+                                       **kw).physical()
+    _centering_check(e)
+    return StationaryDraws(grid, e, r0, r1, r1r0)
 
 
-def compute_coefficients(model: ForceFieldModel, collision: str,
-                         grid: TorusGrid, draws: StationaryDraws,
-                         resolvent_kwargs: dict = None) -> HydroCoefficients:
+def compute_coefficients(draws: StationaryDraws,
+                         collision: str) -> HydroCoefficients:
     """Monte Carlo of the limit diffusion matrix and drift fields over the
-    stationary draws; R_1 and R_1 R_0 images come from the streams
-    (seed, STATIONARY, R1 | R1R0, i) of the draws' seed."""
+    stationary draws."""
     _check_collision(collision)
     b = COLLISION_FACTOR[collision]
-    kw = resolvent_kwargs or {}
-    n_mc = len(draws.samples)
-    n_dim = grid.dim
+    grid, n_mc, n_dim = draws.grid, draws.n_mc, draws.grid.dim
     sym0 = np.empty((n_mc, n_dim, n_dim) + grid.shape)
     sym1 = np.empty_like(sym0)
-    drift2 = np.empty((n_mc, n_dim) + grid.shape)
-    key = (draws.seed, STATIONARY)
-    for i, s in enumerate(draws.samples):
-        ev = draws.e[i]
-        r1 = resolvent_apply(model, 1.0, s, substream(key, R1, i), **kw)
-        r10 = resolvent_r1r0_apply(model, s, substream(key, R1R0, i), **kw)
+    drift2 = np.empty_like(draws.e)
+    for i, ev in enumerate(draws.e):
         sym0[i] = _sym_outer(ev, draws.r0[i])
-        sym1[i] = _sym_outer(r1.physical(), ev)
-        drift2[i] = r10.physical() * divergence(s.field).physical()[None]
-    _centering_check(draws.e, grid)
+        sym1[i] = _sym_outer(draws.r1[i], ev)
+        drift2[i] = draws.r1r0[i] * divergence(
+            TorusField(grid, 1, ev)).physical()[None]
 
     eye = np.eye(n_dim).reshape((n_dim, n_dim) + (1,) * n_dim)
     diff_draws = eye[None] + 0.5 * (sym0 + (b - 1.0) * sym1)
@@ -218,26 +229,10 @@ def compute_coefficients(model: ForceFieldModel, collision: str,
     )
 
 
-class KernelTooLarge(ValueError):
-    """The grid's dense covariance kernel would exceed MAX_KERNEL_DIM."""
-
-
-def check_kernel_size(grid: TorusGrid) -> None:
-    dim = grid.dim * grid.size
-    if dim > MAX_KERNEL_DIM:
-        largest = 1 << int(np.log2(MAX_KERNEL_DIM / grid.dim) / grid.dim)
-        raise KernelTooLarge(
-            f"covariance kernel dimension {dim} (grid_m={grid.m} in "
-            f"{grid.dim}-D) exceeds the dense-kernel cap {MAX_KERNEL_DIM}; "
-            f"the largest grid allowed in {grid.dim}-D is grid_m={largest}")
-
-
-def compute_cov_operator(grid: TorusGrid,
-                         draws: StationaryDraws) -> CovOperator:
+def compute_cov_operator(draws: StationaryDraws) -> CovOperator:
     """Monte Carlo kernel estimate and its eigenpairs, from a thin QR of the
     draws and a small symmetric eigenproblem (module docstring)."""
-    check_kernel_size(grid)
-    n_mc = len(draws.samples)
+    grid, n_mc = draws.grid, draws.n_mc
     dim = grid.dim * grid.size
     r0 = draws.r0.reshape(n_mc, dim)
     e = draws.e.reshape(n_mc, dim)
@@ -255,6 +250,9 @@ def compute_cov_operator(grid: TorusGrid,
     eigvals, eigvecs = np.linalg.eigh(small * weight)
     eigvals = eigvals[::-1]
     eigvecs = eigvecs[:, ::-1]
+    # the estimate is zero off the range of Q
+    min_eig = float(eigvals[-1]) if q.shape[1] == dim \
+        else min(float(eigvals[-1]), 0.0)
     # Frobenius standard error: the entry variances of the draws' symmetrised
     # outer products sum to n/(n-1) (mean_i |outer_i|_F^2 - |H|_F^2), with
     # |outer_i|_F^2 = (|r_i|^2 |e_i|^2 + (r_i . e_i)^2) / 2 and
@@ -278,7 +276,8 @@ def compute_cov_operator(grid: TorusGrid,
         fields.append(TorusField(grid, 1,
                                  vec.reshape((grid.dim,) + grid.shape)))
     return CovOperator(grid, eigvals[keep], fields, trace, dropped,
-                       float(tol_eig), se_fro, (r0, e))
+                       float(tol_eig), se_fro, min_eig,
+                       float(np.max(np.abs(small - small.T))), (r0, e))
 
 
 # -- structural checks ------------------------------------------------------------

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import COVARIANCE_PATH, as_generator, substream
+from .rng import as_generator
 from .torus import TorusField, TorusGrid, vector_sobolev_norm
 
 RENEWAL = "renewal"
@@ -413,48 +413,3 @@ def resolvent_r1r0_apply(model: ForceFieldModel, sample: ForceSample,
     return _ou_time_quadrature(model, sample, lambda t: -np.expm1(-t),
                                horizon, dt, n_replicates, rng)
 
-
-# -- covariance estimation ------------------------------------------------------
-
-
-@dataclass
-class CovarianceEstimate:
-    """Monte Carlo estimate of E[E(lag, x) (x) E(0, y)] at point pairs."""
-
-    lag: float
-    pairs: np.ndarray      # (npairs, 2, dim) physical coordinates
-    values: np.ndarray     # (npairs, N, N)
-    stderr: np.ndarray     # (npairs, N, N)
-    n_paths: int
-
-
-def estimate_stationary_covariance(model: ForceFieldModel, lag: float,
-                                   n_paths: int, seed,
-                                   pairs=None, dt_ou: float = 0.01
-                                   ) -> CovarianceEstimate:
-    """Sample the stationary two-time covariance kernel at point pairs; path
-    p draws from the stream key `seed` followed by (COVARIANCE_PATH, p)."""
-    if lag < 0:
-        raise ValueError("lag must be nonnegative")
-    if n_paths < 2:
-        raise ValueError("need at least two paths for an error bar")
-    if pairs is None:
-        # default: a small diagonal set of pairs x = y
-        xs = np.linspace(0.0, 1.0, 5, endpoint=False)
-        pts = np.zeros((len(xs), model.grid.dim))
-        pts[:, 0] = xs
-        pairs = np.stack([pts, pts], axis=1)
-    pairs = np.asarray(pairs, dtype=float)
-    npairs = pairs.shape[0]
-    n = model.grid.dim
-    acc = np.zeros((n_paths, npairs, n, n))
-    horizon = max(lag, dt_ou)
-    for p in range(n_paths):
-        path = generate_path(model, horizon, dt_ou=dt_ou,
-                             seed=substream(seed, COVARIANCE_PATH, p))
-        e0 = path.value_at(0.0).field.eval_at(pairs[:, 1, :])
-        et = path.value_at(lag).field.eval_at(pairs[:, 0, :])
-        acc[p] = et[:, :, None] * e0[:, None, :]
-    mean = acc.mean(axis=0)
-    stderr = acc.std(axis=0, ddof=1) / np.sqrt(n_paths)
-    return CovarianceEstimate(lag, pairs, mean, stderr, n_paths)

@@ -35,7 +35,8 @@ MEAN_EQUATION = 10       # criterion 10: (seed, 10, SPDE_NOISE, r)
 CONVERGE_KINETIC = 13    # converge, criterion 12:
 #                          (seed, 13, i, PATH | PARTICLES, .)
 CORRECTOR_SCALING = 14   # criterion 11: (seed, 14, i, PATH | PARTICLES, p)
-STATIONARY = 20          # coefficients and covariance, stationary draw n:
+STATIONARY = 20          # draw_stationary, the one pass that coefficients
+#                          and covariance read, draw n:
 #                          (seed, 20, SAMPLE | R0 | R1 | R1R0, n)
 SPDE_NOISE = 41          # converge, simulate-spde, criterion 12: (seed, 41, r)
 KINETIC_PATH = 201       # simulate-kinetic: (seed, 201, i)
@@ -45,7 +46,6 @@ SAMPLE, R0, R1, R1R0 = 1, 2, 3, 4    # a stationary draw and its resolvents
 PATH, PARTICLES = 11, 12             # functional_samples: path r, block b;
 #                                      check_corrector_scaling: run p
 SYMPOS_LHS, SYMPOS_RESOLVENT, SYMPOS_RHS = 21, 22, 23   # check_sympos_identity
-COVARIANCE_PATH = 7                  # estimate_stationary_covariance: path p
 # and SPDE_NOISE, r: run_ensemble and quadratic_variation_check
 
 

@@ -68,18 +68,18 @@ def draws(model, grid):
 
 
 @pytest.fixture(scope="module")
-def lb_coeffs(model, grid, draws):
-    return compute_coefficients(model, LB, grid, draws)
+def lb_coeffs(draws):
+    return compute_coefficients(draws, LB)
 
 
 @pytest.fixture(scope="module")
-def fp_coeffs(model, grid, draws):
-    return compute_coefficients(model, FP, grid, draws)
+def fp_coeffs(draws):
+    return compute_coefficients(draws, FP)
 
 
 @pytest.fixture(scope="module")
-def cov(grid, draws):
-    return compute_cov_operator(grid, draws)
+def cov(draws):
+    return compute_cov_operator(draws)
 
 
 def test_criterion_01_gaussian_identities():

@@ -11,8 +11,7 @@ from kinlim.coefficients import (check_sympos_identity,
                                  closed_form_two_point_diffusion,
                                  coefficients_from_csv, coefficients_to_csv,
                                  compute_coefficients, compute_cov_operator,
-                                 draw_stationary, KernelTooLarge,
-                                 spectrum_from_csv,
+                                 draw_stationary, spectrum_from_csv,
                                  spectrum_to_csv, verify_enhancement)
 from kinlim.config import ExperimentConfig, file_checksum
 from kinlim.equilibrium import FP, LB
@@ -36,8 +35,7 @@ def model(grid):
 
 def test_zero_law_coefficients(grid):
     m = zero_renewal(grid)
-    coeffs = compute_coefficients(m, LB, grid,
-                                  draw_stationary(m, grid, 128, seed=1))
+    coeffs = compute_coefficients(draw_stationary(m, grid, 128, seed=1), LB)
     assert np.max(np.abs(coeffs.diffusion.values[0, 0] - 1.0)) < 1e-12
     assert np.max(np.abs(coeffs.drift.values)) < 1e-12
 
@@ -46,7 +44,7 @@ def test_two_point_diffusion_closed_forms(grid, model):
     xs = grid.axis()
     draws = draw_stationary(model, grid, 200, seed=2)
     for collision, coef in ((LB, 1.5), (FP, 1.0)):
-        coeffs = compute_coefficients(model, collision, grid, draws)
+        coeffs = compute_coefficients(draws, collision)
         expected = 1.0 + coef * A**2 * np.cos(2 * np.pi * xs) ** 2
         tol = 3 * coeffs.diffusion_stderr[0, 0] + 1e-10
         assert np.all(np.abs(coeffs.diffusion.values[0, 0] - expected) <= tol)
@@ -61,7 +59,7 @@ def test_two_point_drift_closed_form(grid, model):
     s = np.sin(2 * np.pi * xs)
     draws = draw_stationary(model, grid, 150, seed=3)
     for collision, b in ((LB, 2.0), (FP, 1.0)):
-        coeffs = compute_coefficients(model, collision, grid, draws)
+        coeffs = compute_coefficients(draws, collision)
         expected = (b / 2) * A**2 * 2 * c * (-2 * np.pi * s) \
             + 0.5 * A**2 * c * (-2 * np.pi * s)
         tol = 3 * np.max(coeffs.drift_stderr) + 1e-8
@@ -70,13 +68,13 @@ def test_two_point_drift_closed_form(grid, model):
 
 def test_cov_operator_zero_law(grid):
     m = zero_renewal(grid)
-    cov = compute_cov_operator(grid, draw_stationary(m, grid, 128, seed=4))
+    cov = compute_cov_operator(draw_stationary(m, grid, 128, seed=4))
     assert cov.rank == 0
     assert cov.trace == pytest.approx(0.0, abs=1e-15)
 
 
 def test_cov_operator_rank_one_spectrum(grid, model):
-    cov = compute_cov_operator(grid, draw_stationary(model, grid, 200, seed=5))
+    cov = compute_cov_operator(draw_stationary(model, grid, 200, seed=5))
     # H(x, y) = a^2 cos(2 pi x) cos(2 pi y): rank one, lambda = a^2/2
     assert cov.rank == 1
     assert cov.eigenvalues[0] == pytest.approx(A**2 / 2, rel=1e-10)
@@ -88,12 +86,20 @@ def test_cov_operator_rank_one_spectrum(grid, model):
     assert cov.trace <= grid.dim * model.norm_bound
 
 
-def test_cov_operator_symmetry_and_psd(grid, model):
-    cov = compute_cov_operator(grid, draw_stationary(model, grid, 150, seed=6))
-    assert np.max(np.abs(cov.kernel - cov.kernel.T)) < 1e-10
-    op = cov.kernel / grid.size
-    eigs = np.linalg.eigvalsh(op)
-    assert eigs.min() >= -cov.tol_eig
+def test_cov_operator_symmetry_and_psd():
+    # the recorded smallest eigenvalue is the dense one: 1-D m=64, and 2-D
+    # m=16 with QR width 2 n_mc = 400 < 512, where the estimate is zero off
+    # the QR basis
+    one, two = TorusGrid(1, 64), TorusGrid(2, 16)
+    for model, n_mc in ((two_point_renewal(one, A), 150),
+                        (three_atom_law(two), 200)):
+        grid = model.grid
+        cov = compute_cov_operator(draw_stationary(model, grid, n_mc, seed=6))
+        assert np.max(np.abs(cov.kernel - cov.kernel.T)) < 1e-10
+        assert cov.symmetry_gap < 1e-10
+        eigs = np.linalg.eigvalsh(cov.kernel / grid.size)
+        assert eigs.min() >= -cov.tol_eig
+        assert cov.min_eigenvalue == pytest.approx(eigs.min(), abs=1e-12)
 
 
 def test_eigenfield_orthonormality(grid):
@@ -113,7 +119,7 @@ def test_eigenfield_orthonormality(grid):
     a2 = TorusField.from_function(grid, 1, comp2)
     m = ForceFieldModel("renewal", grid,
                         atoms=[a1, -1.0 * a1, a2, -1.0 * a2])
-    cov = compute_cov_operator(grid, draw_stationary(m, grid, 4000, seed=7))
+    cov = compute_cov_operator(draw_stationary(m, grid, 4000, seed=7))
     assert cov.rank == 2
     for i, zi in enumerate(cov.eigenfields):
         for j, zj in enumerate(cov.eigenfields):
@@ -138,7 +144,7 @@ def test_kernel_reconstruction(grid):
     a2 = TorusField.from_function(grid, 1, comp2)
     m = ForceFieldModel("renewal", grid,
                         atoms=[a1, -1.0 * a1, a2, -1.0 * a2])
-    cov = compute_cov_operator(grid, draw_stationary(m, grid, 2000, seed=8))
+    cov = compute_cov_operator(draw_stationary(m, grid, 2000, seed=8))
     recon = np.zeros_like(cov.kernel)
     for lam, z in zip(cov.eigenvalues, cov.eigenfields):
         flat = z.physical().reshape(-1)
@@ -150,10 +156,9 @@ def test_kernel_reconstruction(grid):
 
 def test_enhancement_report(grid, model):
     draws = draw_stationary(model, grid, 150, seed=12)
-    cov = compute_cov_operator(grid,
-                               draw_stationary(model, grid, 150, seed=13))
+    cov = compute_cov_operator(draw_stationary(model, grid, 150, seed=13))
     for collision in (LB, FP):
-        coeffs = compute_coefficients(model, collision, grid, draws)
+        coeffs = compute_coefficients(draws, collision)
         rep = verify_enhancement(coeffs, cov)
         assert rep.passed
         assert rep.min_eig_over_base >= -rep.tolerance
@@ -166,9 +171,8 @@ def test_enhancement_report(grid, model):
 
 def test_enhancement_zero_law(grid):
     m = zero_renewal(grid)
-    coeffs = compute_coefficients(m, LB, grid,
-                                  draw_stationary(m, grid, 128, seed=14))
-    cov = compute_cov_operator(grid, draw_stationary(m, grid, 128, seed=15))
+    coeffs = compute_coefficients(draw_stationary(m, grid, 128, seed=14), LB)
+    cov = compute_cov_operator(draw_stationary(m, grid, 128, seed=15))
     rep = verify_enhancement(coeffs, cov)
     assert rep.passed
     assert rep.min_eig_over_base == pytest.approx(0.0, abs=1e-12)
@@ -178,10 +182,9 @@ def test_enhancement_zero_law(grid):
 def test_enhancement_detects_mismatched_collision(grid, model):
     # coefficients computed for velocity-diffusion collisions but relabelled
     # as jump collisions break the Ito/Stratonovich consistency split
-    coeffs = compute_coefficients(model, FP, grid,
-                                  draw_stationary(model, grid, 150, seed=16))
-    cov = compute_cov_operator(grid,
-                               draw_stationary(model, grid, 150, seed=17))
+    coeffs = compute_coefficients(
+        draw_stationary(model, grid, 150, seed=16), FP)
+    cov = compute_cov_operator(draw_stationary(model, grid, 150, seed=17))
     coeffs.collision_factor = 2.0   # deliberate mislabel
     rep = verify_enhancement(coeffs, cov)
     assert not rep.passed
@@ -201,15 +204,13 @@ def test_scaling_covariance(grid):
     # doubling the amplitude scales the kernel by 4 and K - Id by 4
     m1 = two_point_renewal(grid, A)
     m2 = two_point_renewal(grid, 2 * A)
-    c1 = compute_coefficients(m1, LB, grid,
-                              draw_stationary(m1, grid, 150, seed=19))
-    c2 = compute_coefficients(m2, LB, grid,
-                              draw_stationary(m2, grid, 150, seed=19))
+    c1 = compute_coefficients(draw_stationary(m1, grid, 150, seed=19), LB)
+    c2 = compute_coefficients(draw_stationary(m2, grid, 150, seed=19), LB)
     d1 = c1.diffusion.values[0, 0] - 1.0
     d2 = c2.diffusion.values[0, 0] - 1.0
     assert np.max(np.abs(d2 - 4.0 * d1)) < 1e-10
-    k1 = compute_cov_operator(grid, draw_stationary(m1, grid, 150, seed=20))
-    k2 = compute_cov_operator(grid, draw_stationary(m2, grid, 150, seed=20))
+    k1 = compute_cov_operator(draw_stationary(m1, grid, 150, seed=20))
+    k2 = compute_cov_operator(draw_stationary(m2, grid, 150, seed=20))
     assert k2.eigenvalues[0] == pytest.approx(4 * k1.eigenvalues[0], rel=1e-10)
     th1 = c1.drift.values[0]
     th2 = c2.drift.values[0]
@@ -221,18 +222,10 @@ def test_n_mc_validation(grid, model):
         draw_stationary(model, grid, 10, seed=0)
 
 
-def test_kernel_dimension_guard(grid, model):
-    big = TorusGrid(2, 64)
-    # refused on the grid alone, before the draws are read
-    with pytest.raises(KernelTooLarge):
-        compute_cov_operator(big, draw_stationary(model, grid, 100, seed=0))
-
-
 def test_csv_round_trip(tmp_path, grid, model):
-    coeffs = compute_coefficients(model, LB, grid,
-                                  draw_stationary(model, grid, 150, seed=21))
-    cov = compute_cov_operator(grid,
-                               draw_stationary(model, grid, 150, seed=22))
+    coeffs = compute_coefficients(
+        draw_stationary(model, grid, 150, seed=21), LB)
+    cov = compute_cov_operator(draw_stationary(model, grid, 150, seed=22))
     cpath = tmp_path / "coeffs.csv"
     spath = tmp_path / "spectrum.csv"
     coefficients_to_csv(coeffs, cpath)
@@ -252,10 +245,9 @@ def test_contract_files_give_back_the_computed_doubles(tmp_path, model):
     # coefficients.csv and spectrum.csv hold every double exactly, so the
     # SPDE stages read the coefficients the coeffs stage computed
     grid = model.grid
-    coeffs = compute_coefficients(model, LB, grid,
-                                  draw_stationary(model, grid, 150, seed=23))
-    cov = compute_cov_operator(grid,
-                               draw_stationary(model, grid, 150, seed=24))
+    coeffs = compute_coefficients(
+        draw_stationary(model, grid, 150, seed=23), LB)
+    cov = compute_cov_operator(draw_stationary(model, grid, 150, seed=24))
     coefficients_to_csv(coeffs, tmp_path / "coefficients.csv")
     spectrum_to_csv(cov, tmp_path / "spectrum.csv")
     c2 = coefficients_from_csv(tmp_path / "coefficients.csv")
@@ -277,7 +269,7 @@ def dense_reference(draws, grid):
     """The dense estimate: per-draw symmetrised outer products accumulated
     into (dim, dim) arrays, their per-entry standard errors, and a full
     symmetric eigendecomposition of the weighted kernel."""
-    n = len(draws.samples)
+    n = draws.n_mc
     dim = grid.dim * grid.size
     acc = np.zeros((dim, dim))
     acc_sq = np.zeros((dim, dim))
@@ -314,7 +306,7 @@ def test_low_rank_matches_dense_reference(law):
         model = ou_single_mode(grid, A, clip_radius=8.0)
         kw = dict(horizon=12.0, dt=0.05, n_replicates=16)
     draws = draw_stationary(model, grid, n_mc, seed=9, resolvent_kwargs=kw)
-    cov = compute_cov_operator(grid, draws)
+    cov = compute_cov_operator(draws)
     kernel, se_fro, eigvals, eigvecs = dense_reference(draws, grid)
     assert cov.qr_width == min(grid.dim * grid.size, 2 * n_mc)
     assert cov.rank == (2 if law == "three-atom" else 1)
@@ -330,13 +322,13 @@ def test_low_rank_matches_dense_reference(law):
 
 def test_eigenfield_sign_rule(grid, model):
     # the first value above 1e-8 of the largest is positive: +sqrt(2) cos
-    cov = compute_cov_operator(grid, draw_stationary(model, grid, 100, seed=5))
+    cov = compute_cov_operator(draw_stationary(model, grid, 100, seed=5))
     z = cov.eigenfields[0].values[0]
     target = np.sqrt(2) * np.cos(2 * np.pi * grid.axis())
     assert np.max(np.abs(z - target)) < 1e-12
     three = three_atom_law(grid)
     for z in compute_cov_operator(
-            grid, draw_stationary(three, grid, 100, seed=5)).eigenfields:
+        draw_stationary(three, grid, 100, seed=5)).eigenfields:
         flat = z.physical().reshape(-1)
         assert flat[np.argmax(np.abs(flat) > 1e-8 * np.abs(flat).max())] > 0
 
@@ -348,8 +340,7 @@ def test_rank_deficient_kernel_keeps_dense_accuracy():
     # kept, they moved it by 2.6e-14
     grid = TorusGrid(2, 16)
     model = two_point_renewal(grid, A)
-    cov = compute_cov_operator(grid, draw_stationary(model, grid, 100,
-                                                     seed=1))
+    cov = compute_cov_operator(draw_stationary(model, grid, 100, seed=1))
     assert cov.qr_width == 200 and cov.rank == 1
     assert cov.eigenvalues[0] == pytest.approx(A**2 / 2, rel=1e-14)
     target = np.zeros((2,) + grid.shape)
@@ -364,13 +355,28 @@ def test_cov_operator_holds_no_dense_kernel():
     model = two_point_renewal(grid, A)
     tracemalloc.start()
     try:
-        cov = compute_cov_operator(grid,
-                                   draw_stationary(model, grid, 100, seed=1))
+        cov = compute_cov_operator(draw_stationary(model, grid, 100, seed=1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert cov.rank == 1
     assert peak < 8e6
+
+
+def test_cov_operator_2d_m32_below_half_a_dense_kernel():
+    # 2-D m=32: one dense 2048 x 2048 kernel is 33.6 MB
+    grid = TorusGrid(2, 32)
+    model = two_point_renewal(grid, A)
+    draws = draw_stationary(model, grid, 100, seed=1)
+    tracemalloc.start()
+    try:
+        cov = compute_cov_operator(draws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cov.rank == 1
+    assert cov.eigenvalues[0] == pytest.approx(A**2 / 2, abs=1e-12)
+    assert peak < 2048**2 * 8 / 2
 
 
 def test_spectrum_does_not_depend_on_blas_threads(tmp_path):

@@ -50,8 +50,8 @@ def test_particles_2d_mass_and_equilibrium():
 def test_coefficients_2d_closed_form():
     grid = TorusGrid(2, 8)
     model = two_point_2d(grid, 0.4)
-    coeffs = compute_coefficients(model, LB, grid,
-                                  draw_stationary(model, grid, 120, seed=3))
+    coeffs = compute_coefficients(
+        draw_stationary(model, grid, 120, seed=3), LB)
     x, y = grid.coords()
     # Id + (3/2) E[e x e] with e = (a cos(2 pi x), a/2 sin(2 pi y))
     e0 = 0.4 * np.cos(2 * np.pi * x)
@@ -62,7 +62,7 @@ def test_coefficients_2d_closed_form():
         < 1e-10
     assert np.max(np.abs(coeffs.diffusion.values[0, 1] - 1.5 * e0 * e1)) \
         < 1e-10
-    cov = compute_cov_operator(grid, draw_stationary(model, grid, 120, seed=4))
+    cov = compute_cov_operator(draw_stationary(model, grid, 120, seed=4))
     # the atom is one fixed vector field, so the kernel is rank one with
     # eigenvalue ||f||^2 = a^2/2 + (a/2)^2/2
     assert cov.rank == 1
@@ -76,8 +76,7 @@ def test_spde_2d_heat_mode_decay():
     grid = TorusGrid(2, 16)
     from kinlim.forcing import zero_renewal
     zero = zero_renewal(grid)
-    ident = compute_coefficients(zero, LB, grid,
-                                 draw_stationary(zero, grid, 100, seed=5))
+    ident = compute_coefficients(draw_stationary(zero, grid, 100, seed=5), LB)
     rho0 = TorusField.from_function(
         grid, 0, lambda x, y: 1.0 + np.cos(2 * np.pi * x)
         + 0.5 * np.cos(2 * np.pi * y))
@@ -98,7 +97,7 @@ def test_ou_coefficients_ballpark():
     model = ou_single_mode(grid, amp, clip_radius=8.0)
     kw = dict(horizon=12.0, dt=0.05, n_replicates=64)
     draws = draw_stationary(model, grid, 150, seed=6, resolvent_kwargs=kw)
-    coeffs = compute_coefficients(model, LB, grid, draws, resolvent_kwargs=kw)
+    coeffs = compute_coefficients(draws, LB)
     xs = grid.axis()
     expected = 1.0 + 1.5 * amp**2 * np.cos(2 * np.pi * xs) ** 2
     tol = 3 * np.max(coeffs.diffusion_stderr) + 0.05
@@ -109,7 +108,7 @@ def test_ou_cov_operator_rank_one():
     grid = TorusGrid(1, 16)
     amp = 0.5
     model = ou_single_mode(grid, amp, clip_radius=8.0)
-    cov = compute_cov_operator(grid, draw_stationary(
+    cov = compute_cov_operator(draw_stationary(
         model, grid, 200, seed=7,
         resolvent_kwargs=dict(horizon=12.0, dt=0.05, n_replicates=64)))
     # kernel approximates a^2 u^2 cos cos with E[u^2] = 1: lambda1 ~ a^2/2

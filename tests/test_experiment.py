@@ -7,14 +7,15 @@ import pytest
 from scipy import stats
 
 from kinlim import experiment
-from kinlim.coefficients import (compute_coefficients, compute_cov_operator,
-                                 draw_stationary)
+from kinlim.coefficients import (CovOperator, compute_coefficients,
+                                 compute_cov_operator, draw_stationary)
 from kinlim.config import ExperimentConfig
 from kinlim.equilibrium import FP, LB
 from kinlim.experiment import (_ks_statistic, _trend_excess,
                                build_model, check_coefficients_closed_form,
-                               check_enhancement, coefficients_stage,
-                               convergence_study, default_initial_density,
+                               check_cov_operator, check_enhancement,
+                               coefficients_stage, convergence_study,
+                               default_initial_density,
                                default_test_functions, load_coefficient_stage,
                                validation_suite)
 from kinlim.forcing import two_point_renewal
@@ -124,8 +125,8 @@ def test_point_mass_functional_has_exact_zero_gaps():
     grid = TorusGrid(1, 16)
     model = build_model(cfg)
     draws = draw_stationary(model, grid, 100, seed=3)
-    rep = convergence_study(cfg, compute_coefficients(model, LB, grid, draws),
-                            compute_cov_operator(grid, draws))
+    rep = convergence_study(cfg, compute_coefficients(draws, LB),
+                            compute_cov_operator(draws))
     one = rep.xi_names.index("one")
     cells = (rep.mean_gaps, rep.mean_gap_se, rep.var_gaps, rep.var_gap_se,
              rep.ks_stats)
@@ -139,15 +140,15 @@ def test_mislabel_detection():
 
     grid = TorusGrid(1, 32)
     model = two_point_renewal(grid, 0.5)
-    coeffs = compute_coefficients(model, FP, grid,
-                                  draw_stationary(model, grid, 120, seed=1))
+    coeffs = compute_coefficients(
+        draw_stationary(model, grid, 120, seed=1), FP)
     [ok] = check_coefficients_closed_form(coeffs, 0.5, 1, tol)
     assert ok.passed
     coeffs.collision = LB           # deliberate mislabel
     coeffs.collision_factor = 2.0
     [bad] = check_coefficients_closed_form(coeffs, 0.5, 1, tol)
     assert not bad.passed
-    cov = compute_cov_operator(grid, draw_stationary(model, grid, 120, seed=2))
+    cov = compute_cov_operator(draw_stationary(model, grid, 120, seed=2))
     assert not all(c.passed for c in
                    check_enhancement(coeffs, cov, strato_bound=1e-12))
 
@@ -172,7 +173,27 @@ def test_coefficient_stage_files_and_reload(tmp_path):
     assert np.allclose(loaded_k.eigenvalues, cov.eigenvalues)
 
 
-def test_validation_suite_mini_passes():
+def no_dense_kernel(monkeypatch):
+    def refuse(self):
+        raise AssertionError("dense covariance kernel read")
+    monkeypatch.setattr(CovOperator, "kernel", property(refuse))
+
+
+def test_check_cov_operator_reads_no_dense_kernel(monkeypatch):
+    # criterion 6 reads the symmetry and the smallest eigenvalue recorded
+    # from the low-rank form
+    grid = TorusGrid(2, 16)
+    model = two_point_renewal(grid, 0.5)
+    cov = compute_cov_operator(draw_stationary(model, grid, 100, seed=4))
+    no_dense_kernel(monkeypatch)
+    results = check_cov_operator(model, cov, 0.5, mode=1, n_sigma=3.0,
+                                 trace_slack=1e-12)
+    assert all(r.passed for r in results)
+    assert [r.observed for r in results[:2]] == [0.0, 0.0]
+
+
+def test_validation_suite_mini_passes(monkeypatch):
+    no_dense_kernel(monkeypatch)
     cfg = ExperimentConfig(grid_m=32, n_mc=100, n_paths=1500,
                            n_particles=2000, seed=9)
     report = validation_suite(cfg)

@@ -4,8 +4,7 @@ from scipy import stats
 
 from kinlim.equilibrium import LB
 from kinlim.forcing import (ForceFieldModel, ForcePath, ForceSample, PathBlock,
-                            constant_two_point_renewal,
-                            estimate_stationary_covariance, generate_path,
+                            constant_two_point_renewal, generate_path,
                             ou_single_mode, resolvent_apply,
                             resolvent_r1r0_apply, sample_stationary,
                             two_point_renewal, zero_renewal)
@@ -100,40 +99,28 @@ def test_marginal_stationarity_ks(model):
     assert stats.ks_2samp(at0, atT).pvalue > 0.01
 
 
+def lag_products(model, lag, n, seed):
+    """E(lag, 0) E(0, 0) on n stationary paths; path p from (seed, 7, p)."""
+    x = np.array([[0.0]])
+    out = np.empty(n)
+    for p in range(n):
+        path = generate_path(model, max(lag, 0.01),
+                             seed=substream(seed, 7, p))
+        out[p] = path.value_at(lag).field.eval_at(x)[0, 0] \
+            * path.value_at(0.0).field.eval_at(x)[0, 0]
+    return out
+
+
 def test_renewal_mixing_decay(model):
     # lag-t covariance of a fixed coefficient decays like exp(-t)
     n = 4000
-    x = np.array([[0.0]])
-    base = estimate_stationary_covariance(model, 0.0, n, seed=21,
-                                          pairs=np.stack([x, x], axis=1))
-    c0 = base.values[0, 0, 0]
+    c0 = lag_products(model, 0.0, n, seed=21).mean()
     for lag in (0.5, 1.0, 2.0):
-        est = estimate_stationary_covariance(model, lag, n, seed=22,
-                                             pairs=np.stack([x, x], axis=1))
+        prods = lag_products(model, lag, n, seed=22)
         expected = np.exp(-lag) * A**2
-        assert abs(est.values[0, 0, 0] - expected) < 3 * est.stderr[0, 0, 0]
+        se = prods.std(ddof=1) / np.sqrt(n)
+        assert abs(prods.mean() - expected) < 3 * se
     assert c0 == pytest.approx(A**2, rel=1e-12)
-
-
-def test_covariance_lag0_enumeration(model):
-    x = np.array([[0.1]])
-    est = estimate_stationary_covariance(model, 0.0, 500, seed=23,
-                                         pairs=np.stack([x, x], axis=1))
-    expected = (A * np.cos(2 * np.pi * 0.1)) ** 2
-    # two-point law: e(x) tensor e(x) is deterministic
-    assert est.values[0, 0, 0] == pytest.approx(expected, rel=1e-10)
-
-
-def test_covariance_zero_law(grid):
-    est = estimate_stationary_covariance(zero_renewal(grid), 1.0, 10, seed=1)
-    assert np.max(np.abs(est.values)) == 0.0
-
-
-def test_covariance_errors(model):
-    with pytest.raises(ValueError):
-        estimate_stationary_covariance(model, -1.0, 10, seed=0)
-    with pytest.raises(ValueError):
-        estimate_stationary_covariance(model, 1.0, 1, seed=0)
 
 
 def test_renewal_resolvent_closed_forms(model):

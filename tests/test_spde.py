@@ -27,16 +27,14 @@ def grid():
 
 def identity_coeffs(grid):
     m = zero_renewal(grid)
-    return compute_coefficients(m, LB, grid,
-                                draw_stationary(m, grid, 128, seed=1))
+    return compute_coefficients(draw_stationary(m, grid, 128, seed=1), LB)
 
 
 def lb_setup(grid, n_mc=150):
     model = two_point_renewal(grid, A)
-    coeffs = compute_coefficients(model, LB, grid,
-                                  draw_stationary(model, grid, n_mc, seed=2))
-    cov = compute_cov_operator(grid,
-                               draw_stationary(model, grid, n_mc, seed=3))
+    coeffs = compute_coefficients(
+        draw_stationary(model, grid, n_mc, seed=2), LB)
+    cov = compute_cov_operator(draw_stationary(model, grid, n_mc, seed=3))
     return coeffs, cov
 
 
@@ -161,10 +159,9 @@ def test_quadratic_variation_paths_are_run_ensemble_paths(grid):
 
 def test_zero_noise_qv_trivial(grid):
     model = zero_renewal(grid)
-    coeffs = compute_coefficients(model, LB, grid,
-                                  draw_stationary(model, grid, 128, seed=12))
-    cov = compute_cov_operator(grid,
-                               draw_stationary(model, grid, 128, seed=13))
+    coeffs = compute_coefficients(
+        draw_stationary(model, grid, 128, seed=12), LB)
+    cov = compute_cov_operator(draw_stationary(model, grid, 128, seed=13))
     rho0 = rho_one_plus_cos(grid)
     xi = TorusField.from_function(grid, 0, lambda x: np.cos(2 * np.pi * x))
     rep = quadratic_variation_check(coeffs, cov, rho0, xi, 0.004, 1e-5,
@@ -293,11 +290,11 @@ def equivalence_case(name):
     if name == "2d-e0":       # the benchmark law: zero fields are dropped
         return lb_setup(grid, n_mc=100)
     model = two_point_2d(grid, 0.4)
-    coeffs = compute_coefficients(model, LB, grid,
-                                  draw_stationary(model, grid, 100, seed=2))
+    coeffs = compute_coefficients(
+        draw_stationary(model, grid, 100, seed=2), LB)
     if name == "2d-full":     # every component and K01 non-zero
         draws = draw_stationary(model, grid, 100, seed=3)
-        return coeffs, compute_cov_operator(grid, draws)
+        return coeffs, compute_cov_operator(draws)
     return coeffs, rank_two_cov(grid)
 
 
