@@ -9,7 +9,9 @@ output file, so reruns can be verified byte for byte.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
+from itertools import pairwise
 
 from .equilibrium import FP, LB
 
@@ -47,16 +49,27 @@ class ExperimentConfig:
             raise ValueError("dim must be 1 or 2 at desk scale")
         if self.grid_m < 4 or self.grid_m & (self.grid_m - 1):
             raise ValueError("grid_m must be a power of two >= 4")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, str) and ("#" in v or v != v.strip()
+                                       or len(v.splitlines()) > 1):
+                raise ValueError(f"{f.name} {v!r}: no '#', line break or "
+                                 "surrounding whitespace in a config value")
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"{f.name} must be finite")
         if len(self.epsilons) < 1 or any(not 0 < e <= 1 for e in self.epsilons):
             raise ValueError("epsilons must lie in (0, 1]")
-        if list(self.epsilons) != sorted(self.epsilons, reverse=True):
+        if any(a <= b for a, b in pairwise(self.epsilons)):
             raise ValueError("epsilons must be strictly decreasing")
         if self.horizon <= 0 or self.dt_spde <= 0:
             raise ValueError("horizon and dt_spde must be positive")
         if not 0 < self.dt_micro_factor <= 0.1:
             raise ValueError("dt_micro_factor must be in (0, 0.1]")
-        if self.n_particles < 100 or self.n_realizations < 2:
+        if self.n_particles < 100 or self.n_realizations < 2 or \
+                self.n_spde_realizations < 2:
             raise ValueError("particle or realization count too small")
+        if self.n_checkpoints < 1 or self.threads < 1:
+            raise ValueError("n_checkpoints and threads must be >= 1")
         if self.n_mc < 100:
             raise ValueError("n_mc must be >= 100")
         return self

@@ -29,10 +29,18 @@ Stepping is a first-order splitting, vectorised over particles:
 
 `moments` estimates the density, current and pressure fields by the exact
 Fourier sums of the per-particle values w, w V, w V V^T on the modes
-max_d |k_d| <= m/4, from one (n, m/2 + 1) phase table per axis, in
-O(n N m) memory, never O(n (m/2 + 1)^N).  `_evolve` is the one stepping
-loop: `run_rescaled`, `functional_samples` and the moment-evolution check
-of `kinlim.experiment` all step through it.
+max_d |k_d| <= m/4.  It goes through the particles in fixed blocks of
+max(1, BLOCK_VALUES // W) particles, W the modes with k_N >= 0 per
+particle (153 in 2-D at m=32, 17 in 1-D at m=64): a block's per-axis phase
+tables (running products of one exponential per particle and axis), its
+mode table, its value rows and its share of the |v|^m totals
+are the only per-particle arrays, so memory stays O(BLOCK_VALUES) whatever
+the particle count.  Each block's sum over particles is an `np.einsum` on
+the real view of its mode table, which runs numpy's own loops and never
+BLAS, and the block sums are added in block order.
+
+`_evolve` is the one stepping loop: `run_rescaled`, `functional_samples`
+and the moment-evolution check of `kinlim.experiment` all step through it.
 
 Randomness is drawn from counter-based streams keyed by realization (force
 paths) and by block (particles), and `functional_samples` forms its blocks
@@ -50,7 +58,8 @@ import numpy as np
 from .equilibrium import LB, _check_collision
 from .forcing import ForceFieldModel, ForcePath, PathBlock, generate_path
 from .rng import PARTICLES, PATH, as_generator, parallel_map, substream
-from .torus import TorusField, TorusGrid, divergence, pairing, sobolev_norm
+from .torus import (BLOCK_VALUES, TorusField, TorusGrid, divergence, pairing,
+                    sobolev_norm)
 
 # Particles per block in `functional_samples`: a block holds as many whole
 # realizations as fit, and at least one.  Measured (BENCH_block_stepping.json,
@@ -144,16 +153,19 @@ def sample_positions(rho: TorusField, n: int, seed) -> np.ndarray:
         edges = np.concatenate([xs, [1.0]])
         u = rng.random(n)
         return np.interp(u, cdf, edges)[:, None]
-    # rejection sampling against the sup of the density
-    vals = rho.physical()
-    bound = float(vals.max()) * 1.05
+    # rejection sampling against 1.05 times the grid maximum; a density
+    # that exceeds it between nodes would be clipped, so it is refused
+    bound = float(rho.physical().max()) * 1.05
     out = np.empty((n, grid.dim))
     filled = 0
     while filled < n:
         cand = rng.random((2 * (n - filled), grid.dim))
-        acc = rng.random(cand.shape[0]) * bound <= np.maximum(
-            rho.eval_at(cand), 0.0)
-        take = cand[acc][: n - filled]
+        level = rng.random(cand.shape[0]) * bound
+        dens = np.maximum(rho.eval_at(cand), 0.0)
+        if (dens > bound).any():
+            raise ValueError(f"density {dens.max():.4g} between grid nodes "
+                             f"exceeds the rejection envelope {bound:.4g}")
+        take = cand[level <= dens][: n - filled]
         out[filled:filled + take.shape[0]] = take
         filled += take.shape[0]
     return out
@@ -219,25 +231,54 @@ def step_micro(ens: ParticleEnsemble, block: PathBlock, dt: float, seed,
 
 
 def _empirical_modes(grid: TorusGrid, positions: np.ndarray,
-                     values: np.ndarray, kmax: int) -> np.ndarray:
+                     values, kmax: int) -> np.ndarray:
     """Exact sums S_c(k) = sum_i values_ic exp(-2 pi i k.x_i) of real values
     (n, C) for max_d |k_d| <= min(kmax, m/2 - 1), zero outside; returns
-    (C,) + grid.shape in FFT order.  From per-axis tables exp(-2 pi i k x_d)
-    (n, 2 kmax + 1), in O(n N (2 kmax + 1)) memory: values^T @ table_0 in 1-D,
-    (values_c * table_0)^T @ table_1 per component in 2-D, each one gemm over
-    all particles, for k_N >= 0 only, as S(-k) = conj S(k).
+    (C,) + grid.shape in FFT order.
+
+    `values` is the (n, C) array, or a function that returns the rows
+    values[sl] of a slice sl of particles, so that callers need not form
+    all n rows at once.  Particles go in blocks of max(1, BLOCK_VALUES // W),
+    W = (2 kmax + 1)^(N-1) (kmax + 1) the modes with k_N >= 0.  A block
+    forms its per-axis tables exp(-2 pi i k x_d), k = 0..kmax, as running
+    products of exp(-2 pi i x_d), one complex exponential per particle and
+    axis (at k <= 16 within 1.1e-14 of the exact phase, where exp of the
+    rounded angle 2 pi k x_d is within 1.5e-14), then their outer product,
+    its (b, W) mode table (the half table in 1-D), and reduces over its
+    particles with `np.einsum` on the table's real view.  Without
+    `optimize`, einsum runs numpy's own loops, never BLAS, so the sums do
+    not depend on the BLAS thread count.  Block sums are added in block
+    order, and S(-k) = conj S(k) gives the modes with k_N < 0.  Memory is
+    O(C W + b W) whatever n.
     """
     n, m, dim = positions.shape[0], grid.m, grid.dim
     kmax = min(kmax, m // 2 - 1)
     ks = np.arange(-kmax, kmax + 1)
-    half = [np.exp(-2j * np.pi * np.outer(x, ks[kmax:])) for x in positions.T]
-    full = [np.concatenate([h[:, :0:-1].conj(), h], 1) for h in half[:-1]]
-    sums = []
-    for lead in [values] if dim == 1 else values.T[:, :, None]:
-        for table in full:
-            lead = (lead[:, :, None] * table[:, None, :]).reshape(n, -1)
-        sums.append(lead.T @ half[-1])
-    s = np.concatenate(sums).reshape(-1, *[ks.size] * (dim - 1), kmax + 1)
+    rows = values if callable(values) else values.__getitem__
+    width = ks.size ** (dim - 1) * (kmax + 1)
+    size = max(1, BLOCK_VALUES // width)
+    # one buffer for the blocks' mode tables: a fresh 256 kB array per
+    # block would cost page faults
+    table_buf = np.empty((min(size, n), width), dtype=complex)
+    sums = 0.0
+    for lo in range(0, n, size):
+        # per-axis half tables (b, N, kmax + 1) of the powers of
+        # exp(-2 pi i x_d); the mode table is the last one times the full
+        # tables of the other axes, axis 0 outermost
+        step = np.exp(-2j * np.pi * positions[lo:lo + size])
+        b = len(step)
+        half = np.ones((b, dim, kmax + 1), dtype=complex)
+        np.cumprod(np.broadcast_to(step[:, :, None], (b, dim, kmax)), axis=2,
+                   out=half[:, :, 1:])
+        table = half[:, -1]
+        for d in reversed(range(dim - 1)):
+            full = np.concatenate([half[:, d, :0:-1].conj(), half[:, d]], 1)
+            out = table_buf[:b].reshape(b, ks.size, -1) if d == 0 else None
+            table = np.multiply(full[:, :, None], table[:, None, :],
+                                out=out).reshape(b, -1)
+        sums += np.einsum("ic,ik->ck", rows(slice(lo, lo + b)),
+                          table.view(np.float64))
+    s = sums.view(complex).reshape(-1, *[ks.size] * (dim - 1), kmax + 1)
     spec = np.zeros((len(s),) + grid.shape, dtype=complex)
     spec[np.ix_(range(len(s)), *[ks % m] * dim)] = np.concatenate(
         [np.flip(s, tuple(range(1, s.ndim)))[..., :-1].conj(), s], axis=-1)
@@ -247,15 +288,25 @@ def _empirical_modes(grid: TorusGrid, positions: np.ndarray,
 def moments(ens: ParticleEnsemble, grid: TorusGrid) -> DensityEstimate:
     """Density, current and pressure fields plus total velocity moments:
     the exact sums of the per-particle values w, w v, w v v^T on the modes
-    max_d |k_d| <= m/4 (`_empirical_modes`), in one call."""
+    max_d |k_d| <= m/4, in one call.  `_empirical_modes` asks for the
+    value rows one particle block at a time; each block also adds its share
+    of the totals sum_i w_i |v_i|^p, p = 0..3, in block order, so no array
+    over all n particles is formed."""
     w, v = ens.weights, ens.velocities
-    n, dim = v.shape
-    speeds = np.linalg.norm(v, axis=1)
-    totals = np.array([np.sum(w * speeds**m) for m in range(4)])
-    # per-particle values of the rank 0, 1 and 2 moments, side by side
-    vals = np.concatenate([w[:, None], w[:, None] * v, (w[:, None, None] * (
-        v[:, :, None] * v[:, None, :])).reshape(n, -1)], axis=1)
-    flat = _empirical_modes(grid, ens.positions, vals, grid.m // 4)
+    dim = v.shape[1]
+    totals = np.zeros(4)
+
+    def rows(sl):
+        # the block's share of the totals, then its per-particle values of
+        # the rank 0, 1 and 2 moments, side by side
+        wb, vb = w[sl, None], v[sl]
+        speeds = np.sqrt(np.einsum("ij,ij->i", vb, vb))
+        totals[:] += np.einsum("i,im->m", wb[:, 0],
+                               speeds[:, None] ** np.arange(4))
+        return np.concatenate([wb, wb * vb, (wb[:, :, None] * (
+            vb[:, :, None] * vb[:, None, :])).reshape(len(vb), -1)], axis=1)
+
+    flat = _empirical_modes(grid, ens.positions, rows, grid.m // 4)
     rho, cur, pres = [TorusField(
         grid, rank, flat[lo:lo + dim**rank].reshape((dim,) * rank + grid.shape),
         space="spectral").to_physical()

@@ -40,7 +40,7 @@ an imaginary part that no real field has; as usual for real fields, the
 derivative symbol 2 pi i k_i is set to zero on every mode with
 |k_i| = m/2 (the second-order Crank-Nicolson symbol keeps k_i^2).
 
-Realizations are advanced in blocks of BLOCK_VALUES grid values
+Realizations are advanced in blocks of `torus.BLOCK_VALUES` grid values
 (max(1, BLOCK_VALUES // M^N) realizations, the last block may hold fewer),
 one `step_hat` call per block, so the step's temporaries stay cache-sized
 whatever the ensemble size; each step writes every block into one fresh
@@ -63,13 +63,11 @@ import numpy as np
 
 from .coefficients import CovOperator, HydroCoefficients
 from .rng import SPDE_NOISE, substream
-from .torus import TorusField, TorusGrid, divergence, gradient
+from .torus import (BLOCK_VALUES, TorusField, TorusGrid, divergence,
+                    gradient)
 
 ITO = "ito"
 STRATONOVICH = "stratonovich"
-# Grid values per block of realizations that one step_hat call advances:
-# a physical array of a block is 128 kB (64 realizations at 2-D m=16)
-BLOCK_VALUES = 1 << 14
 
 
 def stability_limit(coeffs: HydroCoefficients) -> float:

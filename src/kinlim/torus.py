@@ -17,6 +17,12 @@ import numpy as np
 
 _RANK_NAMES = {0: "scalar", 1: "vector", 2: "matrix"}
 
+# Values per block of the blocked loops (points x modes in `eval_at`,
+# particles x modes in `kinetic.moments`, realizations x grid values in the
+# SPDE step): a float64 block is 128 kB, so a block's temporaries stay
+# cache-sized whatever the number of points, particles or realizations.
+BLOCK_VALUES = 1 << 14
+
 
 class TorusGrid:
     """Uniform periodic grid on [0, 1)^N."""
@@ -168,6 +174,10 @@ class TorusField:
 
         Sums the nonzero Fourier modes; cost scales with the number of
         retained modes, so this is intended for sparse (few-mode) fields.
+        Points go in blocks of max(1, BLOCK_VALUES // modes), so the
+        points x modes angle, cosine and sine arrays stay bounded; a call
+        that fits one block (every call of a one-mode field on up to
+        BLOCK_VALUES points) is one pass over all points.
         Returns an array of shape (npoints,) + component_shape.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -177,14 +187,18 @@ class TorusField:
             self._mode_cache = self._build_mode_cache()
         comp, c0, k_pair, re_p, im_p, k_self, c_self = self._mode_cache
         out = np.tile(c0, (pts.shape[0], 1))
-        if k_pair.shape[0]:
-            ang = 2 * np.pi * (pts @ k_pair.T)
-            if re_p.any():
-                out += np.cos(ang) @ (2.0 * re_p.T)
-            if im_p.any():
-                out -= np.sin(ang) @ (2.0 * im_p.T)
-        if k_self.shape[0]:
-            out += np.cos(2 * np.pi * (pts @ k_self.T)) @ c_self.T
+        use_re, use_im = re_p.any(), im_p.any()
+        size = max(1, BLOCK_VALUES // max(1, len(k_pair) + len(k_self)))
+        for lo in range(0, pts.shape[0], size):
+            p, o = pts[lo:lo + size], out[lo:lo + size]
+            if k_pair.shape[0]:
+                ang = 2 * np.pi * (p @ k_pair.T)
+                if use_re:
+                    o += np.cos(ang) @ (2.0 * re_p.T)
+                if use_im:
+                    o -= np.sin(ang) @ (2.0 * im_p.T)
+            if k_self.shape[0]:
+                o += np.cos(2 * np.pi * (p @ k_self.T)) @ c_self.T
         return out.reshape((pts.shape[0],) + comp) if comp else out[:, 0]
 
     def _build_mode_cache(self):

@@ -1,9 +1,16 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinlim.cli import main
 from kinlim.coefficients import spectrum_from_csv
 from kinlim.config import ExperimentConfig, RunManifest, file_checksum
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def mini_config(tmp_path, **overrides):
@@ -36,16 +43,64 @@ def test_config_round_trip(tmp_path):
 
 
 def test_config_validation_errors():
-    with pytest.raises(ValueError):
-        ExperimentConfig(collision="bogus").validate()
-    with pytest.raises(ValueError):
-        ExperimentConfig(grid_m=48).validate()
-    with pytest.raises(ValueError):
-        ExperimentConfig(epsilons=(0.25, 0.5)).validate()
-    with pytest.raises(ValueError):
-        ExperimentConfig(dt_micro_factor=0.5).validate()
+    for bad in [
+            dict(collision="bogus"), dict(grid_m=48),
+            dict(epsilons=(0.25, 0.5)), dict(epsilons=(0.5, 0.5, 0.25)),
+            dict(dt_micro_factor=0.5), dict(n_checkpoints=0), dict(threads=0),
+            dict(n_spde_realizations=1), dict(horizon=float("nan")),
+            dict(amplitude=float("inf")), dict(out_dir="runs/#1"),
+            dict(out_dir=" out"), dict(out_dir="out\t"),
+            dict(scenario="desk\nseed = 3"), dict(scenario="a\u2028b")]:
+        with pytest.raises(ValueError):
+            ExperimentConfig(**bad).validate()
     with pytest.raises(ValueError):
         ExperimentConfig.from_text("unknown_key = 3\n")
+
+
+def test_shipped_configs_validate():
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    for wl in WORKLOADS.values():
+        ExperimentConfig.from_text(wl.config_text(1, "out")).validate()
+    ExperimentConfig.load(ROOT / "demos" / "desk.cfg").validate()
+
+
+# Config values a user can write: free text without '#', line breaks or
+# surrounding whitespace, finite numbers within the checked ranges.
+TEXT = st.text(st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp"),
+                             exclude_characters="#"), max_size=12
+               ).map(str.strip)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
+CONFIGS = st.builds(
+    ExperimentConfig, scenario=TEXT, model_kind=st.sampled_from(
+        ["renewal", "ou"]), amplitude=FINITE, mode=st.integers(),
+    sobolev_index=FINITE, collision=st.sampled_from(["lb", "fp"]),
+    dim=st.sampled_from([1, 2]), grid_m=st.sampled_from([4, 8, 64, 1024]),
+    epsilons=st.lists(st.floats(min_value=1e-300, max_value=1.0), min_size=1,
+                      max_size=4, unique=True).map(
+                          lambda e: tuple(sorted(e, reverse=True))),
+    horizon=POSITIVE, dt_micro_factor=st.floats(min_value=1e-300,
+                                                max_value=0.1),
+    dt_spde=POSITIVE, n_particles=st.integers(min_value=100),
+    n_realizations=st.integers(min_value=2),
+    n_spde_realizations=st.integers(min_value=2),
+    n_mc=st.integers(min_value=100), n_paths=st.integers(),
+    n_checkpoints=st.integers(min_value=1), seed=st.integers(0, 2**64 - 1),
+    out_dir=TEXT, threads=st.integers(min_value=1))
+
+
+@given(CONFIGS)
+@settings(max_examples=200, deadline=None)
+def test_config_text_round_trip(cfg):
+    cfg.validate()
+    text = cfg.to_text()
+    back = ExperimentConfig.from_text(text)
+    assert back == cfg
+    assert back.to_text() == text
 
 
 def test_coeffs_stage_and_determinism(tmp_path):

@@ -213,11 +213,16 @@ def test_empirical_fourier_estimator_is_exact_sum(model):
 
 @pytest.mark.parametrize("dim, m, kmax", [(1, 16, 3), (1, 16, 40),
                                           (2, 8, 2), (2, 8, 9)])
-def test_empirical_fourier_estimator_every_rank_is_exact_sum(dim, m, kmax):
+def test_empirical_fourier_estimator_every_rank_is_exact_sum(dim, m, kmax,
+                                                             monkeypatch):
     # every value column gives the direct sum sum_i v_i exp(-2 pi i k.x_i)
     # on the band max_d |k_d| <= min(kmax, m/2 - 1) (kmax 40 and 9 are
     # clamped) and exactly zero outside it; `moments` gives rho, every
-    # component of J and of the pressure on its band max_d |k_d| <= m/4
+    # component of J and of the pressure on its band max_d |k_d| <= m/4,
+    # and the totals sum_i w_i |v_i|^p.  The 200 particles make one block,
+    # then, with 100 values per block, 8 to 67 blocks (the last part-filled
+    # for three of the four grids).
+    from kinlim import kinetic
     from kinlim.kinetic import _empirical_modes, moments
     grid = TorusGrid(dim, m)
     rng = substream(63, dim, kmax)
@@ -230,21 +235,26 @@ def test_empirical_fourier_estimator_every_rank_is_exact_sum(dim, m, kmax):
     per_rank = [w, w[:, None] * v,
                 w[:, None, None] * v[:, :, None] * v[:, None, :]]
     direct = [np.tensordot(x, phase, axes=(0, 0)) for x in per_rank]
-    raw = _empirical_modes(grid, ens.positions, np.concatenate(
-        [x.reshape(n, -1) for x in per_rank], axis=1), kmax)
-    assert raw.shape == (1 + dim + dim**2,) + grid.shape
-    flat = raw.reshape(len(raw), -1)
-    band = np.max(np.abs(ks), axis=1) <= min(kmax, m // 2 - 1)
-    assert 0 < band.sum() < band.size
     want = np.concatenate([d.reshape(-1, ks.shape[0]) for d in direct])
-    assert np.max(np.abs(flat[:, band] - want[:, band])) < 1e-12
-    assert np.all(flat[:, ~band] == 0)
-    est = moments(ens, grid)
-    band = np.max(np.abs(ks), axis=1) <= m // 4
-    for fld, d in zip((est.rho, est.current, est.pressure), direct):
-        coef = fld.spectrum().reshape(d.shape)
-        assert np.max(np.abs(coef[..., band] - d[..., band])) < 1e-12
-        assert np.max(np.abs(coef[..., ~band])) < 1e-15
+    for block_values in (kinetic.BLOCK_VALUES, 100):
+        monkeypatch.setattr(kinetic, "BLOCK_VALUES", block_values)
+        raw = _empirical_modes(grid, ens.positions, np.concatenate(
+            [x.reshape(n, -1) for x in per_rank], axis=1), kmax)
+        assert raw.shape == (1 + dim + dim**2,) + grid.shape
+        flat = raw.reshape(len(raw), -1)
+        band = np.max(np.abs(ks), axis=1) <= min(kmax, m // 2 - 1)
+        assert 0 < band.sum() < band.size
+        assert np.max(np.abs(flat[:, band] - want[:, band])) < 1e-12
+        assert np.all(flat[:, ~band] == 0)
+        est = moments(ens, grid)
+        band = np.max(np.abs(ks), axis=1) <= m // 4
+        for fld, d in zip((est.rho, est.current, est.pressure), direct):
+            coef = fld.spectrum().reshape(d.shape)
+            assert np.max(np.abs(coef[..., band] - d[..., band])) < 1e-12
+            assert np.max(np.abs(coef[..., ~band])) < 1e-15
+        speeds = np.linalg.norm(v, axis=1)
+        assert np.allclose(est.totals, [np.sum(w * speeds**p)
+                                        for p in range(4)], rtol=1e-14, atol=0)
 
 
 def constant_path(model, field, horizon=1.0):

@@ -21,10 +21,12 @@ from kinlim.torus import TorusField, TorusGrid, pairing
 A = 0.5
 ROOT = Path(__file__).resolve().parents[1]
 
-# Hashes of the Fourier moments in 1-D (criterion 11's 64 points and 50000
-# particles) and 2-D (32x32, 10^4 particles), and of the corrector norms of a
-# short tracked run, printed by a process whose BLAS thread count is fixed
-# by the environment.
+# Hashes of the Fourier moments in 1-D (64 points: criterion 11's 50000
+# particles, and 2000, which leave the last particle block part-filled) and
+# 2-D (32x32: 10^4 particles, and 500, 700 and 963, at which one OpenBLAS
+# matrix product over all particles gives different bytes at 1 and 2
+# threads), and of the corrector norms of a short tracked run, printed by a
+# process whose BLAS thread count is fixed by the environment.
 BLAS_THREADS_PROBE = """
 import hashlib
 import numpy as np
@@ -37,13 +39,14 @@ from kinlim.torus import TorusField, TorusGrid
 def digest(*arrays):
     return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
 
-for dim, m, n in ((1, 64, 50_000), (2, 32, 10_000)):
+for dim, m, n in ((1, 64, 50_000), (1, 64, 2_000), (2, 32, 10_000),
+                  (2, 32, 500), (2, 32, 700), (2, 32, 963)):
     rng = substream(7, dim)
     ens = ParticleEnsemble(rng.random((n, dim)), rng.standard_normal((n, dim)),
                            np.full(n, 1.0 / n), 0.5)
     est = moments(ens, TorusGrid(dim, m))
-    print(dim, digest(est.rho.values, est.current.values,
-                      est.pressure.values))
+    print(dim, n, digest(est.rho.values, est.current.values,
+                         est.pressure.values, est.totals))
 grid = TorusGrid(1, 64)
 cfg = KineticRunConfig("lb", 0.5, 0.01, 0.025, 50_000, grid)
 path = generate_path(two_point_renewal(grid, 0.5), cfg.path_horizon,
@@ -178,7 +181,7 @@ def test_fourier_moments_do_not_depend_on_blas_threads():
                               timeout=300)
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
-    assert len(outputs[0].splitlines()) == 3
+    assert len(outputs[0].splitlines()) == 7
     assert outputs[0] == outputs[1]
 
 
@@ -195,6 +198,33 @@ def test_fourier_moments_hold_no_particles_by_modes_temporary():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+@pytest.mark.parametrize("n", [10_000, 100_000])
+def test_fourier_moments_memory_does_not_grow_with_particles(n):
+    # 2-D, m=32: particles go in blocks of 16384 // 153 = 107, so one call
+    # holds one block's tables and value rows, never an array over all
+    # particles (one (n, 2) float array takes 1.6 MB at n = 10^5)
+    grid2 = TorusGrid(2, 32)
+    ens = uniform_ensemble(n, 0.5, 65, dim=2)
+    moments(ens, grid2)
+    tracemalloc.start()
+    try:
+        moments(ens, grid2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
+def test_sharp_density_refused_by_rejection_sampler():
+    # grid max 1.636 at m=16, envelope 1.05 x 1.636 = 1.718, true max 1.9:
+    # candidates above the envelope would be accepted as if at 1.718
+    grid2 = TorusGrid(2, 16)
+    rho = TorusField.from_function(
+        grid2, 0, lambda x0, x1: 1.0 + 0.9 * np.cos(8 * np.pi * x0 - np.pi / 4))
+    with pytest.raises(ValueError, match="envelope"):
+        kinetic.sample_positions(rho, 1000, substream(66))
 
 
 def test_run_rescaled_uniform_equilibrium(grid):
