@@ -40,8 +40,7 @@ for lag in (0.0, 0.5, 1.0, 2.0):
           f"(se {se:.4f}, exact {amp**2*np.exp(-lag):+.4f})")
 
 s = sample_stationary(model, 4)
-r0 = resolvent_apply(model, 0.0, s, seed=7)
-r1 = resolvent_apply(model, 1.0, s, seed=8)
+r0, r1 = resolvent_apply(model, (0.0, 1.0), s, seed=7)
 print(f"\nrenewal resolvents: max|R0(e) - e| = "
       f"{np.max(np.abs(r0.physical() - s.field.physical())):.1e}, "
       f"max|R1(e) - e/2| = "
@@ -49,7 +48,7 @@ print(f"\nrenewal resolvents: max|R0(e) - e| = "
 
 ou = ou_single_mode(grid, amp)
 s_ou = sample_stationary(ou, 5)
-r1_ou = resolvent_apply(ou, 1.0, s_ou, seed=6, n_replicates=200)
+[r1_ou] = resolvent_apply(ou, (1.0,), s_ou, seed=6, n_replicates=200)
 print(f"OU-driven field: state u0 = {s_ou.state[0]:+.4f}, Monte Carlo "
       f"R1 coefficient {r1_ou.eval_at(x)[0, 0]:+.4f} "
       f"(linear-link prediction {0.5*s_ou.state[0]*amp:+.4f})")

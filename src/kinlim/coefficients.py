@@ -2,13 +2,14 @@
 
 The hydrodynamic limit of the forced kinetic dynamics is driven by three
 objects built from the stationary law of the force field and its resolvents
-R_lam (R_0(e) = e and R_1(e) = e/2 for the renewal construction):
+R_lam (R_0(e) = e and R_1(e) = e/2 for the renewal construction; R_1 R_0 is
+R_0 - R_1 by the resolvent identity):
 
 * diffusion matrix field
     K(x) = Id + (1/2) E[ E (x)sym (R_0 E + (b-1) R_1 E) ](x),
   with b = 2 for jump collisions and b = 1 for velocity diffusion;
 * drift vector field
-    Theta(x) = (b/2) div E[ R_1 E (x)sym E ](x) + E[ R_1 R_0 E  div E ](x);
+    Theta(x) = (b/2) div E[ R_1 E (x)sym E ](x) + E[ (R_0 - R_1) E  div E ](x);
 * covariance kernel
     H(i, x, j, y) = (1/2) E[ (R_0 E)_i(x) E_j(y) + (R_0 E)_j(y) E_i(x) ],
   whose integral operator is symmetric, nonnegative and trace class; its
@@ -19,8 +20,8 @@ averages over stationary draws, with per-entry standard errors; for the
 default two-point base law every second-moment average is deterministic, so
 the estimates coincide with the two-atom enumeration exactly.
 
-Both estimators take one pass of n stationary draws E and their R_0, R_1
-and R_1 R_0 images (`draw_stationary`) as their only input.  The kernel is
+Both estimators take one pass of n stationary draws E and their R_0 and R_1
+images (`draw_stationary`) as their only input.  The kernel is
 discretised by grid quadrature (uniform weight M^-N).  Its Monte Carlo
 estimate (1/2n)(R E^T + E R^T), with the draws as columns of R and E, has
 rank at most 2n, so it is never formed: a thin QR [R E] = Q T gives
@@ -43,9 +44,9 @@ import numpy as np
 
 from .equilibrium import FP, LB, _check_collision, path_weighted_integral
 from .forcing import (ForceFieldModel, generate_path, resolvent_apply,
-                      resolvent_r1r0_apply, sample_stationary)
-from .rng import (R0, R1, R1R0, SAMPLE, STATIONARY, SYMPOS_LHS,
-                  SYMPOS_RESOLVENT, SYMPOS_RHS, substream)
+                      sample_stationary)
+from .rng import (RESOLVENT, SAMPLE, STATIONARY, SYMPOS_LHS, SYMPOS_RESOLVENT,
+                  SYMPOS_RHS, substream)
 from .table import read_table, write_table
 from .torus import TorusField, TorusGrid, divergence, matrix_divergence
 
@@ -146,15 +147,14 @@ def _centering_check(draws: np.ndarray):
 
 @dataclass
 class StationaryDraws:
-    """n_mc stationary draws E and their R_0, R_1 and R_1 R_0 images, from
-    the streams (seed, STATIONARY, SAMPLE | R0 | R1 | R1R0, i): the one
-    input of both estimators.  Each array is (n_mc, N) + grid shape."""
+    """n_mc stationary draws E and their R_0 and R_1 images, from the
+    streams (seed, STATIONARY, SAMPLE | RESOLVENT, i): the one input of both
+    estimators.  Each array is (n_mc, N) + grid shape."""
 
     grid: TorusGrid
     e: np.ndarray
     r0: np.ndarray
     r1: np.ndarray
-    r1r0: np.ndarray
 
     @property
     def n_mc(self) -> int:
@@ -170,18 +170,15 @@ def draw_stationary(model: ForceFieldModel, grid: TorusGrid, n_mc: int,
     kw = resolvent_kwargs or {}
     key = (seed, STATIONARY)
     e = np.empty((n_mc, grid.dim) + grid.shape)
-    r0, r1, r1r0 = np.empty_like(e), np.empty_like(e), np.empty_like(e)
+    r0, r1 = np.empty_like(e), np.empty_like(e)
     for i in range(n_mc):
         s = sample_stationary(model, substream(key, SAMPLE, i))
         e[i] = s.field.physical()
-        r0[i] = resolvent_apply(model, 0.0, s, substream(key, R0, i),
-                                **kw).physical()
-        r1[i] = resolvent_apply(model, 1.0, s, substream(key, R1, i),
-                                **kw).physical()
-        r1r0[i] = resolvent_r1r0_apply(model, s, substream(key, R1R0, i),
-                                       **kw).physical()
+        f0, f1 = resolvent_apply(model, (0.0, 1.0), s,
+                                 substream(key, RESOLVENT, i), **kw)
+        r0[i], r1[i] = f0.physical(), f1.physical()
     _centering_check(e)
-    return StationaryDraws(grid, e, r0, r1, r1r0)
+    return StationaryDraws(grid, e, r0, r1)
 
 
 def compute_coefficients(draws: StationaryDraws,
@@ -197,7 +194,7 @@ def compute_coefficients(draws: StationaryDraws,
     for i, ev in enumerate(draws.e):
         sym0[i] = _sym_outer(ev, draws.r0[i])
         sym1[i] = _sym_outer(draws.r1[i], ev)
-        drift2[i] = draws.r1r0[i] * divergence(
+        drift2[i] = (draws.r0[i] - draws.r1[i]) * divergence(
             TorusField(grid, 1, ev)).physical()[None]
 
     eye = np.eye(n_dim).reshape((n_dim, n_dim) + (1,) * n_dim)
@@ -360,8 +357,8 @@ def check_sympos_identity(model: ForceFieldModel, delta: float = 1.0,
     for i in range(n_mc):
         s = sample_stationary(model, substream(seed, SYMPOS_LHS, i))
         ev = s.field.eval_at(pts)
-        rv = resolvent_apply(model, delta, s, substream(
-            seed, SYMPOS_RESOLVENT, i)).eval_at(pts)
+        rv = resolvent_apply(model, (delta,), s, substream(
+            seed, SYMPOS_RESOLVENT, i))[0].eval_at(pts)
         lhs_draws[i] = rv[:, :, None] * ev[:, None, :] \
             + ev[:, :, None] * rv[:, None, :]
     rhs_draws = np.empty((n_paths, npts, n, n))

@@ -65,12 +65,6 @@ def path_weighted_integral(path: ForcePath, x: np.ndarray, rate: float,
     return total
 
 
-def equilibrium_mean_velocity(path: ForcePath, x) -> np.ndarray:
-    """First moment of the invariant profile: integral exp(s) E(s, x) ds."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    return path_weighted_integral(path, x, 1.0, path.t_start, 0.0)
-
-
 # -- invariant velocity profiles -------------------------------------------------
 
 

@@ -25,9 +25,9 @@ from .config import ExperimentConfig, RunManifest
 from .equilibrium import (FP, LB, gaussian_identities_check,
                           invariant_solution, path_weighted_integral,
                           profile_moments)
-from .forcing import (ForceFieldModel, PathBlock, constant_two_point_renewal,
-                      generate_path, ou_single_mode, resolvent_apply,
-                      resolvent_r1r0_apply, sample_stationary,
+from .forcing import (ForceFieldModel, ForceSample, PathBlock,
+                      constant_two_point_renewal, generate_path,
+                      ou_single_mode, resolvent_apply, sample_stationary,
                       two_point_renewal)
 from .kinetic import (KineticRunConfig, _evolve, functional_samples,
                       run_rescaled)
@@ -36,7 +36,7 @@ from .rng import (CONVERGE_KINETIC, CORRECTOR_SCALING, GAUSSIAN_SHIFTS,
                   MOMENT_PATH, PARTICLES, PATH, RESOLVENT_FORMS,
                   SPDE_LINEARITY, SPDE_MASS, SPDE_QV, SYMPOS, substream)
 from .spde import (mean_equation_solve, quadratic_variation_check,
-                   run_ensemble)
+                   run_ensemble, step_count)
 from .torus import TorusField, TorusGrid, pairing, sobolev_norm
 
 
@@ -191,6 +191,7 @@ def convergence_study(cfg: ExperimentConfig, coeffs: HydroCoefficients,
         raise ValueError("need at least three epsilon values for a trend")
     if cfg.n_realizations < 64 or cfg.n_spde_realizations < 64:
         raise ValueError("need at least 64 samples per law")
+    step_count(cfg.horizon, cfg.dt_spde)    # refuse before any particle runs
     grid = TorusGrid(cfg.dim, cfg.grid_m)
     model = build_model(cfg)
     rho0 = default_initial_density(grid)
@@ -302,15 +303,15 @@ def check_gaussian_identities(n_shifts, bound, seed) -> list:
 
 
 def check_resolvent_closed_forms(model: ForceFieldModel, seed) -> list:
-    """Criterion 2: R0(e) = e, R1(e) = e/2 and R1 R0 = R0 - R1, exactly."""
+    """Criterion 2: R0(e) = e, R1(e) = e/2 and R1 R0 = R0 - R1, exactly;
+    R1 R0 is R1 applied to the field R0(e)."""
     rng = substream(seed, RESOLVENT_FORMS)
     s = sample_stationary(model, rng)
-    e = s.field.physical()
-    r0 = resolvent_apply(model, 0.0, s, rng).physical()
-    r1 = resolvent_apply(model, 1.0, s, rng).physical()
-    r10 = resolvent_r1r0_apply(model, s, rng).physical()
+    f0, f1 = resolvent_apply(model, (0.0, 1.0), s, rng)
+    [f10] = resolvent_apply(model, (1.0,), ForceSample(f0, s.norm_bound), rng)
+    e, r0, r1 = s.field.physical(), f0.physical(), f1.physical()
     worst = max(np.max(np.abs(r0 - e)), np.max(np.abs(r1 - 0.5 * e)),
-                np.max(np.abs(r10 - (r0 - r1))))
+                np.max(np.abs(f10.physical() - (r0 - r1))))
     return [CheckResult("renewal resolvents", worst == 0.0, worst, 0.0,
                         "closed forms and resolvent identity, exact")]
 

@@ -350,8 +350,10 @@ def _clip_rows(u: np.ndarray, radius: float) -> np.ndarray:
     return u * scale
 
 
-def _ou_time_quadrature(model, sample, weight_fn, horizon, dt, n_replicates, rng):
-    """Monte Carlo of integral weight(t) * E[E_t(e)] dt from the given state.
+def _ou_time_quadrature(model, sample, rates, horizon, dt, n_replicates, rng):
+    """Monte Carlo of integral exp(-lam t) E[E_t(e)] dt from the given
+    state, for every rate lam at once: one set of replicates, weighted per
+    rate.
 
     Replicates run in antithetic pairs (mirrored Brownian increments), which
     removes the noise exactly while the clipping is inactive and leaves the
@@ -364,52 +366,37 @@ def _ou_time_quadrature(model, sample, weight_fn, horizon, dt, n_replicates, rng
     sd = np.sqrt(1.0 - decay**2)
     up = np.tile(sample.state, (n_replicates, 1))
     um = up.copy()
-    coef = weight_fn(0.0) * dt * _clip_rows(up[:1], model.clip_radius)[0]
+    # weight exp(-lam 0) = 1 at t = 0
+    coefs = [dt * _clip_rows(up[:1], model.clip_radius)[0] for _ in rates]
     for step in range(1, n):
         xi = rng.standard_normal(up.shape)
         up = decay * up + sd * xi
         um = decay * um - sd * xi
-        w = weight_fn(step * dt)
-        if w == 0.0:
-            continue
         mean_u = 0.5 * (_clip_rows(up, model.clip_radius).mean(axis=0)
                         + _clip_rows(um, model.clip_radius).mean(axis=0))
-        coef += w * dt * mean_u
-    vals = np.tensordot(coef, model._basis_values, axes=(0, 0))
-    return TorusField(model.grid, 1, vals)
+        for coef, lam in zip(coefs, rates):
+            coef += np.exp(-lam * (step * dt)) * dt * mean_u
+    return [TorusField(model.grid, 1,
+                       np.tensordot(coef, model._basis_values, axes=(0, 0)))
+            for coef in coefs]
 
 
-def resolvent_apply(model: ForceFieldModel, lam: float, sample: ForceSample,
+def resolvent_apply(model: ForceFieldModel, rates, sample: ForceSample,
                     seed, horizon: float = 40.0, dt: float = 0.05,
-                    n_replicates: int = 256) -> TorusField:
-    """Resolvent R_lam applied to the field observable at the given sample.
+                    n_replicates: int = 256) -> list:
+    """Resolvents R_lam applied to the field observable at the given sample,
+    one field per rate lam in `rates`.
 
     Renewal: closed form e / (1 + lam).  OU: time-quadrature Monte Carlo of
     integral exp(-lam t) E[E_t(e)] dt over a finite horizon (default 40:
     the OU state decorrelates at rate 1, so the truncated tail is of order
-    exp(-40), far below the Monte Carlo error).
+    exp(-40), far below the Monte Carlo error).  All rates share one set of
+    replicates, so each field is bit for bit the one-rate call's on the same
+    stream.  R_1 R_0 is R_0 - R_1 by the resolvent identity.
     """
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    if any(lam < 0 for lam in rates):
+        raise ValueError("rates must be nonnegative")
     if model.kind == RENEWAL:
-        return sample.field * (1.0 / (1.0 + lam))
-    rng = as_generator(seed)
-    return _ou_time_quadrature(model, sample, lambda t: np.exp(-lam * t),
-                               horizon, dt, n_replicates, rng)
-
-
-def resolvent_r1r0_apply(model: ForceFieldModel, sample: ForceSample,
-                         seed, horizon: float = 40.0, dt: float = 0.05,
-                         n_replicates: int = 256) -> TorusField:
-    """Composition R_1 R_0 applied to the field observable.
-
-    Renewal closed form e/2.  For the OU construction, Fubini plus the Markov
-    property turn the double time integral into a single quadrature with
-    weight (1 - exp(-t)).
-    """
-    if model.kind == RENEWAL:
-        return sample.field * 0.5
-    rng = as_generator(seed)
-    return _ou_time_quadrature(model, sample, lambda t: -np.expm1(-t),
-                               horizon, dt, n_replicates, rng)
-
+        return [sample.field * (1.0 / (1.0 + lam)) for lam in rates]
+    return _ou_time_quadrature(model, sample, rates, horizon, dt,
+                               n_replicates, as_generator(seed))

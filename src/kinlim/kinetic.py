@@ -149,6 +149,8 @@ def sample_positions(rho: TorusField, n: int, seed) -> np.ndarray:
         xs = np.arange(fine) / fine
         vals = np.maximum(rho.eval_at(xs[:, None]), 0.0)
         cdf = np.concatenate([[0.0], np.cumsum(vals)])
+        if not cdf[-1] > 0:
+            raise ValueError("density has no positive mass")
         cdf /= cdf[-1]
         edges = np.concatenate([xs, [1.0]])
         u = rng.random(n)
@@ -156,6 +158,8 @@ def sample_positions(rho: TorusField, n: int, seed) -> np.ndarray:
     # rejection sampling against 1.05 times the grid maximum; a density
     # that exceeds it between nodes would be clipped, so it is refused
     bound = float(rho.physical().max()) * 1.05
+    if not bound > 0:
+        raise ValueError("density has no positive value on the grid")
     out = np.empty((n, grid.dim))
     filled = 0
     while filled < n:

@@ -37,12 +37,12 @@ CONVERGE_KINETIC = 13    # converge, criterion 12:
 CORRECTOR_SCALING = 14   # criterion 11: (seed, 14, i, PATH | PARTICLES, p)
 STATIONARY = 20          # draw_stationary, the one pass that coefficients
 #                          and covariance read, draw n:
-#                          (seed, 20, SAMPLE | R0 | R1 | R1R0, n)
+#                          (seed, 20, SAMPLE | RESOLVENT, n)
 SPDE_NOISE = 41          # converge, simulate-spde, criterion 12: (seed, 41, r)
 KINETIC_PATH = 201       # simulate-kinetic: (seed, 201, i)
 KINETIC_PARTICLES = 202  # simulate-kinetic: (seed, 202, i)
 # Appended after the caller's key.
-SAMPLE, R0, R1, R1R0 = 1, 2, 3, 4    # a stationary draw and its resolvents
+SAMPLE, RESOLVENT = 1, 2             # a stationary draw; its R_0 and R_1
 PATH, PARTICLES = 11, 12             # functional_samples: path r, block b;
 #                                      check_corrector_scaling: run p
 SYMPOS_LHS, SYMPOS_RESOLVENT, SYMPOS_RHS = 21, 22, 23   # check_sympos_identity

@@ -110,7 +110,7 @@ class SpdeStepper:
         phi_vals = [p.physical() for p in phis]
         self.noise_rank = len(phis)
         if scheme == STRATONOVICH:
-            # remove the Ito correction from dr drift: K - sum phi phi^T and
+            # remove the Ito correction from the drift: K - sum phi phi^T and
             # Theta - sum phi_k div phi_k
             noise_diag = cov.noise_diagonal().physical() if cov is not None \
                 else 0.0
@@ -225,11 +225,21 @@ def _full_spectrum(half, grid: TorusGrid):
     return np.concatenate([half, mirror], axis=-1)
 
 
+def step_count(horizon: float, dt: float) -> int:
+    """Number of steps of size dt that end at `horizon`; refused unless it
+    is a whole number (to relative 1e-9) and at least one."""
+    n_steps = round(horizon / dt)
+    if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-9 * horizon:
+        raise ValueError(f"horizon {horizon} is not a whole number of steps "
+                         f"dt = {dt} (at least one)")
+    return n_steps
+
+
 def mean_equation_solve(coeffs: HydroCoefficients, rho_in: TorusField,
                         horizon: float, dt: float) -> TorusField:
     """Deterministic solve of d_t r = div(K grad r + Theta r) (noise off)."""
+    n_steps = step_count(horizon, dt)
     stepper = SpdeStepper(coeffs, None, dt)
-    n_steps = int(round(horizon / dt))
     coef = _half_spectrum(rho_in.spectrum())
     for _ in range(n_steps):
         coef = stepper.step_hat(coef)
@@ -291,8 +301,8 @@ def run_ensemble(coeffs: HydroCoefficients, cov: CovOperator,
     """Batched ensemble of independent realizations with law statistics."""
     if n_realizations < 2:
         raise ValueError("need at least two realizations")
+    n_steps = step_count(horizon, dt)
     stepper = SpdeStepper(coeffs, cov, dt, scheme)
-    n_steps = int(round(horizon / dt))
     xi_phys = [xi.physical() for xi in xi_fields]
     checkpoint_steps = set(np.round(
         np.linspace(0, n_steps, n_checkpoints + 1)).astype(int).tolist())
@@ -353,10 +363,8 @@ def quadratic_variation_check(coeffs: HydroCoefficients, cov: CovOperator,
     dM is <step - noiseless step, xi> from the step's left endpoint.
     """
     grid = rho_in.grid
+    n_steps = step_count(horizon, dt)
     stepper = SpdeStepper(coeffs, cov, dt, ITO)
-    n_steps = int(round(horizon / dt))
-    if n_steps < 1:
-        raise ValueError("horizon shorter than one step")
     gaxes = tuple(range(1, 1 + grid.dim))
     grad_xi = gradient(xi).physical()
     xi_phys = xi.physical()

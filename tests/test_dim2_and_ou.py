@@ -102,6 +102,15 @@ def test_ou_coefficients_ballpark():
     expected = 1.0 + 1.5 * amp**2 * np.cos(2 * np.pi * xs) ** 2
     tol = 3 * np.max(coeffs.diffusion_stderr) + 0.05
     assert np.max(np.abs(coeffs.diffusion.values[0, 0] - expected)) < tol
+    # drift: R_lam e = e / (1 + lam) while the clip is inactive, so it is the
+    # two-point closed form at b = 2; 0.05 of its size covers the ~2.5 %
+    # left-Riemann bias of the dt = 0.05 quadrature
+    b = 2.0
+    c, s = np.cos(2 * np.pi * xs), np.sin(2 * np.pi * xs)
+    expected = (b / 2) * amp**2 * 2 * c * (-2 * np.pi * s) \
+        + 0.5 * amp**2 * c * (-2 * np.pi * s)
+    tol = 3 * np.max(coeffs.drift_stderr) + 0.05 * np.max(np.abs(expected))
+    assert np.max(np.abs(coeffs.drift.values[0] - expected)) < tol
 
 
 def test_ou_cov_operator_rank_one():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from kinlim.duhamel import mild_lb_oracle
-from kinlim.equilibrium import LB, equilibrium_mean_velocity, invariant_solution, \
-    maxwellian, path_weighted_integral
+from kinlim.equilibrium import LB, invariant_solution, maxwellian, \
+    path_weighted_integral
 from kinlim.forcing import (PathBlock, constant_two_point_renewal,
                             generate_path, two_point_renewal, zero_renewal)
 from kinlim.torus import TorusGrid

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from kinlim.equilibrium import (FP, LB, equilibrium_mean_velocity,
-                                gaussian_identities_check, invariant_solution,
-                                maxwellian, path_weighted_integral,
-                                profile_moments)
+from kinlim.equilibrium import (FP, LB, gaussian_identities_check,
+                                invariant_solution, maxwellian,
+                                path_weighted_integral, profile_moments)
 from kinlim.forcing import (constant_two_point_renewal, generate_path,
                             two_point_renewal, zero_renewal)
 from kinlim.rng import substream
@@ -88,7 +87,7 @@ def test_invariant_first_moment_matches_path_integral(grid):
     x = np.array([[0.1]])
     for seed in (3, 4):
         path = stationary_past_path(model, 20.0, seed=seed)
-        drift = equilibrium_mean_velocity(path, x)[0]
+        drift = path_weighted_integral(path, x, 1.0, path.t_start, 0.0)[0]
         for collision in (LB, FP):
             prof = invariant_solution(path, collision, x, VGRID)
             _, mean, _ = profile_moments(prof, VGRID)

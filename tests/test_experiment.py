@@ -115,6 +115,16 @@ def test_convergence_study_kinetic_streams_keyed_by_seed_and_eps(monkeypatch):
     assert not np.array_equal(a[:, 1:], b[:, 1:])
 
 
+def test_convergence_study_refuses_a_partial_spde_step(monkeypatch):
+    # horizon 0.05 is 1666.7 steps of 3e-5: refused before any particle runs
+    def no_particles(*args, **kwargs):
+        raise AssertionError("the kinetic side ran")
+    monkeypatch.setattr(experiment, "functional_samples", no_particles)
+    with pytest.raises(ValueError, match="whole number of steps"):
+        convergence_study(ExperimentConfig(grid_m=32, dt_spde=3e-5),
+                          None, None)
+
+
 def test_point_mass_functional_has_exact_zero_gaps():
     # the mass functional is one point mass on both sides: its table cells
     # are exact zeros, not rounding that moves with every upstream change

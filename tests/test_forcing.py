@@ -6,8 +6,8 @@ from kinlim.equilibrium import LB
 from kinlim.forcing import (ForceFieldModel, ForcePath, ForceSample, PathBlock,
                             constant_two_point_renewal, generate_path,
                             ou_single_mode, resolvent_apply,
-                            resolvent_r1r0_apply, sample_stationary,
-                            two_point_renewal, zero_renewal)
+                            sample_stationary, two_point_renewal,
+                            zero_renewal)
 from kinlim.kinetic import ParticleEnsemble, step_micro
 from kinlim.rng import substream
 from kinlim.torus import TorusField, TorusGrid, vector_sobolev_norm
@@ -125,9 +125,9 @@ def test_renewal_mixing_decay(model):
 
 def test_renewal_resolvent_closed_forms(model):
     e = sample_stationary(model, 9)
-    r0 = resolvent_apply(model, 0.0, e, seed=0)
-    r1 = resolvent_apply(model, 1.0, e, seed=0)
-    r10 = resolvent_r1r0_apply(model, e, seed=0)
+    r0, r1 = resolvent_apply(model, (0.0, 1.0), e, seed=0)
+    [r10] = resolvent_apply(model, (1.0,), ForceSample(r0, e.norm_bound),
+                            seed=0)
     assert np.array_equal(r0.physical(), e.field.physical())
     assert np.array_equal(r1.physical(), 0.5 * e.field.physical())
     # resolvent identity R1 R0 = R0 - R1, exact
@@ -136,11 +136,11 @@ def test_renewal_resolvent_closed_forms(model):
 
 def test_resolvent_zero_field_and_negative_lambda(grid, model):
     z = sample_stationary(zero_renewal(grid), 0)
-    r = resolvent_apply(zero_renewal(grid), 2.0, z, seed=0)
+    [r] = resolvent_apply(zero_renewal(grid), (2.0,), z, seed=0)
     assert np.max(np.abs(r.physical())) == 0.0
     e = sample_stationary(model, 1)
     with pytest.raises(ValueError):
-        resolvent_apply(model, -0.5, e, seed=0)
+        resolvent_apply(model, (1.0, -0.5), e, seed=0)
 
 
 def test_path_errors(model):
@@ -187,14 +187,26 @@ def test_ou_autocovariance_exponential(ou_model):
 def test_ou_resolvent_identity_mc(ou_model):
     e = sample_stationary(ou_model, 41)
     x = np.array([[0.0]])
-    r0 = resolvent_apply(ou_model, 0.0, e, seed=1, n_replicates=400).eval_at(x)[0, 0]
-    r1 = resolvent_apply(ou_model, 1.0, e, seed=2, n_replicates=400).eval_at(x)[0, 0]
-    r10 = resolvent_r1r0_apply(ou_model, e, seed=3, n_replicates=400).eval_at(x)[0, 0]
-    # identity within Monte Carlo tolerance; analytic values u0*A*(1, 1/2, 1/2)
+    [r0] = resolvent_apply(ou_model, (0.0,), e, seed=1, n_replicates=400)
+    [r1] = resolvent_apply(ou_model, (1.0,), e, seed=2, n_replicates=400)
+    r0, r1 = r0.eval_at(x)[0, 0], r1.eval_at(x)[0, 0]
+    # analytic values u0*A*(1, 1/2) and R1 R0 = R0 - R1 = u0*A/2
     u0 = e.state[0]
     assert r0 == pytest.approx(u0 * A, abs=0.15 * A)
     assert r1 == pytest.approx(0.5 * u0 * A, abs=0.1 * A)
-    assert r10 == pytest.approx(r0 - r1, abs=0.15 * A)
+    assert r0 - r1 == pytest.approx(0.5 * u0 * A, abs=0.15 * A)
+
+
+def test_ou_rates_share_one_quadrature(ou_model):
+    # one call for several rates gives each rate's field bit for bit as the
+    # one-rate call on the same stream
+    e = sample_stationary(ou_model, 43)
+    kw = dict(horizon=6.0, n_replicates=32)
+    both = resolvent_apply(ou_model, (0.0, 1.0), e, seed=5, **kw)
+    for lam, field in zip((0.0, 1.0), both):
+        [single] = resolvent_apply(ou_model, (lam,), e, seed=5, **kw)
+        assert np.array_equal(field.physical(), single.physical())
+    assert not np.array_equal(both[0].physical(), both[1].physical())
 
 
 def test_empirical_fourier_estimator_is_exact_sum(model):

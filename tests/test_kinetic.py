@@ -227,6 +227,15 @@ def test_sharp_density_refused_by_rejection_sampler():
         kinetic.sample_positions(rho, 1000, substream(66))
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_zero_density_refused_by_sampler(dim):
+    # a density with no positive mass once gave NaN positions in 1-D and
+    # uniform ones in 2-D (a zero envelope accepts every candidate)
+    zero = TorusField.zeros(TorusGrid(dim, 16))
+    with pytest.raises(ValueError, match="no positive"):
+        kinetic.sample_positions(zero, 3, substream(67))
+
+
 def test_run_rescaled_uniform_equilibrium(grid):
     # E = 0, uniform initial density: the density stays uniform up to
     # binomial bin noise, and mass is conserved exactly

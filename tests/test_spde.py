@@ -62,6 +62,28 @@ def test_stability_guard(grid):
         SpdeStepper(coeffs, None, 2 * limit)
 
 
+def test_horizon_must_be_a_whole_number_of_steps():
+    # 0.001 / 3e-5 = 33.3 steps once ended at t = 0.00099, and 1e-5 took no
+    # step at all; both are refused by every SPDE entry point
+    grid = TorusGrid(1, 16)
+    coeffs, cov = lb_setup(grid)
+    rho0 = rho_one_plus_cos(grid)
+    xi = TorusField.from_function(grid, 0, lambda x: np.sin(2 * np.pi * x))
+    for horizon in (0.001, 1e-5):
+        for call in (
+                lambda: run_ensemble(coeffs, cov, rho0, horizon, 3e-5, 2,
+                                     seed=1),
+                lambda: mean_equation_solve(coeffs, rho0, horizon, 3e-5),
+                lambda: quadratic_variation_check(coeffs, cov, rho0, xi,
+                                                  horizon, 3e-5, 2, seed=1)):
+            with pytest.raises(ValueError, match="whole number of steps"):
+                call()
+    # 0.0009 / 3e-5 is 30 up to rounding: accepted, ends at the horizon
+    res = run_ensemble(coeffs, cov, rho0, 0.0009, 3e-5, 2, seed=1)
+    assert res.n_steps == 30
+    assert res.times[-1] == pytest.approx(0.0009, rel=1e-12)
+
+
 def test_mass_conservation_and_zero_datum(grid):
     coeffs, cov = lb_setup(grid)
     rho0 = rho_one_plus_cos(grid)

@@ -62,8 +62,7 @@ def _record_keys(monkeypatch, argv_list):
     return keys, codes
 
 
-def test_every_key_comes_from_the_table_and_serves_one_role(tmp_path,
-                                                            monkeypatch):
+def _mini_config(tmp_path):
     cfg = ExperimentConfig(
         grid_m=16, epsilons=(0.6, 0.5, 0.4), horizon=0.002,
         n_particles=100, n_realizations=64, n_spde_realizations=64,
@@ -71,6 +70,12 @@ def test_every_key_comes_from_the_table_and_serves_one_role(tmp_path,
         out_dir=str(tmp_path / "out"), seed=SEED)
     config = tmp_path / "mini.cfg"
     cfg.save(config)
+    return cfg, config
+
+
+def test_every_key_comes_from_the_table_and_serves_one_role(tmp_path,
+                                                            monkeypatch):
+    cfg, config = _mini_config(tmp_path)
     stages = ("coeffs", "simulate-kinetic", "simulate-spde", "converge",
               "validate")
     keys, codes = _record_keys(
@@ -83,6 +88,18 @@ def test_every_key_comes_from_the_table_and_serves_one_role(tmp_path,
     # every stage and check drew: the table's role tags all appear
     assert {k[1] for k in keys} == {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 13, 14,
                                     20, 41, 201, 202}
+
+
+def test_stationary_pass_draws_two_streams_per_draw(tmp_path, monkeypatch):
+    # draw i takes its sample and one resolvent stream for R_0 and R_1;
+    # R_1 R_0 = R_0 - R_1 needs no stream of its own
+    cfg, config = _mini_config(tmp_path)
+    keys, codes = _record_keys(monkeypatch,
+                               [["coeffs", "--config", str(config)]])
+    assert codes == [0]
+    assert set(keys) == {(SEED, rng.STATIONARY, tag, i)
+                         for tag in (rng.SAMPLE, rng.RESOLVENT)
+                         for i in range(cfg.n_mc)}
 
 
 def test_acceptance_suite_draws_only_the_stationary_pass():
