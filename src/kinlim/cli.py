@@ -156,8 +156,10 @@ def cmd_simulate_spde(args) -> int:
              f"{res.noise_rank}, min rho {res.min_rho:.4g}",
              f"dt_spde / stability_limit = "
              f"{cfg.dt_spde / stability_limit(coeffs):.4g}",
-             f"{res.n_steps} steps, {res.transforms_per_step} transforms "
-             f"per step",
+             f"{res.n_steps} steps, {res.products_per_step} shifted "
+             f"products per step",
+             f"coefficient modes kept {res.coefficient_modes}, largest "
+             f"dropped |c|/max|c| {res.dropped_tail:.2g}",
              f"{res.block_realizations} realizations per block, "
              f"{res.blocks_per_step} blocks per step",
              f"stage {elapsed:.3g} s, "

@@ -18,27 +18,42 @@ Theta - sum phi_k div phi_k, Heun midpoint noise) is available for
 cross-checking the two calculi against each other.
 
 The state is the half spectrum of `numpy.fft.rfftn` with `norm="forward"`
-(last grid axis cut to modes 0 .. m/2).  Drift and noise are summed into
-one flux per axis in physical space,
+(last grid axis cut to modes 0 .. m/2).  The flux per axis,
 
     F_i = dt (Theta_i rho + sum_j Kvar_ij d_j rho)
           + sqrt(2 dt) rho sum_k g_k phi_k,i,
 
-and one step is coef' = (cn_minus coef + sum_i ik_i rfftn(F_i)) cn_plus_inv.
-Coefficient fields that are identically zero are dropped when the stepper
-is built, so a flux or gradient component that no term needs is never
-transformed.  An Ito step costs one inverse transform for rho, one per
-gradient component in use and one forward transform per flux: at most 3 in
-1-D, 3 for the two-point law +/- a cos(2 pi x_0) e_0 in 2-D and at most 5
-in 2-D.  The Heun step adds one inverse transform and the fluxes once
-more; since the noise is linear in rho, its mean noise is the noise of
-(rho + rho_pred) / 2.
+is a grid (collocation) product, so its spectrum is exactly the circular
+convolution of the factors' spectra.  When the stepper is built, each
+pre-scaled coefficient field (dt Theta_i, dt Kvar_ij, sqrt(2 dt) phi_k,i)
+is cut to its modes above rounding (`torus.significant_modes`), and
+
+    F_i^(k) = sum_q c_q src(k - q)
+
+with src = rho^, ik_j rho^ or the noise density: one shifted product per
+kept mode q (the noise fields share one product per (i, q), its factor
+sum_k g_k c_k,q per realization).  A step is then
+coef' = (cn_minus coef + sum_i ik_i F_i^) cn_plus_inv and runs no
+transform.  Shifted reads are slices of a periodic extension of the
+source: the spectrum, completed by c(-k) = conj c(k) along the last axis
+when some mode shifts it, laid out twice along each shifted axis.  The
+step's cost is proportional to the number of coefficient modes (6 for the
+two-point law +/- a cos(2 pi x_0) e_0 in 1-D and 2-D), not to log(grid):
+every law the configs reach has a handful of modes, so there is no
+transform fallback for dense coefficients.  The Heun step adds the noise
+products once more on its midpoint (coef + coef_pred) / 2: the noise is
+linear in rho, so the mean of the two endpoint noises is the noise of the
+mean density.
 
 A real field's spectrum pairs c(-k) = conj c(k).  The Nyquist wavenumber
 m/2 is its own negative on the grid, so an odd derivative there would feed
 an imaginary part that no real field has; as usual for real fields, the
 derivative symbol 2 pi i k_i is set to zero on every mode with
-|k_i| = m/2 (the second-order Crank-Nicolson symbol keeps k_i^2).
+|k_i| = m/2.  The Crank-Nicolson symbol keeps k_i^2 there but, for the
+same reason, not a cross term k_i k_j (i != j): with it, a mean K_ij off
+the diagonal would weigh the modes (m/2, k_j) and (m/2, -k_j) unequally,
+and the step would leave the real fields.  The k = 0 symbol is zero too,
+so the mass coefficient is never changed.
 
 Realizations are advanced in blocks of `torus.BLOCK_VALUES` grid values
 (max(1, BLOCK_VALUES // M^N) realizations, the last block may hold fewer),
@@ -47,15 +62,16 @@ whatever the ensemble size; each step writes every block into one fresh
 state array.  The checkpoint samples and the quadratic-variation check go
 through physical space block by block too; only a checkpoint's ensemble
 mean and variance reduce the whole half-spectrum state at once, which keeps
-their summation order independent of the blocks.  Every transform acts on
-each realization alone, so blocked and one-block stepping are
-bit-identical.  Each realization's Gaussian increments come from its own
-counter-based stream, so ensembles are reproducible for any block or
-worker layout.
+their summation order independent of the blocks.  Every product and
+transform acts on each realization alone, so blocked and one-block
+stepping are bit-identical.  Each realization's Gaussian increments come
+from its own counter-based stream, so ensembles are reproducible for any
+block or worker layout.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import pairwise
 
@@ -64,7 +80,7 @@ import numpy as np
 from .coefficients import CovOperator, HydroCoefficients
 from .rng import SPDE_NOISE, substream
 from .torus import (BLOCK_VALUES, TorusField, TorusGrid, divergence,
-                    gradient)
+                    gradient, significant_modes)
 
 ITO = "ito"
 STRATONOVICH = "stratonovich"
@@ -101,9 +117,7 @@ class SpdeStepper:
         self.dt = float(dt)
         self.scheme = scheme
         ks = [_half_spectrum(k) for k in grid.wavenumbers()]
-        # odd derivatives vanish on the Nyquist modes (module docstring)
-        self._ik = [2j * np.pi * np.where(np.abs(k) == grid.m // 2, 0, k)
-                    for k in ks]
+        self._ik = [_ik_symbol(k, grid.m) for k in ks]
 
         diff_vals = coeffs.diffusion.physical()
         phis = [] if cov is None else cov.noise_fields()
@@ -122,31 +136,63 @@ class SpdeStepper:
             drift_vals = coeffs.drift.physical()
         kbar = diff_vals.reshape(grid.dim, grid.dim, grid.size).mean(axis=-1)
         kbar = 0.5 * (kbar + kbar.T)
-        kvar = diff_vals - kbar.reshape(grid.dim, grid.dim,
-                                        *(1,) * grid.dim)
-        # Flux terms per axis i, pre-scaled: dt Theta_i, dt Kvar_ij and
-        # sqrt(2 dt) phi_k,i.  An identically zero field contributes exact
-        # zeros, so it is dropped here and no transform serves it.
+        # the kept modes of the pre-scaled flux fields dt Theta_i, dt Kvar_ij
+        # and sqrt(2 dt) phi_k,i; Kvar = K - kbar keeps the modes of K but
+        # its mean, which the Crank-Nicolson weight takes (symmetric K)
         root = np.sqrt(2 * self.dt)
-        self._theta = [self.dt * th if th.any() else None
-                       for th in drift_vals]
-        self._kvar = [[(j, self.dt * kv) for j, kv in enumerate(row)
-                       if kv.any()] for row in kvar]
-        self._phi = [[(k, root * p[i]) for k, p in enumerate(phi_vals)
-                      if p[i].any()] for i in range(grid.dim)]
-        self._grad_axes = sorted({j for row in self._kvar for j, _ in row})
-        n_flux = sum(1 for i in range(grid.dim) if self._theta[i] is not None
-                     or self._kvar[i] or self._phi[i])
-        # transforms of one noisy step: rho, the gradient components the
-        # fluxes need and one forward transform per flux (Heun: again the
-        # predicted rho and the fluxes)
-        self.transforms_per_step = 1 + len(self._grad_axes) + n_flux
-        if scheme == STRATONOVICH and self.noise_rank:
-            self.transforms_per_step += 1 + n_flux
+        spectra = [_kept_spectrum(self.dt * drift_vals, grid),
+                   _kept_spectrum(self.dt * diff_vals, grid)]
+        spectra += [_kept_spectrum(root * p, grid) for p in phi_vals]
+        (theta_hat, _), (kvar_hat, _), *phi_hat = spectra
+        kvar_hat[(Ellipsis,) + (0,) * grid.dim] = 0.0
+        self.dropped_tail = max(tail for _, tail in spectra)
+        self.coefficient_modes = sum(int(np.count_nonzero(hat))
+                                     for hat, _ in spectra)
+
+        # drift terms by shift q: (i, factor of rho^(k - q)); a Kvar_ij mode
+        # also carries its source's derivative symbol ik_j(k - q)
+        drift, noise = defaultdict(list), defaultdict(list)
+        for (i, *q), c in _modes(theta_hat, grid):
+            drift[tuple(q)].append((i, c))
+        for (i, j, *q), c in _modes(kvar_hat, grid):
+            drift[tuple(q)].append(
+                (i, c * _ik_symbol(ks[j] - q[j], grid.m)))
+        # noise terms by shift q: (i, column of the per-realization factor
+        # sum_k g_k c_k,i,q); all noise fields share one column per (i, q)
+        cols = sorted({iq for hat, _ in phi_hat for iq, _ in
+                       _modes(hat, grid)})
+        self._noise_coef = np.zeros((self.noise_rank, len(cols)),
+                                    dtype=complex)
+        for k, (hat, _) in enumerate(phi_hat):
+            for iq, c in _modes(hat, grid):
+                self._noise_coef[k, cols.index(iq)] = c
+        for col, (i, *q) in enumerate(cols):
+            noise[tuple(q)].append((i, col))
+        # shifted products of one noisy step (Heun: the noise ones twice)
+        self.products_per_step = sum(map(len, drift.values())) + len(cols) * (
+            2 if scheme == STRATONOVICH else 1)
+
+        # the periodic extension of a source: the full last axis when a mode
+        # shifts it, two periods along every shifted axis, so that the
+        # source at k - q is one slice for every shift q
+        shifts = sorted(set(drift) | set(noise))
+        moved = [any(q[d] for q in shifts) for d in range(grid.dim)]
+        self._full_last = moved[-1]
+        self._doubled = [d - grid.dim for d in range(grid.dim) if moved[d]]
+        sizes = [grid.m] * (grid.dim - 1) + [grid.m // 2 + 1]
+        self._shifts = [
+            ((Ellipsis,) + tuple(slice(-qd % grid.m, -qd % grid.m + n)
+                                 if mv else slice(None)
+                                 for qd, n, mv in zip(q, sizes, moved)),
+             drift[q], noise[q]) for q in shifts]
+
+        # a cross term k_i k_j (i != j) is two odd derivatives: Nyquist rule
+        odd = [np.where(np.abs(k) == grid.m // 2, 0, k) for k in ks]
         mu = np.zeros(ks[0].shape)
         for i in range(grid.dim):
             for j in range(grid.dim):
-                mu += 4 * np.pi**2 * kbar[i, j] * ks[i] * ks[j]
+                a, b = (ks[i], ks[j]) if i == j else (odd[i], odd[j])
+                mu += 4 * np.pi**2 * kbar[i, j] * a * b
         self._cn_minus = 1.0 - 0.5 * dt * mu
         self._cn_plus_inv = 1.0 / (1.0 + 0.5 * dt * mu)
 
@@ -159,28 +205,41 @@ class SpdeStepper:
         return np.fft.irfftn(coef, s=self.grid.shape, axes=self._axes(coef),
                              norm="forward")
 
+    # no caller in the package; the benchmark's span hooks wrap it by name
     def to_spectral(self, phys):
         return np.fft.rfftn(phys, axes=self._axes(phys), norm="forward")
 
-    def _flux(self, i, rho, grads, rho_noise, g):
-        """F_i = dt (Theta_i rho + sum_j Kvar_ij d_j rho)
-        + sqrt(2 dt) rho_noise sum_k g_k phi_k,i, or None if every term is
-        an exact zero."""
-        terms = [] if self._theta[i] is None else [self._theta[i] * rho]
-        terms += [kv * grads[j] for j, kv in self._kvar[i]]
-        if g is not None and self._phi[i]:
-            shape = g.shape[:-1] + (1,) * self.grid.dim
-            u = [g[..., k].reshape(shape) * phi for k, phi in self._phi[i]]
-            terms.append(rho_noise * _summed(u))
-        return _summed(terms) if terms else None
+    def _extend(self, coef):
+        """The periodic extension that every shifted source slice reads."""
+        ext = _full_spectrum(coef, self.grid) if self._full_last else coef
+        for ax in self._doubled:
+            ext = np.concatenate([ext, ext], axis=ax)
+        return ext
 
-    def _update(self, coef, rho, grads, rho_noise, g):
-        """(cn_minus coef + sum_i ik_i rfftn(F_i)) cn_plus_inv."""
+    def _drift_fluxes(self, ext):
+        """F_i^ of the drift terms (None for an axis without any)."""
+        fluxes = [None] * self.grid.dim
+        for sl, drift, _ in self._shifts:
+            src = ext[sl]
+            for i, c in drift:
+                fluxes[i] = _added(fluxes[i], c * src)
+        return fluxes
+
+    def _add_noise(self, fluxes, ext, factors):
+        """Add the noise terms, read from the extension `ext` of the noise
+        density, to `fluxes` in place."""
+        for sl, _, noise in self._shifts:
+            src = ext[sl]
+            for i, col in noise:
+                fluxes[i] = _added(fluxes[i], factors[col] * src)
+        return fluxes
+
+    def _update(self, coef, fluxes):
+        """(cn_minus coef + sum_i ik_i F_i^) cn_plus_inv."""
         out = self._cn_minus * coef
-        for i, ik in enumerate(self._ik):
-            flux = self._flux(i, rho, grads, rho_noise, g)
+        for ik, flux in zip(self._ik, fluxes):
             if flux is not None:
-                out += ik * self.to_spectral(flux)
+                out += ik * flux
         out *= self._cn_plus_inv
         return out
 
@@ -189,26 +248,59 @@ class SpdeStepper:
     def step_hat(self, coef, g=None):
         """One step on half-spectrum coefficients; g: standard normals
         (..., rank)."""
-        if self.noise_rank == 0:
-            g = None
-        rho = self.to_physical(coef)
-        grads = {j: self.to_physical(self._ik[j] * coef)
-                 for j in self._grad_axes}
-        new = self._update(coef, rho, grads, rho, g)
-        if g is None or self.scheme == ITO:
-            return new
+        ext = self._extend(coef)
+        drift = self._drift_fluxes(ext)
+        if g is None or self.noise_rank == 0:
+            return self._update(coef, drift)
+        # per-realization factors sum_k g_k c_k,i,q of the noise columns
+        factors = g[..., 0, None] * self._noise_coef[0]
+        for k in range(1, self.noise_rank):
+            factors += g[..., k, None] * self._noise_coef[k]
+        shape = g.shape[:-1] + (1,) * self.grid.dim
+        factors = [factors[..., col].reshape(shape)
+                   for col in range(factors.shape[-1])]
+        if self.scheme == ITO:
+            return self._update(coef, self._add_noise(drift, ext, factors))
         # Stratonovich: Heun rule; the noise is linear in rho, so the mean of
         # the two endpoint noises is the noise of the mean density
-        rho_mid = 0.5 * (rho + self.to_physical(new))
-        return self._update(coef, rho, grads, rho_mid, g)
+        pred = self._update(coef, self._add_noise(
+            [None if f is None else f.copy() for f in drift], ext, factors))
+        mid = self._extend(0.5 * (coef + pred))
+        return self._update(coef, self._add_noise(drift, mid, factors))
 
 
-def _summed(arrays):
-    """Sum of freshly made arrays, accumulated in place into the first."""
-    out = arrays[0]
-    for arr in arrays[1:]:
-        out += arr
-    return out
+def _added(total, term):
+    """total + term, accumulated in place into `total` unless it is None."""
+    if total is None:
+        return term
+    total += term
+    return total
+
+
+def _ik_symbol(k, m: int):
+    """2 pi i k at the wavenumbers k taken modulo m into [-m/2, m/2), zero
+    on the Nyquist modes |k| = m/2 (module docstring)."""
+    k = (k + m // 2) % m - m // 2
+    return 2j * np.pi * np.where(np.abs(k) == m // 2, 0, k)
+
+
+def _kept_spectrum(vals, grid: TorusGrid):
+    """Spectrum of a field (components first, grid axes last) after the
+    rounding cut of `significant_modes`, and its dropped tail."""
+    axes = tuple(range(vals.ndim - grid.dim, vals.ndim))
+    hat = np.fft.fftn(vals, axes=axes) / grid.size
+    kept, tail = significant_modes(hat.reshape(-1, grid.size))
+    return kept.reshape(hat.shape), tail
+
+
+def _modes(hat, grid: TorusGrid):
+    """(component indices and signed wavevector, coefficient) of every
+    nonzero entry of a spectrum (components first, grid axes last)."""
+    m = grid.m
+    for idx in zip(*np.nonzero(hat)):
+        comp, q = idx[:-grid.dim], idx[-grid.dim:]
+        yield (*map(int, comp), *((int(qd) + m // 2) % m - m // 2
+                                  for qd in q)), hat[idx]
 
 
 def _half_spectrum(full):
@@ -255,7 +347,9 @@ class EnsembleResult:
     min_rho: float              # most negative physical value seen
     noise_rank: int
     n_steps: int
-    transforms_per_step: int
+    products_per_step: int      # shifted products of one step
+    coefficient_modes: int      # kept modes of the pre-scaled fields
+    dropped_tail: float         # largest dropped |c| / max |c| among them
     blocks_per_step: int        # step_hat calls per step
     block_realizations: int     # realizations per block (last may hold fewer)
 
@@ -336,7 +430,9 @@ def run_ensemble(coeffs: HydroCoefficients, cov: CovOperator,
     return EnsembleResult(np.array(times), np.array(means),
                           np.array(var_list), np.array(samp), min_rho,
                           stepper.noise_rank, n_steps,
-                          stepper.transforms_per_step, len(blocks),
+                          stepper.products_per_step,
+                          stepper.coefficient_modes, stepper.dropped_tail,
+                          len(blocks),
                           blocks[0].stop - blocks[0].start)
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
+
 _UNQUOTABLE = re.compile(r'[,"\r\n]')
 
 
@@ -28,10 +30,16 @@ def write_table(path, header, rows, digits: int, meta: dict = None) -> None:
     if header[0].startswith("#"):
         raise ValueError("the first column name may not start with '#'")
     lines = [",".join(header)]
+    floats = ",".join([fmt] * len(header))    # a row of floats, one `%`
+    if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
+        rows = rows.tolist()                   # the same doubles, unboxed
     for row in rows:
-        lines.append(",".join([_cell(v, fmt) for v in row]))
         if len(row) != len(header):
             raise ValueError(f"row of {len(row)} cells, {len(header)} names")
+        if all(isinstance(v, float) for v in row):
+            lines.append(floats % tuple(row))
+        else:
+            lines.append(",".join([_cell(v, fmt) for v in row]))
     text = "\r\n".join(lines) + "\r\n"
     if meta:
         pairs = [f"{k}={_cell(v, fmt)}" for k, v in meta.items()]

@@ -17,10 +17,10 @@ import numpy as np
 
 _RANK_NAMES = {0: "scalar", 1: "vector", 2: "matrix"}
 
-# Values per block of the blocked loops (points x modes in `eval_at`,
-# particles x modes in `kinetic.moments`, realizations x grid values in the
-# SPDE step): a float64 block is 128 kB, so a block's temporaries stay
-# cache-sized whatever the number of points, particles or realizations.
+# Values per block of the blocked loops (particles x modes in
+# `kinetic.moments`, realizations x grid values in the SPDE step): a float64
+# block is 128 kB, so a block's temporaries stay cache-sized whatever the
+# number of particles or realizations.
 BLOCK_VALUES = 1 << 14
 
 
@@ -106,7 +106,7 @@ class TorusField:
         self.values = values
         self.space = space
         self._spectral_cache = None
-        self._mode_cache = None
+        self._waves = None
 
     # -- constructors -----------------------------------------------------
 
@@ -172,57 +172,45 @@ class TorusField:
     def eval_at(self, points: np.ndarray) -> np.ndarray:
         """Exact band-limited evaluation at arbitrary points in [0,1)^N.
 
-        Sums the nonzero Fourier modes; cost scales with the number of
-        retained modes, so this is intended for sparse (few-mode) fields.
-        Points go in blocks of max(1, BLOCK_VALUES // modes), so the
-        points x modes angle, cosine and sine arrays stay bounded; a call
-        that fits one block (every call of a one-mode field on up to
-        BLOCK_VALUES points) is one pass over all points.
+        Sums the nonzero Fourier modes one at a time (angle, then cosine and
+        sine terms, each component apart), elementwise and without BLAS, so
+        the cost scales with the number of retained modes and memory with
+        the number of points; this is intended for sparse (few-mode) fields.
         Returns an array of shape (npoints,) + component_shape.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.grid.dim:
             raise ValueError("points must have shape (npts, dim)")
-        if self._mode_cache is None:
-            self._mode_cache = self._build_mode_cache()
-        comp, c0, k_pair, re_p, im_p, k_self, c_self = self._mode_cache
+        if self._waves is None:
+            self._waves = _waves(*self._build_mode_cache())
+        comp, c0, waves = self._waves
         out = np.tile(c0, (pts.shape[0], 1))
-        use_re, use_im = re_p.any(), im_p.any()
-        size = max(1, BLOCK_VALUES // max(1, len(k_pair) + len(k_self)))
-        for lo in range(0, pts.shape[0], size):
-            p, o = pts[lo:lo + size], out[lo:lo + size]
-            if k_pair.shape[0]:
-                ang = 2 * np.pi * (p @ k_pair.T)
-                if use_re:
-                    o += np.cos(ang) @ (2.0 * re_p.T)
-                if use_im:
-                    o -= np.sin(ang) @ (2.0 * im_p.T)
-            if k_self.shape[0]:
-                o += np.cos(2 * np.pi * (p @ k_self.T)) @ c_self.T
+        for axes, ks, parts in waves:
+            ang = pts[:, axes[0]] * ks[0]
+            for d, k in zip(axes[1:], ks[1:]):
+                ang += pts[:, d] * k
+            ang *= 2 * np.pi
+            for wave, terms in parts:
+                vals = wave(ang)
+                for j, c in terms:
+                    out[:, j] += vals * c
         return out.reshape((pts.shape[0],) + comp) if comp else out[:, 0]
 
     def _build_mode_cache(self):
-        """Real cos/sin representation over canonical (half-lattice) modes.
-
-        Real and imaginary parts below 1e-14 of the largest coefficient are
-        FFT rounding and are zeroed, like whole modes below it, so that a
-        cosine field evaluates no sine series."""
+        """Real cos/sin representation over canonical (half-lattice) modes,
+        after the rounding cut of `significant_modes` (so that a cosine
+        field evaluates no sine series)."""
         coef = self.spectrum()
         comp = coef.shape[: self.rank]
         ncomp = int(np.prod(comp)) if comp else 1
-        flat = coef.reshape((ncomp, self.grid.size))
-        mags = np.abs(flat).max(axis=0)
-        tol = 1e-14 * max(mags.max(), 1e-300)
-        keep = mags > tol
-        re, im = flat.real.copy(), flat.imag.copy()
-        re[np.abs(re) <= tol] = 0.0
-        im[np.abs(im) <= tol] = 0.0
+        flat, _ = significant_modes(coef.reshape((ncomp, self.grid.size)))
+        re, im = flat.real, flat.imag
         kgrid = np.stack([k.ravel() for k in self.grid.wavenumbers()],
                          axis=1).astype(int)
         m = self.grid.m
-        c0 = re[:, 0] if keep[0] else np.zeros(ncomp)
+        c0 = re[:, 0]
         pair_idx, self_idx = [], []
-        for idx in np.nonzero(keep)[0]:
+        for idx in np.nonzero(flat.any(axis=0))[0]:
             k = kgrid[idx]
             if not k.any():
                 continue
@@ -272,6 +260,42 @@ class TorusField:
     def __repr__(self):
         return (f"TorusField({_RANK_NAMES[self.rank]}, N={self.grid.dim}, "
                 f"M={self.grid.m}, {self.space})")
+
+
+def significant_modes(coef: np.ndarray):
+    """The modes a spectrum holds above FFT rounding, and the dropped tail.
+
+    Every real or imaginary part at most 1e-14 of the largest |c| (over all
+    components) is rounding and is zeroed in the returned copy, so a field
+    keeps only the modes it has and a cosine no sine part.  The second
+    value is the largest |c - kept c| over that largest |c|.
+    """
+    top = max(float(np.abs(coef).max(initial=0.0)), 1e-300)
+    tol = 1e-14 * top
+    re, im = coef.real.copy(), coef.imag.copy()
+    re[np.abs(re) <= tol] = 0.0
+    im[np.abs(im) <= tol] = 0.0
+    kept = re + 1j * im
+    return kept, float(np.abs(coef - kept).max(initial=0.0)) / top
+
+
+def _waves(comp, c0, k_pair, re_p, im_p, k_self, c_self):
+    """The mode cache as `eval_at` sums it: (component shape, constant
+    term, waves).  A wave is one mode: the axes with k_d != 0 and their k_d,
+    then (cos or sin, [(component, coefficient)]) for each non-zero
+    coefficient; a zero k_d or coefficient would add an exact zero."""
+    modes = [(k, [(np.cos, 2.0 * re), (np.sin, -2.0 * im)])
+             for k, re, im in zip(k_pair, re_p.T, im_p.T)]
+    modes += [(k, [(np.cos, c)]) for k, c in zip(k_self, c_self.T)]
+    waves = []
+    for k, parts in modes:
+        axes = [int(d) for d in np.flatnonzero(k)]
+        parts = [(wave, [(int(j), float(coefs[j]))
+                         for j in np.flatnonzero(coefs)])
+                 for wave, coefs in parts]
+        waves.append((axes, [float(k[d]) for d in axes],
+                      [(wave, terms) for wave, terms in parts if terms]))
+    return comp, c0, waves
 
 
 # -- calculus ---------------------------------------------------------------

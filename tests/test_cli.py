@@ -176,11 +176,14 @@ def test_simulate_spde_2d_columns_follow_forced_axis(tmp_path):
     # the noise acts along x_0, so mode (1, 0) fluctuates
     assert float(last["var_k1"]) > 0
     # the reports name the covariance's QR width (kernel side 512,
-    # 2 n_mc = 200) and the stepping blocks (2^14 // 256 = 64 realizations)
+    # 2 n_mc = 200), the stepping blocks (2^14 // 256 = 64 realizations)
+    # and the step's products: Theta, Kvar at +/- 2 e_0, phi at +/- e_0
     out = tmp_path / "out"
     assert "covariance QR width 200" in (out / "report_coeffs.txt").read_text()
-    assert "64 realizations per block, 1 blocks per step" in \
-        (out / "report_spde.txt").read_text()
+    report = (out / "report_spde.txt").read_text()
+    assert "64 realizations per block, 1 blocks per step" in report
+    assert "6 shifted products per step" in report
+    assert "coefficient modes kept 6, largest dropped |c|/max|c|" in report
 
 
 def test_seed_override_changes_hash_not_manifest_match(tmp_path):

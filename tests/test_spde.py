@@ -15,7 +15,8 @@ from kinlim.spde import (ITO, STRATONOVICH, SpdeStepper, _full_spectrum,
                          _half_spectrum, mean_equation_solve,
                          quadratic_variation_check, run_ensemble,
                          stability_limit)
-from kinlim.torus import TorusField, TorusGrid, divergence, sobolev_norm
+from kinlim.torus import (TorusField, TorusGrid, divergence,
+                          significant_modes, sobolev_norm)
 
 A = 0.5
 
@@ -238,8 +239,9 @@ def test_weak_order_halving(grid):
 
 
 class FullComplexStep:
-    """The full-complex step the fused half-spectrum step replaced: seven
-    transforms per 2-D Ito step, drift and noise transformed apart."""
+    """The same scheme with full-complex FFTs and physical-space products
+    (seven transforms per 2-D Ito step, drift and noise transformed apart):
+    the reference of the stepper's shifted spectral products."""
 
     def __init__(self, coeffs, cov, dt, scheme):
         grid = coeffs.diffusion.grid
@@ -260,7 +262,11 @@ class FullComplexStep:
         kbar = 0.5 * (kbar + kbar.T)
         self.theta = theta
         self.kvar = diff - kbar.reshape(kbar.shape + (1,) * grid.dim)
-        mu = sum(4 * np.pi**2 * kbar[i, j] * ks[i] * ks[j]
+        # the stepper's symbol: k_i^2, and cross terms k_i k_j obey the
+        # Nyquist rule
+        odd = [np.where(np.abs(k) == grid.m // 2, 0, k) for k in ks]
+        mu = sum(4 * np.pi**2 * kbar[i, j]
+                 * (ks[i] ** 2 if i == j else odd[i] * odd[j])
                  for i in range(grid.dim) for j in range(grid.dim))
         self.cn_minus = 1.0 - 0.5 * dt * mu
         self.cn_plus_inv = 1.0 / (1.0 + 0.5 * dt * mu)
@@ -305,9 +311,47 @@ def rank_two_cov(grid):
                        0.0, 0.0)
 
 
+def smooth_random(grid, rng, n_fields):
+    """n_fields random real fields holding every mode |k_d| <= m/4 (smooth
+    amplitudes) and a Nyquist cosine along the last axis, (n_fields, grid)."""
+    k = np.stack(grid.wavenumbers())
+    band = np.all(np.abs(k) <= grid.m // 4, axis=0)
+    decay = np.exp(-np.sum(k**2, axis=0) / grid.m) * band
+    out = []
+    for _ in range(n_fields):
+        coef = decay * (rng.standard_normal(grid.shape)
+                        + 1j * rng.standard_normal(grid.shape))
+        vals = np.fft.ifftn(coef).real * grid.size / np.sqrt(band.sum())
+        out.append(vals + 0.1 * np.cos(np.pi * grid.m * grid.coords()[-1]))
+    return np.array(out)
+
+
+def many_mode_case(grid):
+    """Random smooth K (positive definite, K01 = K10), Theta and two noise
+    fields, every component non-zero: each field holds every mode
+    |k_d| <= m/4 and a Nyquist mode, so shifts wrap through the Hermitian
+    half along the last axis."""
+    rng = np.random.default_rng(17)
+    s00, s01, s11, t0, t1, z00, z01, z10, z11 = 0.1 * smooth_random(
+        grid, rng, 9)
+    eye = np.eye(grid.dim).reshape(2, 2, 1, 1)
+    diff = TorusField(grid, 2, eye + np.array([[s00, s01], [s01, s11]]))
+    drift = TorusField(grid, 1, 10 * np.array([t0, t1]))
+    assert np.min(np.linalg.eigvalsh(
+        np.moveaxis(diff.values, (0, 1), (-2, -1)))) > 0.5
+    coeffs = HydroCoefficients(diff, drift, LB, 2.0, diff, np.zeros(1),
+                               np.zeros(1), 1)
+    zetas = [TorusField(grid, 1, np.array([z00, z01]) * 10),
+             TorusField(grid, 1, np.array([z10, z11]) * 10)]
+    return coeffs, CovOperator(grid, np.array([0.1, 0.05]), zetas, 0.15,
+                               0.0, 0.0, 0.0)
+
+
 def equivalence_case(name):
     if name == "1d":
         return lb_setup(TorusGrid(1, 64))
+    if name == "many-mode":
+        return many_mode_case(TorusGrid(2, 16))
     grid = TorusGrid(2, 16)
     if name == "2d-e0":       # the benchmark law: zero fields are dropped
         return lb_setup(grid, n_mc=100)
@@ -321,7 +365,8 @@ def equivalence_case(name):
 
 
 @pytest.mark.parametrize("scheme", [ITO, STRATONOVICH])
-@pytest.mark.parametrize("case", ["1d", "2d-e0", "2d-full", "rank-2"])
+@pytest.mark.parametrize("case", ["1d", "2d-e0", "2d-full", "rank-2",
+                                  "many-mode"])
 def test_fused_step_matches_full_complex_step(case, scheme):
     coeffs, cov = equivalence_case(case)
     grid = coeffs.diffusion.grid
@@ -346,7 +391,7 @@ def test_fused_step_matches_full_complex_step(case, scheme):
 
 
 @pytest.mark.parametrize("case", ["1d", "2d-e0", "2d-full"])
-def test_transforms_per_step_counts_the_step(case, monkeypatch):
+def test_step_runs_no_transform_and_counts_products(case, monkeypatch):
     coeffs, cov = equivalence_case(case)
     stepper = SpdeStepper(coeffs, cov, 1e-5)
     calls = []
@@ -360,9 +405,19 @@ def test_transforms_per_step_counts_the_step(case, monkeypatch):
     grid = coeffs.diffusion.grid
     coef = np.zeros((2, *grid.shape[:-1], grid.m // 2 + 1), dtype=complex)
     stepper.step_hat(coef, np.ones((2, stepper.noise_rank)))
-    assert len(calls) == stepper.transforms_per_step
-    assert stepper.transforms_per_step == {"1d": 3, "2d-e0": 3,
-                                           "2d-full": 5}[case]
+    assert calls == []
+    # one product per kept mode of Theta_i and of K_ij off the mean, and
+    # one per (i, q) that any noise field phi_k,i holds
+    def kept(field):
+        flat = field.spectrum().reshape(-1, grid.size)
+        return significant_modes(flat)[0].reshape(field.spectrum().shape)
+    k_hat = kept(coeffs.diffusion)
+    k_hat[(Ellipsis,) + (0,) * grid.dim] = 0
+    noise = np.any([kept(phi) != 0 for phi in cov.noise_fields()], axis=0)
+    modes = np.count_nonzero(kept(coeffs.drift)) + np.count_nonzero(k_hat)
+    assert stepper.products_per_step == modes + np.count_nonzero(noise)
+    if case != "2d-full":     # the two-point law: Theta, Kvar at +/- 2 e_0,
+        assert stepper.products_per_step == 6     # phi at +/- e_0
 
 
 @pytest.mark.parametrize("dim", [1, 2])

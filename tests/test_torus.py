@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kinlim import torus
 from kinlim.forcing import two_point_renewal
 from kinlim.rng import substream
 from kinlim.torus import (TorusField, TorusGrid, divergence, gradient,
@@ -210,21 +209,22 @@ def test_sine_terms_are_kept(grid, sin_weight):
     assert np.max(np.abs(f.eval_at(x) - want)) < 1e-15
 
 
-def test_many_mode_eval_at_in_point_blocks(monkeypatch):
+def test_many_mode_eval_at_memory_is_per_point():
     # every mode of a 1-D m=64 field (31 cosine/sine pairs and the Nyquist
-    # cosine) at 2*10^4 points: blocks of 16384 // 32 = 512 points give the
-    # one-block values bit for bit, without the 2*10^4 x 31 angle, cosine
-    # and sine arrays (5 MB each) of one block
+    # cosine) at 2*10^4 points: the modes are summed one at a time, so the
+    # call holds a few arrays of one value per point (160 kB each), not
+    # the 2*10^4 x 31 angle, cosine and sine arrays (5 MB each)
     grid = TorusGrid(1, 64)
     f = TorusField(grid, 0, substream(81).standard_normal(64))
     pts = substream(82).random((20_000, 1))
     f.eval_at(pts[:1])  # mode cache built untraced
     tracemalloc.start()
     try:
-        blocked = f.eval_at(pts)
+        vals = f.eval_at(pts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1e6
-    monkeypatch.setattr(torus, "BLOCK_VALUES", 1 << 40)
-    assert np.array_equal(blocked, f.eval_at(pts))
+    k = np.fft.fftfreq(grid.m, d=1.0 / grid.m)
+    direct = (np.exp(2j * np.pi * pts * k) @ f.spectrum()).real
+    assert np.max(np.abs(vals - direct)) < 1e-12 * np.max(np.abs(direct))
