@@ -2,13 +2,15 @@
 
 The renewal field redraws an atom of the base law at rate-1 Poisson times;
 its covariance at lag t decays like exp(-t).  Resolvents of the environment
-generator have closed forms that the limit coefficients are built from.
+generator have closed forms that the limit coefficients are built from, for
+the renewal law and for the OU-driven law alike.
 """
 
 import numpy as np
 
-from kinlim.forcing import (generate_path, ou_single_mode, resolvent_apply,
-                            sample_stationary, two_point_renewal)
+from kinlim.forcing import (ForceSample, generate_path, ou_single_mode,
+                            resolvent_apply, sample_stationary,
+                            two_point_renewal)
 from kinlim.rng import substream
 from kinlim.torus import TorusGrid
 
@@ -40,15 +42,20 @@ for lag in (0.0, 0.5, 1.0, 2.0):
           f"(se {se:.4f}, exact {amp**2*np.exp(-lag):+.4f})")
 
 s = sample_stationary(model, 4)
-r0, r1 = resolvent_apply(model, (0.0, 1.0), s, seed=7)
+r0, r1 = resolvent_apply(model, (0.0, 1.0), s)
 print(f"\nrenewal resolvents: max|R0(e) - e| = "
       f"{np.max(np.abs(r0.physical() - s.field.physical())):.1e}, "
       f"max|R1(e) - e/2| = "
       f"{np.max(np.abs(r1.physical() - 0.5*s.field.physical())):.1e}")
 
+# OU law: e = clamp(u0, -5, 5) a cos(2 pi x); R1 is exact in closed form.
+# While the clamp is inactive along the transition law it is close to the
+# linear-link value u0 a / 2; past the clip radius it falls below it.
 ou = ou_single_mode(grid, amp)
-s_ou = sample_stationary(ou, 5)
-[r1_ou] = resolvent_apply(ou, (1.0,), s_ou, seed=6, n_replicates=200)
-print(f"OU-driven field: state u0 = {s_ou.state[0]:+.4f}, Monte Carlo "
-      f"R1 coefficient {r1_ou.eval_at(x)[0, 0]:+.4f} "
-      f"(linear-link prediction {0.5*s_ou.state[0]*amp:+.4f})")
+print(f"OU-driven field, clip radius {ou.clip_radius:g}: exact R1 coefficient "
+      "at x = 0")
+for u0 in (sample_stationary(ou, 5).state, np.array([6.5])):
+    s_ou = ForceSample(ou.link(u0), ou.norm_bound, state=u0)
+    [r1_ou] = resolvent_apply(ou, (1.0,), s_ou)
+    print(f"  u0 = {u0[0]:+.4f}: {r1_ou.eval_at(x)[0, 0]:+.6f} "
+          f"(linear link u0 a / 2 = {0.5*u0[0]*amp:+.6f})")

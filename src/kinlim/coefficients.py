@@ -2,7 +2,8 @@
 
 The hydrodynamic limit of the forced kinetic dynamics is driven by three
 objects built from the stationary law of the force field and its resolvents
-R_lam (R_0(e) = e and R_1(e) = e/2 for the renewal construction; R_1 R_0 is
+R_lam (R_0(e) = e and R_1(e) = e/2 for the renewal construction, a closed
+form in the Gaussian transition law for the OU construction; R_1 R_0 is
 R_0 - R_1 by the resolvent identity):
 
 * diffusion matrix field
@@ -45,8 +46,7 @@ import numpy as np
 from .equilibrium import FP, LB, _check_collision, path_weighted_integral
 from .forcing import (ForceFieldModel, generate_path, resolvent_apply,
                       sample_stationary)
-from .rng import (RESOLVENT, SAMPLE, STATIONARY, SYMPOS_LHS, SYMPOS_RESOLVENT,
-                  SYMPOS_RHS, substream)
+from .rng import SAMPLE, STATIONARY, SYMPOS_LHS, SYMPOS_RHS, substream
 from .table import read_table, write_table
 from .torus import TorusField, TorusGrid, divergence, matrix_divergence
 
@@ -147,9 +147,9 @@ def _centering_check(draws: np.ndarray):
 
 @dataclass
 class StationaryDraws:
-    """n_mc stationary draws E and their R_0 and R_1 images, from the
-    streams (seed, STATIONARY, SAMPLE | RESOLVENT, i): the one input of both
-    estimators.  Each array is (n_mc, N) + grid shape."""
+    """n_mc stationary draws E, from the streams (seed, STATIONARY, SAMPLE,
+    i), and their R_0 and R_1 images: the one input of both estimators.
+    Each array is (n_mc, N) + grid shape."""
 
     grid: TorusGrid
     e: np.ndarray
@@ -162,20 +162,18 @@ class StationaryDraws:
 
 
 def draw_stationary(model: ForceFieldModel, grid: TorusGrid, n_mc: int,
-                    seed, resolvent_kwargs: dict = None) -> StationaryDraws:
+                    seed) -> StationaryDraws:
     """One pass of n_mc stationary draws and their resolvent images; the
     draws must be centred within 5 sigma."""
     if n_mc < 100:
         raise ValueError("need n_mc >= 100")
-    kw = resolvent_kwargs or {}
     key = (seed, STATIONARY)
     e = np.empty((n_mc, grid.dim) + grid.shape)
     r0, r1 = np.empty_like(e), np.empty_like(e)
     for i in range(n_mc):
         s = sample_stationary(model, substream(key, SAMPLE, i))
         e[i] = s.field.physical()
-        f0, f1 = resolvent_apply(model, (0.0, 1.0), s,
-                                 substream(key, RESOLVENT, i), **kw)
+        f0, f1 = resolvent_apply(model, (0.0, 1.0), s)
         r0[i], r1[i] = f0.physical(), f1.physical()
     _centering_check(e)
     return StationaryDraws(grid, e, r0, r1)
@@ -342,8 +340,8 @@ def check_sympos_identity(model: ForceFieldModel, delta: float = 1.0,
 
     The left side averages over stationary draws (exact for two-point laws);
     the right side integrates sampled paths over [-20, 0].  Both sides are
-    taken at four points along the first axis.  Draws append SYMPOS_LHS,
-    SYMPOS_RESOLVENT or SYMPOS_RHS and the draw index to the key `seed`.
+    taken at four points along the first axis.  Draws append SYMPOS_LHS or
+    SYMPOS_RHS and the draw index to the key `seed`.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -357,8 +355,7 @@ def check_sympos_identity(model: ForceFieldModel, delta: float = 1.0,
     for i in range(n_mc):
         s = sample_stationary(model, substream(seed, SYMPOS_LHS, i))
         ev = s.field.eval_at(pts)
-        rv = resolvent_apply(model, (delta,), s, substream(
-            seed, SYMPOS_RESOLVENT, i))[0].eval_at(pts)
+        rv = resolvent_apply(model, (delta,), s)[0].eval_at(pts)
         lhs_draws[i] = rv[:, :, None] * ev[:, None, :] \
             + ev[:, :, None] * rv[:, None, :]
     rhs_draws = np.empty((n_paths, npts, n, n))

@@ -307,8 +307,8 @@ def check_resolvent_closed_forms(model: ForceFieldModel, seed) -> list:
     R1 R0 is R1 applied to the field R0(e)."""
     rng = substream(seed, RESOLVENT_FORMS)
     s = sample_stationary(model, rng)
-    f0, f1 = resolvent_apply(model, (0.0, 1.0), s, rng)
-    [f10] = resolvent_apply(model, (1.0,), ForceSample(f0, s.norm_bound), rng)
+    f0, f1 = resolvent_apply(model, (0.0, 1.0), s)
+    [f10] = resolvent_apply(model, (1.0,), ForceSample(f0, s.norm_bound))
     e, r0, r1 = s.field.physical(), f0.physical(), f1.physical()
     worst = max(np.max(np.abs(r0 - e)), np.max(np.abs(r1 - 0.5 * e)),
                 np.max(np.abs(f10.physical() - (r0 - r1))))

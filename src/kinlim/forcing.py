@@ -8,10 +8,11 @@ t -> E(t, .) with values in a fixed ball of a Sobolev space:
   linear observables the semigroup is exp(-t) times the identity, so the
   resolvents have the closed forms R_lam(e) = e / (1 + lam).
 
-* ou: a link map applied to an m-dimensional Ornstein-Uhlenbeck process
-  dX = -X dt + sqrt(2) dB at equilibrium.  The link is a clipped linear
-  combination of fixed band-limited vector fields, hence bounded and
-  Lipschitz; resolvents are estimated by time-quadrature Monte Carlo.
+* ou: a fixed band-limited vector field times clamp(u, -R, R), where u is
+  a one-dimensional Ornstein-Uhlenbeck process du = -u dt + sqrt(2) dB at
+  equilibrium; the link is bounded and Lipschitz.  Given u0, u_t is
+  N(e^-t u0, 1 - e^-2t), so the resolvents have a closed form in the
+  Gaussian distribution function (`resolvent_apply`).
 
 The default base law is the symmetric two-point law on +/- a*cos(2 pi k0 x)
 along one axis: it is centred, ball-bounded, and every second-moment
@@ -21,7 +22,9 @@ oracles used by the verification suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -51,7 +54,7 @@ class ForceSample:
 class ForceFieldModel:
     """Stationary mixing force field (renewal or OU-driven)."""
 
-    def __init__(self, kind, grid, atoms=None, link_basis=None,
+    def __init__(self, kind, grid, atoms=None, link_field=None,
                  clip_radius=5.0, sobolev_index=6.0):
         if kind not in (RENEWAL, OU):
             raise ValueError(f"unknown model kind {kind!r}")
@@ -71,30 +74,19 @@ class ForceFieldModel:
                 default=0.0,
             )
         else:
-            if not link_basis:
-                raise ValueError("ou model needs a link basis")
-            self.link_basis = list(link_basis)
-            self.ou_dim = len(self.link_basis)
+            if link_field is None:
+                raise ValueError("ou model needs a link field")
+            self.link_field = link_field
             self.clip_radius = float(clip_radius)
-            total = np.sqrt(sum(
-                vector_sobolev_norm(b, self.sobolev_index) ** 2
-                for b in self.link_basis))
-            self.norm_bound = self.clip_radius * float(total)
-            self._basis_values = np.stack([b.physical() for b in self.link_basis])
+            self.norm_bound = self.clip_radius * vector_sobolev_norm(
+                link_field, self.sobolev_index)
 
     # -- stationary sampling ------------------------------------------------
 
-    def _clip(self, u: np.ndarray) -> np.ndarray:
-        r = np.linalg.norm(u)
-        if r > self.clip_radius:
-            return u * (self.clip_radius / r)
-        return u
-
     def link(self, u: np.ndarray) -> TorusField:
-        """OU link map: clipped linear combination of the basis fields."""
-        cu = self._clip(np.asarray(u, dtype=float))
-        vals = np.tensordot(cu, self._basis_values, axes=(0, 0))
-        return TorusField(self.grid, 1, vals)
+        """OU link map: the link field times the clamped state u[0]."""
+        r = self.clip_radius
+        return self.link_field * min(max(float(u[0]), -r), r)
 
     def _draw_atom_index(self, rng) -> int:
         return int(rng.choice(len(self.atoms), p=self.weights))
@@ -134,14 +126,15 @@ def zero_renewal(grid: TorusGrid, sobolev_index: float = 6.0) -> ForceFieldModel
 def ou_single_mode(grid: TorusGrid, amplitude: float, mode: int = 1,
                    axis: int = 0, clip_radius: float = 5.0,
                    sobolev_index: float = 6.0) -> ForceFieldModel:
-    """OU model with a one-dimensional, identity-like link map."""
+    """OU model with the identity-like link clamp(u) amplitude cos(2 pi
+    mode x_axis) e_axis."""
     def comp(*xs):
         out = np.zeros((grid.dim,) + grid.shape)
         out[axis] = amplitude * np.cos(2 * np.pi * mode * xs[axis])
         return out
 
-    basis = TorusField.from_function(grid, 1, comp)
-    return ForceFieldModel(OU, grid, link_basis=[basis],
+    return ForceFieldModel(OU, grid,
+                           link_field=TorusField.from_function(grid, 1, comp),
                            clip_radius=clip_radius,
                            sobolev_index=sobolev_index)
 
@@ -155,7 +148,7 @@ def sample_stationary(model: ForceFieldModel, seed) -> ForceSample:
     if model.kind == RENEWAL:
         idx = model._draw_atom_index(rng)
         return ForceSample(model.atoms[idx], model.norm_bound)
-    u = rng.standard_normal(model.ou_dim)
+    u = rng.standard_normal(1)
     return ForceSample(model.link(u), model.norm_bound, state=u.copy())
 
 
@@ -328,12 +321,12 @@ def generate_path(model: ForceFieldModel, horizon: float, dt_ou: float = 0.01,
         raise ValueError("dt_ou must be positive for the OU construction")
     n = int(np.ceil(horizon / dt_ou))
     times = t_start + np.minimum(np.arange(n + 1) * dt_ou, horizon)
-    u = rng.standard_normal(model.ou_dim)
+    u = rng.standard_normal(1)
     states = [u.copy()]
     decay = np.exp(-dt_ou)
     sd = np.sqrt(1.0 - decay**2)
     for _ in range(n - 1):
-        u = decay * u + sd * rng.standard_normal(model.ou_dim)
+        u = decay * u + sd * rng.standard_normal(1)
         states.append(u.copy())
     samples = [ForceSample(model.link(s), model.norm_bound, state=s)
                for s in states]
@@ -343,60 +336,53 @@ def generate_path(model: ForceFieldModel, horizon: float, dt_ou: float = 0.01,
 
 # -- resolvents ----------------------------------------------------------------
 
-
-def _clip_rows(u: np.ndarray, radius: float) -> np.ndarray:
-    norms = np.linalg.norm(u, axis=1, keepdims=True)
-    scale = np.minimum(1.0, radius / np.maximum(norms, 1e-300))
-    return u * scale
+# Gauss-Legendre nodes of the OU resolvent integral over s = e^-t in (0, 1)
+_RESOLVENT_NODES = 200
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
-def _ou_time_quadrature(model, sample, rates, horizon, dt, n_replicates, rng):
-    """Monte Carlo of integral exp(-lam t) E[E_t(e)] dt from the given
-    state, for every rate lam at once: one set of replicates, weighted per
-    rate.
+@cache
+def _unit_gauss_legendre():
+    """Nodes s, their complements 1 - s and weights of the rule on (0, 1)."""
+    x, w = np.polynomial.legendre.leggauss(_RESOLVENT_NODES)
+    return 0.5 * (1.0 + x), 0.5 * (1.0 - x), 0.5 * w
 
-    Replicates run in antithetic pairs (mirrored Brownian increments), which
-    removes the noise exactly while the clipping is inactive and leaves the
-    Monte Carlo mean unbiased otherwise.
+
+def _positive_part_mean(z: np.ndarray) -> np.ndarray:
+    """E[(Z + z)^+] = z Phi(z) + phi(z) for a standard normal Z."""
+    cdf = 0.5 * _erfc(-z / math.sqrt(2.0)).astype(float)
+    return z * cdf + np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+
+def _ou_resolvent_coefficients(radius: float, u0: float, rates) -> list:
+    """int_0^inf e^(-lam t) E[clamp(u_t, -R, R) | u_0 = u0] dt per rate.
+
+    u_t = s u0 + sqrt(1 - s^2) Z with s = e^-t, and the clamp moves the mean
+    of u_t by c = E[(-R - u_t)^+] - E[(u_t - R)^+], so the integral is
+    u0 / (1 + lam) plus int_0^1 s^(lam - 1) c ds, taken by Gauss-Legendre.
     """
-    if sample.state is None:
-        raise ValueError("OU resolvents need the underlying state")
-    n = int(np.ceil(horizon / dt))
-    decay = np.exp(-dt)
-    sd = np.sqrt(1.0 - decay**2)
-    up = np.tile(sample.state, (n_replicates, 1))
-    um = up.copy()
-    # weight exp(-lam 0) = 1 at t = 0
-    coefs = [dt * _clip_rows(up[:1], model.clip_radius)[0] for _ in rates]
-    for step in range(1, n):
-        xi = rng.standard_normal(up.shape)
-        up = decay * up + sd * xi
-        um = decay * um - sd * xi
-        mean_u = 0.5 * (_clip_rows(up, model.clip_radius).mean(axis=0)
-                        + _clip_rows(um, model.clip_radius).mean(axis=0))
-        for coef, lam in zip(coefs, rates):
-            coef += np.exp(-lam * (step * dt)) * dt * mean_u
-    return [TorusField(model.grid, 1,
-                       np.tensordot(coef, model._basis_values, axes=(0, 0)))
-            for coef in coefs]
+    s, comp, w = _unit_gauss_legendre()
+    mean, sd = s * u0, np.sqrt(comp * (1.0 + s))
+    shift = sd * (_positive_part_mean((-radius - mean) / sd)
+                  - _positive_part_mean((mean - radius) / sd))
+    return [u0 / (1.0 + lam) + float(np.sum(w * s ** (lam - 1.0) * shift))
+            for lam in rates]
 
 
-def resolvent_apply(model: ForceFieldModel, rates, sample: ForceSample,
-                    seed, horizon: float = 40.0, dt: float = 0.05,
-                    n_replicates: int = 256) -> list:
+def resolvent_apply(model: ForceFieldModel, rates,
+                    sample: ForceSample) -> list:
     """Resolvents R_lam applied to the field observable at the given sample,
-    one field per rate lam in `rates`.
+    one field per rate lam in `rates`; deterministic for both laws.
 
-    Renewal: closed form e / (1 + lam).  OU: time-quadrature Monte Carlo of
-    integral exp(-lam t) E[E_t(e)] dt over a finite horizon (default 40:
-    the OU state decorrelates at rate 1, so the truncated tail is of order
-    exp(-40), far below the Monte Carlo error).  All rates share one set of
-    replicates, so each field is bit for bit the one-rate call's on the same
-    stream.  R_1 R_0 is R_0 - R_1 by the resolvent identity.
+    Renewal: the closed form e / (1 + lam).  OU: the closed form of
+    `_ou_resolvent_coefficients` times the link field, exact up to the
+    Gauss-Legendre rule.  R_1 R_0 is R_0 - R_1 by the resolvent identity.
     """
     if any(lam < 0 for lam in rates):
         raise ValueError("rates must be nonnegative")
     if model.kind == RENEWAL:
         return [sample.field * (1.0 / (1.0 + lam)) for lam in rates]
-    return _ou_time_quadrature(model, sample, rates, horizon, dt,
-                               n_replicates, as_generator(seed))
+    if sample.state is None:
+        raise ValueError("OU resolvents need the underlying state")
+    return [model.link_field * c for c in _ou_resolvent_coefficients(
+        model.clip_radius, float(sample.state[0]), rates)]

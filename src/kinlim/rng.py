@@ -23,7 +23,7 @@ import numpy as np
 # Role tags (key[1]) and the keys each role draws; c is a collision index,
 # i an eps index, p a path, r a realization.
 GAUSSIAN_SHIFTS = 1      # criterion 1: (seed, 1)
-RESOLVENT_FORMS = 2      # criterion 2: (seed, 2), a draw, then its resolvents
+RESOLVENT_FORMS = 2      # criterion 2: (seed, 2), one draw
 MOMENT_PATH = 3          # criterion 3: (seed, 3, c)
 MOMENT_PARTICLES = 4     # criterion 3: (seed, 4, c)
 INVARIANT_PATHS = 5      # criterion 4: (seed, 5, c, p)
@@ -36,16 +36,16 @@ CONVERGE_KINETIC = 13    # converge, criterion 12:
 #                          (seed, 13, i, PATH | PARTICLES, .)
 CORRECTOR_SCALING = 14   # criterion 11: (seed, 14, i, PATH | PARTICLES, p)
 STATIONARY = 20          # draw_stationary, the one pass that coefficients
-#                          and covariance read, draw n:
-#                          (seed, 20, SAMPLE | RESOLVENT, n)
+#                          and covariance read, draw n: (seed, 20, SAMPLE, n);
+#                          its resolvents are closed forms and draw nothing
 SPDE_NOISE = 41          # converge, simulate-spde, criterion 12: (seed, 41, r)
 KINETIC_PATH = 201       # simulate-kinetic: (seed, 201, i)
 KINETIC_PARTICLES = 202  # simulate-kinetic: (seed, 202, i)
 # Appended after the caller's key.
-SAMPLE, RESOLVENT = 1, 2             # a stationary draw; its R_0 and R_1
+SAMPLE = 1                           # a stationary draw
 PATH, PARTICLES = 11, 12             # functional_samples: path r, block b;
 #                                      check_corrector_scaling: run p
-SYMPOS_LHS, SYMPOS_RESOLVENT, SYMPOS_RHS = 21, 22, 23   # check_sympos_identity
+SYMPOS_LHS, SYMPOS_RHS = 21, 23      # check_sympos_identity: draw, path
 # and SPDE_NOISE, r: run_ensemble and quadratic_variation_check
 
 

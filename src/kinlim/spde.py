@@ -123,25 +123,26 @@ class SpdeStepper:
         phis = [] if cov is None else cov.noise_fields()
         phi_vals = [p.physical() for p in phis]
         self.noise_rank = len(phis)
-        if scheme == STRATONOVICH:
-            # remove the Ito correction from the drift: K - sum phi phi^T and
-            # Theta - sum phi_k div phi_k
-            noise_diag = cov.noise_diagonal().physical() if cov is not None \
-                else 0.0
-            diff_vals = diff_vals - noise_diag
-            drift_vals = coeffs.drift.physical().copy()
-            for p in phis:
-                drift_vals -= p.physical() * divergence(p).physical()[None]
-        else:
-            drift_vals = coeffs.drift.physical()
-        kbar = diff_vals.reshape(grid.dim, grid.dim, grid.size).mean(axis=-1)
-        kbar = 0.5 * (kbar + kbar.T)
         # the kept modes of the pre-scaled flux fields dt Theta_i, dt Kvar_ij
         # and sqrt(2 dt) phi_k,i; Kvar = K - kbar keeps the modes of K but
         # its mean, which the Crank-Nicolson weight takes (symmetric K)
+        theta = _kept_spectrum(self.dt * coeffs.drift.physical(), grid)
+        if scheme == STRATONOVICH:
+            # remove the Ito correction from the drift: K - sum phi phi^T and
+            # Theta - sum phi_k div phi_k; each phi_k div phi_k is cut before
+            # it is subtracted, since the difference can nearly cancel
+            noise_diag = cov.noise_diagonal().physical() if cov is not None \
+                else 0.0
+            diff_vals = diff_vals - noise_diag
+            for p in phis:
+                hat, tail = _kept_spectrum(self.dt * p.physical()
+                                           * divergence(p).physical()[None],
+                                           grid)
+                theta = (theta[0] - hat, max(theta[1], tail))
+        kbar = diff_vals.reshape(grid.dim, grid.dim, grid.size).mean(axis=-1)
+        kbar = 0.5 * (kbar + kbar.T)
         root = np.sqrt(2 * self.dt)
-        spectra = [_kept_spectrum(self.dt * drift_vals, grid),
-                   _kept_spectrum(self.dt * diff_vals, grid)]
+        spectra = [theta, _kept_spectrum(self.dt * diff_vals, grid)]
         spectra += [_kept_spectrum(root * p, grid) for p in phi_vals]
         (theta_hat, _), (kvar_hat, _), *phi_hat = spectra
         kvar_hat[(Ellipsis,) + (0,) * grid.dim] = 0.0

@@ -300,12 +300,11 @@ def three_atom_law(grid):
 def test_low_rank_matches_dense_reference(law):
     if law == "three-atom":    # 2-D m=16: QR width 2 n_mc = 400 < 512
         grid, n_mc = TorusGrid(2, 16), 200
-        model, kw = three_atom_law(grid), None
+        model = three_atom_law(grid)
     else:                      # 1-D m=16: QR width 16, every column
         grid, n_mc = TorusGrid(1, 16), 100
         model = ou_single_mode(grid, A, clip_radius=8.0)
-        kw = dict(horizon=12.0, dt=0.05, n_replicates=16)
-    draws = draw_stationary(model, grid, n_mc, seed=9, resolvent_kwargs=kw)
+    draws = draw_stationary(model, grid, n_mc, seed=9)
     cov = compute_cov_operator(draws)
     kernel, se_fro, eigvals, eigvecs = dense_reference(draws, grid)
     assert cov.qr_width == min(grid.dim * grid.size, 2 * n_mc)

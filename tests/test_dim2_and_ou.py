@@ -90,26 +90,25 @@ def test_spde_2d_heat_mode_decay():
 def test_ou_coefficients_ballpark():
     # linear link, clipping inactive at radius 8: the stationary draws are
     # Gaussian with coefficient variance a^2, so E[e x e](x) =
-    # a^2 cos^2(2 pi x) as in the two-point case, and the renewal-free MC
-    # resolvents should land near the same closed form
+    # a^2 cos^2(2 pi x) as in the two-point case, and with the exact
+    # resolvents R_lam e = e / (1 + lam) the coefficients land on the same
+    # closed form up to the Monte Carlo error of the draws
     grid = TorusGrid(1, 16)
     amp = 0.5
     model = ou_single_mode(grid, amp, clip_radius=8.0)
-    kw = dict(horizon=12.0, dt=0.05, n_replicates=64)
-    draws = draw_stationary(model, grid, 150, seed=6, resolvent_kwargs=kw)
+    draws = draw_stationary(model, grid, 150, seed=6)
     coeffs = compute_coefficients(draws, LB)
     xs = grid.axis()
     expected = 1.0 + 1.5 * amp**2 * np.cos(2 * np.pi * xs) ** 2
-    tol = 3 * np.max(coeffs.diffusion_stderr) + 0.05
+    tol = 3 * np.max(coeffs.diffusion_stderr)
     assert np.max(np.abs(coeffs.diffusion.values[0, 0] - expected)) < tol
     # drift: R_lam e = e / (1 + lam) while the clip is inactive, so it is the
-    # two-point closed form at b = 2; 0.05 of its size covers the ~2.5 %
-    # left-Riemann bias of the dt = 0.05 quadrature
+    # two-point closed form at b = 2
     b = 2.0
     c, s = np.cos(2 * np.pi * xs), np.sin(2 * np.pi * xs)
     expected = (b / 2) * amp**2 * 2 * c * (-2 * np.pi * s) \
         + 0.5 * amp**2 * c * (-2 * np.pi * s)
-    tol = 3 * np.max(coeffs.drift_stderr) + 0.05 * np.max(np.abs(expected))
+    tol = 3 * np.max(coeffs.drift_stderr)
     assert np.max(np.abs(coeffs.drift.values[0] - expected)) < tol
 
 
@@ -117,9 +116,7 @@ def test_ou_cov_operator_rank_one():
     grid = TorusGrid(1, 16)
     amp = 0.5
     model = ou_single_mode(grid, amp, clip_radius=8.0)
-    cov = compute_cov_operator(draw_stationary(
-        model, grid, 200, seed=7,
-        resolvent_kwargs=dict(horizon=12.0, dt=0.05, n_replicates=64)))
+    cov = compute_cov_operator(draw_stationary(model, grid, 200, seed=7))
     # kernel approximates a^2 u^2 cos cos with E[u^2] = 1: lambda1 ~ a^2/2
     assert cov.rank >= 1
     assert cov.eigenvalues[0] == pytest.approx(amp**2 / 2, rel=0.25)

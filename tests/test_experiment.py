@@ -62,20 +62,26 @@ def test_ks_statistic_equals_scipy():
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
-    # neither the import nor a mini coeffs + simulate-spde run loads scipy
+    # neither the import nor a mini coeffs + simulate-spde run nor an OU
+    # coeffs run (closed-form resolvents) loads scipy
     src = str(Path(__file__).resolve().parents[1] / "src")
     cfg = ExperimentConfig(grid_m=16, horizon=0.001, n_mc=100,
                            n_spde_realizations=8, n_checkpoints=2,
                            dt_spde=1e-4, out_dir=str(tmp_path / "out"))
     cfg.save(tmp_path / "config.txt")
+    cfg.model_kind, cfg.out_dir = "ou", str(tmp_path / "out_ou")
+    cfg.save(tmp_path / "config_ou.txt")
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import kinlim.cli; "
             "loaded = lambda: sorted(k for k in sys.modules "
             "if k.startswith('scipy')); print(loaded()); "
             "assert kinlim.cli.main(['coeffs', '--config', sys.argv[2]]) == 0; "
             "assert kinlim.cli.main(['simulate-spde', '--config', "
-            "sys.argv[2]]) == 0; print(loaded())")
+            "sys.argv[2]]) == 0; "
+            "assert kinlim.cli.main(['coeffs', '--config', sys.argv[3]]) == 0; "
+            "print(loaded())")
     proc = subprocess.run([sys.executable, "-c", code, src,
-                           str(tmp_path / "config.txt")],
+                           str(tmp_path / "config.txt"),
+                           str(tmp_path / "config_ou.txt")],
                           capture_output=True, text=True, check=True)
     lines = proc.stdout.strip().splitlines()
     assert lines[0] == "[]" and lines[-1] == "[]"

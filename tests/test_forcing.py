@@ -125,9 +125,8 @@ def test_renewal_mixing_decay(model):
 
 def test_renewal_resolvent_closed_forms(model):
     e = sample_stationary(model, 9)
-    r0, r1 = resolvent_apply(model, (0.0, 1.0), e, seed=0)
-    [r10] = resolvent_apply(model, (1.0,), ForceSample(r0, e.norm_bound),
-                            seed=0)
+    r0, r1 = resolvent_apply(model, (0.0, 1.0), e)
+    [r10] = resolvent_apply(model, (1.0,), ForceSample(r0, e.norm_bound))
     assert np.array_equal(r0.physical(), e.field.physical())
     assert np.array_equal(r1.physical(), 0.5 * e.field.physical())
     # resolvent identity R1 R0 = R0 - R1, exact
@@ -136,11 +135,11 @@ def test_renewal_resolvent_closed_forms(model):
 
 def test_resolvent_zero_field_and_negative_lambda(grid, model):
     z = sample_stationary(zero_renewal(grid), 0)
-    [r] = resolvent_apply(zero_renewal(grid), (2.0,), z, seed=0)
+    [r] = resolvent_apply(zero_renewal(grid), (2.0,), z)
     assert np.max(np.abs(r.physical())) == 0.0
     e = sample_stationary(model, 1)
     with pytest.raises(ValueError):
-        resolvent_apply(model, (1.0, -0.5), e, seed=0)
+        resolvent_apply(model, (1.0, -0.5), e)
 
 
 def test_path_errors(model):
@@ -184,29 +183,75 @@ def test_ou_autocovariance_exponential(ou_model):
     assert abs(prods.mean() - np.exp(-lag) * var) < 3 * se + 0.05 * var
 
 
-def test_ou_resolvent_identity_mc(ou_model):
+def test_ou_resolvent_identity(ou_model):
+    # R0 - R1 = int (1 - e^-t) E[clamp(u_t)] dt = u0 a / 2 plus the clamp's
+    # share; at radius 6 and this draw's u0 = 0.85 that share is 7.7e-10 of
+    # u0 a / 2, so the clip-inactive identity is checked to 1e-8 relative
     e = sample_stationary(ou_model, 41)
-    x = np.array([[0.0]])
-    [r0] = resolvent_apply(ou_model, (0.0,), e, seed=1, n_replicates=400)
-    [r1] = resolvent_apply(ou_model, (1.0,), e, seed=2, n_replicates=400)
-    r0, r1 = r0.eval_at(x)[0, 0], r1.eval_at(x)[0, 0]
-    # analytic values u0*A*(1, 1/2) and R1 R0 = R0 - R1 = u0*A/2
     u0 = e.state[0]
-    assert r0 == pytest.approx(u0 * A, abs=0.15 * A)
-    assert r1 == pytest.approx(0.5 * u0 * A, abs=0.1 * A)
-    assert r0 - r1 == pytest.approx(0.5 * u0 * A, abs=0.15 * A)
+    assert abs(u0) < 2.0
+    r0, r1 = resolvent_apply(ou_model, (0.0, 1.0), e)
+    basis = ou_model.link_field.physical()
+    diff = r0.physical() - r1.physical()
+    assert np.max(np.abs(diff - 0.5 * u0 * basis)) \
+        <= 1e-8 * np.max(np.abs(0.5 * u0 * basis))
 
 
-def test_ou_rates_share_one_quadrature(ou_model):
-    # one call for several rates gives each rate's field bit for bit as the
-    # one-rate call on the same stream
-    e = sample_stationary(ou_model, 43)
-    kw = dict(horizon=6.0, n_replicates=32)
-    both = resolvent_apply(ou_model, (0.0, 1.0), e, seed=5, **kw)
-    for lam, field in zip((0.0, 1.0), both):
-        [single] = resolvent_apply(ou_model, (lam,), e, seed=5, **kw)
-        assert np.array_equal(field.physical(), single.physical())
-    assert not np.array_equal(both[0].physical(), both[1].physical())
+def ou_sample(model, u0):
+    """The OU draw at state u0."""
+    state = np.array([u0])
+    return ForceSample(model.link(state), model.norm_bound, state=state)
+
+
+def clamped_ou_resolvent_reference(radius, u0, rates, n_tau=20_000,
+                                   n_x=4_000):
+    """int_0^inf e^(-lam t) E[clamp(u_t, -R, R)] dt with u_t ~ N(e^-t u0,
+    1 - e^-2t), by quadrature alone: the trapezoid rule over x = mean + sd z,
+    z in [-12, 12], against the Gaussian density, then over t = tau^2,
+    tau in [0, 7] (e^-49 truncates the tail)."""
+    z = np.linspace(-12.0, 12.0, n_x)
+    wz = np.full(n_x, z[1] - z[0]) * np.exp(-0.5 * z**2) / np.sqrt(2 * np.pi)
+    wz[[0, -1]] *= 0.5
+    tau = np.linspace(0.0, 7.0, n_tau)
+    wt = np.full(n_tau, tau[1] - tau[0]) * 2 * tau     # dt = 2 tau dtau
+    wt[[0, -1]] *= 0.5
+    t = tau**2
+    mean_clamped = np.empty(n_tau)
+    for a in range(0, n_tau, 500):
+        tt = t[a:a + 500, None]
+        x = np.exp(-tt) * u0 + np.sqrt(-np.expm1(-2 * tt)) * z
+        mean_clamped[a:a + 500] = np.clip(x, -radius, radius) @ wz
+    return [float(np.sum(wt * np.exp(-lam * t) * mean_clamped))
+            for lam in rates]
+
+
+@pytest.mark.parametrize("u0", [5.5, 7.0])
+def test_ou_resolvent_matches_quadrature_reference_clip_active(grid, u0):
+    # states past the clip radius 5: the closed form (erfc, Gauss-Legendre)
+    # against an independent quadrature of the clamped Gaussian mean
+    model = ou_single_mode(grid, A)
+    rates = (0.0, 1.0, 2.0)
+    sample = ou_sample(model, u0)
+    basis = model.link_field.physical()
+    refs = clamped_ou_resolvent_reference(5.0, u0, rates)
+    for field, ref in zip(resolvent_apply(model, rates, sample), refs):
+        assert np.max(np.abs(field.physical() - ref * basis)) \
+            <= 1e-6 * abs(ref) * np.max(np.abs(basis))
+    # the clamp is felt: R_0 falls short of the unclamped u0
+    assert refs[0] < u0 - 0.04
+
+
+def test_ou_resolvent_without_clip_is_linear(grid):
+    # at radius 50 the clamp is never felt: R_lam e = u0 / (1 + lam) basis
+    model = ou_single_mode(grid, A, clip_radius=50.0)
+    basis = model.link_field.physical()
+    for u0 in (-0.73, 2.0, 7.0):
+        rates = (0.0, 1.0, 2.0)
+        for lam, field in zip(rates, resolvent_apply(model, rates,
+                                                     ou_sample(model, u0))):
+            exact = u0 / (1 + lam) * basis
+            assert np.max(np.abs(field.physical() - exact)) \
+                <= 1e-12 * np.max(np.abs(exact))
 
 
 def test_empirical_fourier_estimator_is_exact_sum(model):

@@ -390,10 +390,14 @@ def test_fused_step_matches_full_complex_step(case, scheme):
                   == rho0.spectrum()[(0,) * grid.dim])
 
 
-@pytest.mark.parametrize("case", ["1d", "2d-e0", "2d-full"])
-def test_step_runs_no_transform_and_counts_products(case, monkeypatch):
+@pytest.mark.parametrize("case, scheme", [("1d", ITO), ("2d-e0", ITO),
+                                          ("2d-full", ITO),
+                                          ("1d", STRATONOVICH)],
+                         ids=["1d", "2d-e0", "2d-full", "1d-stratonovich"])
+def test_step_runs_no_transform_and_counts_products(case, scheme,
+                                                    monkeypatch):
     coeffs, cov = equivalence_case(case)
-    stepper = SpdeStepper(coeffs, cov, 1e-5)
+    stepper = SpdeStepper(coeffs, cov, 1e-5, scheme)
     calls = []
     for name in ("to_physical", "to_spectral"):
         orig = getattr(SpdeStepper, name)
@@ -414,6 +418,12 @@ def test_step_runs_no_transform_and_counts_products(case, monkeypatch):
     k_hat = kept(coeffs.diffusion)
     k_hat[(Ellipsis,) + (0,) * grid.dim] = 0
     noise = np.any([kept(phi) != 0 for phi in cov.noise_fields()], axis=0)
+    if scheme == STRATONOVICH:
+        # Theta - phi div phi and K - phi phi^T at +/- 2 e_0, phi at +/- e_0
+        # in both Heun stages: no rounding mode of the near-cancelling
+        # difference survives
+        assert stepper.products_per_step == 8
+        return
     modes = np.count_nonzero(kept(coeffs.drift)) + np.count_nonzero(k_hat)
     assert stepper.products_per_step == modes + np.count_nonzero(noise)
     if case != "2d-full":     # the two-point law: Theta, Kvar at +/- 2 e_0,

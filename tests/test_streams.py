@@ -90,15 +90,14 @@ def test_every_key_comes_from_the_table_and_serves_one_role(tmp_path,
                                     20, 41, 201, 202}
 
 
-def test_stationary_pass_draws_two_streams_per_draw(tmp_path, monkeypatch):
-    # draw i takes its sample and one resolvent stream for R_0 and R_1;
-    # R_1 R_0 = R_0 - R_1 needs no stream of its own
+def test_stationary_pass_draws_one_stream_per_draw(tmp_path, monkeypatch):
+    # draw i takes only its sample's stream: R_0 and R_1 are closed forms,
+    # and R_1 R_0 = R_0 - R_1
     cfg, config = _mini_config(tmp_path)
     keys, codes = _record_keys(monkeypatch,
                                [["coeffs", "--config", str(config)]])
     assert codes == [0]
-    assert set(keys) == {(SEED, rng.STATIONARY, tag, i)
-                         for tag in (rng.SAMPLE, rng.RESOLVENT)
+    assert set(keys) == {(SEED, rng.STATIONARY, rng.SAMPLE, i)
                          for i in range(cfg.n_mc)}
 
 
