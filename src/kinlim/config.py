@@ -49,6 +49,11 @@ class ExperimentConfig:
             raise ValueError("dim must be 1 or 2 at desk scale")
         if self.grid_m < 4 or self.grid_m & (self.grid_m - 1):
             raise ValueError("grid_m must be a power of two >= 4")
+        if not 1 <= self.mode < self.grid_m // 2:
+            # a higher mode aliases on the grid: at grid_m = 64, mode 40
+            # samples as mode 24
+            raise ValueError(f"mode must lie in [1, grid_m / 2) = "
+                             f"[1, {self.grid_m // 2}), got {self.mode}")
         for f in fields(self):
             v = getattr(self, f.name)
             if isinstance(v, str) and ("#" in v or v != v.strip()

@@ -552,8 +552,9 @@ def check_corrector_scaling(model: ForceFieldModel, collision, epsilons,
     over eps must lie in exponent_range.  Observed is how far it lies
     outside.  Run p at eps index i draws its path from (seed,
     CORRECTOR_SCALING, i, PATH, p) and its particles from (...,
-    PARTICLES, p).  The corrector uses R0(e) = e
-    (`corrector_decomposition`), so the check needs a renewal law.
+    PARTICLES, p).  The corrector takes the exact R0 of the force sample
+    (`run_rescaled`), so the check runs for either law; the validation
+    suite runs it for the two-point law, at which its sizes are pinned.
     """
     if len(epsilons) < 2:
         raise ValueError("need at least two epsilon values for an exponent")

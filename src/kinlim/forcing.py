@@ -22,6 +22,7 @@ oracles used by the verification suite.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from functools import cache
@@ -156,7 +157,7 @@ def _segment_of(n_breakpoints_at_or_before, last):
     """The segment holding a time t, given how many breakpoints are <= t:
     segment i is [times[i], times[i+1]) (right-continuous at breakpoints),
     clipped to [0, last].  The one rule of `ForcePath.segment_index` and
-    `PathBlock.eval_at`."""
+    of the `PathBlock` lookup table."""
     return np.clip(n_breakpoints_at_or_before - 1, 0, last)
 
 
@@ -223,31 +224,51 @@ class PathBlock:
     """The force paths of a block of R realizations, tabulated once so that
     one lookup per time finds every realization's current value.
 
-    `times[r]` is path r's breakpoints padded with +inf, and path r's i-th
-    segment holds `field_sign[r, i] * fields[field_index[r, i]]`.  Fields
-    equal in value, or equal up to sign (the atoms +a and -a of a symmetric
-    renewal law), are one entry of `fields`, so each lookup evaluates one
-    field per distinct entry; negation is exact in floating point, so the
-    signed values are bit for bit those of the negated field.
+    Path r's i-th segment holds `field_sign[r, i] * fields[field_index[r,
+    i]]`.  Fields equal in value, or equal up to sign (the atoms +a and -a
+    of a symmetric renewal law), are one entry of `fields`, so each lookup
+    evaluates one field per distinct entry; negation is exact in floating
+    point, so the signed values are bit for bit those of the negated field.
+    Between two consecutive breakpoints of the block (of any of its paths)
+    every path stays on one segment, so those segments are tabulated per
+    interval and a lookup is one bisection of the breakpoints.
     """
 
     def __init__(self, paths):
         self.paths = list(paths)
         if not self.paths:
             raise ValueError("a path block needs at least one path")
-        width = max(len(p.times) for p in self.paths)
-        self.times = np.full((self.size, width), np.inf)
-        self.field_index = np.zeros((self.size, width - 1), dtype=np.intp)
-        self.field_sign = np.ones((self.size, width - 1))
-        self.last_segment = np.array([len(p.samples) - 1 for p in self.paths])
-        self.t_end = np.array([p.t_end for p in self.paths])
+        width = max(len(p.samples) for p in self.paths)
+        self.field_index = np.zeros((self.size, width), dtype=np.intp)
+        self.field_sign = np.ones((self.size, width))
         self.fields = []
         index_of = {}
         for r, p in enumerate(self.paths):
-            self.times[r, :len(p.times)] = p.times
             for i, sample in enumerate(p.samples):
                 self.field_index[r, i], self.field_sign[r, i] = \
                     self._entry(sample.field, index_of)
+        # the span that every path covers, so that `covers` compares two
+        # scalars
+        self._span = (max(p.t_start for p in self.paths),
+                      min(p.t_end for p in self.paths))
+        # per interval [edges[j], edges[j + 1]) (the first also before it,
+        # the last also after it): each run's field index and sign, the
+        # signs shaped for the runs of `eval_at`, whether every run feels
+        # one field up to sign, and whether any sign is negative
+        self._edges = sorted(set().union(*(p.times.tolist()
+                                           for p in self.paths)))
+        segments = _segment_of(np.stack(
+            [np.searchsorted(p.times, self._edges, side="right")
+             for p in self.paths], axis=1),
+            np.array([len(p.samples) - 1 for p in self.paths]))
+        rows = np.arange(self.size)
+        self._states = []
+        for seg in segments:
+            which = self.field_index[rows, seg]
+            sign = self.field_sign[rows, seg]
+            self._states.append((which, sign[:, None, None],
+                                 bool((which == which[0]).all()),
+                                 bool((sign < 0).any())))
 
     def _entry(self, f: TorusField, index_of: dict):
         """(index into `fields`, sign) of field f; f is appended to `fields`
@@ -267,30 +288,37 @@ class PathBlock:
         return len(self.paths)
 
     def covers(self, a: float, b: float) -> bool:
-        return bool((self.times[:, 0] - _COVER_TOL <= a).all()
-                    and (b <= self.t_end + _COVER_TOL).all())
+        start, end = self._span
+        return start - _COVER_TOL <= a and b <= end + _COVER_TOL
 
-    def eval_at(self, t: float, points: np.ndarray) -> np.ndarray:
+    def eval_at(self, t: float, points: np.ndarray, out=None) -> np.ndarray:
         """Force at time t at `points` (npts, dim), which come in R equal
-        consecutive runs: run r feels path r.  Returns a new (npts, dim)
-        array."""
-        seg = _segment_of((self.times <= t).sum(axis=1), self.last_segment)
-        rows = np.arange(self.size)
-        which = self.field_index[rows, seg]
-        sign = self.field_sign[rows, seg]
+        consecutive runs: run r feels path r.  Fills `out` (a contiguous
+        (npts, dim) float array) when given, else a new array, and returns
+        it; a block whose runs all feel one field, up to sign, evaluates it
+        straight into that array."""
+        which, sign, one_field, flips = self._states[
+            max(bisect.bisect_right(self._edges, t) - 1, 0)]
+        if out is None:
+            out = np.empty(points.shape)
+        elif out.shape != points.shape or not out.flags.c_contiguous:
+            raise ValueError("out must be a contiguous array shaped like "
+                             "points")
         runs = points.reshape(self.size, -1, points.shape[1])
-        if (which == which[0]).all():
-            out = self.fields[which[0]].eval_at(points).reshape(runs.shape)
+        out_runs = out.reshape(runs.shape)
+        if one_field:
+            # `out` goes by position: the span hook of `bench/spans.py` on
+            # TorusField.eval_at takes no keyword arguments
+            self.fields[which[0]].eval_at(points, out)
         else:
-            out = np.empty(runs.shape)
             for j in np.unique(which):
                 sel = np.flatnonzero(which == j)
                 vals = self.fields[j].eval_at(
                     runs[sel].reshape(-1, runs.shape[2]))
-                out[sel] = vals.reshape((sel.size,) + runs.shape[1:])
-        if (sign < 0).any():
-            out *= sign[:, None, None]
-        return out.reshape(points.shape)
+                out_runs[sel] = vals.reshape((sel.size,) + runs.shape[1:])
+        if flips:
+            out_runs *= sign
+        return out
 
 
 def generate_path(model: ForceFieldModel, horizon: float, dt_ou: float = 0.01,

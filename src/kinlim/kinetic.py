@@ -27,6 +27,16 @@ Stepping is a first-order splitting, vectorised over particles:
 * velocities, diffusion collisions ('fp'): exact Ornstein-Uhlenbeck update
   exp(-dt) V + (1 - exp(-dt)) E + Gaussian noise of variance 1 - exp(-2 dt).
 
+A step allocates its new positions and velocities and works in them in
+place: the force is evaluated straight into the new velocity array
+(`PathBlock.eval_at` with `out=`), and the wrap's scratch array takes the
+step's first draw (`rng.random(n, out=...)`, the lb jump uniforms, the
+same numbers as `rng.random(n)`) or the fp noise.  The step checks only
+what it takes as arguments (the collision, dt, the run split and the path
+span, the last against two scalars the `PathBlock` caches); the weights
+and epsilon pass on to the new ensemble unchecked (`ParticleEnsemble
+.advanced`).
+
 `moments` estimates the density, current and pressure fields by the exact
 Fourier sums of the per-particle values w, w V, w V V^T on the modes
 max_d |k_d| <= m/4.  It goes through the particles in fixed blocks of
@@ -56,7 +66,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import LB, _check_collision
-from .forcing import ForceFieldModel, ForcePath, PathBlock, generate_path
+from .forcing import (ForceFieldModel, ForcePath, PathBlock, generate_path,
+                      resolvent_apply)
 from .rng import PARTICLES, PATH, as_generator, parallel_map, substream
 from .torus import (BLOCK_VALUES, TorusField, TorusGrid, divergence, pairing,
                     sobolev_norm)
@@ -86,6 +97,17 @@ class ParticleEnsemble:
             raise ValueError("epsilon must lie in (0, 1]")
         if (self.weights < 0).any():
             raise ValueError("weights must be nonnegative")
+
+    def advanced(self, positions: np.ndarray, velocities: np.ndarray,
+                 dt_macro: float) -> "ParticleEnsemble":
+        """The same particles at new positions and velocities, dt_macro
+        later on the macroscopic clock; the weights and epsilon pass on
+        unchanged, so they are not checked again."""
+        new = object.__new__(ParticleEnsemble)
+        new.__dict__.update(self.__dict__, positions=positions,
+                            velocities=velocities,
+                            time=self.time + dt_macro)
+        return new
 
     @property
     def n_particles(self) -> int:
@@ -208,27 +230,29 @@ def step_micro(ens: ParticleEnsemble, block: PathBlock, dt: float, seed,
     if not block.covers(s, s + dt):
         raise ValueError(f"force path does not cover [{s}, {s + dt}]")
     rng = as_generator(seed)
+    n, dim = ens.positions.shape
     v = ens.velocities
-    # the force array is new, so it becomes the new velocities in place
-    new_vel = block.eval_at(s, ens.positions)
-    new_pos = v * (ens.epsilon * dt)
+    new_vel = block.eval_at(s, ens.positions, np.empty((n, dim)))
+    new_pos = np.multiply(v, ens.epsilon * dt)
     new_pos += ens.positions
-    new_pos -= np.floor(new_pos)
+    scratch = np.floor(new_pos)
+    new_pos -= scratch
     if collision == LB:
         new_vel *= dt
         new_vel += v
-        jumpers = np.flatnonzero(rng.random(ens.n_particles) < -np.expm1(-dt))
+        # the jump uniforms reuse the wrap's scratch array
+        draws = rng.random(n, out=scratch.reshape(-1)[:n])
+        jumpers = np.flatnonzero(draws < -np.expm1(-dt))
         if jumpers.size:
-            new_vel[jumpers] = rng.standard_normal((jumpers.size, v.shape[1]))
+            new_vel[jumpers] = rng.standard_normal((jumpers.size, dim))
     else:
         decay = np.exp(-dt)
-        noise = rng.standard_normal(v.shape)
+        noise = rng.standard_normal(out=scratch)
         noise *= np.sqrt(1.0 - decay**2)
         new_vel *= 1.0 - decay
         new_vel += decay * v
         new_vel += noise
-    return ParticleEnsemble(new_pos, new_vel, ens.weights, ens.epsilon,
-                            ens.time + dt * ens.epsilon**2)
+    return ens.advanced(new_pos, new_vel, dt * ens.epsilon**2)
 
 
 # -- moment estimation ---------------------------------------------------------------
@@ -321,17 +345,16 @@ def moments(ens: ParticleEnsemble, grid: TorusGrid) -> DensityEstimate:
 # -- corrector diagnostic ----------------------------------------------------------
 
 
-def corrector_decomposition(dens: DensityEstimate, e_now: TorusField,
+def corrector_decomposition(dens: DensityEstimate, r0_now: TorusField,
                             epsilon: float):
     """Split rho = theta + zeta with theta = eps * div(J + rho R0(E)).
 
-    Uses the renewal closed form R0(e) = e, so `e_now` is the current force
-    field itself.  For the OU law that form holds only while the link's
-    clip is inactive, so there theta is an approximation.  theta captures
-    the fast, O(eps) part of the density; its dual-norm decay in eps is one
-    of the scaling diagnostics.
+    `r0_now` is the resolvent R0 applied to the current force sample, for
+    either law (`forcing.resolvent_apply`; for a renewal law it is the
+    field itself).  theta captures the fast, O(eps) part of the density;
+    its dual-norm decay in eps is one of the scaling diagnostics.
     """
-    flux = dens.current + e_now.scale_pointwise(dens.rho)
+    flux = dens.current + r0_now.scale_pointwise(dens.rho)
     theta = epsilon * divergence(flux)
     zeta = dens.rho - theta
     return theta, zeta
@@ -386,8 +409,9 @@ def run_rescaled(cfg: KineticRunConfig, path: ForcePath,
         est = moments(e, cfg.grid)
         times.append(e.time)
         estimates.append(est)
-        e_now = path.value_at(min(e.micro_time, path.t_end)).field
-        theta, _ = corrector_decomposition(est, e_now, cfg.epsilon)
+        sample = path.value_at(min(e.micro_time, path.t_end))
+        r0_now = resolvent_apply(path.model, (0.0,), sample)[0]
+        theta, _ = corrector_decomposition(est, r0_now, cfg.epsilon)
         norms.append(sobolev_norm(theta, -1.0))
 
     ens = _evolve(cfg, PathBlock([path]), rho_init, as_generator(seed),

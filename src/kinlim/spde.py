@@ -30,20 +30,32 @@ is cut to its modes above rounding (`torus.significant_modes`), and
 
     F_i^(k) = sum_q c_q src(k - q)
 
-with src = rho^, ik_j rho^ or the noise density: one shifted product per
-kept mode q (the noise fields share one product per (i, q), its factor
-sum_k g_k c_k,q per realization).  A step is then
-coef' = (cn_minus coef + sum_i ik_i F_i^) cn_plus_inv and runs no
-transform.  Shifted reads are slices of a periodic extension of the
-source: the spectrum, completed by c(-k) = conj c(k) along the last axis
-when some mode shifts it, laid out twice along each shifted axis.  The
-step's cost is proportional to the number of coefficient modes (6 for the
-two-point law +/- a cos(2 pi x_0) e_0 in 1-D and 2-D), not to log(grid):
-every law the configs reach has a handful of modes, so there is no
-transform fallback for dense coefficients.  The Heun step adds the noise
-products once more on its midpoint (coef + coef_pred) / 2: the noise is
-linear in rho, so the mean of the two endpoint noises is the noise of the
-mean density.
+with src = rho^, ik_j rho^ or the noise density.  The update
+coef' = (cn_minus coef + sum_i ik_i F_i^) cn_plus_inv is linear in the
+shifted sources, so the stepper folds cn_plus_inv, ik_i and every term of
+a shift q into one multiplier: D_q for the drift (the Theta_i and Kvar_ij
+modes at q, a Kvar_ij mode with its source's derivative symbol
+ik_j(k - q)), and N_k,q for each noise field phi_k.  A step is then
+
+    coef' = A coef + sum_q D_q ext_q + sum_k g_k sum_q N_k,q ext_q,
+
+with A = cn_minus cn_plus_inv and g_k the realization's standard normals,
+and runs no transform.  A(0) = 1 and D_q(0) = N_k,q(0) = 0 (ik(0) = 0),
+so the mass coefficient stays exact.  ext_q, the source at k - q, is a
+slice of one periodic extension of the state: the spectrum, completed by
+c(-k) = conj c(k) along the last axis when some mode shifts it, laid out
+twice along each shifted axis, formed by one precomputed gather from the
+half spectrum and a conjugation of the mirrored last-axis slices.
+`products_per_step` counts the shifted products: one per drift shift and
+one per (noise field, shift), 4 for the two-point law
++/- a cos(2 pi x_0) e_0 in 1-D and 2-D (Theta and Kvar at +/- 2 e_0, phi
+at +/- e_0; `coefficient_modes` counts its 6 kept modes).  The cost is
+proportional to that count, not to log(grid): every law the configs reach
+has a handful of modes, so there is no transform fallback for dense
+coefficients.  The Heun step adds the noise products once more on its
+midpoint (coef + coef_pred) / 2, sharing A coef + sum_q D_q ext_q with the
+predictor: the noise is linear in rho, so the mean of the two endpoint
+noises is the noise of the mean density.
 
 A real field's spectrum pairs c(-k) = conj c(k).  The Nyquist wavenumber
 m/2 is its own negative on the grid, so an odd derivative there would feed
@@ -117,7 +129,7 @@ class SpdeStepper:
         self.dt = float(dt)
         self.scheme = scheme
         ks = [_half_spectrum(k) for k in grid.wavenumbers()]
-        self._ik = [_ik_symbol(k, grid.m) for k in ks]
+        ik = [_ik_symbol(k, grid.m) for k in ks]
 
         diff_vals = coeffs.diffusion.physical()
         phis = [] if cov is None else cov.noise_fields()
@@ -150,43 +162,6 @@ class SpdeStepper:
         self.coefficient_modes = sum(int(np.count_nonzero(hat))
                                      for hat, _ in spectra)
 
-        # drift terms by shift q: (i, factor of rho^(k - q)); a Kvar_ij mode
-        # also carries its source's derivative symbol ik_j(k - q)
-        drift, noise = defaultdict(list), defaultdict(list)
-        for (i, *q), c in _modes(theta_hat, grid):
-            drift[tuple(q)].append((i, c))
-        for (i, j, *q), c in _modes(kvar_hat, grid):
-            drift[tuple(q)].append(
-                (i, c * _ik_symbol(ks[j] - q[j], grid.m)))
-        # noise terms by shift q: (i, column of the per-realization factor
-        # sum_k g_k c_k,i,q); all noise fields share one column per (i, q)
-        cols = sorted({iq for hat, _ in phi_hat for iq, _ in
-                       _modes(hat, grid)})
-        self._noise_coef = np.zeros((self.noise_rank, len(cols)),
-                                    dtype=complex)
-        for k, (hat, _) in enumerate(phi_hat):
-            for iq, c in _modes(hat, grid):
-                self._noise_coef[k, cols.index(iq)] = c
-        for col, (i, *q) in enumerate(cols):
-            noise[tuple(q)].append((i, col))
-        # shifted products of one noisy step (Heun: the noise ones twice)
-        self.products_per_step = sum(map(len, drift.values())) + len(cols) * (
-            2 if scheme == STRATONOVICH else 1)
-
-        # the periodic extension of a source: the full last axis when a mode
-        # shifts it, two periods along every shifted axis, so that the
-        # source at k - q is one slice for every shift q
-        shifts = sorted(set(drift) | set(noise))
-        moved = [any(q[d] for q in shifts) for d in range(grid.dim)]
-        self._full_last = moved[-1]
-        self._doubled = [d - grid.dim for d in range(grid.dim) if moved[d]]
-        sizes = [grid.m] * (grid.dim - 1) + [grid.m // 2 + 1]
-        self._shifts = [
-            ((Ellipsis,) + tuple(slice(-qd % grid.m, -qd % grid.m + n)
-                                 if mv else slice(None)
-                                 for qd, n, mv in zip(q, sizes, moved)),
-             drift[q], noise[q]) for q in shifts]
-
         # a cross term k_i k_j (i != j) is two odd derivatives: Nyquist rule
         odd = [np.where(np.abs(k) == grid.m // 2, 0, k) for k in ks]
         mu = np.zeros(ks[0].shape)
@@ -194,8 +169,41 @@ class SpdeStepper:
             for j in range(grid.dim):
                 a, b = (ks[i], ks[j]) if i == j else (odd[i], odd[j])
                 mu += 4 * np.pi**2 * kbar[i, j] * a * b
-        self._cn_minus = 1.0 - 0.5 * dt * mu
-        self._cn_plus_inv = 1.0 / (1.0 + 0.5 * dt * mu)
+        cn_plus_inv = 1.0 / (1.0 + 0.5 * dt * mu)
+        self._decay = (1.0 - 0.5 * dt * mu) * cn_plus_inv
+
+        # one multiplier per shift q, cn_plus_inv sum_i ik_i c over the kept
+        # modes c at q of the flux fields (a Kvar_ij mode also carries its
+        # source's derivative symbol ik_j(k - q)): D_q for the drift, and
+        # N_k,q for each noise field phi_k, weighed by g_k in a step
+        drift = defaultdict(complex)
+        for (i, *q), c in _modes(theta_hat, grid):
+            drift[tuple(q)] += ik[i] * c
+        for (i, j, *q), c in _modes(kvar_hat, grid):
+            drift[tuple(q)] += ik[i] * (c * _ik_symbol(ks[j] - q[j], grid.m))
+        noise = [defaultdict(complex) for _ in phi_hat]
+        for field, (hat, _) in zip(noise, phi_hat):
+            for (i, *q), c in _modes(hat, grid):
+                field[tuple(q)] += ik[i] * c
+        # shifted products of one noisy step (Heun: the noise ones twice)
+        self.products_per_step = len(drift) + sum(map(len, noise)) * (
+            2 if scheme == STRATONOVICH else 1)
+
+        # the periodic extension of a source: the full last axis when a mode
+        # shifts it, two periods along every shifted axis, so that the
+        # source at k - q is one slice for every shift q
+        shifts = set(drift).union(*noise)
+        moved = [any(q[d] for q in shifts) for d in range(grid.dim)]
+        sizes = [grid.m] * (grid.dim - 1) + [grid.m // 2 + 1]
+
+        def terms(mults):
+            return [((Ellipsis,) + tuple(
+                slice(-qd % grid.m, -qd % grid.m + n) if mv else slice(None)
+                for qd, n, mv in zip(q, sizes, moved)), cn_plus_inv * mult)
+                for q, mult in sorted(mults.items())]
+        self._drift = terms(drift)
+        self._noise = [terms(field) for field in noise]
+        self._gather, self._mirrored = _extension(grid, moved)
 
     # -- spectral helpers ---------------------------------------------------
 
@@ -211,37 +219,31 @@ class SpdeStepper:
         return np.fft.rfftn(phys, axes=self._axes(phys), norm="forward")
 
     def _extend(self, coef):
-        """The periodic extension that every shifted source slice reads."""
-        ext = _full_spectrum(coef, self.grid) if self._full_last else coef
-        for ax in self._doubled:
-            ext = np.concatenate([ext, ext], axis=ax)
+        """The periodic extension that every shifted source slice reads: one
+        gather from the half spectrum, then c(-k) = conj c(k) where the
+        gather read the mirror mode."""
+        if self._gather is None:
+            return coef
+        lead = coef.shape[:coef.ndim - self.grid.dim]
+        ext = coef.reshape(lead + (-1,))[..., self._gather]
+        for sl in self._mirrored:
+            np.conjugate(ext[sl], out=ext[sl])
         return ext
 
-    def _drift_fluxes(self, ext):
-        """F_i^ of the drift terms (None for an axis without any)."""
-        fluxes = [None] * self.grid.dim
-        for sl, drift, _ in self._shifts:
-            src = ext[sl]
-            for i, c in drift:
-                fluxes[i] = _added(fluxes[i], c * src)
-        return fluxes
-
-    def _add_noise(self, fluxes, ext, factors):
-        """Add the noise terms, read from the extension `ext` of the noise
-        density, to `fluxes` in place."""
-        for sl, _, noise in self._shifts:
-            src = ext[sl]
-            for i, col in noise:
-                fluxes[i] = _added(fluxes[i], factors[col] * src)
-        return fluxes
-
-    def _update(self, coef, fluxes):
-        """(cn_minus coef + sum_i ik_i F_i^) cn_plus_inv."""
-        out = self._cn_minus * coef
-        for ik, flux in zip(self._ik, fluxes):
-            if flux is not None:
-                out += ik * flux
-        out *= self._cn_plus_inv
+    def _add_noise(self, out, ext, g):
+        """Add sum_k g_k sum_q N_k,q ext_q to `out` in place, reading the
+        sources from the extension `ext` of the noise density; g_k is a
+        column of one standard normal per realization."""
+        acc, term = np.empty_like(out), np.empty_like(out)
+        for gk, field in zip(g, self._noise):
+            if not field:           # a zero noise field keeps no mode
+                continue
+            (sl, mult), *rest = field
+            np.multiply(mult, ext[sl], out=acc)
+            for sl, mult in rest:
+                acc += np.multiply(mult, ext[sl], out=term)
+            acc *= gk
+            out += acc
         return out
 
     # -- stepping ------------------------------------------------------------
@@ -250,32 +252,44 @@ class SpdeStepper:
         """One step on half-spectrum coefficients; g: standard normals
         (..., rank)."""
         ext = self._extend(coef)
-        drift = self._drift_fluxes(ext)
+        det = self._decay * coef
+        term = np.empty_like(det)
+        for sl, mult in self._drift:
+            det += np.multiply(mult, ext[sl], out=term)
         if g is None or self.noise_rank == 0:
-            return self._update(coef, drift)
-        # per-realization factors sum_k g_k c_k,i,q of the noise columns
-        factors = g[..., 0, None] * self._noise_coef[0]
-        for k in range(1, self.noise_rank):
-            factors += g[..., k, None] * self._noise_coef[k]
+            return det
         shape = g.shape[:-1] + (1,) * self.grid.dim
-        factors = [factors[..., col].reshape(shape)
-                   for col in range(factors.shape[-1])]
+        g = [g[..., k].reshape(shape) for k in range(self.noise_rank)]
         if self.scheme == ITO:
-            return self._update(coef, self._add_noise(drift, ext, factors))
+            return self._add_noise(det, ext, g)
         # Stratonovich: Heun rule; the noise is linear in rho, so the mean of
         # the two endpoint noises is the noise of the mean density
-        pred = self._update(coef, self._add_noise(
-            [None if f is None else f.copy() for f in drift], ext, factors))
-        mid = self._extend(0.5 * (coef + pred))
-        return self._update(coef, self._add_noise(drift, mid, factors))
+        pred = self._add_noise(det.copy(), ext, g)
+        pred += coef
+        pred *= 0.5
+        return self._add_noise(det, self._extend(pred), g)
 
 
-def _added(total, term):
-    """total + term, accumulated in place into `total` unless it is None."""
-    if total is None:
-        return term
-    total += term
-    return total
+def _extension(grid: TorusGrid, moved):
+    """Flat half-spectrum indices of the periodic extension (full last axis
+    if `moved[-1]`, two periods along every other moved axis) and the
+    last-axis slices of it that take the conjugate, c(-k) = conj c(k) (the
+    modes k_N > m/2 of each period); (None, []) when no mode moves any
+    axis."""
+    m, half = grid.m, grid.m // 2 + 1
+    if not any(moved):
+        return None, []
+    axes = [np.arange(2 * m) % m if mv else np.arange(m)
+            for mv in moved[:-1]]
+    axes.append(np.arange(2 * m) % m if moved[-1] else np.arange(half))
+    ks = np.meshgrid(*axes, indexing="ij")
+    # a mirrored entry reads the half spectrum at -k
+    mirror = ks[-1] >= half
+    ks = [np.where(mirror, -k % m, k) for k in ks]
+    flat = np.ravel_multi_index(ks, (m,) * (grid.dim - 1) + (half,))
+    periods = 2 if moved[-1] else 0
+    return flat, [(Ellipsis, slice(p * m + half, (p + 1) * m))
+                  for p in range(periods)]
 
 
 def _ik_symbol(k, m: int):
@@ -348,7 +362,7 @@ class EnsembleResult:
     min_rho: float              # most negative physical value seen
     noise_rank: int
     n_steps: int
-    products_per_step: int      # shifted products of one step
+    products_per_step: int      # shifted products of one step (docstring)
     coefficient_modes: int      # kept modes of the pre-scaled fields
     dropped_tail: float         # largest dropped |c| / max |c| among them
     blocks_per_step: int        # step_hat calls per step

@@ -7,6 +7,13 @@ scalar, vector (N components) or matrix (N x N components).  Derivatives are
 spectral and therefore exact for band-limited data; all nonlinearities used
 elsewhere in the package are pointwise products evaluated in physical space.
 
+`TorusField.eval_at` evaluates a field at arbitrary points by summing its
+kept modes one at a time.  Each mode's phase k.x is reduced by its nearest
+integer before it is scaled by 2 pi, so cos and sin see angles in
+[-pi, pi]: libm is cheaper there, and the angle keeps its accuracy for
+|k| > 1.  It writes into a caller's `out=` array when given (the particle
+step passes its new velocity array) and returns the array it filled.
+
 Field values are frozen after construction so instances can be shared freely
 across workers.
 """
@@ -169,14 +176,19 @@ class TorusField:
             return self
         return TorusField(self.grid, 0, np.array(self.physical()[idx]))
 
-    def eval_at(self, points: np.ndarray) -> np.ndarray:
+    def eval_at(self, points: np.ndarray, out=None) -> np.ndarray:
         """Exact band-limited evaluation at arbitrary points in [0,1)^N.
 
-        Sums the nonzero Fourier modes one at a time (angle, then cosine and
+        Sums the nonzero Fourier modes one at a time (phase, then cosine and
         sine terms, each component apart), elementwise and without BLAS, so
         the cost scales with the number of retained modes and memory with
         the number of points; this is intended for sparse (few-mode) fields.
-        Returns an array of shape (npoints,) + component_shape.
+        A mode's phase k.x is reduced by its nearest integer before the
+        scaling by 2 pi, so the cosine and sine see angles in [-pi, pi]:
+        cheaper for libm, and more accurate for |k| > 1 than the unreduced
+        angle.  Fills `out` (a float array of shape (npoints,) +
+        component_shape, e.g. the velocity array of a particle step) when
+        given, and returns the array it filled.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.grid.dim:
@@ -184,17 +196,26 @@ class TorusField:
         if self._waves is None:
             self._waves = _waves(*self._build_mode_cache())
         comp, c0, waves = self._waves
-        out = np.tile(c0, (pts.shape[0], 1))
+        n = pts.shape[0]
+        if out is None:
+            out = np.empty((n,) + comp)
+        elif out.shape != (n,) + comp or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a contiguous {(n,) + comp} "
+                             f"array, got shape {out.shape}")
+        flat = out.reshape(n, c0.size)
+        flat[:] = c0
+        phase, vals, term = np.empty(n), np.empty(n), np.empty(n)
         for axes, ks, parts in waves:
-            ang = pts[:, axes[0]] * ks[0]
+            np.multiply(pts[:, axes[0]], ks[0], out=phase)
             for d, k in zip(axes[1:], ks[1:]):
-                ang += pts[:, d] * k
-            ang *= 2 * np.pi
+                phase += np.multiply(pts[:, d], k, out=term)
+            phase -= np.rint(phase, out=term)
+            phase *= 2 * np.pi
             for wave, terms in parts:
-                vals = wave(ang)
+                wave(phase, out=vals)
                 for j, c in terms:
-                    out[:, j] += vals * c
-        return out.reshape((pts.shape[0],) + comp) if comp else out[:, 0]
+                    flat[:, j] += np.multiply(vals, c, out=term)
+        return out
 
     def _build_mode_cache(self):
         """Real cos/sin representation over canonical (half-lattice) modes,

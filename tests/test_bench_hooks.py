@@ -94,6 +94,11 @@ def test_benchmark_traces_every_particle_step():
     assert out["kinetic.particle_steps"] == 5 * 200 * out["n_steps"]
     assert out["step_calls"] == 3 * out["n_steps"]
     assert out["kinetic.lb_jumps_expected"] > 0
+    # every particle-step evaluates its force through TorusField.eval_at,
+    # and so do the 1-D position sampler (a 2^14-point grid, once per
+    # block) and the one functional (every particle of the final ensembles)
+    assert out["torus.eval_at.points"] == (
+        out["kinetic.particle_steps"] + 3 * 2**14 + 5 * 200)
 
 
 def test_benchmark_traces_every_stage_layer(tmp_path):

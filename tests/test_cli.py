@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from kinlim.cli import main
 from kinlim.coefficients import spectrum_from_csv
 from kinlim.config import ExperimentConfig, RunManifest, file_checksum
+from kinlim.forcing import two_point_renewal
+from kinlim.torus import TorusGrid
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -57,6 +60,23 @@ def test_config_validation_errors():
         ExperimentConfig.from_text("unknown_key = 3\n")
 
 
+def test_config_refuses_a_mode_the_grid_aliases():
+    # at grid_m = 64, mode 40 builds the mode-24 atom: a cos(2 pi 40 x) is
+    # -0.496 at x = 0.013, the atom gives a cos(2 pi 24 x) = -0.190
+    x, a = 0.013, 0.5
+    atom = two_point_renewal(TorusGrid(1, 64), a, mode=40).atoms[0]
+    assert atom.eval_at([[x]])[0, 0] == pytest.approx(-0.190, abs=5e-4)
+    assert atom.eval_at([[x]])[0, 0] == pytest.approx(
+        a * np.cos(2 * np.pi * 24 * x), abs=1e-12)
+    assert a * np.cos(2 * np.pi * 40 * x) == pytest.approx(-0.496, abs=5e-4)
+    for mode in (40, 32, 0, -1):
+        with pytest.raises(ValueError, match="mode"):
+            ExperimentConfig(grid_m=64, mode=mode).validate()
+    ExperimentConfig(grid_m=64, mode=31).validate()
+    with pytest.raises(ValueError, match="mode"):
+        ExperimentConfig(grid_m=4, mode=2).validate()
+
+
 def test_shipped_configs_validate():
     sys.path.insert(0, str(ROOT / "bench"))
     try:
@@ -77,7 +97,7 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
 CONFIGS = st.builds(
     ExperimentConfig, scenario=TEXT, model_kind=st.sampled_from(
-        ["renewal", "ou"]), amplitude=FINITE, mode=st.integers(),
+        ["renewal", "ou"]), amplitude=FINITE,
     sobolev_index=FINITE, collision=st.sampled_from(["lb", "fp"]),
     dim=st.sampled_from([1, 2]), grid_m=st.sampled_from([4, 8, 64, 1024]),
     epsilons=st.lists(st.floats(min_value=1e-300, max_value=1.0), min_size=1,
@@ -90,7 +110,9 @@ CONFIGS = st.builds(
     n_spde_realizations=st.integers(min_value=2),
     n_mc=st.integers(min_value=100), n_paths=st.integers(),
     n_checkpoints=st.integers(min_value=1), seed=st.integers(0, 2**64 - 1),
-    out_dir=TEXT, threads=st.integers(min_value=1))
+    out_dir=TEXT, threads=st.integers(min_value=1)).flatmap(
+        lambda cfg: st.integers(1, cfg.grid_m // 2 - 1).map(
+            lambda mode: replace(cfg, mode=mode)))
 
 
 @given(CONFIGS)
@@ -138,17 +160,15 @@ def test_simulate_kinetic_writes_series(tmp_path):
 
 
 def test_simulate_kinetic_ou_report_states_corrector_closed_form(tmp_path):
-    # the corrector column takes the renewal R0(e) = e, which the OU law
-    # meets only while its clip is inactive; the report says so
-    reports = []
+    # the corrector column takes the exact R0 of either law, so neither
+    # report carries the note that OU once needed (R0(e) = e holds for the
+    # OU law only while its clip is inactive)
     for kind in ("renewal", "ou"):
         cfg, path = mini_config(tmp_path, epsilons=(0.5,), n_particles=400,
                                 model_kind=kind)
         assert main(["simulate-kinetic", "--config", path]) == 0
-        reports.append((tmp_path / "out" / "report_kinetic.txt").read_text())
-    renewal, ou = reports
-    assert "R0(e) = e" not in renewal
-    assert "corrector_hminus1 takes R0(e) = e" in ou and "OU" in ou
+        report = (tmp_path / "out" / "report_kinetic.txt").read_text()
+        assert "corrector_hminus1" not in report and "R0" not in report
 
 
 def test_simulate_spde_and_converge_pipeline(tmp_path):
@@ -177,12 +197,13 @@ def test_simulate_spde_2d_columns_follow_forced_axis(tmp_path):
     assert float(last["var_k1"]) > 0
     # the reports name the covariance's QR width (kernel side 512,
     # 2 n_mc = 200), the stepping blocks (2^14 // 256 = 64 realizations)
-    # and the step's products: Theta, Kvar at +/- 2 e_0, phi at +/- e_0
+    # and the step's products: one for Theta and Kvar at each of +/- 2 e_0,
+    # one for phi at each of +/- e_0
     out = tmp_path / "out"
     assert "covariance QR width 200" in (out / "report_coeffs.txt").read_text()
     report = (out / "report_spde.txt").read_text()
     assert "64 realizations per block, 1 blocks per step" in report
-    assert "6 shifted products per step" in report
+    assert "4 shifted products per step" in report
     assert "coefficient modes kept 6, largest dropped |c|/max|c|" in report
 
 

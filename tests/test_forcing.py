@@ -324,9 +324,9 @@ def count_eval_calls(monkeypatch):
     calls = []
     orig = TorusField.eval_at
 
-    def counted(self, points):
+    def counted(self, points, out=None):
         calls.append(points.shape[0])
-        return orig(self, points)
+        return orig(self, points, out)
     monkeypatch.setattr(TorusField, "eval_at", counted)
     return calls
 
@@ -374,3 +374,22 @@ def test_path_block_keeps_other_fields_apart(monkeypatch, grid, model):
         rows = slice(r * n, (r + 1) * n)
         assert np.array_equal(vals[rows],
                               path.value_at(0.5).field.eval_at(pos[rows]))
+
+
+def test_path_block_lookup_follows_every_path(grid, model):
+    # paths on different clocks (one shifted by 0.3) with their own jumps:
+    # at every breakpoint of any path, between breakpoints and at the span
+    # ends, each run feels its own path's value (right-continuous)
+    paths = [generate_path(model, 3.0, seed=substream(43, r),
+                           t_start=0.3 * (r == 2)) for r in range(5)]
+    block = PathBlock(paths)
+    edges = np.unique(np.concatenate([p.times for p in paths]))
+    times = np.concatenate([edges, 0.5 * (edges[1:] + edges[:-1])])
+    n = 20
+    pos = substream(44).random((5 * n, 1))
+    for t in times[(times >= 0.3) & (times <= 3.0)]:
+        vals = block.eval_at(t, pos)
+        for r, path in enumerate(paths):
+            rows = slice(r * n, (r + 1) * n)
+            assert np.array_equal(vals[rows],
+                                  path.value_at(t).field.eval_at(pos[rows]))

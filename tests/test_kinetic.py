@@ -9,14 +9,15 @@ import pytest
 
 from kinlim import kinetic
 from kinlim.equilibrium import FP, LB
-from kinlim.forcing import (PathBlock, constant_two_point_renewal,
-                            generate_path, ou_single_mode, two_point_renewal,
-                            zero_renewal)
+from kinlim.forcing import (RENEWAL, ForceFieldModel, PathBlock,
+                            constant_two_point_renewal, generate_path,
+                            ou_single_mode, resolvent_apply,
+                            two_point_renewal, zero_renewal)
 from kinlim.kinetic import (KineticRunConfig, ParticleEnsemble,
                             corrector_decomposition, functional_samples,
                             moments, run_rescaled, step_micro)
 from kinlim.rng import substream
-from kinlim.torus import TorusField, TorusGrid, pairing
+from kinlim.torus import TorusField, TorusGrid, pairing, sobolev_norm
 
 A = 0.5
 ROOT = Path(__file__).resolve().parents[1]
@@ -317,6 +318,31 @@ def test_corrector_trivial_cases(grid):
     assert np.max(np.abs(theta2.values)) < 1e-9
 
 
+def test_run_rescaled_corrector_takes_the_exact_ou_r0(grid):
+    # with the OU clip at 0.3 most states are clamped, where the field
+    # e = 0.3 sign(u) link differs from R0(e) = int E[clamp(u_t)] dt link:
+    # the recorded norms are those of the exact R0, not of e (the current
+    # J dominates theta, so the norms differ less than the fields)
+    eps = 0.5
+    model = ou_single_mode(grid, A, clip_radius=0.3)
+    cfg = KineticRunConfig(LB, eps, 0.01, 0.025, 2000, grid)
+    path = generate_path(model, cfg.path_horizon, seed=substream(95))
+    rho0 = TorusField.from_function(
+        grid, 0, lambda x: 1.0 + 0.5 * np.cos(2 * np.pi * x))
+    run = run_rescaled(cfg, path, rho0, substream(96), n_checkpoints=2)
+    gaps = []
+    for t, est, norm in zip(run.times, run.estimates, run.corrector_norms):
+        sample = path.value_at(min(t / eps**2, path.t_end))
+        r0 = resolvent_apply(model, (0.0,), sample)[0]
+        assert norm == sobolev_norm(corrector_decomposition(est, r0, eps)[0],
+                                    -1.0)
+        assert norm != sobolev_norm(
+            corrector_decomposition(est, sample.field, eps)[0], -1.0)
+        gaps.append(np.max(np.abs(r0.values - sample.field.values))
+                    / np.max(np.abs(sample.field.values)))
+    assert max(gaps) > 0.05
+
+
 def test_corrector_scaling_smoke(grid):
     # sup_t ||theta^eps||_{H^-1} shrinks roughly linearly in eps
     model = two_point_renewal(grid, A)
@@ -432,3 +458,101 @@ def test_block_step_rejects_uneven_runs(grid):
     with pytest.raises(ValueError):
         step_micro(uniform_ensemble(101, 0.5, 5), PathBlock(paths), 0.02,
                    substream(6), LB)
+
+
+def mode_sum(field, pts):
+    """Force values at pts (n, dim) as the direct sum over the field's
+    spectrum of Re c_k exp(2 pi i k.x), at the unreduced angle 2 pi k.x."""
+    coef = field.spectrum()
+    ks = np.stack([k.ravel() for k in field.grid.wavenumbers()], axis=1)
+    flat = coef.reshape(coef.shape[0], -1)
+    out = np.zeros((pts.shape[0], coef.shape[0]))
+    for idx in np.flatnonzero(np.abs(flat).max(axis=0) > 1e-14):
+        ang = 2 * np.pi * (pts @ ks[idx])
+        for j, c in enumerate(flat[:, idx]):
+            out[:, j] += c.real * np.cos(ang) - c.imag * np.sin(ang)
+    return out
+
+
+def reference_step(ens, paths, dt, rng, collision):
+    """One micro step as `step_micro` took it before the reduced phase: the
+    force of run r from `paths[r].value_at`, then the same wrap, drift and
+    collision draws.  Returns the new ensemble and the jump set (lb)."""
+    n, dim = ens.positions.shape
+    runs = len(paths)
+    s = ens.micro_time
+    new_vel = np.concatenate([
+        mode_sum(p.value_at(s).field, ens.positions[r * n // runs:
+                                                    (r + 1) * n // runs])
+        for r, p in enumerate(paths)])
+    v = ens.velocities
+    new_pos = v * (ens.epsilon * dt)
+    new_pos += ens.positions
+    new_pos -= np.floor(new_pos)
+    jumpers = None
+    if collision == LB:
+        new_vel *= dt
+        new_vel += v
+        jumpers = np.flatnonzero(rng.random(n) < -np.expm1(-dt))
+        if jumpers.size:
+            new_vel[jumpers] = rng.standard_normal((jumpers.size, dim))
+    else:
+        decay = np.exp(-dt)
+        noise = rng.standard_normal(v.shape)
+        noise *= np.sqrt(1.0 - decay**2)
+        new_vel *= 1.0 - decay
+        new_vel += decay * v
+        new_vel += noise
+    return ParticleEnsemble(new_pos, new_vel, ens.weights, ens.epsilon,
+                            ens.time + dt * ens.epsilon**2), jumpers
+
+
+def diagonal_modes_2d(grid, amplitude):
+    """Symmetric two-point law whose atom holds diagonal modes in both
+    components: cos 2 pi (x + y) e_0 + sin 2 pi (3x - 2y) e_1."""
+    def comp(x, y):
+        return amplitude * np.stack([np.cos(2 * np.pi * (x + y)),
+                                     np.sin(2 * np.pi * (3 * x - 2 * y))])
+
+    atom = TorusField.from_function(grid, 1, comp)
+    return ForceFieldModel(RENEWAL, grid, atoms=[atom, -1.0 * atom])
+
+
+def torus_gap(a, b):
+    """Largest distance on the torus between positions a and b."""
+    d = a - b
+    return float(np.max(np.abs(d - np.rint(d))))
+
+
+@pytest.mark.parametrize("dim,collision,steps", [(1, LB, 1024),
+                                                 (2, FP, 128)])
+def test_step_matches_reference_step(dim, collision, steps):
+    # 32 runs of 64 particles at eps = 1/8 over micro time steps * dt; the
+    # paths jump between +a and -a, so runs feel both signs
+    eps, runs, n = 0.125, 32, 64
+    dt = 0.1 * eps**2
+    grid = TorusGrid(dim, 16)
+    model = (two_point_renewal(grid, A) if dim == 1
+             else diagonal_modes_2d(grid, A))
+    paths = [generate_path(model, steps * dt + 1.0, seed=substream(80, r))
+             for r in range(runs)]
+    block = PathBlock(paths)
+    start = uniform_ensemble(runs * n, eps, 81, dim=dim)
+    ens, ref = start, start
+    rng, ref_rng = substream(82), substream(82)
+    # runs start on both atoms, and paths jump during the run
+    assert set(block.field_sign[:, 0]) == {-1.0, 1.0}
+    assert any(p.times[1] < steps * dt for p in paths)
+    for _ in range(steps):
+        draws = substream(0)
+        draws.bit_generator.state = rng.bit_generator.state
+        ens = step_micro(ens, block, dt, rng, collision)
+        ref, ref_jumps = reference_step(ref, paths, dt, ref_rng, collision)
+        assert repr(rng.bit_generator.state) == \
+            repr(ref_rng.bit_generator.state)
+        if collision == LB:
+            jumps = np.flatnonzero(draws.random(runs * n) < -np.expm1(-dt))
+            assert np.array_equal(jumps, ref_jumps)
+        assert torus_gap(ens.positions, ref.positions) <= 1e-12
+        assert np.max(np.abs(ens.velocities - ref.velocities)) <= 1e-12
+    assert ens.time == ref.time

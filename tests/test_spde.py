@@ -410,8 +410,9 @@ def test_step_runs_no_transform_and_counts_products(case, scheme,
     coef = np.zeros((2, *grid.shape[:-1], grid.m // 2 + 1), dtype=complex)
     stepper.step_hat(coef, np.ones((2, stepper.noise_rank)))
     assert calls == []
-    # one product per kept mode of Theta_i and of K_ij off the mean, and
-    # one per (i, q) that any noise field phi_k,i holds
+    # one product per shift q at which Theta_i or K_ij off the mean keeps
+    # a mode (their terms share one multiplier), and one per (i, q) that
+    # any noise field phi_k,i holds
     def kept(field):
         flat = field.spectrum().reshape(-1, grid.size)
         return significant_modes(flat)[0].reshape(field.spectrum().shape)
@@ -422,12 +423,14 @@ def test_step_runs_no_transform_and_counts_products(case, scheme,
         # Theta - phi div phi and K - phi phi^T at +/- 2 e_0, phi at +/- e_0
         # in both Heun stages: no rounding mode of the near-cancelling
         # difference survives
-        assert stepper.products_per_step == 8
+        assert stepper.products_per_step == 6
         return
-    modes = np.count_nonzero(kept(coeffs.drift)) + np.count_nonzero(k_hat)
-    assert stepper.products_per_step == modes + np.count_nonzero(noise)
+    shifts = np.any(kept(coeffs.drift) != 0, axis=0) | np.any(k_hat != 0,
+                                                              axis=(0, 1))
+    assert stepper.products_per_step == (np.count_nonzero(shifts)
+                                         + np.count_nonzero(noise))
     if case != "2d-full":     # the two-point law: Theta, Kvar at +/- 2 e_0,
-        assert stepper.products_per_step == 6     # phi at +/- e_0
+        assert stepper.products_per_step == 4     # phi at +/- e_0
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -6,7 +6,8 @@ import pytest
 from kinlim.forcing import two_point_renewal
 from kinlim.rng import substream
 from kinlim.torus import (TorusField, TorusGrid, divergence, gradient,
-                          laplacian, matrix_divergence, pairing, sobolev_norm)
+                          laplacian, matrix_divergence, pairing,
+                          significant_modes, sobolev_norm)
 
 
 @pytest.fixture
@@ -207,6 +208,57 @@ def test_sine_terms_are_kept(grid, sin_weight):
     x = np.random.default_rng(8).random((1000, 1))
     want = np.cos(2 * np.pi * x[:, 0]) + sin_weight * np.sin(2 * np.pi * x[:, 0])
     assert np.max(np.abs(f.eval_at(x) - want)) < 1e-15
+
+
+def extended_mode_sum(field, pts):
+    """sum_k c_k exp(2 pi i k.x) of a scalar field over the modes eval_at
+    keeps (`significant_modes`), in long double arithmetic."""
+    coef = significant_modes(field.spectrum().reshape(1, -1))[0][0]
+    ks = np.stack([k.ravel() for k in field.grid.wavenumbers()], axis=1)
+    two_pi = np.longdouble("6.28318530717958647692528676655900577")
+    out = np.zeros(len(pts), dtype=np.longdouble)
+    for idx in np.flatnonzero(coef):
+        ang = two_pi * (pts.astype(np.longdouble) @ ks[idx])
+        out += (np.longdouble(coef[idx].real) * np.cos(ang)
+                - np.longdouble(coef[idx].imag) * np.sin(ang))
+    return out
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 60,
+                    reason="needs an extended-precision long double")
+@pytest.mark.parametrize("dim,m", [(1, 64), (2, 16)])
+def test_eval_at_reduced_phase_is_accurate_for_every_mode(dim, m):
+    # one mode a cos(2 pi k.x + phi) at a time, |k_d| up to m/2 - 1 along
+    # the axes and the diagonals; the points lie on the lattice 2^-40 Z,
+    # where k.x is exact, so the error is the rounding of 2 pi r (|r| <=
+    # 1/2), of cos and sin, and of the products: at most 1.5e-15 |c|.  The
+    # unreduced angle 2 pi k.x rounds to 2e-14 |c| at k = 30.
+    grid = TorusGrid(dim, m)
+    rng = substream(90, dim)
+    pts = rng.integers(0, 2**40, (4000, dim)) / 2**40
+    for k in range(1, m // 2):
+        for kv in [(k,)] if dim == 1 else [(k, 0), (0, k), (k, k), (k, -k)]:
+            phi = rng.uniform(0, 2 * np.pi)
+            f = TorusField.from_function(
+                grid, 0, lambda *xs: 0.7 * np.cos(
+                    2 * np.pi * sum(kd * x for kd, x in zip(kv, xs)) + phi))
+            out = np.empty(len(pts))
+            assert f.eval_at(pts, out) is out
+            top = np.abs(f.spectrum()).max()
+            err = np.max(np.abs(out - extended_mode_sum(f, pts)))
+            assert err <= 1.5e-15 * top, (kv, err / top)
+
+
+def test_eval_at_fills_out_as_it_allocates():
+    grid = TorusGrid(2, 16)
+    f = TorusField.from_function(grid, 1, lambda x, y: np.stack(
+        [np.cos(2 * np.pi * (x + y)), 0.3 + np.sin(2 * np.pi * (3 * x - y))]))
+    pts = substream(91).random((500, 2))
+    out = np.full((500, 2), np.nan)
+    assert f.eval_at(pts, out=out) is out
+    assert np.array_equal(out, f.eval_at(pts))
+    with pytest.raises(ValueError, match="contiguous"):
+        f.eval_at(pts, out=np.empty((2, 500)).T)
 
 
 def test_many_mode_eval_at_memory_is_per_point():
