@@ -16,8 +16,9 @@ from kinlim.torus import TorusGrid
 grid = TorusGrid(1, 64)
 amp = 0.5
 model = two_point_renewal(grid, amp)
-# one pass of stationary draws and their resolvent images is the only input
-# of both estimators
+# one stationary pass, the law's two atoms with their weights and their
+# resolvent images, is the only input of both estimators: the sums over the
+# atoms are the exact expectations
 draws = draw_stationary(model, grid, 200, seed=21)
 
 for collision, coef in ((LB, 1.5), (FP, 1.0)):

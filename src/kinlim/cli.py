@@ -57,11 +57,14 @@ def cmd_coeffs(args) -> int:
     lines = [
         f"stage coeffs (kinlim {__version__})",
         f"collision={cfg.collision} amplitude={cfg.amplitude} "
-        f"grid_m={cfg.grid_m} n_mc={cfg.n_mc}",
+        f"grid_m={cfg.grid_m}",
+        f"stationary nodes {cov.n_nodes} ("
+        + ("exact atoms, standard errors 0)" if coeffs.n_mc == 0
+           else f"n_mc = {coeffs.n_mc} Monte Carlo draws)"),
         f"noise rank {cov.rank}, trace {cov.trace:.6g}, "
         f"dropped tail {cov.dropped_tail:.3g}",
         f"covariance QR width {cov.qr_width} (kernel side "
-        f"{cov.grid.dim * cov.grid.size}, 2 n_mc = {2 * cfg.n_mc})",
+        f"{cov.grid.dim * cov.grid.size}, 2 x {cov.n_nodes} nodes)",
         f"enhancement: min eig(K - Id) = {report.min_eig_over_base:.3e}",
         f"enhancement: min eig(K - Id - noise) = "
         f"{report.min_eig_over_noise:.3e}",
@@ -130,7 +133,8 @@ def cmd_simulate_spde(args) -> int:
     res = run_ensemble(coeffs, cov, rho0, cfg.horizon, cfg.dt_spde,
                        cfg.n_spde_realizations, seed=cfg.seed,
                        xi_fields=[f for _, f in xi],
-                       n_checkpoints=cfg.n_checkpoints)
+                       n_checkpoints=cfg.n_checkpoints,
+                       n_workers=cfg.threads)
     out_path = os.path.join(cfg.out_dir, "spde_ensemble.csv")
     n_modes = min(8, cfg.grid_m // 2)
     header = ["t"] + [f"mean_re_k{k}" for k in range(n_modes)] \

@@ -16,24 +16,29 @@ R_0 - R_1 by the resolvent identity):
   whose integral operator is symmetric, nonnegative and trace class; its
   spectral square root generates the limit noise.
 
-Here a (x)sym b = a (x) b + b (x) a.  All expectations are Monte Carlo
-averages over stationary draws, with per-entry standard errors; for the
-default two-point base law every second-moment average is deterministic, so
-the estimates coincide with the two-atom enumeration exactly.
+Here a (x)sym b = a (x) b + b (x) a.  Every expectation is a weighted sum
+over nodes of the stationary law, sum_i w_i f(E_i).  A renewal law's nodes
+are its atoms with their weights, so for a law with finitely many atoms
+(the default two-point law among them) the sums are the exact
+expectations, with standard errors 0, and no random stream is drawn.  The
+OU law's nodes are n_mc Monte Carlo draws of weight 1/n_mc, with per-entry
+standard errors.
 
-Both estimators take one pass of n stationary draws E and their R_0 and R_1
-images (`draw_stationary`) as their only input.  The kernel is
-discretised by grid quadrature (uniform weight M^-N).  Its Monte Carlo
-estimate (1/2n)(R E^T + E R^T), with the draws as columns of R and E, has
-rank at most 2n, so it is never formed: a thin QR [R E] = Q T gives
-H = Q M Q^T with a small k x k matrix M, k = min(N M^N, 2n), and the
-eigenfields are Q times the eigenvectors of M.  Rows of T at the QR's
-round-off level are cut first (a numerical rank cut), so a rank-deficient
-kernel keeps the accuracy of a dense `eigh`.  The estimate vanishes off the
-range of Q, so its smallest eigenvalue is the smallest of M, or 0 when Q
-has fewer than N M^N columns; with the symmetry of M it is what the
-nonnegativity check reads.  Eigenvalues below a noise floor are dropped and
-the dropped tail is reported as a modelling-error bound.
+Both estimators take one pass of n nodes E, their weights and their R_0 and
+R_1 images (`draw_stationary`) as their only input, and go through the
+nodes one at a time, so their memory does not grow with n.  The kernel is
+discretised by grid quadrature (uniform weight M^-N).  Its weighted sum
+(1/2)(R E^T + E R^T), with the nodes scaled by sqrt(w_i) as columns of R
+and E, has rank at most 2n, so it is never formed: a thin QR [R E] = Q T
+gives H = Q M Q^T with a small k x k matrix M, k = min(N M^N, 2n) (4 for
+the two-point law), and the eigenfields are Q times the eigenvectors of M.
+Rows of T at the QR's round-off level are cut first (a numerical rank
+cut), so a rank-deficient kernel keeps the accuracy of a dense `eigh`.  The
+estimate vanishes off the range of Q, so its smallest eigenvalue is the
+smallest of M, or 0 when Q has fewer than N M^N columns; with the symmetry
+of M it is what the nonnegativity check reads.  Eigenvalues below a noise
+floor are dropped and the dropped tail is reported as a modelling-error
+bound.
 """
 
 from __future__ import annotations
@@ -44,8 +49,8 @@ from functools import cached_property
 import numpy as np
 
 from .equilibrium import FP, LB, _check_collision, path_weighted_integral
-from .forcing import (ForceFieldModel, generate_path, resolvent_apply,
-                      sample_stationary)
+from .forcing import (RENEWAL, ForceFieldModel, ForceSample, generate_path,
+                      resolvent_apply, sample_stationary)
 from .rng import SAMPLE, STATIONARY, SYMPOS_LHS, SYMPOS_RHS, substream
 from .table import read_table, write_table
 from .torus import TorusField, TorusGrid, divergence, matrix_divergence
@@ -58,7 +63,8 @@ CONTRACT_DIGITS = 17
 
 @dataclass
 class HydroCoefficients:
-    """Diffusion matrix and drift of the limit equation, with MC errors."""
+    """Diffusion matrix and drift of the limit equation, with Monte Carlo
+    standard errors (zero for exact nodes)."""
 
     diffusion: TorusField        # matrix field, symmetric and >= Id
     drift: TorusField            # vector field
@@ -87,33 +93,38 @@ class CovOperator:
     min_eigenvalue: float = 0.0
     symmetry_gap: float = 0.0
     factors: tuple = field(default=None, repr=False)
-    # (R_0 E, E) draws, (n, N*M^N) each; None when the kept spectrum is all
-    # there is (read back from spectrum.csv)
+    # (sqrt(w) R_0 E, sqrt(w) E) per node, (n, N*M^N) each; None when the
+    # kept spectrum is all there is (read back from spectrum.csv)
 
     @property
     def rank(self) -> int:
         return len(self.eigenvalues)
 
     @property
+    def n_nodes(self) -> int:
+        """Stationary nodes behind the factors; 0 without factors."""
+        return 0 if self.factors is None else len(self.factors[0])
+
+    @property
     def qr_width(self) -> int:
-        """Columns k = min(N*M^N, 2n) of the thin QR basis; 0 without
-        factors."""
+        """Columns k = min(N*M^N, 2n) of the thin QR basis, n the nodes; 0
+        without factors."""
         if self.factors is None:
             return 0
-        return min(self.factors[0].shape[1], 2 * len(self.factors[0]))
+        return min(self.factors[0].shape[1], 2 * self.n_nodes)
 
     @cached_property
     def kernel(self) -> np.ndarray:
         """Dense (N*M^N, N*M^N) kernel values H, built on first read:
-        (1/2n)(R E^T + E R^T) from the factors, else sum_k lambda_k z_k z_k^T
-        from the kept spectrum.  No stage reads it; its readers are the
-        tests and the benchmark's traced runs."""
+        (1/2) sum_i w_i (r_i e_i^T + e_i r_i^T) from the factors, else
+        sum_k lambda_k z_k z_k^T from the kept spectrum.  No stage reads it;
+        its readers are the tests and the benchmark's traced runs."""
         if self.factors is None:
             z = np.array([f.physical() for f in self.eigenfields]).reshape(
                 self.rank, self.grid.dim * self.grid.size)
             return (z.T * self.eigenvalues) @ z
         r0, e = self.factors
-        half = r0.T @ e / len(r0)
+        half = r0.T @ e
         return 0.5 * (half + half.T)
 
     def noise_fields(self) -> list:
@@ -147,99 +158,132 @@ def _centering_check(draws: np.ndarray):
 
 @dataclass
 class StationaryDraws:
-    """n_mc stationary draws E, from the streams (seed, STATIONARY, SAMPLE,
-    i), and their R_0 and R_1 images: the one input of both estimators.
-    Each array is (n_mc, N) + grid shape."""
+    """Nodes E of the stationary law with one weight each, and their R_0
+    and R_1 images: the one input of both estimators.  Each array is
+    (n_nodes, N) + grid shape.  `sampled` marks Monte Carlo draws (equal
+    weights, with standard errors) against an exact enumeration."""
 
     grid: TorusGrid
     e: np.ndarray
     r0: np.ndarray
     r1: np.ndarray
+    weights: np.ndarray
+    sampled: bool
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.weights)
 
     @property
     def n_mc(self) -> int:
-        return len(self.e)
+        """Monte Carlo draws behind the estimates; 0 for exact nodes."""
+        return self.n_nodes if self.sampled else 0
+
+    def mean(self, term) -> np.ndarray:
+        """sum_i w_i term(i) over the nodes, one node at a time."""
+        out = 0.0
+        for i, w in enumerate(self.weights):
+            out = out + w * term(i)
+        return out
+
+    def stderr(self, term, mean) -> np.ndarray:
+        """Standard error of the equal-weight mean of sampled draws, one
+        node at a time; zero for exact nodes."""
+        if not self.sampled:
+            return np.zeros_like(mean)
+        n = self.n_nodes
+        ss = 0.0
+        for i in range(n):
+            ss = ss + (term(i) - mean) ** 2
+        return np.sqrt(ss / ((n - 1) * n))
 
 
 def draw_stationary(model: ForceFieldModel, grid: TorusGrid, n_mc: int,
                     seed) -> StationaryDraws:
-    """One pass of n_mc stationary draws and their resolvent images; the
-    draws must be centred within 5 sigma."""
+    """The stationary pass: a renewal law's atoms with their weights (exact,
+    no stream drawn), or n_mc equal-weight OU draws from the streams (seed,
+    STATIONARY, SAMPLE, i), centred within 5 sigma; with their resolvent
+    images."""
     if n_mc < 100:
         raise ValueError("need n_mc >= 100")
-    key = (seed, STATIONARY)
-    e = np.empty((n_mc, grid.dim) + grid.shape)
+    if model.kind == RENEWAL:
+        samples = [ForceSample(a, model.norm_bound) for a in model.atoms]
+        weights = model.weights
+    else:
+        samples = [sample_stationary(model, substream(
+            (seed, STATIONARY), SAMPLE, i)) for i in range(n_mc)]
+        weights = np.full(n_mc, 1.0 / n_mc)
+    e = np.array([s.field.physical() for s in samples])
     r0, r1 = np.empty_like(e), np.empty_like(e)
-    for i in range(n_mc):
-        s = sample_stationary(model, substream(key, SAMPLE, i))
-        e[i] = s.field.physical()
+    for i, s in enumerate(samples):
         f0, f1 = resolvent_apply(model, (0.0, 1.0), s)
         r0[i], r1[i] = f0.physical(), f1.physical()
-    _centering_check(e)
-    return StationaryDraws(grid, e, r0, r1)
+    sampled = model.kind != RENEWAL
+    if sampled:
+        _centering_check(e)
+    return StationaryDraws(grid, e, r0, r1, weights, sampled)
 
 
 def compute_coefficients(draws: StationaryDraws,
                          collision: str) -> HydroCoefficients:
-    """Monte Carlo of the limit diffusion matrix and drift fields over the
-    stationary draws."""
+    """Weighted sums over the stationary nodes of the limit diffusion
+    matrix and drift fields, one node at a time."""
     _check_collision(collision)
     b = COLLISION_FACTOR[collision]
-    grid, n_mc, n_dim = draws.grid, draws.n_mc, draws.grid.dim
-    sym0 = np.empty((n_mc, n_dim, n_dim) + grid.shape)
-    sym1 = np.empty_like(sym0)
-    drift2 = np.empty_like(draws.e)
-    for i, ev in enumerate(draws.e):
-        sym0[i] = _sym_outer(ev, draws.r0[i])
-        sym1[i] = _sym_outer(draws.r1[i], ev)
-        drift2[i] = (draws.r0[i] - draws.r1[i]) * divergence(
-            TorusField(grid, 1, ev)).physical()[None]
+    grid, n_dim = draws.grid, draws.grid.dim
+    e, r0, r1 = draws.e, draws.r0, draws.r1
+
+    def sym1(i):
+        return _sym_outer(r1[i], e[i])
+
+    def diff(i):
+        return 0.5 * (_sym_outer(e[i], r0[i]) + (b - 1.0) * sym1(i))
+
+    def drift2(i):
+        return (r0[i] - r1[i]) * divergence(
+            TorusField(grid, 1, e[i])).physical()[None]
+
+    def drift(i):
+        return (b / 2.0) * matrix_divergence(
+            TorusField(grid, 2, sym1(i))).physical() + drift2(i)
 
     eye = np.eye(n_dim).reshape((n_dim, n_dim) + (1,) * n_dim)
-    diff_draws = eye[None] + 0.5 * (sym0 + (b - 1.0) * sym1)
-    diff_vals = diff_draws.mean(axis=0)
-    diff_se = diff_draws.std(axis=0, ddof=1) / np.sqrt(n_mc)
-    # store the symmetrised average (symmetric by construction up to round-off)
-    diff_vals = 0.5 * (diff_vals + np.swapaxes(diff_vals, 0, 1))
-    r1_sym_field = TorusField(grid, 2, sym1.mean(axis=0))
+    diff_mean = draws.mean(diff)
+    # store the symmetrised sum (symmetric by construction up to round-off)
+    diff_vals = eye + 0.5 * (diff_mean + np.swapaxes(diff_mean, 0, 1))
+    r1_sym_field = TorusField(grid, 2, draws.mean(sym1))
     drift_field = (b / 2.0) * matrix_divergence(r1_sym_field).physical() \
-        + drift2.mean(axis=0)
-    # drift error: MC spread of the pointwise term; the divergence term's
-    # spread is propagated through the same spectral derivative
-    div_draws = np.empty_like(drift2)
-    for i in range(n_mc):
-        div_draws[i] = matrix_divergence(
-            TorusField(grid, 2, sym1[i])).physical()
-    drift_draws = (b / 2.0) * div_draws + drift2
-    drift_se = drift_draws.std(axis=0, ddof=1) / np.sqrt(n_mc)
+        + draws.mean(drift2)
     return HydroCoefficients(
         diffusion=TorusField(grid, 2, diff_vals),
         drift=TorusField(grid, 1, drift_field),
         collision=collision,
         collision_factor=b,
         r1_sym=r1_sym_field,
-        diffusion_stderr=diff_se,
-        drift_stderr=drift_se,
-        n_mc=n_mc,
+        diffusion_stderr=draws.stderr(diff, diff_mean),
+        drift_stderr=draws.stderr(drift, drift_field),
+        n_mc=draws.n_mc,
     )
 
 
 def compute_cov_operator(draws: StationaryDraws) -> CovOperator:
-    """Monte Carlo kernel estimate and its eigenpairs, from a thin QR of the
-    draws and a small symmetric eigenproblem (module docstring)."""
-    grid, n_mc = draws.grid, draws.n_mc
+    """Weighted kernel sum and its eigenpairs, from a thin QR of the
+    sqrt(w)-scaled nodes and a small symmetric eigenproblem (module
+    docstring)."""
+    grid, n = draws.grid, draws.n_nodes
     dim = grid.dim * grid.size
-    r0 = draws.r0.reshape(n_mc, dim)
-    e = draws.e.reshape(n_mc, dim)
+    root = np.sqrt(draws.weights)[:, None]
+    r0 = root * draws.r0.reshape(n, dim)
+    e = root * draws.e.reshape(n, dim)
     q, t = np.linalg.qr(np.concatenate([r0, e]).T)
     # numerical rank cut: a row of T whose entries all sit below the QR's
-    # round-off level carries no part of the draws, only a direction of Q
+    # round-off level carries no part of the nodes, only a direction of Q
     # that would leak that round-off into the eigenfields
     row_max = np.max(np.abs(t), axis=1)
-    rows = row_max >= max(dim, 2 * n_mc) * np.finfo(float).eps \
+    rows = row_max >= max(dim, 2 * n) * np.finfo(float).eps \
         * np.max(row_max)
     q, t = q[:, rows], t[rows]
-    half = t[:, :n_mc] @ t[:, n_mc:].T / n_mc
+    half = t[:, :n] @ t[:, n:].T
     small = 0.5 * (half + half.T)            # Q^T H Q
     weight = 1.0 / grid.size
     eigvals, eigvecs = np.linalg.eigh(small * weight)
@@ -248,19 +292,22 @@ def compute_cov_operator(draws: StationaryDraws) -> CovOperator:
     # the estimate is zero off the range of Q
     min_eig = float(eigvals[-1]) if q.shape[1] == dim \
         else min(float(eigvals[-1]), 0.0)
-    # Frobenius standard error: the entry variances of the draws' symmetrised
-    # outer products sum to n/(n-1) (mean_i |outer_i|_F^2 - |H|_F^2), with
-    # |outer_i|_F^2 = (|r_i|^2 |e_i|^2 + (r_i . e_i)^2) / 2 and
-    # |H|_F = |Q^T H Q|_F
+    # the scaled rows give w_i (r_i . e_i) and w_i^2 |r_i|^2 |e_i|^2
     dots = np.einsum("ij,ij->i", r0, e)
-    sq = 0.5 * (np.einsum("ij,ij->i", r0, r0) * np.einsum("ij,ij->i", e, e)
-                + dots**2)
-    var_sum = max(sq.mean() - np.sum(small**2), 0.0) * n_mc / (n_mc - 1)
-    se_fro = weight * float(np.sqrt(var_sum / n_mc))
-    trace = weight * float(dots.mean())
+    trace = weight * float(dots.sum())
+    se_fro = 0.0
+    if draws.sampled:
+        # Frobenius standard error of n equal-weight draws: the entry
+        # variances of their symmetrised outer products sum to n/(n-1)
+        # (mean_i |outer_i|_F^2 - |H|_F^2), with |outer_i|_F^2 =
+        # (|r_i|^2 |e_i|^2 + (r_i . e_i)^2) / 2 and |H|_F = |Q^T H Q|_F
+        sq = 0.5 * n * (np.einsum("ij,ij->i", r0, r0)
+                        * np.einsum("ij,ij->i", e, e) + dots**2)
+        var_sum = max(sq.sum() - np.sum(small**2), 0.0) * n / (n - 1)
+        se_fro = weight * float(np.sqrt(var_sum / n))
     tol_eig = abs(trace) * 1e-10 + 3.0 * se_fro
     if eigvals[-1] < -10.0 * max(tol_eig, 1e-300):
-        raise ValueError("kernel estimate far from nonnegative; raise n_mc")
+        raise ValueError("kernel estimate far from nonnegative")
     keep = eigvals > tol_eig
     dropped = float(np.sum(np.clip(eigvals[~keep], 0.0, None)))
     fields = []

@@ -210,7 +210,8 @@ def convergence_study(cfg: ExperimentConfig, coeffs: HydroCoefficients,
         kin_floors.append(floors)
     spde_res = run_ensemble(coeffs, cov, rho0, cfg.horizon, cfg.dt_spde,
                             cfg.n_spde_realizations, seed=cfg.seed,
-                            xi_fields=xi_fields, n_checkpoints=1)
+                            xi_fields=xi_fields, n_checkpoints=1,
+                            n_workers=cfg.threads)
     spde_samples = spde_res.samples[-1]
 
     n_eps, n_xi = len(cfg.epsilons), len(xi_fields)

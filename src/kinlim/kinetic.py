@@ -37,8 +37,8 @@ span, the last against two scalars the `PathBlock` caches); the weights
 and epsilon pass on to the new ensemble unchecked (`ParticleEnsemble
 .advanced`).
 
-`moments` estimates the density, current and pressure fields by the exact
-Fourier sums of the per-particle values w, w V, w V V^T on the modes
+`moments` estimates the density and current fields by the exact
+Fourier sums of the per-particle values w and w V on the modes
 max_d |k_d| <= m/4.  It goes through the particles in fixed blocks of
 max(1, BLOCK_VALUES // W) particles, W the modes with k_N >= 0 per
 particle (153 in 2-D at m=32, 17 in 1-D at m=64): a block's per-axis phase
@@ -155,7 +155,6 @@ class KineticRunConfig:
 class DensityEstimate:
     rho: TorusField              # scalar density
     current: TorusField          # vector first moment
-    pressure: TorusField         # matrix second moment
     totals: np.ndarray           # total |v|^m moments, m = 0..3
 
 
@@ -314,8 +313,8 @@ def _empirical_modes(grid: TorusGrid, positions: np.ndarray,
 
 
 def moments(ens: ParticleEnsemble, grid: TorusGrid) -> DensityEstimate:
-    """Density, current and pressure fields plus total velocity moments:
-    the exact sums of the per-particle values w, w v, w v v^T on the modes
+    """Density and current fields plus total velocity moments: the exact
+    sums of the per-particle values w and w v on the modes
     max_d |k_d| <= m/4, in one call.  `_empirical_modes` asks for the
     value rows one particle block at a time; each block also adds its share
     of the totals sum_i w_i |v_i|^p, p = 0..3, in block order, so no array
@@ -326,20 +325,19 @@ def moments(ens: ParticleEnsemble, grid: TorusGrid) -> DensityEstimate:
 
     def rows(sl):
         # the block's share of the totals, then its per-particle values of
-        # the rank 0, 1 and 2 moments, side by side
+        # the rank 0 and 1 moments, side by side
         wb, vb = w[sl, None], v[sl]
         speeds = np.sqrt(np.einsum("ij,ij->i", vb, vb))
         totals[:] += np.einsum("i,im->m", wb[:, 0],
                                speeds[:, None] ** np.arange(4))
-        return np.concatenate([wb, wb * vb, (wb[:, :, None] * (
-            vb[:, :, None] * vb[:, None, :])).reshape(len(vb), -1)], axis=1)
+        return np.concatenate([wb, wb * vb], axis=1)
 
     flat = _empirical_modes(grid, ens.positions, rows, grid.m // 4)
-    rho, cur, pres = [TorusField(
+    rho, cur = [TorusField(
         grid, rank, flat[lo:lo + dim**rank].reshape((dim,) * rank + grid.shape),
         space="spectral").to_physical()
-        for rank, lo in enumerate((0, 1, 1 + dim))]
-    return DensityEstimate(rho, cur, pres, totals)
+        for rank, lo in enumerate((0, 1))]
+    return DensityEstimate(rho, cur, totals)
 
 
 # -- corrector diagnostic ----------------------------------------------------------
@@ -440,8 +438,8 @@ def functional_samples(cfg: KineticRunConfig, model: ForceFieldModel,
     args = [(cfg, model, rho_init, xi_fields, seed, b,
              range(start, min(start + per_block, n_realizations)))
             for b, start in enumerate(range(0, n_realizations, per_block))]
-    rows = parallel_map(_block_functionals, args, n_workers)
-    arr = np.concatenate(rows)
+    arr = np.concatenate(list(parallel_map(_block_functionals, args,
+                                           n_workers)))
     n_xi = len(xi_fields)
     return arr[:, :n_xi], arr[:, n_xi:]
 

@@ -15,8 +15,6 @@ their caller's key and append a tag of their own (the second block), so
 
 from __future__ import annotations
 
-from multiprocessing import get_context
-
 import numpy as np
 
 # -- the stream-key table ----------------------------------------------------
@@ -36,8 +34,9 @@ CONVERGE_KINETIC = 13    # converge, criterion 12:
 #                          (seed, 13, i, PATH | PARTICLES, .)
 CORRECTOR_SCALING = 14   # criterion 11: (seed, 14, i, PATH | PARTICLES, p)
 STATIONARY = 20          # draw_stationary, the one pass that coefficients
-#                          and covariance read, draw n: (seed, 20, SAMPLE, n);
-#                          its resolvents are closed forms and draw nothing
+#                          and covariance read, OU draw n: (seed, 20, SAMPLE,
+#                          n); a renewal law's pass enumerates its atoms and
+#                          the resolvents are closed forms: neither draws
 SPDE_NOISE = 41          # converge, simulate-spde, criterion 12: (seed, 41, r)
 KINETIC_PATH = 201       # simulate-kinetic: (seed, 201, i)
 KINETIC_PARTICLES = 202  # simulate-kinetic: (seed, 202, i)
@@ -66,15 +65,17 @@ def as_generator(seed) -> np.random.Generator:
 
 
 def parallel_map(fn, items, n_workers: int = 1):
-    """Ordered map, optionally across processes.
+    """Ordered lazy map, optionally across processes.
 
-    Results come back in input order, so reductions downstream are
-    deterministic for any worker count.  `fn` must be picklable (module
-    level) when n_workers > 1.
+    Yields fn(item) in input order as the results arrive, so reductions
+    downstream are deterministic for any worker count and the caller holds
+    only the results it has not consumed yet.  `fn` must be picklable
+    (module level, or a partial of one) when n_workers > 1.
     """
     items = list(items)
     if n_workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    ctx = get_context()
-    with ctx.Pool(processes=min(n_workers, len(items))) as pool:
-        return pool.map(fn, items)
+        yield from map(fn, items)
+        return
+    from multiprocessing import get_context
+    with get_context().Pool(processes=min(n_workers, len(items))) as pool:
+        yield from pool.imap(fn, items)

@@ -68,29 +68,36 @@ and the step would leave the real fields.  The k = 0 symbol is zero too,
 so the mass coefficient is never changed.
 
 Realizations are advanced in blocks of `torus.BLOCK_VALUES` grid values
-(max(1, BLOCK_VALUES // M^N) realizations, the last block may hold fewer),
-one `step_hat` call per block, so the step's temporaries stay cache-sized
-whatever the ensemble size; each step writes every block into one fresh
-state array.  The checkpoint samples and the quadratic-variation check go
-through physical space block by block too; only a checkpoint's ensemble
-mean and variance reduce the whole half-spectrum state at once, which keeps
-their summation order independent of the blocks.  Every product and
-transform acts on each realization alone, so blocked and one-block
-stepping are bit-identical.  Each realization's Gaussian increments come
-from its own counter-based stream, so ensembles are reproducible for any
-block or worker layout.
+(max(1, BLOCK_VALUES // M^N) realizations, the last block may hold fewer).
+Each block is stepped from t = 0 to the horizon on its own, one `step_hat`
+call per step, and draws its noise from its realizations' streams, so the
+step's temporaries stay cache-sized and memory is one block's states plus
+the checkpoint statistics, whatever the ensemble size.  Blocks go through
+`rng.parallel_map`, across `n_workers` processes when asked, and come
+back in block order.  A block returns its per-realization samples <rho,
+xi>, its smallest physical value and its half spectra at the checkpoints;
+the caller adds each realization's spectra, less those of realization 0,
+to a running sum and a running sum of squares, one realization at a time
+in realization order, and the ensemble mean and variance come from these
+sums.  Every product and transform acts on each realization alone and the
+sums run in realization order, so no output depends on the block size or
+the worker count, and the mass mode, equal in every realization, has
+variance exactly 0.  Each realization's Gaussian increments come from its
+own counter-based stream, so ensembles are reproducible for any block or
+worker layout.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from itertools import pairwise
 
 import numpy as np
 
 from .coefficients import CovOperator, HydroCoefficients
-from .rng import SPDE_NOISE, substream
+from .rng import SPDE_NOISE, parallel_map, substream
 from .torus import (BLOCK_VALUES, TorusField, TorusGrid, divergence,
                     gradient, significant_modes)
 
@@ -381,69 +388,92 @@ def _blocks(n_realizations: int, grid: TorusGrid) -> list:
             for lo in range(0, n_realizations, size)]
 
 
-def _realizations(stepper: SpdeStepper, rho_in: TorusField, n_steps: int,
-                  n_realizations: int, seed):
-    """Half spectra (n_realizations, half grid shape) of independent
-    realizations started at rho_in, after 0, 1, ..., n_steps steps.
-    Realization r draws its standard normals from the stream key `seed`
-    followed by (SPDE_NOISE, r)."""
-    noise = np.empty((n_realizations, n_steps, stepper.noise_rank))
-    for r in range(n_realizations):
-        noise[r] = substream(seed, SPDE_NOISE, r).standard_normal(
-            noise.shape[1:])
-    start = _half_spectrum(rho_in.spectrum())
-    coef = np.broadcast_to(start, (n_realizations,) + start.shape).copy()
+def _block_states(stepper: SpdeStepper, start, n_steps: int, seed,
+                  block: slice):
+    """Half spectra (realizations, half grid shape) of the realizations of
+    `block`, started at the half spectrum `start`, after 0, 1, ...,
+    n_steps steps.  Realization r draws its standard normals from the
+    stream key `seed` followed by (SPDE_NOISE, r)."""
+    noise = np.array([substream(seed, SPDE_NOISE, r).standard_normal(
+        (n_steps, stepper.noise_rank))
+        for r in range(block.start, block.stop)])
+    coef = np.broadcast_to(start, (len(noise),) + start.shape).copy()
     yield coef
-    blocks = _blocks(n_realizations, stepper.grid)
     for step in range(n_steps):
-        new = np.empty_like(coef)
-        for b in blocks:
-            new[b] = stepper.step_hat(coef[b], noise[b, step, :])
-        coef = new
+        coef = stepper.step_hat(coef, noise[:, step, :])
         yield coef
+
+
+def _ensemble_block(job, block: slice):
+    """One block stepped to the horizon: its half spectra at the
+    checkpoints (checkpoints, realizations, half grid shape), its samples
+    <rho, xi> (checkpoints, realizations, xi) and its smallest physical
+    value."""
+    stepper, start, n_steps, checkpoints, xi_phys, seed = job
+    gaxes = tuple(range(1, 1 + stepper.grid.dim))
+    index = {step: i for i, step in enumerate(checkpoints)}
+    size = block.stop - block.start
+    states = np.empty((len(checkpoints), size) + start.shape, dtype=complex)
+    samples = np.empty((len(checkpoints), size, len(xi_phys)))
+    low = np.inf
+    for step, coef in enumerate(_block_states(stepper, start, n_steps, seed,
+                                              block)):
+        i = index.get(step)
+        if i is None:
+            continue
+        if not np.all(np.isfinite(coef)):
+            raise ValueError("ensemble spectrum lost finiteness")
+        phys = stepper.to_physical(coef)
+        for j, xi in enumerate(xi_phys):
+            samples[i, :, j] = (phys * xi).mean(axis=gaxes)
+        low = min(low, float(phys.min()))
+        states[i] = coef
+    return states, samples, low
 
 
 def run_ensemble(coeffs: HydroCoefficients, cov: CovOperator,
                  rho_in: TorusField, horizon: float, dt: float,
                  n_realizations: int, seed, xi_fields=(),
-                 n_checkpoints: int = 5, scheme: str = ITO) -> EnsembleResult:
-    """Batched ensemble of independent realizations with law statistics."""
+                 n_checkpoints: int = 5, scheme: str = ITO,
+                 n_workers: int = 1) -> EnsembleResult:
+    """Ensemble of independent realizations with law statistics.  Each
+    block is stepped to the horizon on its own (`n_workers` processes take
+    blocks in turn); the parent keeps the per-realization samples and adds
+    each realization's checkpoint spectra to the sums of its deviations
+    from realization 0, in realization order (module docstring)."""
     if n_realizations < 2:
         raise ValueError("need at least two realizations")
     n_steps = step_count(horizon, dt)
     stepper = SpdeStepper(coeffs, cov, dt, scheme)
-    xi_phys = [xi.physical() for xi in xi_fields]
-    checkpoint_steps = set(np.round(
-        np.linspace(0, n_steps, n_checkpoints + 1)).astype(int).tolist())
-    times, means, var_list, samp = [], [], [], []
-    min_rho = np.inf
     grid = rho_in.grid
-    gaxes = tuple(range(1, 1 + grid.dim))
+    steps = sorted(set(np.round(np.linspace(
+        0, n_steps, n_checkpoints + 1)).astype(int).tolist()))
     blocks = _blocks(n_realizations, grid)
-
-    def record(step, coef):
-        times.append(step * dt)
-        means.append(_full_spectrum(coef.mean(axis=0), grid))
-        var_list.append(_full_spectrum(
-            np.var(coef.real, axis=0) + np.var(coef.imag, axis=0), grid))
-        row = np.empty((n_realizations, len(xi_phys)))
-        low = np.inf
-        for b in blocks:
-            phys = stepper.to_physical(coef[b])
-            for j, xi in enumerate(xi_phys):
-                row[b, j] = (phys * xi).mean(axis=gaxes)
-            low = min(low, float(phys.min()))
-        samp.append(row)
-        return low
-
-    for step, coef in enumerate(_realizations(stepper, rho_in, n_steps,
-                                              n_realizations, seed)):
-        if step in checkpoint_steps:
-            if not np.all(np.isfinite(coef)):
-                raise ValueError("ensemble spectrum lost finiteness")
-            min_rho = min(min_rho, record(step, coef))
-    return EnsembleResult(np.array(times), np.array(means),
-                          np.array(var_list), np.array(samp), min_rho,
+    job = (stepper, _half_spectrum(rho_in.spectrum()), n_steps, steps,
+           [xi.physical() for xi in xi_fields], seed)
+    samples = np.empty((len(steps), n_realizations, len(xi_fields)))
+    min_rho = np.inf
+    results = parallel_map(partial(_ensemble_block, job), blocks, n_workers)
+    for b in blocks:
+        states, block_samples, low = next(results)
+        if b.start == 0:
+            ref = states[:, 0].copy()
+            dev_sum = np.zeros_like(ref)
+            sq_sum = np.zeros(ref.shape)
+        for r in range(states.shape[1]):
+            dev = states[:, r] - ref
+            dev_sum += dev
+            sq_sum += dev.real**2 + dev.imag**2
+        samples[:, b] = block_samples
+        min_rho = min(min_rho, low)
+        # free this block's arrays before the next block is stepped
+        del states, block_samples
+    mean_dev = dev_sum / n_realizations
+    var = np.maximum(sq_sum / n_realizations - mean_dev.real**2
+                     - mean_dev.imag**2, 0.0)
+    return EnsembleResult(np.array(steps) * dt,
+                          _full_spectrum(ref + mean_dev, grid),
+                          _full_spectrum(var, grid), samples, min_rho,
                           stepper.noise_rank, n_steps,
                           stepper.products_per_step,
                           stepper.coefficient_modes, stepper.dropped_tail,
@@ -480,27 +510,24 @@ def quadratic_variation_check(coeffs: HydroCoefficients, cov: CovOperator,
     grad_xi = gradient(xi).physical()
     xi_phys = xi.physical()
     phis = [p.physical() for p in cov.noise_fields()]
-    qv_emp = np.zeros(n_realizations)
-    qv_pred = np.zeros(n_realizations)
-    mart = np.zeros(n_realizations)
-    blocks = _blocks(n_realizations, grid)
-    paths = _realizations(stepper, rho_in, n_steps, n_realizations, seed)
-    for before, after in pairwise(paths):
-        for b in blocks:
-            phys = stepper.to_physical(before[b])
+    start = _half_spectrum(rho_in.spectrum())
+    qv_emp, qv_pred, mart, final = (np.zeros(n_realizations)
+                                    for _ in range(4))
+    for b in _blocks(n_realizations, grid):
+        paths = _block_states(stepper, start, n_steps, seed, b)
+        for before, after in pairwise(paths):
+            phys = stepper.to_physical(before)
             # predicted rate: 2 sum_k <phi_k, rho grad xi>^2 (left endpoint)
             for phi in phis:
                 proj = np.zeros(len(phys))
                 for i in range(grid.dim):
                     proj += (phys * phi[i] * grad_xi[i]).mean(axis=gaxes)
                 qv_pred[b] += 2.0 * dt * proj**2
-            noise = stepper.to_physical(after[b]
-                                        - stepper.step_hat(before[b]))
+            noise = stepper.to_physical(after - stepper.step_hat(before))
             dm = (noise * xi_phys).mean(axis=gaxes)
             qv_emp[b] += dm**2
             mart[b] += dm
-    final = np.concatenate([(stepper.to_physical(after[b]) * xi_phys)
-                            .mean(axis=gaxes) for b in blocks])
+        final[b] = (stepper.to_physical(after) * xi_phys).mean(axis=gaxes)
     gaps = np.abs(qv_emp - qv_pred) / np.maximum(qv_pred, 1e-300)
     return QvReport(qv_emp, qv_pred, float(gaps.mean()), float(mart.mean()),
                     float(mart.std(ddof=1) / np.sqrt(n_realizations)), final)

@@ -5,10 +5,11 @@ Each test prints one PASS/FAIL line per check; run with
 pinned here, not configurable.  Every criterion runs its check of
 `kinlim.experiment` with the acceptance sample sizes and bounds; `kinlim
 validate` runs the same checks of criteria 1-11 at desk sizes, and
-criterion 12 is the `converge` stage's study.  The only draw made here is
-the one stationary pass that feeds the coefficients and the covariance;
-every check draws from its own keys `(SEED, tag, ...)` of the stream
-table in `kinlim.rng`.
+criterion 12 is the `converge` stage's study.  The only sampling call
+made here is the one stationary pass that feeds the coefficients and the
+covariance (for the two-point law, its two atoms, exact: no stream is
+drawn and the standard errors are 0); every check draws from its own keys
+`(SEED, tag, ...)` of the stream table in `kinlim.rng`.
 """
 
 import time

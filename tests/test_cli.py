@@ -195,12 +195,17 @@ def test_simulate_spde_2d_columns_follow_forced_axis(tmp_path):
     last = dict(zip(rows[0].split(","), rows[-1].split(",")))
     # the noise acts along x_0, so mode (1, 0) fluctuates
     assert float(last["var_k1"]) > 0
-    # the reports name the covariance's QR width (kernel side 512,
-    # 2 n_mc = 200), the stepping blocks (2^14 // 256 = 64 realizations)
-    # and the step's products: one for Theta and Kvar at each of +/- 2 e_0,
-    # one for phi at each of +/- e_0
+    # the reports name the stationary nodes (the two atoms, exact), the
+    # covariance's QR width (kernel side 512, 2 x 2 nodes), the stepping
+    # blocks (2^14 // 256 = 64 realizations) and the step's products: one
+    # for Theta and Kvar at each of +/- 2 e_0, one for phi at each of
+    # +/- e_0
     out = tmp_path / "out"
-    assert "covariance QR width 200" in (out / "report_coeffs.txt").read_text()
+    coeffs_report = (out / "report_coeffs.txt").read_text()
+    assert "stationary nodes 2 (exact atoms, standard errors 0)" in \
+        coeffs_report
+    assert "covariance QR width 4 (kernel side 512, 2 x 2 nodes)" in \
+        coeffs_report
     report = (out / "report_spde.txt").read_text()
     assert "64 realizations per block, 1 blocks per step" in report
     assert "4 shifted products per step" in report

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinlim.coefficients import (check_sympos_identity,
                                  closed_form_two_point_diffusion,
@@ -88,8 +90,8 @@ def test_cov_operator_rank_one_spectrum(grid, model):
 
 def test_cov_operator_symmetry_and_psd():
     # the recorded smallest eigenvalue is the dense one: 1-D m=64, and 2-D
-    # m=16 with QR width 2 n_mc = 400 < 512, where the estimate is zero off
-    # the QR basis
+    # m=16 with QR width 2 x 3 atoms = 6 < 512, where the estimate is zero
+    # off the QR basis
     one, two = TorusGrid(1, 64), TorusGrid(2, 16)
     for model, n_mc in ((two_point_renewal(one, A), 150),
                         (three_atom_law(two), 200)):
@@ -266,20 +268,22 @@ def test_contract_files_give_back_the_computed_doubles(tmp_path, model):
 
 
 def dense_reference(draws, grid):
-    """The dense estimate: per-draw symmetrised outer products accumulated
-    into (dim, dim) arrays, their per-entry standard errors, and a full
-    symmetric eigendecomposition of the weighted kernel."""
-    n = draws.n_mc
+    """The dense estimate: per-node symmetrised outer products accumulated
+    with the node weights into (dim, dim) arrays, their per-entry standard
+    errors as for equal-weight draws, and a full symmetric
+    eigendecomposition of the weighted kernel."""
+    n = draws.n_nodes
     dim = grid.dim * grid.size
     acc = np.zeros((dim, dim))
     acc_sq = np.zeros((dim, dim))
-    for r, e in zip(draws.r0.reshape(n, dim), draws.e.reshape(n, dim)):
+    for w, r, e in zip(draws.weights, draws.r0.reshape(n, dim),
+                       draws.e.reshape(n, dim)):
         outer = np.outer(r, e)
         outer = 0.5 * (outer + outer.T)
-        acc += outer
-        acc_sq += outer**2
-    kernel = acc / n
-    var = np.maximum(acc_sq / n - kernel**2, 0.0) * n / (n - 1)
+        acc += w * outer
+        acc_sq += w * outer**2
+    kernel = acc
+    var = np.maximum(acc_sq - kernel**2, 0.0) * n / max(n - 1, 1)
     se_fro = float(np.sqrt(np.sum(var / n))) / grid.size
     eigvals, eigvecs = np.linalg.eigh(kernel / grid.size)
     return kernel, se_fro, eigvals[::-1], eigvecs[:, ::-1]
@@ -298,16 +302,17 @@ def three_atom_law(grid):
 
 @pytest.mark.parametrize("law", ["three-atom", "ou"])
 def test_low_rank_matches_dense_reference(law):
-    if law == "three-atom":    # 2-D m=16: QR width 2 n_mc = 400 < 512
-        grid, n_mc = TorusGrid(2, 16), 200
+    if law == "three-atom":    # 2-D m=16: QR width 2 x 3 atoms = 6 < 512
+        grid, n_mc, nodes = TorusGrid(2, 16), 200, 3
         model = three_atom_law(grid)
     else:                      # 1-D m=16: QR width 16, every column
-        grid, n_mc = TorusGrid(1, 16), 100
+        grid, n_mc, nodes = TorusGrid(1, 16), 100, 100
         model = ou_single_mode(grid, A, clip_radius=8.0)
     draws = draw_stationary(model, grid, n_mc, seed=9)
     cov = compute_cov_operator(draws)
     kernel, se_fro, eigvals, eigvecs = dense_reference(draws, grid)
-    assert cov.qr_width == min(grid.dim * grid.size, 2 * n_mc)
+    assert draws.n_nodes == nodes
+    assert cov.qr_width == min(grid.dim * grid.size, 2 * nodes)
     assert cov.rank == (2 if law == "three-atom" else 1)
     assert np.allclose(cov.eigenvalues, eigvals[:cov.rank], rtol=1e-12,
                        atol=0)
@@ -333,14 +338,14 @@ def test_eigenfield_sign_rule(grid, model):
 
 
 def test_rank_deficient_kernel_keeps_dense_accuracy():
-    # 2-D m=16, QR width 200, kernel rank one: the QR's round-off rows of T
-    # (about 1e-14) are cut before the small eigenproblem, so the eigenfield
-    # is as close to sqrt(2) cos(2 pi x0) as the dense eigh got (2.4e-15);
-    # kept, they moved it by 2.6e-14
+    # 2-D m=16, QR width 4 (the two atoms), kernel rank one: the QR's
+    # round-off rows of T are cut before the small eigenproblem, so the
+    # eigenfield is as close to sqrt(2) cos(2 pi x0) as the dense eigh got
+    # (2.4e-15)
     grid = TorusGrid(2, 16)
     model = two_point_renewal(grid, A)
     cov = compute_cov_operator(draw_stationary(model, grid, 100, seed=1))
-    assert cov.qr_width == 200 and cov.rank == 1
+    assert cov.qr_width == 4 and cov.rank == 1
     assert cov.eigenvalues[0] == pytest.approx(A**2 / 2, rel=1e-14)
     target = np.zeros((2,) + grid.shape)
     target[0] = np.sqrt(2) * np.cos(2 * np.pi * grid.coords()[0])
@@ -395,3 +400,62 @@ def test_spectrum_does_not_depend_on_blas_threads(tmp_path):
         assert proc.returncode == 0, proc.stderr
         digests.append(file_checksum(out / "spectrum.csv"))
     assert digests[0] == digests[1]
+
+
+def test_renewal_pass_at_2d_m64_traces_under_5mb():
+    # the two atoms are the nodes, and both estimators go through them one
+    # at a time: no stream is drawn and the standard errors are exactly 0;
+    # 200 Monte Carlo draws of the same law traced 173 MB here
+    grid = TorusGrid(2, 64)
+    model = two_point_renewal(grid, A)
+    tracemalloc.start()
+    try:
+        draws = draw_stationary(model, grid, 200, seed=1)
+        coeffs = [compute_coefficients(draws, c) for c in (LB, FP)]
+        cov = compute_cov_operator(draws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+    assert (draws.n_nodes, draws.n_mc, cov.qr_width) == (2, 0, 4)
+    for c in coeffs:
+        assert not c.diffusion_stderr.any() and not c.drift_stderr.any()
+    assert cov.kernel_stderr == 0.0
+    assert cov.eigenvalues[0] == pytest.approx(A**2 / 2, rel=1e-14)
+
+
+@settings(max_examples=30, deadline=None)
+@given(law=st.sampled_from(["renewal", "three-atom", "ou"]),
+       dim=st.sampled_from([1, 2]), m=st.sampled_from([8, 16]),
+       amplitude=st.floats(0.05, 2.0), mode=st.integers(1, 3),
+       collision=st.sampled_from([LB, FP]), seed=st.integers(0, 2**32))
+def test_contract_files_give_back_the_written_doubles(
+        tmp_path_factory, law, dim, m, amplitude, mode, collision, seed):
+    # coefficients.csv and spectrum.csv read back every double written, for
+    # exact renewal nodes and for OU draws, in 1-D and 2-D
+    grid = TorusGrid(dim, m)
+    if law == "renewal":
+        model = two_point_renewal(grid, amplitude, mode=mode)
+    elif law == "three-atom":
+        model = three_atom_law(grid)
+    else:
+        model = ou_single_mode(grid, amplitude, mode=mode)
+    draws = draw_stationary(model, grid, 100, seed=seed)
+    coeffs = compute_coefficients(draws, collision)
+    cov = compute_cov_operator(draws)
+    out = tmp_path_factory.mktemp("contract")
+    coefficients_to_csv(coeffs, out / "coefficients.csv")
+    spectrum_to_csv(cov, out / "spectrum.csv")
+    c2 = coefficients_from_csv(out / "coefficients.csv")
+    k2 = spectrum_from_csv(out / "spectrum.csv")
+    for name in ("diffusion", "drift", "r1_sym"):
+        assert np.array_equal(getattr(c2, name).values,
+                              getattr(coeffs, name).values)
+    assert (c2.collision, c2.collision_factor, c2.n_mc) == \
+        (coeffs.collision, coeffs.collision_factor, coeffs.n_mc)
+    assert np.array_equal(k2.eigenvalues, cov.eigenvalues)
+    assert np.array_equal(
+        np.array([z.values for z in k2.eigenfields]).reshape(k2.rank, -1),
+        np.array([z.values for z in cov.eigenfields]).reshape(cov.rank, -1))
+    assert (k2.trace, k2.dropped_tail, k2.tol_eig, k2.kernel_stderr) == \
+        (cov.trace, cov.dropped_tail, cov.tol_eig, cov.kernel_stderr)

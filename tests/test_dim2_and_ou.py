@@ -42,8 +42,10 @@ def test_particles_2d_mass_and_equilibrium():
     one = TorusField.constant(grid, 1.0)
     for est in run.estimates:
         assert pairing(est.rho, one) == pytest.approx(1.0, abs=1e-12)
-    # velocity second moment stays near the identity
-    k_global = run.estimates[-1].pressure.physical().mean(axis=(-2, -1))
+    # velocity second moment sum_i w_i v_i v_i^T stays near the identity
+    ens = run.ensemble
+    k_global = np.einsum("i,ij,ik->jk", ens.weights, ens.velocities,
+                         ens.velocities)
     assert np.max(np.abs(k_global - np.eye(2))) < 0.05
 
 

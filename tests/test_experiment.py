@@ -87,6 +87,17 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert lines[0] == "[]" and lines[-1] == "[]"
 
 
+def test_cli_import_loads_no_multiprocessing():
+    # `parallel_map` imports it only when it starts worker processes
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import kinlim.cli; "
+            "print(sorted(k for k in sys.modules "
+            "if k.split('.')[0] == 'multiprocessing'))")
+    proc = subprocess.run([sys.executable, "-c", code, src],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 class _Stop(Exception):
     pass
 

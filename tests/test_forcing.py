@@ -274,8 +274,8 @@ def test_empirical_fourier_estimator_every_rank_is_exact_sum(dim, m, kmax,
                                                              monkeypatch):
     # every value column gives the direct sum sum_i v_i exp(-2 pi i k.x_i)
     # on the band max_d |k_d| <= min(kmax, m/2 - 1) (kmax 40 and 9 are
-    # clamped) and exactly zero outside it; `moments` gives rho, every
-    # component of J and of the pressure on its band max_d |k_d| <= m/4,
+    # clamped) and exactly zero outside it; `moments` gives rho and every
+    # component of J on its band max_d |k_d| <= m/4,
     # and the totals sum_i w_i |v_i|^p.  The 200 particles make one block,
     # then, with 100 values per block, 8 to 67 blocks (the last part-filled
     # for three of the four grids).
@@ -305,7 +305,7 @@ def test_empirical_fourier_estimator_every_rank_is_exact_sum(dim, m, kmax,
         assert np.all(flat[:, ~band] == 0)
         est = moments(ens, grid)
         band = np.max(np.abs(ks), axis=1) <= m // 4
-        for fld, d in zip((est.rho, est.current, est.pressure), direct):
+        for fld, d in zip((est.rho, est.current), direct):
             coef = fld.spectrum().reshape(d.shape)
             assert np.max(np.abs(coef[..., band] - d[..., band])) < 1e-12
             assert np.max(np.abs(coef[..., ~band])) < 1e-15

@@ -46,8 +46,7 @@ for dim, m, n in ((1, 64, 50_000), (1, 64, 2_000), (2, 32, 10_000),
     ens = ParticleEnsemble(rng.random((n, dim)), rng.standard_normal((n, dim)),
                            np.full(n, 1.0 / n), 0.5)
     est = moments(ens, TorusGrid(dim, m))
-    print(dim, n, digest(est.rho.values, est.current.values,
-                         est.pressure.values, est.totals))
+    print(dim, n, digest(est.rho.values, est.current.values, est.totals))
 grid = TorusGrid(1, 64)
 cfg = KineticRunConfig("lb", 0.5, 0.01, 0.025, 50_000, grid)
 path = generate_path(two_point_renewal(grid, 0.5), cfg.path_horizon,
@@ -132,8 +131,8 @@ def test_path_coverage_error(grid):
 
 def test_moments_single_particle(grid):
     # a particle of weight w = 1 on a grid node: each of the 2 m/4 + 1 = 33
-    # retained modes has phase 1 there, so rho = 33 w and the pressure
-    # 33 w v0^2 = 74.25 at the node
+    # retained modes has phase 1 there, so rho = 33 w and the current
+    # J = 33 w v0 = 49.5 at the node
     v0 = np.array([[1.5]])
     pos = np.array([[0.25]])
     ens = ParticleEnsemble(pos, v0, np.array([1.0]), 1.0)
@@ -141,7 +140,7 @@ def test_moments_single_particle(grid):
     assert est.totals[0] == pytest.approx(1.0)
     assert est.totals[1] == pytest.approx(1.5)
     node = int(0.25 * grid.m)
-    assert est.pressure.values[0, 0, node] == pytest.approx(33 * 1.5**2)
+    assert est.current.values[0, node] == pytest.approx(33 * 1.5)
     assert est.rho.values[node] == pytest.approx(33.0)
     assert pairing(est.rho, TorusField.constant(grid, 1.0)) == pytest.approx(1.0)
 
@@ -150,9 +149,9 @@ def test_moments_maxwellian_second_moment_is_identity(grid):
     n = 1_000_000
     ens = uniform_ensemble(n, 0.5, 7)
     est = moments(ens, grid)
-    k_global = est.pressure.physical().mean(axis=-1)  # integral over x
+    k_global = est.totals[2]    # sum_i w_i v_i^2: the integral over x
     se = np.sqrt(2.0 / n)
-    assert abs(k_global[0, 0] - 1.0) < 3 * se
+    assert abs(k_global - 1.0) < 3 * se
 
 
 def test_moments_zero_velocities(grid):
@@ -160,7 +159,7 @@ def test_moments_zero_velocities(grid):
     ens = uniform_ensemble(n, 0.5, 8, velocities=np.zeros((n, 1)))
     est = moments(ens, grid)
     assert np.max(np.abs(est.current.values)) == 0.0
-    assert np.max(np.abs(est.pressure.values)) == 0.0
+    assert np.max(np.abs(est.totals[1:])) == 0.0
 
 
 def test_moments_fourier_estimator_mass_exact(grid):
@@ -372,7 +371,7 @@ def test_equilibrium_invariance_both_collisions(grid):
         run = run_rescaled(cfg, path, rho0, seed=72, n_checkpoints=4)
         se = np.sqrt(2.0 / n)
         for est in run.estimates:
-            k_global = est.pressure.physical().mean(axis=-1)[0, 0]
+            k_global = est.totals[2]    # sum_i w_i v_i^2
             assert abs(k_global - 1.0) < 3 * se + 0.01
 
 

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_dim2_and_ou import two_point_2d
 
 from kinlim import spde
@@ -504,3 +506,67 @@ def test_spde_paths_hold_no_realizations_by_grid_temporary():
     finally:
         tracemalloc.stop()
     assert peak < 12e6
+
+
+def test_ensemble_same_for_any_worker_count(monkeypatch):
+    # 10 realizations in blocks of 3 make four blocks, so both workers step
+    # at least one; the blocks come back in block order
+    coeffs, cov = equivalence_case("2d-full")
+    grid = coeffs.diffusion.grid
+    monkeypatch.setattr(spde, "BLOCK_VALUES", 3 * grid.size)
+    rho0 = TorusField.from_function(
+        grid, 0, lambda *xs: 1.0 + 0.5 * np.cos(2 * np.pi * xs[0] - 1.0))
+    xi = [TorusField.from_function(grid, 0, lambda *xs: np.sin(
+        2 * np.pi * xs[0]))]
+    dt = 0.5 * stability_limit(coeffs)
+    one, two = [run_ensemble(coeffs, cov, rho0, 20 * dt, dt, 10, seed=4,
+                             xi_fields=xi, n_checkpoints=4, n_workers=w)
+                for w in (1, 2)]
+    assert one.blocks_per_step == 4
+    for name in ("times", "mean_hat", "var_hat", "samples", "min_rho"):
+        assert np.array_equal(getattr(one, name), getattr(two, name))
+
+
+def test_ensemble_memory_does_not_grow_with_realizations():
+    # blocks are stepped to the horizon one after another: going from 256
+    # to 1024 realizations at 2-D m=16 adds only per-realization samples
+    coeffs, cov = equivalence_case("2d-e0")
+    grid = coeffs.diffusion.grid
+    rho0 = TorusField.from_function(
+        grid, 0, lambda *xs: 1.0 + 0.5 * np.cos(2 * np.pi * xs[0] - 1.0))
+    xi = [TorusField.from_function(grid, 0, lambda *xs: np.cos(
+        2 * np.pi * k * xs[0])) for k in range(4)]
+    peaks = []
+    for n in (256, 1024):
+        tracemalloc.start()
+        try:
+            run_ensemble(coeffs, cov, rho0, 0.01, 2.5e-4, n, seed=1,
+                         xi_fields=xi, n_checkpoints=4)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1e6
+
+
+MASS_GRID = TorusGrid(2, 8)
+MASS_CASE = lb_setup(MASS_GRID, n_mc=100)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32), n_realizations=st.integers(2, 9),
+       coef=st.lists(st.floats(-0.3, 0.3), min_size=4, max_size=4),
+       mass=st.floats(0.1, 10.0))
+def test_mass_mode_kept_to_the_bit(seed, n_realizations, coef, mass):
+    # smooth initial densities (modes |k| <= 1) and random noise streams:
+    # the k = 0 coefficient of every realization stays the initial one
+    # exactly, so the ensemble mean keeps it and its variance is exactly 0
+    coeffs, cov = MASS_CASE
+    a, b, c, d = coef
+    rho0 = TorusField.from_function(MASS_GRID, 0, lambda x, y: mass * (
+        1.0 + a * np.cos(2 * np.pi * x) + b * np.sin(2 * np.pi * x)
+        + c * np.cos(2 * np.pi * y) + d * np.sin(2 * np.pi * (x + y))))
+    dt = 0.5 * stability_limit(coeffs)
+    res = run_ensemble(coeffs, cov, rho0, 6 * dt, dt, n_realizations,
+                       seed=seed, n_checkpoints=3)
+    assert np.all(res.mean_hat[:, 0, 0] == rho0.spectrum()[0, 0])
+    assert np.all(res.var_hat[:, 0, 0] == 0.0)

@@ -85,15 +85,22 @@ def test_every_key_comes_from_the_table_and_serves_one_role(tmp_path,
     assert {k[1] for k in keys} <= TAGS
     shared = {k: roles for k, roles in keys.items() if len(roles) > 1}
     assert not shared, f"keys drawn by two roles: {shared}"
-    # every stage and check drew: the table's role tags all appear
+    # every stage and check drew: the table's role tags all appear but
+    # STATIONARY, which only the OU law's stationary pass draws (below)
     assert {k[1] for k in keys} == {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 13, 14,
-                                    20, 41, 201, 202}
+                                    41, 201, 202}
 
 
 def test_stationary_pass_draws_one_stream_per_draw(tmp_path, monkeypatch):
-    # draw i takes only its sample's stream: R_0 and R_1 are closed forms,
-    # and R_1 R_0 = R_0 - R_1
+    # the renewal law's pass enumerates its atoms and draws nothing; OU draw
+    # i takes only its sample's stream: R_0 and R_1 are closed forms, and
+    # R_1 R_0 = R_0 - R_1
     cfg, config = _mini_config(tmp_path)
+    keys, codes = _record_keys(monkeypatch,
+                               [["coeffs", "--config", str(config)]])
+    assert codes == [0] and not keys
+    cfg.model_kind = "ou"
+    cfg.save(config)
     keys, codes = _record_keys(monkeypatch,
                                [["coeffs", "--config", str(config)]])
     assert codes == [0]

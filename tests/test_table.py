@@ -1,6 +1,8 @@
 import math
 import string
 
+import numpy as np
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,6 +59,30 @@ def test_byte_layout(tmp_path):
         b"# t=0.5 m=4\nk,x,name\r\n0,0.1,a\r\n1,2,b\r\n"
     write_table(tmp_path / "u.csv", ["v"], [[1 / 3]], 8)
     assert (tmp_path / "u.csv").read_bytes() == b"v\r\n0.33333333\r\n"
+
+
+@settings(max_examples=50, deadline=None)
+@given(n_cols=st.integers(1, 5), digits=st.sampled_from([8, 10, 17]),
+       data=st.data())
+def test_float_array_and_lists_give_the_same_bytes(tmp_path_factory,
+                                                    n_cols, digits, data):
+    # a float64 array skips the per-row type check, with the same output
+    rows = data.draw(st.lists(st.lists(st.floats(allow_nan=False),
+                                       min_size=n_cols, max_size=n_cols),
+                              max_size=4))
+    out = tmp_path_factory.mktemp("t")
+    header = [f"c{i}" for i in range(n_cols)]
+    write_table(out / "lists.csv", header, rows, digits, dict(t=0.5))
+    write_table(out / "array.csv", header,
+                np.array(rows, dtype=float).reshape(len(rows), n_cols),
+                digits, dict(t=0.5))
+    assert (out / "lists.csv").read_bytes() == \
+        (out / "array.csv").read_bytes()
+
+
+def test_float_array_of_the_wrong_width_is_refused(tmp_path):
+    with pytest.raises(ValueError):
+        write_table(tmp_path / "bad.csv", ["a", "b"], np.zeros((2, 3)), 10)
 
 
 @pytest.mark.parametrize("header, rows, meta", [
