@@ -19,7 +19,7 @@ model = two_point_renewal(grid, amp)
 # one stationary pass, the law's two atoms with their weights and their
 # resolvent images, is the only input of both estimators: the sums over the
 # atoms are the exact expectations
-draws = draw_stationary(model, grid, 200, seed=21)
+draws = draw_stationary(model, grid)
 
 for collision, coef in ((LB, 1.5), (FP, 1.0)):
     coeffs = compute_coefficients(draws, collision)

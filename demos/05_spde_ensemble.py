@@ -19,7 +19,7 @@ grid = TorusGrid(1, 64)
 amp = 0.5
 
 zero = zero_renewal(grid)
-ident = compute_coefficients(draw_stationary(zero, grid, 128, seed=31), LB)
+ident = compute_coefficients(draw_stationary(zero, grid), LB)
 rho0 = TorusField.from_function(grid, 0, lambda x: 1.0 + np.cos(2 * np.pi * x))
 sol = mean_equation_solve(ident, rho0, 0.05, 1e-5)
 exact = 0.5 * np.exp(-4 * np.pi**2 * 0.05)
@@ -27,7 +27,7 @@ print(f"heat oracle: mode-1 amplitude {abs(sol.spectrum()[1]):.8f}, "
       f"exact {exact:.8f}")
 
 model = two_point_renewal(grid, amp)
-draws = draw_stationary(model, grid, 200, seed=32)
+draws = draw_stationary(model, grid)
 coeffs = compute_coefficients(draws, LB)
 cov = compute_cov_operator(draws)
 

@@ -179,45 +179,27 @@ class StationaryDraws:
         """Monte Carlo draws behind the estimates; 0 for exact nodes."""
         return self.n_nodes if self.sampled else 0
 
-    def mean(self, term) -> np.ndarray:
-        """sum_i w_i term(i) over the nodes, one node at a time."""
-        out = 0.0
-        for i, w in enumerate(self.weights):
-            out = out + w * term(i)
-        return out
 
-    def stderr(self, term, mean) -> np.ndarray:
-        """Standard error of the equal-weight mean of sampled draws, one
-        node at a time; zero for exact nodes."""
-        if not self.sampled:
-            return np.zeros_like(mean)
-        n = self.n_nodes
-        ss = 0.0
-        for i in range(n):
-            ss = ss + (term(i) - mean) ** 2
-        return np.sqrt(ss / ((n - 1) * n))
-
-
-def draw_stationary(model: ForceFieldModel, grid: TorusGrid, n_mc: int,
-                    seed) -> StationaryDraws:
+def draw_stationary(model: ForceFieldModel, grid: TorusGrid, n_mc: int = 0,
+                    seed=None) -> StationaryDraws:
     """The stationary pass: a renewal law's atoms with their weights (exact,
-    no stream drawn), or n_mc equal-weight OU draws from the streams (seed,
-    STATIONARY, SAMPLE, i), centred within 5 sigma; with their resolvent
-    images."""
-    if n_mc < 100:
-        raise ValueError("need n_mc >= 100")
+    no stream drawn; `n_mc` and `seed` are not read), or n_mc >= 100
+    equal-weight OU draws from the streams (seed, STATIONARY, SAMPLE, i),
+    centred within 5 sigma; with their resolvent images."""
     if model.kind == RENEWAL:
-        samples = [ForceSample(a, model.norm_bound) for a in model.atoms]
+        samples = (ForceSample(a, model.norm_bound) for a in model.atoms)
         weights = model.weights
     else:
-        samples = [sample_stationary(model, substream(
-            (seed, STATIONARY), SAMPLE, i)) for i in range(n_mc)]
+        if n_mc < 100:
+            raise ValueError("need n_mc >= 100 OU draws")
+        samples = (sample_stationary(model, substream(
+            (seed, STATIONARY), SAMPLE, i)) for i in range(n_mc))
         weights = np.full(n_mc, 1.0 / n_mc)
-    e = np.array([s.field.physical() for s in samples])
-    r0, r1 = np.empty_like(e), np.empty_like(e)
+    e, r0, r1 = (np.empty((len(weights), grid.dim) + grid.shape)
+                 for _ in range(3))
     for i, s in enumerate(samples):
         f0, f1 = resolvent_apply(model, (0.0, 1.0), s)
-        r0[i], r1[i] = f0.physical(), f1.physical()
+        e[i], r0[i], r1[i] = s.field.physical(), f0.physical(), f1.physical()
     sampled = model.kind != RENEWAL
     if sampled:
         _centering_check(e)
@@ -227,41 +209,54 @@ def draw_stationary(model: ForceFieldModel, grid: TorusGrid, n_mc: int,
 def compute_coefficients(draws: StationaryDraws,
                          collision: str) -> HydroCoefficients:
     """Weighted sums over the stationary nodes of the limit diffusion
-    matrix and drift fields, one node at a time."""
+    matrix and drift fields, forming each node's terms once.  Sampled
+    draws also accumulate the spread of each term about its running mean
+    (Welford's update) for the standard errors."""
     _check_collision(collision)
     b = COLLISION_FACTOR[collision]
     grid, n_dim = draws.grid, draws.grid.dim
-    e, r0, r1 = draws.e, draws.r0, draws.r1
-
-    def sym1(i):
-        return _sym_outer(r1[i], e[i])
-
-    def diff(i):
-        return 0.5 * (_sym_outer(e[i], r0[i]) + (b - 1.0) * sym1(i))
-
-    def drift2(i):
-        return (r0[i] - r1[i]) * divergence(
-            TorusField(grid, 1, e[i])).physical()[None]
-
-    def drift(i):
-        return (b / 2.0) * matrix_divergence(
-            TorusField(grid, 2, sym1(i))).physical() + drift2(i)
+    diff_sum = sym1_sum = drift2_sum = 0.0
+    diff_run = drift_run = diff_ss = drift_ss = 0.0
+    for i, (w, ev, r0, r1) in enumerate(zip(draws.weights, draws.e,
+                                            draws.r0, draws.r1)):
+        sym1 = _sym_outer(r1, ev)
+        diff = 0.5 * (_sym_outer(ev, r0) + (b - 1.0) * sym1)
+        drift2 = (r0 - r1) * divergence(
+            TorusField(grid, 1, ev)).physical()[None]
+        diff_sum = diff_sum + w * diff
+        sym1_sum = sym1_sum + w * sym1
+        drift2_sum = drift2_sum + w * drift2
+        if draws.sampled:
+            drift = (b / 2.0) * matrix_divergence(
+                TorusField(grid, 2, sym1)).physical() + drift2
+            delta = diff - diff_run
+            diff_run = diff_run + delta / (i + 1)
+            diff_ss = diff_ss + delta * (diff - diff_run)
+            delta = drift - drift_run
+            drift_run = drift_run + delta / (i + 1)
+            drift_ss = drift_ss + delta * (drift - drift_run)
 
     eye = np.eye(n_dim).reshape((n_dim, n_dim) + (1,) * n_dim)
-    diff_mean = draws.mean(diff)
     # store the symmetrised sum (symmetric by construction up to round-off)
-    diff_vals = eye + 0.5 * (diff_mean + np.swapaxes(diff_mean, 0, 1))
-    r1_sym_field = TorusField(grid, 2, draws.mean(sym1))
+    diff_vals = eye + 0.5 * (diff_sum + np.swapaxes(diff_sum, 0, 1))
+    r1_sym_field = TorusField(grid, 2, sym1_sum)
     drift_field = (b / 2.0) * matrix_divergence(r1_sym_field).physical() \
-        + draws.mean(drift2)
+        + drift2_sum
+    if draws.sampled:
+        n = draws.n_nodes
+        diff_se = np.sqrt(diff_ss / ((n - 1) * n))
+        drift_se = np.sqrt(drift_ss / ((n - 1) * n))
+    else:
+        diff_se = np.zeros(diff_vals.shape)
+        drift_se = np.zeros(drift_field.shape)
     return HydroCoefficients(
         diffusion=TorusField(grid, 2, diff_vals),
         drift=TorusField(grid, 1, drift_field),
         collision=collision,
         collision_factor=b,
         r1_sym=r1_sym_field,
-        diffusion_stderr=draws.stderr(diff, diff_mean),
-        drift_stderr=draws.stderr(drift, drift_field),
+        diffusion_stderr=diff_se,
+        drift_stderr=drift_se,
         n_mc=draws.n_mc,
     )
 

@@ -460,14 +460,20 @@ def run_ensemble(coeffs: HydroCoefficients, cov: CovOperator,
             ref = states[:, 0].copy()
             dev_sum = np.zeros_like(ref)
             sq_sum = np.zeros(ref.shape)
-        for r in range(states.shape[1]):
-            dev = states[:, r] - ref
-            dev_sum += dev
-            sq_sum += dev.real**2 + dev.imag**2
+        # the running sums over this block's realizations: the previous
+        # sum goes into the first realization's slot and `accumulate` adds
+        # strictly left to right, as a loop over realizations would
+        dev = np.subtract(states, ref[:, None], out=states)
+        sq = np.square(dev.real)
+        sq += np.square(dev.imag)
+        sq[:, 0] += sq_sum
+        sq_sum = np.add.accumulate(sq, axis=1, out=sq)[:, -1].copy()
+        dev[:, 0] += dev_sum
+        dev_sum = np.add.accumulate(dev, axis=1, out=dev)[:, -1].copy()
         samples[:, b] = block_samples
         min_rho = min(min_rho, low)
         # free this block's arrays before the next block is stepped
-        del states, block_samples
+        del states, block_samples, dev, sq
     mean_dev = dev_sum / n_realizations
     var = np.maximum(sq_sum / n_realizations - mean_dev.real**2
                      - mean_dev.imag**2, 0.0)

@@ -32,20 +32,14 @@ def write_table(path, header, rows, digits: int, meta: dict = None) -> None:
     lines = [",".join(header)]
     floats = ",".join([fmt] * len(header))    # a row of floats, one `%`
     if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
-        # every cell is a float: no per-row type check
-        if rows.ndim != 2 or rows.shape[1] != len(header):
-            raise ValueError(f"rows of shape {rows.shape}, "
-                             f"{len(header)} names")
-        lines += [floats % tuple(row) for row in rows.tolist()]
-    else:
-        for row in rows:
-            if len(row) != len(header):
-                raise ValueError(f"row of {len(row)} cells, "
-                                 f"{len(header)} names")
-            if all(isinstance(v, float) for v in row):
-                lines.append(floats % tuple(row))
-            else:
-                lines.append(",".join([_cell(v, fmt) for v in row]))
+        rows = rows.tolist()                   # the same doubles, unboxed
+    for row in rows:
+        if len(row) != len(header):
+            raise ValueError(f"row of {len(row)} cells, {len(header)} names")
+        if all(isinstance(v, float) for v in row):
+            lines.append(floats % tuple(row))
+        else:
+            lines.append(",".join([_cell(v, fmt) for v in row]))
     text = "\r\n".join(lines) + "\r\n"
     if meta:
         pairs = [f"{k}={_cell(v, fmt)}" for k, v in meta.items()]

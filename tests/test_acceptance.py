@@ -65,7 +65,7 @@ def model(grid):
 def draws(model, grid):
     # one pass for both collisions and the covariance, as `coeffs` and
     # `validate` make it
-    return draw_stationary(model, grid, 200, seed=SEED)
+    return draw_stationary(model, grid, seed=SEED)
 
 
 @pytest.fixture(scope="module")

@@ -37,14 +37,14 @@ def model(grid):
 
 def test_zero_law_coefficients(grid):
     m = zero_renewal(grid)
-    coeffs = compute_coefficients(draw_stationary(m, grid, 128, seed=1), LB)
+    coeffs = compute_coefficients(draw_stationary(m, grid), LB)
     assert np.max(np.abs(coeffs.diffusion.values[0, 0] - 1.0)) < 1e-12
     assert np.max(np.abs(coeffs.drift.values)) < 1e-12
 
 
 def test_two_point_diffusion_closed_forms(grid, model):
     xs = grid.axis()
-    draws = draw_stationary(model, grid, 200, seed=2)
+    draws = draw_stationary(model, grid)
     for collision, coef in ((LB, 1.5), (FP, 1.0)):
         coeffs = compute_coefficients(draws, collision)
         expected = 1.0 + coef * A**2 * np.cos(2 * np.pi * xs) ** 2
@@ -59,7 +59,7 @@ def test_two_point_drift_closed_form(grid, model):
     xs = grid.axis()
     c = np.cos(2 * np.pi * xs)
     s = np.sin(2 * np.pi * xs)
-    draws = draw_stationary(model, grid, 150, seed=3)
+    draws = draw_stationary(model, grid)
     for collision, b in ((LB, 2.0), (FP, 1.0)):
         coeffs = compute_coefficients(draws, collision)
         expected = (b / 2) * A**2 * 2 * c * (-2 * np.pi * s) \
@@ -70,13 +70,13 @@ def test_two_point_drift_closed_form(grid, model):
 
 def test_cov_operator_zero_law(grid):
     m = zero_renewal(grid)
-    cov = compute_cov_operator(draw_stationary(m, grid, 128, seed=4))
+    cov = compute_cov_operator(draw_stationary(m, grid))
     assert cov.rank == 0
     assert cov.trace == pytest.approx(0.0, abs=1e-15)
 
 
 def test_cov_operator_rank_one_spectrum(grid, model):
-    cov = compute_cov_operator(draw_stationary(model, grid, 200, seed=5))
+    cov = compute_cov_operator(draw_stationary(model, grid))
     # H(x, y) = a^2 cos(2 pi x) cos(2 pi y): rank one, lambda = a^2/2
     assert cov.rank == 1
     assert cov.eigenvalues[0] == pytest.approx(A**2 / 2, rel=1e-10)
@@ -93,10 +93,9 @@ def test_cov_operator_symmetry_and_psd():
     # m=16 with QR width 2 x 3 atoms = 6 < 512, where the estimate is zero
     # off the QR basis
     one, two = TorusGrid(1, 64), TorusGrid(2, 16)
-    for model, n_mc in ((two_point_renewal(one, A), 150),
-                        (three_atom_law(two), 200)):
+    for model in (two_point_renewal(one, A), three_atom_law(two)):
         grid = model.grid
-        cov = compute_cov_operator(draw_stationary(model, grid, n_mc, seed=6))
+        cov = compute_cov_operator(draw_stationary(model, grid))
         assert np.max(np.abs(cov.kernel - cov.kernel.T)) < 1e-10
         assert cov.symmetry_gap < 1e-10
         eigs = np.linalg.eigvalsh(cov.kernel / grid.size)
@@ -121,7 +120,7 @@ def test_eigenfield_orthonormality(grid):
     a2 = TorusField.from_function(grid, 1, comp2)
     m = ForceFieldModel("renewal", grid,
                         atoms=[a1, -1.0 * a1, a2, -1.0 * a2])
-    cov = compute_cov_operator(draw_stationary(m, grid, 4000, seed=7))
+    cov = compute_cov_operator(draw_stationary(m, grid))
     assert cov.rank == 2
     for i, zi in enumerate(cov.eigenfields):
         for j, zj in enumerate(cov.eigenfields):
@@ -146,7 +145,7 @@ def test_kernel_reconstruction(grid):
     a2 = TorusField.from_function(grid, 1, comp2)
     m = ForceFieldModel("renewal", grid,
                         atoms=[a1, -1.0 * a1, a2, -1.0 * a2])
-    cov = compute_cov_operator(draw_stationary(m, grid, 2000, seed=8))
+    cov = compute_cov_operator(draw_stationary(m, grid))
     recon = np.zeros_like(cov.kernel)
     for lam, z in zip(cov.eigenvalues, cov.eigenfields):
         flat = z.physical().reshape(-1)
@@ -157,8 +156,8 @@ def test_kernel_reconstruction(grid):
 
 
 def test_enhancement_report(grid, model):
-    draws = draw_stationary(model, grid, 150, seed=12)
-    cov = compute_cov_operator(draw_stationary(model, grid, 150, seed=13))
+    draws = draw_stationary(model, grid)
+    cov = compute_cov_operator(draws)
     for collision in (LB, FP):
         coeffs = compute_coefficients(draws, collision)
         rep = verify_enhancement(coeffs, cov)
@@ -173,8 +172,8 @@ def test_enhancement_report(grid, model):
 
 def test_enhancement_zero_law(grid):
     m = zero_renewal(grid)
-    coeffs = compute_coefficients(draw_stationary(m, grid, 128, seed=14), LB)
-    cov = compute_cov_operator(draw_stationary(m, grid, 128, seed=15))
+    coeffs = compute_coefficients(draw_stationary(m, grid), LB)
+    cov = compute_cov_operator(draw_stationary(m, grid))
     rep = verify_enhancement(coeffs, cov)
     assert rep.passed
     assert rep.min_eig_over_base == pytest.approx(0.0, abs=1e-12)
@@ -184,9 +183,8 @@ def test_enhancement_zero_law(grid):
 def test_enhancement_detects_mismatched_collision(grid, model):
     # coefficients computed for velocity-diffusion collisions but relabelled
     # as jump collisions break the Ito/Stratonovich consistency split
-    coeffs = compute_coefficients(
-        draw_stationary(model, grid, 150, seed=16), FP)
-    cov = compute_cov_operator(draw_stationary(model, grid, 150, seed=17))
+    coeffs = compute_coefficients(draw_stationary(model, grid), FP)
+    cov = compute_cov_operator(draw_stationary(model, grid))
     coeffs.collision_factor = 2.0   # deliberate mislabel
     rep = verify_enhancement(coeffs, cov)
     assert not rep.passed
@@ -206,28 +204,28 @@ def test_scaling_covariance(grid):
     # doubling the amplitude scales the kernel by 4 and K - Id by 4
     m1 = two_point_renewal(grid, A)
     m2 = two_point_renewal(grid, 2 * A)
-    c1 = compute_coefficients(draw_stationary(m1, grid, 150, seed=19), LB)
-    c2 = compute_coefficients(draw_stationary(m2, grid, 150, seed=19), LB)
+    c1 = compute_coefficients(draw_stationary(m1, grid), LB)
+    c2 = compute_coefficients(draw_stationary(m2, grid), LB)
     d1 = c1.diffusion.values[0, 0] - 1.0
     d2 = c2.diffusion.values[0, 0] - 1.0
     assert np.max(np.abs(d2 - 4.0 * d1)) < 1e-10
-    k1 = compute_cov_operator(draw_stationary(m1, grid, 150, seed=20))
-    k2 = compute_cov_operator(draw_stationary(m2, grid, 150, seed=20))
+    k1 = compute_cov_operator(draw_stationary(m1, grid))
+    k2 = compute_cov_operator(draw_stationary(m2, grid))
     assert k2.eigenvalues[0] == pytest.approx(4 * k1.eigenvalues[0], rel=1e-10)
     th1 = c1.drift.values[0]
     th2 = c2.drift.values[0]
     assert np.max(np.abs(th2 - 4.0 * th1)) < 1e-8
 
 
-def test_n_mc_validation(grid, model):
+def test_n_mc_validation(grid):
+    # only the OU law reads n_mc; a renewal pass enumerates its atoms
     with pytest.raises(ValueError):
-        draw_stationary(model, grid, 10, seed=0)
+        draw_stationary(ou_single_mode(grid, A), grid, 10, seed=0)
 
 
 def test_csv_round_trip(tmp_path, grid, model):
-    coeffs = compute_coefficients(
-        draw_stationary(model, grid, 150, seed=21), LB)
-    cov = compute_cov_operator(draw_stationary(model, grid, 150, seed=22))
+    coeffs = compute_coefficients(draw_stationary(model, grid), LB)
+    cov = compute_cov_operator(draw_stationary(model, grid))
     cpath = tmp_path / "coeffs.csv"
     spath = tmp_path / "spectrum.csv"
     coefficients_to_csv(coeffs, cpath)
@@ -247,9 +245,8 @@ def test_contract_files_give_back_the_computed_doubles(tmp_path, model):
     # coefficients.csv and spectrum.csv hold every double exactly, so the
     # SPDE stages read the coefficients the coeffs stage computed
     grid = model.grid
-    coeffs = compute_coefficients(
-        draw_stationary(model, grid, 150, seed=23), LB)
-    cov = compute_cov_operator(draw_stationary(model, grid, 150, seed=24))
+    coeffs = compute_coefficients(draw_stationary(model, grid), LB)
+    cov = compute_cov_operator(draw_stationary(model, grid))
     coefficients_to_csv(coeffs, tmp_path / "coefficients.csv")
     spectrum_to_csv(cov, tmp_path / "spectrum.csv")
     c2 = coefficients_from_csv(tmp_path / "coefficients.csv")
@@ -303,7 +300,7 @@ def three_atom_law(grid):
 @pytest.mark.parametrize("law", ["three-atom", "ou"])
 def test_low_rank_matches_dense_reference(law):
     if law == "three-atom":    # 2-D m=16: QR width 2 x 3 atoms = 6 < 512
-        grid, n_mc, nodes = TorusGrid(2, 16), 200, 3
+        grid, n_mc, nodes = TorusGrid(2, 16), 0, 3
         model = three_atom_law(grid)
     else:                      # 1-D m=16: QR width 16, every column
         grid, n_mc, nodes = TorusGrid(1, 16), 100, 100
@@ -326,13 +323,13 @@ def test_low_rank_matches_dense_reference(law):
 
 def test_eigenfield_sign_rule(grid, model):
     # the first value above 1e-8 of the largest is positive: +sqrt(2) cos
-    cov = compute_cov_operator(draw_stationary(model, grid, 100, seed=5))
+    cov = compute_cov_operator(draw_stationary(model, grid))
     z = cov.eigenfields[0].values[0]
     target = np.sqrt(2) * np.cos(2 * np.pi * grid.axis())
     assert np.max(np.abs(z - target)) < 1e-12
     three = three_atom_law(grid)
     for z in compute_cov_operator(
-        draw_stationary(three, grid, 100, seed=5)).eigenfields:
+        draw_stationary(three, grid)).eigenfields:
         flat = z.physical().reshape(-1)
         assert flat[np.argmax(np.abs(flat) > 1e-8 * np.abs(flat).max())] > 0
 
@@ -344,7 +341,7 @@ def test_rank_deficient_kernel_keeps_dense_accuracy():
     # (2.4e-15)
     grid = TorusGrid(2, 16)
     model = two_point_renewal(grid, A)
-    cov = compute_cov_operator(draw_stationary(model, grid, 100, seed=1))
+    cov = compute_cov_operator(draw_stationary(model, grid))
     assert cov.qr_width == 4 and cov.rank == 1
     assert cov.eigenvalues[0] == pytest.approx(A**2 / 2, rel=1e-14)
     target = np.zeros((2,) + grid.shape)
@@ -359,7 +356,7 @@ def test_cov_operator_holds_no_dense_kernel():
     model = two_point_renewal(grid, A)
     tracemalloc.start()
     try:
-        cov = compute_cov_operator(draw_stationary(model, grid, 100, seed=1))
+        cov = compute_cov_operator(draw_stationary(model, grid))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -371,7 +368,7 @@ def test_cov_operator_2d_m32_below_half_a_dense_kernel():
     # 2-D m=32: one dense 2048 x 2048 kernel is 33.6 MB
     grid = TorusGrid(2, 32)
     model = two_point_renewal(grid, A)
-    draws = draw_stationary(model, grid, 100, seed=1)
+    draws = draw_stationary(model, grid)
     tracemalloc.start()
     try:
         cov = compute_cov_operator(draws)
@@ -410,7 +407,7 @@ def test_renewal_pass_at_2d_m64_traces_under_5mb():
     model = two_point_renewal(grid, A)
     tracemalloc.start()
     try:
-        draws = draw_stationary(model, grid, 200, seed=1)
+        draws = draw_stationary(model, grid)
         coeffs = [compute_coefficients(draws, c) for c in (LB, FP)]
         cov = compute_cov_operator(draws)
         peak = tracemalloc.get_traced_memory()[1]

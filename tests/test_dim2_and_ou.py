@@ -52,8 +52,7 @@ def test_particles_2d_mass_and_equilibrium():
 def test_coefficients_2d_closed_form():
     grid = TorusGrid(2, 8)
     model = two_point_2d(grid, 0.4)
-    coeffs = compute_coefficients(
-        draw_stationary(model, grid, 120, seed=3), LB)
+    coeffs = compute_coefficients(draw_stationary(model, grid), LB)
     x, y = grid.coords()
     # Id + (3/2) E[e x e] with e = (a cos(2 pi x), a/2 sin(2 pi y))
     e0 = 0.4 * np.cos(2 * np.pi * x)
@@ -64,7 +63,7 @@ def test_coefficients_2d_closed_form():
         < 1e-10
     assert np.max(np.abs(coeffs.diffusion.values[0, 1] - 1.5 * e0 * e1)) \
         < 1e-10
-    cov = compute_cov_operator(draw_stationary(model, grid, 120, seed=4))
+    cov = compute_cov_operator(draw_stationary(model, grid))
     # the atom is one fixed vector field, so the kernel is rank one with
     # eigenvalue ||f||^2 = a^2/2 + (a/2)^2/2
     assert cov.rank == 1
@@ -78,7 +77,7 @@ def test_spde_2d_heat_mode_decay():
     grid = TorusGrid(2, 16)
     from kinlim.forcing import zero_renewal
     zero = zero_renewal(grid)
-    ident = compute_coefficients(draw_stationary(zero, grid, 100, seed=5), LB)
+    ident = compute_coefficients(draw_stationary(zero, grid), LB)
     rho0 = TorusField.from_function(
         grid, 0, lambda x, y: 1.0 + np.cos(2 * np.pi * x)
         + 0.5 * np.cos(2 * np.pi * y))

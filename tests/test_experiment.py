@@ -151,7 +151,7 @@ def test_point_mass_functional_has_exact_zero_gaps():
                            seed=3)
     grid = TorusGrid(1, 16)
     model = build_model(cfg)
-    draws = draw_stationary(model, grid, 100, seed=3)
+    draws = draw_stationary(model, grid, cfg.n_mc, cfg.seed)
     rep = convergence_study(cfg, compute_coefficients(draws, LB),
                             compute_cov_operator(draws))
     one = rep.xi_names.index("one")
@@ -167,15 +167,14 @@ def test_mislabel_detection():
 
     grid = TorusGrid(1, 32)
     model = two_point_renewal(grid, 0.5)
-    coeffs = compute_coefficients(
-        draw_stationary(model, grid, 120, seed=1), FP)
+    coeffs = compute_coefficients(draw_stationary(model, grid), FP)
     [ok] = check_coefficients_closed_form(coeffs, 0.5, 1, tol)
     assert ok.passed
     coeffs.collision = LB           # deliberate mislabel
     coeffs.collision_factor = 2.0
     [bad] = check_coefficients_closed_form(coeffs, 0.5, 1, tol)
     assert not bad.passed
-    cov = compute_cov_operator(draw_stationary(model, grid, 120, seed=2))
+    cov = compute_cov_operator(draw_stationary(model, grid))
     assert not all(c.passed for c in
                    check_enhancement(coeffs, cov, strato_bound=1e-12))
 
@@ -211,7 +210,7 @@ def test_check_cov_operator_reads_no_dense_kernel(monkeypatch):
     # from the low-rank form
     grid = TorusGrid(2, 16)
     model = two_point_renewal(grid, 0.5)
-    cov = compute_cov_operator(draw_stationary(model, grid, 100, seed=4))
+    cov = compute_cov_operator(draw_stationary(model, grid))
     no_dense_kernel(monkeypatch)
     results = check_cov_operator(model, cov, 0.5, mode=1, n_sigma=3.0,
                                  trace_slack=1e-12)

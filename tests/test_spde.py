@@ -30,15 +30,12 @@ def grid():
 
 def identity_coeffs(grid):
     m = zero_renewal(grid)
-    return compute_coefficients(draw_stationary(m, grid, 128, seed=1), LB)
+    return compute_coefficients(draw_stationary(m, grid), LB)
 
 
-def lb_setup(grid, n_mc=150):
-    model = two_point_renewal(grid, A)
-    coeffs = compute_coefficients(
-        draw_stationary(model, grid, n_mc, seed=2), LB)
-    cov = compute_cov_operator(draw_stationary(model, grid, n_mc, seed=3))
-    return coeffs, cov
+def lb_setup(grid):
+    draws = draw_stationary(two_point_renewal(grid, A), grid)
+    return compute_coefficients(draws, LB), compute_cov_operator(draws)
 
 
 def rho_one_plus_cos(grid):
@@ -184,9 +181,8 @@ def test_quadratic_variation_paths_are_run_ensemble_paths(grid):
 
 def test_zero_noise_qv_trivial(grid):
     model = zero_renewal(grid)
-    coeffs = compute_coefficients(
-        draw_stationary(model, grid, 128, seed=12), LB)
-    cov = compute_cov_operator(draw_stationary(model, grid, 128, seed=13))
+    coeffs = compute_coefficients(draw_stationary(model, grid), LB)
+    cov = compute_cov_operator(draw_stationary(model, grid))
     rho0 = rho_one_plus_cos(grid)
     xi = TorusField.from_function(grid, 0, lambda x: np.cos(2 * np.pi * x))
     rep = quadratic_variation_check(coeffs, cov, rho0, xi, 0.004, 1e-5,
@@ -356,12 +352,11 @@ def equivalence_case(name):
         return many_mode_case(TorusGrid(2, 16))
     grid = TorusGrid(2, 16)
     if name == "2d-e0":       # the benchmark law: zero fields are dropped
-        return lb_setup(grid, n_mc=100)
+        return lb_setup(grid)
     model = two_point_2d(grid, 0.4)
-    coeffs = compute_coefficients(
-        draw_stationary(model, grid, 100, seed=2), LB)
+    coeffs = compute_coefficients(draw_stationary(model, grid), LB)
     if name == "2d-full":     # every component and K01 non-zero
-        draws = draw_stationary(model, grid, 100, seed=3)
+        draws = draw_stationary(model, grid)
         return coeffs, compute_cov_operator(draws)
     return coeffs, rank_two_cov(grid)
 
@@ -549,7 +544,7 @@ def test_ensemble_memory_does_not_grow_with_realizations():
 
 
 MASS_GRID = TorusGrid(2, 8)
-MASS_CASE = lb_setup(MASS_GRID, n_mc=100)
+MASS_CASE = lb_setup(MASS_GRID)
 
 
 @settings(max_examples=25, deadline=None)

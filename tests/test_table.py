@@ -66,7 +66,7 @@ def test_byte_layout(tmp_path):
        data=st.data())
 def test_float_array_and_lists_give_the_same_bytes(tmp_path_factory,
                                                     n_cols, digits, data):
-    # a float64 array skips the per-row type check, with the same output
+    # a float64 array is written as its rows of doubles
     rows = data.draw(st.lists(st.lists(st.floats(allow_nan=False),
                                        min_size=n_cols, max_size=n_cols),
                               max_size=4))
