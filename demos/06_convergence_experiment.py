@@ -17,7 +17,6 @@ cfg = ExperimentConfig(
     n_particles=5_000,
     n_realizations=96,
     n_spde_realizations=128,
-    n_mc=150,
     out_dir="demo_out",
     seed=41,
 )

@@ -16,6 +16,7 @@ import time
 import numpy as np
 
 from . import __version__
+from .coefficients import OU_NODES
 from .config import ExperimentConfig, RunManifest
 from .experiment import (build_model, coefficients_stage, convergence_study,
                          default_initial_density, default_test_functions,
@@ -53,14 +54,15 @@ def _report(cfg, name, lines):
 
 def cmd_coeffs(args) -> int:
     cfg = _load_config(args)
-    coeffs, cov, report, trace_ok = coefficients_stage(cfg)
+    _, cov, report, trace_ok = coefficients_stage(cfg)
+    rule = ("the law's atoms" if cfg.model_kind == "renewal" else
+            "Gauss-Legendre {} on [-R, R], Gauss-Laguerre {} per tail"
+            .format(*OU_NODES))
     lines = [
         f"stage coeffs (kinlim {__version__})",
         f"collision={cfg.collision} amplitude={cfg.amplitude} "
         f"grid_m={cfg.grid_m}",
-        f"stationary nodes {cov.n_nodes} ("
-        + ("exact atoms, standard errors 0)" if coeffs.n_mc == 0
-           else f"n_mc = {coeffs.n_mc} Monte Carlo draws)"),
+        f"stationary nodes {cov.n_nodes} ({rule}, exact)",
         f"noise rank {cov.rank}, trace {cov.trace:.6g}, "
         f"dropped tail {cov.dropped_tail:.3g}",
         f"covariance QR width {cov.qr_width} (kernel side "

@@ -17,12 +17,13 @@ R_0 - R_1 by the resolvent identity):
   spectral square root generates the limit noise.
 
 Here a (x)sym b = a (x) b + b (x) a.  Every expectation is a weighted sum
-over nodes of the stationary law, sum_i w_i f(E_i).  A renewal law's nodes
-are its atoms with their weights, so for a law with finitely many atoms
-(the default two-point law among them) the sums are the exact
-expectations, with standard errors 0, and no random stream is drawn.  The
-OU law's nodes are n_mc Monte Carlo draws of weight 1/n_mc, with per-entry
-standard errors.
+over nodes of the stationary law, sum_i w_i f(E_i), and no random stream is
+drawn.  A renewal law's nodes are its atoms with their weights, so for a
+law with finitely many atoms (the default two-point law among them) the
+sums are the exact expectations.  The OU law's field is a function of the
+one state u ~ N(0, 1), and its nodes are Gaussian quadrature nodes in u
+(`OU_NODES`): Gauss-Legendre on [-R, R] and Gauss-Laguerre on each tail
+beyond +/-R, split at the clamp's kink, exact to rounding.
 
 Both estimators take one pass of n nodes E, their weights and their R_0 and
 R_1 images (`draw_stationary`) as their only input, and go through the
@@ -36,13 +37,14 @@ Rows of T at the QR's round-off level are cut first (a numerical rank
 cut), so a rank-deficient kernel keeps the accuracy of a dense `eigh`.  The
 estimate vanishes off the range of Q, so its smallest eigenvalue is the
 smallest of M, or 0 when Q has fewer than N M^N columns; with the symmetry
-of M it is what the nonnegativity check reads.  Eigenvalues below a noise
-floor are dropped and the dropped tail is reported as a modelling-error
-bound.
+of M it is what the nonnegativity check reads.  Eigenvalues below 1e-10
+of the trace are dropped and the dropped tail is reported as a
+modelling-error bound.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -51,7 +53,7 @@ import numpy as np
 from .equilibrium import FP, LB, _check_collision, path_weighted_integral
 from .forcing import (RENEWAL, ForceFieldModel, ForceSample, generate_path,
                       resolvent_apply, sample_stationary)
-from .rng import SAMPLE, STATIONARY, SYMPOS_LHS, SYMPOS_RHS, substream
+from .rng import SYMPOS_LHS, SYMPOS_RHS, substream
 from .table import read_table, write_table
 from .torus import TorusField, TorusGrid, divergence, matrix_divergence
 
@@ -59,21 +61,21 @@ COLLISION_FACTOR = {LB: 2.0, FP: 1.0}
 # Significant digits of coefficients.csv and spectrum.csv: %.17g gives back
 # every double, so later stages run on exactly the coefficients computed.
 CONTRACT_DIGITS = 17
+# Nodes of the OU stationary pass: Gauss-Legendre on [-R, R], and
+# Gauss-Laguerre on each tail beyond +/-R.  Doubling both changes K, Theta
+# and the leading eigenvalue at rounding level for R = 5 and R = 8.
+OU_NODES = (64, 16)
 
 
 @dataclass
 class HydroCoefficients:
-    """Diffusion matrix and drift of the limit equation, with Monte Carlo
-    standard errors (zero for exact nodes)."""
+    """Diffusion matrix and drift of the limit equation."""
 
     diffusion: TorusField        # matrix field, symmetric and >= Id
     drift: TorusField            # vector field
     collision: str
     collision_factor: float      # 2 (jump) or 1 (velocity diffusion)
     r1_sym: TorusField           # matrix field E[R_1 E (x)sym E]
-    diffusion_stderr: np.ndarray
-    drift_stderr: np.ndarray
-    n_mc: int
 
 
 @dataclass
@@ -86,7 +88,6 @@ class CovOperator:
     trace: float
     dropped_tail: float          # trace mass of the dropped eigenvalues
     tol_eig: float
-    kernel_stderr: float         # Frobenius standard error of the kernel
     # smallest eigenvalue of the whole weighted estimate and the largest
     # asymmetry of the small matrix diagonalised; a spectrum read back from
     # spectrum.csv keeps only positive eigenvalues and reads 0 for both
@@ -147,78 +148,72 @@ def _sym_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[:, None] * b[None, :] + b[:, None] * a[None, :]
 
 
-def _centering_check(draws: np.ndarray):
-    n = draws.shape[0]
-    mean = draws.mean(axis=0)
-    std = draws.std(axis=0, ddof=1) if n > 1 else np.zeros_like(mean)
-    excess = np.abs(mean) - 5.0 * std / np.sqrt(n)
-    if np.max(excess) > 1e-9:
-        raise ValueError("empirical force law is not centred (beyond 5 sigma)")
+def _ou_nodes(radius: float):
+    """States u and weights of a quadrature of the standard normal law,
+    split at the clamp's kink: Gauss-Legendre on [-R, R] times the density
+    phi, and on each tail u = +/-(R + t/R), t >= 0, Gauss-Laguerre, whose
+    weight e^-t times phi(R) e^(-t^2 / 2R^2) / R is phi(u) du there."""
+    n_mid, n_tail = OU_NODES
+    x, w = np.polynomial.legendre.leggauss(n_mid)
+    t, wt = np.polynomial.laguerre.laggauss(n_tail)
+    tail = radius + t / radius
+
+    def phi(u):
+        return np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+
+    w_tail = wt * np.exp(-0.5 * (t / radius) ** 2) * phi(radius) / radius
+    states = np.concatenate([-tail[::-1], radius * x, tail])
+    weights = np.concatenate([w_tail[::-1], radius * w * phi(radius * x),
+                              w_tail])
+    return states, weights
 
 
 @dataclass
 class StationaryDraws:
     """Nodes E of the stationary law with one weight each, and their R_0
     and R_1 images: the one input of both estimators.  Each array is
-    (n_nodes, N) + grid shape.  `sampled` marks Monte Carlo draws (equal
-    weights, with standard errors) against an exact enumeration."""
+    (n_nodes, N) + grid shape."""
 
     grid: TorusGrid
     e: np.ndarray
     r0: np.ndarray
     r1: np.ndarray
     weights: np.ndarray
-    sampled: bool
 
     @property
     def n_nodes(self) -> int:
         return len(self.weights)
 
-    @property
-    def n_mc(self) -> int:
-        """Monte Carlo draws behind the estimates; 0 for exact nodes."""
-        return self.n_nodes if self.sampled else 0
 
-
-def draw_stationary(model: ForceFieldModel, grid: TorusGrid, n_mc: int = 0,
-                    seed=None) -> StationaryDraws:
-    """The stationary pass: a renewal law's atoms with their weights (exact,
-    no stream drawn; `n_mc` and `seed` are not read), or n_mc >= 100
-    equal-weight OU draws from the streams (seed, STATIONARY, SAMPLE, i),
-    centred within 5 sigma; with their resolvent images."""
+def draw_stationary(model: ForceFieldModel,
+                    grid: TorusGrid) -> StationaryDraws:
+    """The stationary pass, with the resolvent images of its nodes: a
+    renewal law's atoms with their weights, or the OU law's quadrature
+    nodes in the state u (`_ou_nodes`).  Exact, and no stream is drawn."""
     if model.kind == RENEWAL:
         samples = (ForceSample(a, model.norm_bound) for a in model.atoms)
         weights = model.weights
     else:
-        if n_mc < 100:
-            raise ValueError("need n_mc >= 100 OU draws")
-        samples = (sample_stationary(model, substream(
-            (seed, STATIONARY), SAMPLE, i)) for i in range(n_mc))
-        weights = np.full(n_mc, 1.0 / n_mc)
+        states, weights = _ou_nodes(model.clip_radius)
+        samples = (ForceSample(model.link(u), model.norm_bound, state=u)
+                   for u in states[:, None])
     e, r0, r1 = (np.empty((len(weights), grid.dim) + grid.shape)
                  for _ in range(3))
     for i, s in enumerate(samples):
         f0, f1 = resolvent_apply(model, (0.0, 1.0), s)
         e[i], r0[i], r1[i] = s.field.physical(), f0.physical(), f1.physical()
-    sampled = model.kind != RENEWAL
-    if sampled:
-        _centering_check(e)
-    return StationaryDraws(grid, e, r0, r1, weights, sampled)
+    return StationaryDraws(grid, e, r0, r1, weights)
 
 
 def compute_coefficients(draws: StationaryDraws,
                          collision: str) -> HydroCoefficients:
     """Weighted sums over the stationary nodes of the limit diffusion
-    matrix and drift fields, forming each node's terms once.  Sampled
-    draws also accumulate the spread of each term about its running mean
-    (Welford's update) for the standard errors."""
+    matrix and drift fields, forming each node's terms once."""
     _check_collision(collision)
     b = COLLISION_FACTOR[collision]
     grid, n_dim = draws.grid, draws.grid.dim
     diff_sum = sym1_sum = drift2_sum = 0.0
-    diff_run = drift_run = diff_ss = drift_ss = 0.0
-    for i, (w, ev, r0, r1) in enumerate(zip(draws.weights, draws.e,
-                                            draws.r0, draws.r1)):
+    for w, ev, r0, r1 in zip(draws.weights, draws.e, draws.r0, draws.r1):
         sym1 = _sym_outer(r1, ev)
         diff = 0.5 * (_sym_outer(ev, r0) + (b - 1.0) * sym1)
         drift2 = (r0 - r1) * divergence(
@@ -226,15 +221,6 @@ def compute_coefficients(draws: StationaryDraws,
         diff_sum = diff_sum + w * diff
         sym1_sum = sym1_sum + w * sym1
         drift2_sum = drift2_sum + w * drift2
-        if draws.sampled:
-            drift = (b / 2.0) * matrix_divergence(
-                TorusField(grid, 2, sym1)).physical() + drift2
-            delta = diff - diff_run
-            diff_run = diff_run + delta / (i + 1)
-            diff_ss = diff_ss + delta * (diff - diff_run)
-            delta = drift - drift_run
-            drift_run = drift_run + delta / (i + 1)
-            drift_ss = drift_ss + delta * (drift - drift_run)
 
     eye = np.eye(n_dim).reshape((n_dim, n_dim) + (1,) * n_dim)
     # store the symmetrised sum (symmetric by construction up to round-off)
@@ -242,22 +228,12 @@ def compute_coefficients(draws: StationaryDraws,
     r1_sym_field = TorusField(grid, 2, sym1_sum)
     drift_field = (b / 2.0) * matrix_divergence(r1_sym_field).physical() \
         + drift2_sum
-    if draws.sampled:
-        n = draws.n_nodes
-        diff_se = np.sqrt(diff_ss / ((n - 1) * n))
-        drift_se = np.sqrt(drift_ss / ((n - 1) * n))
-    else:
-        diff_se = np.zeros(diff_vals.shape)
-        drift_se = np.zeros(drift_field.shape)
     return HydroCoefficients(
         diffusion=TorusField(grid, 2, diff_vals),
         drift=TorusField(grid, 1, drift_field),
         collision=collision,
         collision_factor=b,
         r1_sym=r1_sym_field,
-        diffusion_stderr=diff_se,
-        drift_stderr=drift_se,
-        n_mc=draws.n_mc,
     )
 
 
@@ -287,20 +263,9 @@ def compute_cov_operator(draws: StationaryDraws) -> CovOperator:
     # the estimate is zero off the range of Q
     min_eig = float(eigvals[-1]) if q.shape[1] == dim \
         else min(float(eigvals[-1]), 0.0)
-    # the scaled rows give w_i (r_i . e_i) and w_i^2 |r_i|^2 |e_i|^2
-    dots = np.einsum("ij,ij->i", r0, e)
-    trace = weight * float(dots.sum())
-    se_fro = 0.0
-    if draws.sampled:
-        # Frobenius standard error of n equal-weight draws: the entry
-        # variances of their symmetrised outer products sum to n/(n-1)
-        # (mean_i |outer_i|_F^2 - |H|_F^2), with |outer_i|_F^2 =
-        # (|r_i|^2 |e_i|^2 + (r_i . e_i)^2) / 2 and |H|_F = |Q^T H Q|_F
-        sq = 0.5 * n * (np.einsum("ij,ij->i", r0, r0)
-                        * np.einsum("ij,ij->i", e, e) + dots**2)
-        var_sum = max(sq.sum() - np.sum(small**2), 0.0) * n / (n - 1)
-        se_fro = weight * float(np.sqrt(var_sum / n))
-    tol_eig = abs(trace) * 1e-10 + 3.0 * se_fro
+    # the scaled rows give w_i (r_i . e_i)
+    trace = weight * float(np.einsum("ij,ij->i", r0, e).sum())
+    tol_eig = abs(trace) * 1e-10
     if eigvals[-1] < -10.0 * max(tol_eig, 1e-300):
         raise ValueError("kernel estimate far from nonnegative")
     keep = eigvals > tol_eig
@@ -313,7 +278,7 @@ def compute_cov_operator(draws: StationaryDraws) -> CovOperator:
         fields.append(TorusField(grid, 1,
                                  vec.reshape((grid.dim,) + grid.shape)))
     return CovOperator(grid, eigvals[keep], fields, trace, dropped,
-                       float(tol_eig), se_fro, min_eig,
+                       tol_eig, min_eig,
                        float(np.max(np.abs(small - small.T))), (r0, e))
 
 
@@ -346,8 +311,7 @@ def verify_enhancement(coeffs: HydroCoefficients,
     exception, so callers can report the margins.
     """
     grid = coeffs.diffusion.grid
-    tol = 10.0 * float(np.max(coeffs.diffusion_stderr)) \
-        + 3.0 * cov.kernel_stderr + cov.dropped_tail + 1e-10
+    tol = cov.dropped_tail + 1e-10
     eye = np.eye(grid.dim).reshape((grid.dim,) * 2 + (1,) * grid.dim)
     k_vals = coeffs.diffusion.physical()
     noise_diag = cov.noise_diagonal().physical()
@@ -451,14 +415,13 @@ def coefficients_to_csv(coeffs: HydroCoefficients, path) -> None:
         f.physical().reshape(-1, grid.size)
         for f in (coeffs.diffusion, coeffs.drift, coeffs.r1_sym)]
     meta = dict(collision=coeffs.collision, b=repr(coeffs.collision_factor),
-                dim=n, m=grid.m, n_mc=coeffs.n_mc)  # b as "2.0", not "2"
+                dim=n, m=grid.m)  # b as "2.0", not "2"
     write_table(path, header, np.concatenate(columns).T, CONTRACT_DIGITS,
                 meta)
 
 
 def coefficients_from_csv(path) -> HydroCoefficients:
-    """Coefficients as written by `coefficients_to_csv`; the file carries no
-    standard errors, so those read as zero."""
+    """Coefficients as written by `coefficients_to_csv`."""
     meta, _, rows = read_table(path)
     n = int(meta["dim"])
     grid = TorusGrid(n, int(meta["m"]))
@@ -468,8 +431,7 @@ def coefficients_from_csv(path) -> HydroCoefficients:
     return HydroCoefficients(
         TorusField(grid, 2, diff.reshape(mat)),
         TorusField(grid, 1, drift.reshape(vec)), meta["collision"],
-        float(meta["b"]), TorusField(grid, 2, r1s.reshape(mat)),
-        np.zeros(mat), np.zeros(vec), int(meta["n_mc"]))
+        float(meta["b"]), TorusField(grid, 2, r1s.reshape(mat)))
 
 
 def spectrum_to_csv(cov: CovOperator, path) -> None:
@@ -480,8 +442,7 @@ def spectrum_to_csv(cov: CovOperator, path) -> None:
             for k, (lam, z) in enumerate(zip(cov.eigenvalues,
                                              cov.eigenfields))]
     meta = dict(dim=grid.dim, m=grid.m, trace=cov.trace,
-                dropped=cov.dropped_tail, tol=cov.tol_eig,
-                kse=cov.kernel_stderr)
+                dropped=cov.dropped_tail, tol=cov.tol_eig)
     write_table(path, header, rows, CONTRACT_DIGITS, meta)
 
 
@@ -495,4 +456,4 @@ def spectrum_from_csv(path) -> CovOperator:
     # `kernel` comes from the kept spectrum (dropped tail reported)
     return CovOperator(grid, eigenvalues, fields,
                        float(meta["trace"]), float(meta["dropped"]),
-                       float(meta["tol"]), float(meta["kse"]))
+                       float(meta["tol"]))

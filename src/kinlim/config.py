@@ -33,6 +33,9 @@ class ExperimentConfig:
     n_particles: int = 20_000
     n_realizations: int = 256
     n_spde_realizations: int = 256
+    # no stage reads n_mc (every stationary pass takes exact nodes); the key
+    # stays because config files set it, bench/workloads.py among them, and
+    # `from_text` refuses unknown keys
     n_mc: int = 200
     n_paths: int = 10_000
     n_checkpoints: int = 10

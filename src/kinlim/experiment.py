@@ -80,7 +80,7 @@ def coefficients_stage(cfg: ExperimentConfig):
     os.makedirs(out, exist_ok=True)
     grid = TorusGrid(cfg.dim, cfg.grid_m)
     model = build_model(cfg)
-    draws = draw_stationary(model, grid, cfg.n_mc, cfg.seed)
+    draws = draw_stationary(model, grid)
     coeffs = compute_coefficients(draws, cfg.collision)
     cov = compute_cov_operator(draws)
     report = verify_enhancement(coeffs, cov)
@@ -402,26 +402,31 @@ def check_sympos(model: ForceFieldModel, n_paths, n_mc, n_sigma,
 
 
 def check_cov_operator(model: ForceFieldModel, cov: CovOperator,
-                       amplitude: float, mode: int, n_sigma,
                        trace_slack) -> list:
-    """Criterion 6: kernel symmetric and nonnegative, trace <= N R, and the
-    leading pair a^2/2, sqrt(2) cos(2 pi k x_0) of the two-point law.  The
-    symmetry and the smallest eigenvalue are those `compute_cov_operator`
-    records from its low-rank form; no dense kernel is built."""
-    grid = cov.grid
+    """Criterion 6, for either law: kernel symmetric and nonnegative, and
+    trace <= N R.  The symmetry and the smallest eigenvalue are those
+    `compute_cov_operator` records from its low-rank form; no dense kernel
+    is built."""
     sym_gap, min_eig = cov.symmetry_gap, cov.min_eigenvalue
-    trace_bound = grid.dim * model.norm_bound + trace_slack
+    trace_bound = cov.grid.dim * model.norm_bound + trace_slack
+    return [CheckResult("covariance kernel symmetry", sym_gap < 1e-10,
+                        sym_gap, 1e-10),
+            CheckResult("covariance kernel nonnegative",
+                        min_eig >= -cov.tol_eig, min_eig, -cov.tol_eig,
+                        "min eigenvalue"),
+            CheckResult("covariance trace <= N R", cov.trace <= trace_bound,
+                        cov.trace, trace_bound)]
+
+
+def check_leading_pair(cov: CovOperator, amplitude: float,
+                       mode: int) -> list:
+    """Criterion 6, two-point law: the leading pair a^2/2, sqrt(2) cos(2 pi
+    k x_0).  The OU law's clamp moves its eigenvalue off a^2/2 (by 1.4e-7
+    at clip radius 5), so it is not held to this closed form."""
+    grid = cov.grid
     lam_gap = abs((cov.eigenvalues[0] if cov.rank else 0.0) - amplitude**2 / 2)
-    lam_tol = n_sigma * cov.kernel_stderr + 1e-10
-    out = [CheckResult("covariance kernel symmetry", sym_gap < 1e-10,
-                       sym_gap, 1e-10),
-           CheckResult("covariance kernel nonnegative",
-                       min_eig >= -cov.tol_eig, min_eig, -cov.tol_eig,
-                       "min eigenvalue"),
-           CheckResult("covariance trace <= N R", cov.trace <= trace_bound,
-                       cov.trace, trace_bound),
-           CheckResult("leading eigenvalue a^2/2", lam_gap < lam_tol,
-                       lam_gap, lam_tol)]
+    out = [CheckResult("leading eigenvalue a^2/2", lam_gap < 1e-10,
+                       lam_gap, 1e-10)]
     if cov.rank:
         target = np.sqrt(2) * np.cos(
             2 * np.pi * mode * grid.coords()[0]).reshape(-1)
@@ -435,10 +440,9 @@ def check_cov_operator(model: ForceFieldModel, cov: CovOperator,
 
 def check_coefficients_closed_form(coeffs: HydroCoefficients,
                                    amplitude: float, mode: int,
-                                   tolerance) -> list:
+                                   tolerance: float) -> list:
     """Criterion 7: stored diffusion values against the two-atom enumeration
-    for the stored label.  `tolerance` maps the per-entry standard errors to
-    the allowed gap, per entry or as one number.
+    for the stored label, within `tolerance` at every entry.
 
     A relabelled field (values computed for one collision kind, flagged as
     the other) fails here: the b-dependent term differs by a^2/2 E[e x e].
@@ -446,7 +450,7 @@ def check_coefficients_closed_form(coeffs: HydroCoefficients,
     oracle = closed_form_two_point_diffusion(amplitude, mode, coeffs.collision,
                                              coeffs.diffusion.grid)
     excess = float(np.max(np.abs(coeffs.diffusion.values - oracle.values)
-                          - tolerance(coeffs.diffusion_stderr)))
+                          - tolerance))
     return [CheckResult(f"diffusion closed form ({coeffs.collision})",
                         excess <= 0.0, excess, 0.0,
                         "max of |K - enumeration| - tolerance")]
@@ -611,7 +615,7 @@ def validation_suite(cfg: ExperimentConfig) -> ValidationReport:
     grid = TorusGrid(cfg.dim, cfg.grid_m)
     model = build_model(cfg)
     seed, amp, mode = cfg.seed, cfg.amplitude, cfg.mode
-    draws = draw_stationary(model, grid, cfg.n_mc, seed)
+    draws = draw_stationary(model, grid)
     coeffs = {c: compute_coefficients(draws, c) for c in (LB, FP)}
     cov = compute_cov_operator(draws)
     # (two-point law only, check, desk sizes and bounds), criteria 1-11
@@ -630,14 +634,14 @@ def validation_suite(cfg: ExperimentConfig) -> ValidationReport:
          dict(model=model, n_paths=max(cfg.n_paths // 3, 500), n_mc=500,
               n_sigma=3.0, seed=seed)),
         (False, check_cov_operator,
-         dict(model=model, cov=cov, amplitude=amp, mode=mode, n_sigma=3.0,
-              trace_slack=1e-12)),
+         dict(model=model, cov=cov, trace_slack=1e-12)),
+        (True, check_leading_pair, dict(cov=cov, amplitude=amp, mode=mode)),
     ]
     for c in (LB, FP):
         table += [
             (True, check_coefficients_closed_form,
              dict(coeffs=coeffs[c], amplitude=amp, mode=mode,
-                  tolerance=lambda se: 3 * np.max(se) + 1e-9)),
+                  tolerance=1e-9)),
             (False, check_enhancement,
              dict(coeffs=coeffs[c], cov=cov, strato_bound=1e-12)),
         ]

@@ -19,7 +19,10 @@ import numpy as np
 
 # -- the stream-key table ----------------------------------------------------
 # Role tags (key[1]) and the keys each role draws; c is a collision index,
-# i an eps index, p a path, r a realization.
+# i an eps index, p a path, r a realization.  `draw_stationary`, the one
+# pass that the coefficients and the covariance read, draws no stream: its
+# nodes are a renewal law's atoms or the OU law's quadrature nodes, and the
+# resolvents are closed forms.
 GAUSSIAN_SHIFTS = 1      # criterion 1: (seed, 1)
 RESOLVENT_FORMS = 2      # criterion 2: (seed, 2), one draw
 MOMENT_PATH = 3          # criterion 3: (seed, 3, c)
@@ -33,15 +36,10 @@ MEAN_EQUATION = 10       # criterion 10: (seed, 10, SPDE_NOISE, r)
 CONVERGE_KINETIC = 13    # converge, criterion 12:
 #                          (seed, 13, i, PATH | PARTICLES, .)
 CORRECTOR_SCALING = 14   # criterion 11: (seed, 14, i, PATH | PARTICLES, p)
-STATIONARY = 20          # draw_stationary, the one pass that coefficients
-#                          and covariance read, OU draw n: (seed, 20, SAMPLE,
-#                          n); a renewal law's pass enumerates its atoms and
-#                          the resolvents are closed forms: neither draws
 SPDE_NOISE = 41          # converge, simulate-spde, criterion 12: (seed, 41, r)
 KINETIC_PATH = 201       # simulate-kinetic: (seed, 201, i)
 KINETIC_PARTICLES = 202  # simulate-kinetic: (seed, 202, i)
 # Appended after the caller's key.
-SAMPLE = 1                           # a stationary draw
 PATH, PARTICLES = 11, 12             # functional_samples: path r, block b;
 #                                      check_corrector_scaling: run p
 SYMPOS_LHS, SYMPOS_RHS = 21, 23      # check_sympos_identity: draw, path

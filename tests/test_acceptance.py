@@ -8,7 +8,7 @@ validate` runs the same checks of criteria 1-11 at desk sizes, and
 criterion 12 is the `converge` stage's study.  The only sampling call
 made here is the one stationary pass that feeds the coefficients and the
 covariance (for the two-point law, its two atoms, exact: no stream is
-drawn and the standard errors are 0); every check draws from its own keys
+drawn); every check draws from its own keys
 `(SEED, tag, ...)` of the stream table in `kinlim.rng`.
 """
 
@@ -25,7 +25,8 @@ from kinlim.experiment import (CheckResult, check_coefficients_closed_form,
                                check_corrector_scaling, check_cov_operator,
                                check_enhancement, check_gaussian_identities,
                                check_invariant_second_moment,
-                               check_mean_equation, check_moment_evolution,
+                               check_leading_pair, check_mean_equation,
+                               check_moment_evolution,
                                check_resolvent_closed_forms, check_spde_suite,
                                check_sympos)
 from kinlim.forcing import two_point_renewal
@@ -65,7 +66,7 @@ def model(grid):
 def draws(model, grid):
     # one pass for both collisions and the covariance, as `coeffs` and
     # `validate` make it
-    return draw_stationary(model, grid, seed=SEED)
+    return draw_stationary(model, grid)
 
 
 @pytest.fixture(scope="module")
@@ -109,15 +110,15 @@ def test_criterion_05_sympos_identity(model):
 
 
 def test_criterion_06_cov_operator(model, cov):
-    announce_checks(6, check_cov_operator(model, cov, AMP, mode=1,
-                                          n_sigma=3.0, trace_slack=0.0))
+    announce_checks(6, check_cov_operator(model, cov, trace_slack=0.0)
+                    + check_leading_pair(cov, AMP, mode=1))
 
 
 def test_criterion_07_coefficient_closed_forms(lb_coeffs, fp_coeffs, cov):
     results = []
     for coeffs in (lb_coeffs, fp_coeffs):
         results += check_coefficients_closed_form(
-            coeffs, AMP, mode=1, tolerance=lambda se: 3 * se + 1e-10)
+            coeffs, AMP, mode=1, tolerance=1e-10)
     announce_checks(7, results + check_enhancement(lb_coeffs, cov,
                                                    strato_bound=0.0))
 

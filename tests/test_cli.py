@@ -195,15 +195,14 @@ def test_simulate_spde_2d_columns_follow_forced_axis(tmp_path):
     last = dict(zip(rows[0].split(","), rows[-1].split(",")))
     # the noise acts along x_0, so mode (1, 0) fluctuates
     assert float(last["var_k1"]) > 0
-    # the reports name the stationary nodes (the two atoms, exact), the
+    # the reports name the stationary nodes (the two atoms), the
     # covariance's QR width (kernel side 512, 2 x 2 nodes), the stepping
     # blocks (2^14 // 256 = 64 realizations) and the step's products: one
     # for Theta and Kvar at each of +/- 2 e_0, one for phi at each of
     # +/- e_0
     out = tmp_path / "out"
     coeffs_report = (out / "report_coeffs.txt").read_text()
-    assert "stationary nodes 2 (exact atoms, standard errors 0)" in \
-        coeffs_report
+    assert "stationary nodes 2 (the law's atoms, exact)" in coeffs_report
     assert "covariance QR width 4 (kernel side 512, 2 x 2 nodes)" in \
         coeffs_report
     report = (out / "report_spde.txt").read_text()

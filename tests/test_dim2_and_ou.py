@@ -5,11 +5,15 @@ paths (grids, particle stepping, coefficients, SPDE) stay correct on a small
 two-dimensional grid and for the hidden-state force model.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from kinlim.coefficients import (compute_coefficients, compute_cov_operator,
-                                 draw_stationary, verify_enhancement)
+from kinlim import coefficients
+from kinlim.coefficients import (OU_NODES, _ou_nodes, compute_coefficients,
+                                 compute_cov_operator, draw_stationary,
+                                 verify_enhancement)
 from kinlim.equilibrium import FP, LB
 from kinlim.forcing import (ForceFieldModel, generate_path, ou_single_mode,
                             two_point_renewal)
@@ -88,36 +92,69 @@ def test_spde_2d_heat_mode_decay():
     assert abs(coef[0, 1] - 0.25 * decay) < 1e-4
 
 
-def test_ou_coefficients_ballpark():
-    # linear link, clipping inactive at radius 8: the stationary draws are
-    # Gaussian with coefficient variance a^2, so E[e x e](x) =
-    # a^2 cos^2(2 pi x) as in the two-point case, and with the exact
-    # resolvents R_lam e = e / (1 + lam) the coefficients land on the same
-    # closed form up to the Monte Carlo error of the draws
-    grid = TorusGrid(1, 16)
-    amp = 0.5
-    model = ou_single_mode(grid, amp, clip_radius=8.0)
-    draws = draw_stationary(model, grid, 150, seed=6)
-    coeffs = compute_coefficients(draws, LB)
-    xs = grid.axis()
-    expected = 1.0 + 1.5 * amp**2 * np.cos(2 * np.pi * xs) ** 2
-    tol = 3 * np.max(coeffs.diffusion_stderr)
-    assert np.max(np.abs(coeffs.diffusion.values[0, 0] - expected)) < tol
-    # drift: R_lam e = e / (1 + lam) while the clip is inactive, so it is the
-    # two-point closed form at b = 2
-    b = 2.0
-    c, s = np.cos(2 * np.pi * xs), np.sin(2 * np.pi * xs)
-    expected = (b / 2) * amp**2 * 2 * c * (-2 * np.pi * s) \
-        + 0.5 * amp**2 * c * (-2 * np.pi * s)
-    tol = 3 * np.max(coeffs.drift_stderr)
-    assert np.max(np.abs(coeffs.drift.values[0] - expected)) < tol
+def exact_pass(model, grid):
+    """The coefficients of both collisions and the covariance, from one
+    stationary pass."""
+    draws = draw_stationary(model, grid)
+    return ([compute_coefficients(draws, c) for c in (LB, FP)],
+            compute_cov_operator(draws))
+
+
+def test_ou_coefficients_exact_at_clip_radius_8():
+    # linear link, the clamp moves the law by P(|u| > 8) ~ 1e-15: the state
+    # has variance 1 and R_lam e = e / (1 + lam), so K and Theta are the
+    # two-point closed forms, which the quadrature nodes hit to rounding
+    # (1.3e-14 measured)
+    grid = TorusGrid(1, 64)
+    ou, _ = exact_pass(ou_single_mode(grid, 0.5, clip_radius=8.0), grid)
+    two_point, _ = exact_pass(two_point_renewal(grid, 0.5), grid)
+    for c, ref in zip(ou, two_point):
+        assert np.max(np.abs(c.diffusion.values - ref.diffusion.values)) \
+            < 1e-12
+        assert np.max(np.abs(c.drift.values - ref.drift.values)) < 1e-12
 
 
 def test_ou_cov_operator_rank_one():
+    # every node is a multiple of the link field: rank one, eigenvalue
+    # a^2 E[clamp(u)^2] = a^2/2 and eigenfield sqrt(2) cos at radius 8
     grid = TorusGrid(1, 16)
-    amp = 0.5
-    model = ou_single_mode(grid, amp, clip_radius=8.0)
-    cov = compute_cov_operator(draw_stationary(model, grid, 200, seed=7))
-    # kernel approximates a^2 u^2 cos cos with E[u^2] = 1: lambda1 ~ a^2/2
-    assert cov.rank >= 1
-    assert cov.eigenvalues[0] == pytest.approx(amp**2 / 2, rel=0.25)
+    _, cov = exact_pass(ou_single_mode(grid, 0.5, clip_radius=8.0), grid)
+    _, ref = exact_pass(two_point_renewal(grid, 0.5), grid)
+    assert cov.rank == 1
+    assert abs(cov.eigenvalues[0] - 0.5**2 / 2) < 1e-12
+    assert np.max(np.abs(cov.eigenfields[0].values
+                         - ref.eigenfields[0].values)) < 1e-12
+
+
+@pytest.mark.parametrize("clip_radius", [5.0, 8.0])
+def test_ou_nodes_integrate_the_normal_law(clip_radius):
+    # moments 1, u^2, u^4 of N(0, 1), and the tail mass erfc(R / sqrt 2)
+    # and tail second moment erfc(R / sqrt 2) + 2 R phi(R) beyond +/-R,
+    # all to rounding (6e-15 measured)
+    u, w = _ou_nodes(clip_radius)
+    assert np.allclose([w.sum(), w @ u**2, w @ u**4], [1, 1, 3], rtol=1e-13,
+                       atol=0)
+    tail = np.abs(u) > clip_radius
+    mass = math.erfc(clip_radius / math.sqrt(2))
+    phi = math.exp(-0.5 * clip_radius**2) / math.sqrt(2 * math.pi)
+    assert w[tail].sum() == pytest.approx(mass, rel=1e-13, abs=0)
+    assert w[tail] @ u[tail]**2 == pytest.approx(
+        mass + 2 * clip_radius * phi, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("clip_radius", [5.0, 8.0])
+def test_ou_nodes_converge_under_doubling(monkeypatch, clip_radius):
+    # twice the Legendre and Laguerre nodes move K, Theta and the leading
+    # eigenvalue only at rounding level (4e-14 or less measured)
+    grid = TorusGrid(1, 16)
+    model = ou_single_mode(grid, 0.5, clip_radius=clip_radius)
+    c1, k1 = exact_pass(model, grid)
+    monkeypatch.setattr(coefficients, "OU_NODES",
+                        tuple(2 * n for n in OU_NODES))
+    c2, k2 = exact_pass(model, grid)
+    assert k2.n_nodes == 2 * k1.n_nodes
+    for a, b in zip(c1, c2):
+        assert np.max(np.abs(a.diffusion.values - b.diffusion.values)) \
+            < 1e-13
+        assert np.max(np.abs(a.drift.values - b.drift.values)) < 1e-13
+    assert abs(k1.eigenvalues[0] - k2.eigenvalues[0]) < 1e-13

@@ -14,7 +14,8 @@ from kinlim.equilibrium import FP, LB
 from kinlim.experiment import (_ks_statistic, _trend_excess,
                                build_model, check_coefficients_closed_form,
                                check_cov_operator, check_enhancement,
-                               coefficients_stage, convergence_study,
+                               check_leading_pair, coefficients_stage,
+                               convergence_study,
                                default_initial_density,
                                default_test_functions, load_coefficient_stage,
                                validation_suite)
@@ -151,7 +152,7 @@ def test_point_mass_functional_has_exact_zero_gaps():
                            seed=3)
     grid = TorusGrid(1, 16)
     model = build_model(cfg)
-    draws = draw_stationary(model, grid, cfg.n_mc, cfg.seed)
+    draws = draw_stationary(model, grid)
     rep = convergence_study(cfg, compute_coefficients(draws, LB),
                             compute_cov_operator(draws))
     one = rep.xi_names.index("one")
@@ -162,9 +163,7 @@ def test_point_mass_functional_has_exact_zero_gaps():
 
 
 def test_mislabel_detection():
-    def tol(se):
-        return 3 * np.max(se) + 1e-9
-
+    tol = 1e-9
     grid = TorusGrid(1, 32)
     model = two_point_renewal(grid, 0.5)
     coeffs = compute_coefficients(draw_stationary(model, grid), FP)
@@ -212,8 +211,8 @@ def test_check_cov_operator_reads_no_dense_kernel(monkeypatch):
     model = two_point_renewal(grid, 0.5)
     cov = compute_cov_operator(draw_stationary(model, grid))
     no_dense_kernel(monkeypatch)
-    results = check_cov_operator(model, cov, 0.5, mode=1, n_sigma=3.0,
-                                 trace_slack=1e-12)
+    results = check_cov_operator(model, cov, trace_slack=1e-12) \
+        + check_leading_pair(cov, 0.5, mode=1)
     assert all(r.passed for r in results)
     assert [r.observed for r in results[:2]] == [0.0, 0.0]
 

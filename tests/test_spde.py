@@ -337,8 +337,7 @@ def many_mode_case(grid):
     drift = TorusField(grid, 1, 10 * np.array([t0, t1]))
     assert np.min(np.linalg.eigvalsh(
         np.moveaxis(diff.values, (0, 1), (-2, -1)))) > 0.5
-    coeffs = HydroCoefficients(diff, drift, LB, 2.0, diff, np.zeros(1),
-                               np.zeros(1), 1)
+    coeffs = HydroCoefficients(diff, drift, LB, 2.0, diff)
     zetas = [TorusField(grid, 1, np.array([z00, z01]) * 10),
              TorusField(grid, 1, np.array([z10, z11]) * 10)]
     return coeffs, CovOperator(grid, np.array([0.1, 0.05]), zetas, 0.15,

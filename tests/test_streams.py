@@ -85,27 +85,22 @@ def test_every_key_comes_from_the_table_and_serves_one_role(tmp_path,
     assert {k[1] for k in keys} <= TAGS
     shared = {k: roles for k, roles in keys.items() if len(roles) > 1}
     assert not shared, f"keys drawn by two roles: {shared}"
-    # every stage and check drew: the table's role tags all appear but
-    # STATIONARY, which only the OU law's stationary pass draws (below)
+    # every stage and check drew: the table's role tags all appear
     assert {k[1] for k in keys} == {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 13, 14,
                                     41, 201, 202}
 
 
 def test_stationary_pass_draws_one_stream_per_draw(tmp_path, monkeypatch):
-    # the renewal law's pass enumerates its atoms and draws nothing; OU draw
-    # i takes only its sample's stream: R_0 and R_1 are closed forms, and
-    # R_1 R_0 = R_0 - R_1
+    # the pass makes no draw, so it takes no stream: the renewal law's
+    # nodes are its atoms, the OU law's are quadrature nodes, R_0 and R_1
+    # are closed forms, and R_1 R_0 = R_0 - R_1
     cfg, config = _mini_config(tmp_path)
-    keys, codes = _record_keys(monkeypatch,
-                               [["coeffs", "--config", str(config)]])
-    assert codes == [0] and not keys
-    cfg.model_kind = "ou"
-    cfg.save(config)
-    keys, codes = _record_keys(monkeypatch,
-                               [["coeffs", "--config", str(config)]])
-    assert codes == [0]
-    assert set(keys) == {(SEED, rng.STATIONARY, rng.SAMPLE, i)
-                         for i in range(cfg.n_mc)}
+    for kind in ("renewal", "ou"):
+        cfg.model_kind = kind
+        cfg.save(config)
+        keys, codes = _record_keys(monkeypatch,
+                                   [["coeffs", "--config", str(config)]])
+        assert codes == [0] and not keys
 
 
 def test_acceptance_suite_draws_only_the_stationary_pass():
@@ -122,8 +117,7 @@ def test_acceptance_suite_draws_only_the_stationary_pass():
     assert [c for c in calls if c in sampling] == ["draw_stationary"]
     [draw] = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
               and getattr(node.func, "id", None) == "draw_stationary"]
-    assert [(k.arg, getattr(k.value, "id", None)) for k in draw.keywords] \
-        == [("seed", "SEED")]
+    assert not draw.keywords and len(draw.args) == 2
     assert not any(isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
                    and "SEED" in {getattr(node.left, "id", None),
                                   getattr(node.right, "id", None)}
