@@ -8,6 +8,7 @@ the same force path.
 
 import numpy as np
 
+from kinlim.config import ExperimentConfig
 from kinlim.equilibrium import LB, invariant_solution
 from kinlim.forcing import PathBlock, generate_path, two_point_renewal
 from kinlim.kinetic import KineticRunConfig, make_ensemble, run_rescaled, \
@@ -19,7 +20,8 @@ grid = TorusGrid(1, 64)
 model = two_point_renewal(grid, 0.5)
 eps = 0.25
 
-cfg = KineticRunConfig(LB, eps, horizon=0.05, dt=0.1 * eps**2,
+cfg = KineticRunConfig(LB, eps, horizon=0.05,
+                       dt=ExperimentConfig(grid_m=grid.m).micro_dt(eps),
                        n_particles=50_000, grid=grid)
 rho0 = TorusField.from_function(grid, 0,
                                 lambda x: 1.0 + 0.5 * np.cos(2 * np.pi * x))

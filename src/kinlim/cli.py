@@ -43,6 +43,17 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
+def _step_line(kcfg: KineticRunConfig, realizations: int,
+               seconds: float) -> str:
+    """One eps's micro step and particle throughput, for the reports."""
+    dt, steps = kcfg.step_dt, kcfg.n_steps
+    particle_steps = realizations * kcfg.n_particles * steps
+    return (f"eps={kcfg.epsilon:g}: micro dt {dt:.6g}, {steps} steps, "
+            f"{kcfg.epsilon * dt:.4g} per step at unit speed, "
+            f"{particle_steps} particle-steps in {seconds:.3g} s "
+            f"({particle_steps / seconds:.3g} particle-steps/s)")
+
+
 def _report(cfg, name, lines):
     path = os.path.join(cfg.out_dir, name)
     with open(path, "w") as fh:
@@ -91,11 +102,13 @@ def cmd_simulate_kinetic(args) -> int:
     for i, eps in enumerate(cfg.epsilons):
         kcfg = KineticRunConfig(cfg.collision, eps, cfg.horizon,
                                 cfg.micro_dt(eps), cfg.n_particles, grid)
+        start = time.perf_counter()
         path = generate_path(model, kcfg.path_horizon,
                              seed=substream(cfg.seed, KINETIC_PATH, i))
         run = run_rescaled(kcfg, path, rho0,
                            substream(cfg.seed, KINETIC_PARTICLES, i),
                            n_checkpoints=cfg.n_checkpoints)
+        seconds = time.perf_counter() - start
         series_path = os.path.join(cfg.out_dir, f"kinetic_eps{eps}_series.csv")
         write_table(series_path, ["t", "J0", "J1", "J2", "J3", "rho_hminus1",
                                   "corrector_hminus1"],
@@ -110,6 +123,7 @@ def cmd_simulate_kinetic(args) -> int:
             manifest.add_file(cp_path)
         lines.append(f"eps={eps}: {len(run.times)} checkpoints, "
                      f"sup corrector H^-1 = {run.corrector_norms.max():.4g}")
+        lines.append(_step_line(kcfg, 1, seconds))
     manifest.save(os.path.join(cfg.out_dir, "manifest_kinetic.txt"))
     _report(cfg, "report_kinetic.txt", lines)
     return 0
@@ -184,6 +198,8 @@ def cmd_converge(args) -> int:
              f"epsilons: {rep.epsilons}",
              f"law samples: kinetic {cfg.n_realizations} x "
              f"{cfg.n_particles} particles, spde {cfg.n_spde_realizations}"]
+    lines += [_step_line(kcfg, cfg.n_realizations, seconds)
+              for kcfg, seconds in rep.kinetic_runs]
     for row in rows:
         lines.append(
             f"eps={row['epsilon']:.4g} xi={row['xi']}: "

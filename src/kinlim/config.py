@@ -28,7 +28,9 @@ class ExperimentConfig:
     grid_m: int = 64
     epsilons: tuple = (0.5, 0.25, 0.125)
     horizon: float = 0.05
-    dt_micro_factor: float = 0.1     # micro step = factor * eps^2
+    # micro step = factor / (grid_m * eps): a unit-speed particle crosses
+    # at most `factor` grid cells per step
+    dt_micro_factor: float = 0.1
     dt_spde: float = 1e-5
     n_particles: int = 20_000
     n_realizations: int = 256
@@ -127,7 +129,10 @@ class ExperimentConfig:
         return hashlib.sha256(self.to_text().encode()).hexdigest()
 
     def micro_dt(self, epsilon: float) -> float:
-        return self.dt_micro_factor * epsilon**2
+        """The micro step at epsilon, sized by the distance eps |v| dt a
+        particle moves (the step is exact in time): 1/m bounds the shortest
+        length scale of every field on the grid."""
+        return self.dt_micro_factor / (self.grid_m * epsilon)
 
 
 def _key_values(text: str) -> dict:

@@ -222,11 +222,11 @@ class ForcePath:
 
 class PathBlock:
     """The force paths of a block of R realizations, tabulated once so that
-    one lookup per time finds every realization's current value.
+    one lookup per step finds every realization's values over the step.
 
     Path r's i-th segment holds `field_sign[r, i] * fields[field_index[r,
     i]]`.  Fields equal in value, or equal up to sign (the atoms +a and -a
-    of a symmetric renewal law), are one entry of `fields`, so each lookup
+    of a symmetric renewal law), are one entry of `fields`, so a step
     evaluates one field per distinct entry; negation is exact in floating
     point, so the signed values are bit for bit those of the negated field.
     Between two consecutive breakpoints of the block (of any of its paths)
@@ -252,9 +252,7 @@ class PathBlock:
         self._span = (max(p.t_start for p in self.paths),
                       min(p.t_end for p in self.paths))
         # per interval [edges[j], edges[j + 1]) (the first also before it,
-        # the last also after it): each run's field index and sign, the
-        # signs shaped for the runs of `eval_at`, whether every run feels
-        # one field up to sign, and whether any sign is negative
+        # the last also after it): each run's field index and sign
         self._edges = sorted(set().union(*(p.times.tolist()
                                            for p in self.paths)))
         segments = _segment_of(np.stack(
@@ -262,13 +260,8 @@ class PathBlock:
              for p in self.paths], axis=1),
             np.array([len(p.samples) - 1 for p in self.paths]))
         rows = np.arange(self.size)
-        self._states = []
-        for seg in segments:
-            which = self.field_index[rows, seg]
-            sign = self.field_sign[rows, seg]
-            self._states.append((which, sign[:, None, None],
-                                 bool((which == which[0]).all()),
-                                 bool((sign < 0).any())))
+        self._which = self.field_index[rows, segments]
+        self._sign = self.field_sign[rows, segments]
 
     def _entry(self, f: TorusField, index_of: dict):
         """(index into `fields`, sign) of field f; f is appended to `fields`
@@ -291,34 +284,26 @@ class PathBlock:
         start, end = self._span
         return start - _COVER_TOL <= a and b <= end + _COVER_TOL
 
-    def eval_at(self, t: float, points: np.ndarray, out=None) -> np.ndarray:
-        """Force at time t at `points` (npts, dim), which come in R equal
-        consecutive runs: run r feels path r.  Fills `out` (a contiguous
-        (npts, dim) float array) when given, else a new array, and returns
-        it; a block whose runs all feel one field, up to sign, evaluates it
-        straight into that array."""
-        which, sign, one_field, flips = self._states[
-            max(bisect.bisect_right(self._edges, t) - 1, 0)]
-        if out is None:
-            out = np.empty(points.shape)
-        elif out.shape != points.shape or not out.flags.c_contiguous:
-            raise ValueError("out must be a contiguous array shaped like "
-                             "points")
-        runs = points.reshape(self.size, -1, points.shape[1])
-        out_runs = out.reshape(runs.shape)
-        if one_field:
-            # `out` goes by position: the span hook of `bench/spans.py` on
-            # TorusField.eval_at takes no keyword arguments
-            self.fields[which[0]].eval_at(points, out)
-        else:
-            for j in np.unique(which):
-                sel = np.flatnonzero(which == j)
-                vals = self.fields[j].eval_at(
-                    runs[sel].reshape(-1, runs.shape[2]))
-                out_runs[sel] = vals.reshape((sel.size,) + runs.shape[1:])
-        if flips:
-            out_runs *= sign
-        return out
+    def pieces(self, t: float, dt: float):
+        """The force of every run over [t, t + dt], cut at the block's
+        breakpoints inside it: the cuts as offsets from t, 0 to dt
+        ((P + 1,)), and one term (field, runs, signs) per field held in the
+        step.  Run runs[k] (runs None: every run) feels signs[p, k] * field
+        on piece p, 0 where it holds another field; the terms take
+        O(P R) memory whatever the number of fields in the block."""
+        lo = max(bisect.bisect_right(self._edges, t) - 1, 0)
+        hi = max(bisect.bisect_left(self._edges, t + dt), lo + 1)
+        cuts = np.array([0.0, *(e - t for e in self._edges[lo + 1:hi]), dt])
+        which, sign = self._which[lo:hi], self._sign[lo:hi]
+        if (which == which[0, 0]).all():
+            return cuts, [(self.fields[which[0, 0]], None, sign)]
+        terms = []
+        for j in np.unique(which):
+            held = which == j
+            runs = np.flatnonzero(held.any(axis=0))
+            terms.append((self.fields[j], runs,
+                          np.where(held, sign, 0.0)[:, runs]))
+        return cuts, terms
 
 
 def generate_path(model: ForceFieldModel, horizon: float, dt_ou: float = 0.01,

@@ -1,3 +1,5 @@
+import math
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -157,6 +159,36 @@ def test_simulate_kinetic_writes_series(tmp_path):
     assert rows[0].startswith("t,J0,J1,J2,J3")
     assert len(rows) >= 4
     assert (out / "kinetic_eps0.5_cp00.csv").exists()
+    assert_step_lines(out / "report_kinetic.txt", cfg, 1)
+
+
+STEP_LINE = re.compile(
+    r"eps=(\S+): micro dt (\S+), (\d+) steps, (\S+) per step at unit "
+    r"speed, (\d+) particle-steps in (\S+) s \((\S+) particle-steps/s\)")
+
+
+def assert_step_lines(report, cfg, realizations):
+    """The report states each eps's micro step (the config's rule, the
+    horizon split evenly), its step count, the displacement per step at
+    unit speed, the particle-steps and their rate; no manifest checksums
+    the report."""
+    manifests = "".join(p.read_text()
+                        for p in report.parent.glob("manifest_*.txt"))
+    assert manifests and report.name not in manifests
+    found = [STEP_LINE.fullmatch(line)
+             for line in report.read_text().splitlines()]
+    found = [m for m in found if m]
+    assert [float(m[1]) for m in found] == list(cfg.epsilons)
+    for m in found:
+        eps, dt, steps = float(m[1]), float(m[2]), int(m[3])
+        micro_t = cfg.horizon / eps**2
+        assert steps == math.ceil(micro_t / cfg.micro_dt(eps) - 1e-9)
+        assert dt == pytest.approx(micro_t / steps, rel=1e-5)
+        assert dt <= cfg.micro_dt(eps) * (1 + 1e-9)
+        assert float(m[4]) == pytest.approx(eps * dt, rel=1e-3)
+        assert int(m[5]) == realizations * cfg.n_particles * steps
+        assert float(m[7]) == pytest.approx(int(m[5]) / float(m[6]),
+                                            rel=0.1)
 
 
 def test_simulate_kinetic_ou_report_states_corrector_closed_form(tmp_path):
@@ -185,6 +217,7 @@ def test_simulate_spde_and_converge_pipeline(tmp_path):
     assert table[0].startswith("epsilon,xi,")
     # 3 epsilons x 4 test functions
     assert len(table) == 1 + 12
+    assert_step_lines(out / "report_converge.txt", cfg, cfg.n_realizations)
 
 
 def test_simulate_spde_2d_columns_follow_forced_axis(tmp_path):

@@ -334,7 +334,7 @@ def count_eval_calls(monkeypatch):
 def test_path_block_evaluates_a_field_and_its_negation_once(monkeypatch,
                                                             model):
     # realizations on +a and -a share one entry of `fields`; each step makes
-    # one evaluation on all particles and flips the sign of run 1
+    # one evaluation on all particles, and run 1 feels it negated
     plus, minus = model.atoms
     paths = [constant_path(model, plus), constant_path(model, minus)]
     block = PathBlock(paths)
@@ -348,15 +348,15 @@ def test_path_block_evaluates_a_field_and_its_negation_once(monkeypatch,
     for step in range(5):
         ens = step_micro(ens, block, dt, substream(41, step), LB)
     assert calls == [2 * n] * 5
-    vals = block.eval_at(0.3, pos)
-    for r, path in enumerate(paths):
-        rows = slice(r * n, (r + 1) * n)
-        assert np.array_equal(vals[rows],
-                              path.value_at(0.3).field.eval_at(pos[rows]))
+    cuts, terms = block.pieces(0.3, 0.1)
+    assert cuts.tolist() == [0.0, 0.1]
+    assert len(terms) == 1 and terms[0][0] is plus and terms[0][1] is None
+    assert terms[0][2].tolist() == [[1.0, -1.0]]
 
 
 def test_path_block_keeps_other_fields_apart(monkeypatch, grid, model):
-    # a field equal to neither +a nor -a is an entry of its own
+    # a field equal to neither +a nor -a is an entry of its own, evaluated
+    # on the particles of its run only
     plus, minus = model.atoms
     other = TorusField.from_function(
         grid, 1, lambda x: np.sin(2 * np.pi * x)[None])
@@ -365,21 +365,26 @@ def test_path_block_keeps_other_fields_apart(monkeypatch, grid, model):
     assert block.fields == [minus, other]
     assert block.field_index[:, 0].tolist() == [0, 1, 0]
     assert block.field_sign[:, 0].tolist() == [1.0, 1.0, -1.0]
-    n = 30
+    n, dt = 30, 0.02
     pos = substream(42).random((3 * n, 1))
+    ens = ParticleEnsemble(pos, np.zeros(pos.shape), np.full(3 * n, 1.0 / n),
+                           1.0, time=0.5)
+    stay = substream(43).random(3 * n) >= -np.expm1(-dt)
     calls = count_eval_calls(monkeypatch)
-    vals = block.eval_at(0.5, pos)
+    vel = step_micro(ens, block, dt, substream(43), LB).velocities
     assert sorted(calls) == [n, 2 * n]
     for r, path in enumerate(paths):
         rows = slice(r * n, (r + 1) * n)
-        assert np.array_equal(vals[rows],
-                              path.value_at(0.5).field.eval_at(pos[rows]))
+        want = dt * path.value_at(0.5).field.eval_at(pos[rows])
+        assert np.array_equal(vel[rows][stay[rows]], want[stay[rows]])
 
 
 def test_path_block_lookup_follows_every_path(grid, model):
     # paths on different clocks (one shifted by 0.3) with their own jumps:
-    # at every breakpoint of any path, between breakpoints and at the span
-    # ends, each run feels its own path's value (right-continuous)
+    # steps that start at every breakpoint of any path, between breakpoints
+    # and at the span start, short and long, are cut at every breakpoint
+    # inside them, and on each piece each run feels its own path's value
+    # (right-continuous)
     paths = [generate_path(model, 3.0, seed=substream(43, r),
                            t_start=0.3 * (r == 2)) for r in range(5)]
     block = PathBlock(paths)
@@ -388,8 +393,24 @@ def test_path_block_lookup_follows_every_path(grid, model):
     n = 20
     pos = substream(44).random((5 * n, 1))
     for t in times[(times >= 0.3) & (times <= 3.0)]:
-        vals = block.eval_at(t, pos)
-        for r, path in enumerate(paths):
-            rows = slice(r * n, (r + 1) * n)
-            assert np.array_equal(vals[rows],
-                                  path.value_at(t).field.eval_at(pos[rows]))
+        for dt in (1e-3, 0.4):
+            if t + dt > 3.0:
+                continue
+            cuts, terms = block.pieces(t, dt)
+            inside = edges[(edges > t) & (edges < t + dt)]
+            assert cuts[0] == 0.0 and cuts[-1] == dt
+            assert np.allclose(cuts[1:-1], inside - t, rtol=0, atol=1e-15)
+            for p in range(len(cuts) - 1):
+                mid = t + 0.5 * (cuts[p] + cuts[p + 1])
+                for r, path in enumerate(paths):
+                    rows = slice(r * n, (r + 1) * n)
+                    felt = []
+                    for f, runs, sg in terms:
+                        cols = list(range(5) if runs is None else runs)
+                        if r in cols and sg[p, cols.index(r)]:
+                            felt.append((f, sg[p, cols.index(r)]))
+                    assert len(felt) == 1
+                    f, sign = felt[0]
+                    assert np.array_equal(
+                        sign * f.eval_at(pos[rows]),
+                        path.value_at(mid).field.eval_at(pos[rows]))
