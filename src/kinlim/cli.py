@@ -54,6 +54,13 @@ def _step_line(kcfg: KineticRunConfig, realizations: int,
             f"({particle_steps / seconds:.3g} particle-steps/s)")
 
 
+def _modes_line(stepped: int, grid: TorusGrid) -> str:
+    """How many half-spectrum modes the SPDE stepped, for the reports."""
+    half = grid.size // grid.m * (grid.m // 2 + 1)
+    return (f"modes stepped per realization: {stepped} of {half}, "
+            f"the rest exactly zero")
+
+
 def _report(cfg, name, lines):
     path = os.path.join(cfg.out_dir, name)
     with open(path, "w") as fh:
@@ -178,6 +185,7 @@ def cmd_simulate_spde(args) -> int:
              f"dropped |c|/max|c| {res.dropped_tail:.2g}",
              f"{res.block_realizations} realizations per block, "
              f"{res.blocks_per_step} blocks per step",
+             _modes_line(res.stepped_modes, grid),
              f"stage {elapsed:.3g} s, "
              f"{cfg.n_spde_realizations * res.n_steps / elapsed:.4g} "
              f"realization-steps/s",
@@ -197,7 +205,9 @@ def cmd_converge(args) -> int:
     lines = [f"stage converge (kinlim {__version__})",
              f"epsilons: {rep.epsilons}",
              f"law samples: kinetic {cfg.n_realizations} x "
-             f"{cfg.n_particles} particles, spde {cfg.n_spde_realizations}"]
+             f"{cfg.n_particles} particles, spde {cfg.n_spde_realizations}",
+             _modes_line(rep.spde_stepped_modes,
+                         TorusGrid(cfg.dim, cfg.grid_m))]
     lines += [_step_line(kcfg, cfg.n_realizations, seconds)
               for kcfg, seconds in rep.kinetic_runs]
     for row in rows:

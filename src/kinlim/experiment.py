@@ -126,6 +126,7 @@ class ConvergenceReport:
     mean_trend_excess: float      # `_trend_excess` of the mean gaps
     var_trend_excess: float
     kinetic_runs: list            # (KineticRunConfig, seconds) per eps
+    spde_stepped_modes: int       # `EnsembleResult.stepped_modes`
 
     @property
     def mean_trend_ok(self) -> bool:
@@ -248,7 +249,8 @@ def convergence_study(cfg: ExperimentConfig, coeffs: HydroCoefficients,
     return ConvergenceReport(list(cfg.epsilons), xi_names, km, kv, sm, sv,
                              mean_gaps, var_gaps, mean_gap_se, var_gap_se,
                              ks, _trend_excess(mean_gaps, mean_gap_se),
-                             _trend_excess(var_gaps, var_gap_se), kin_runs)
+                             _trend_excess(var_gaps, var_gap_se), kin_runs,
+                             spde_res.stepped_modes)
 
 
 # -- acceptance criteria 1-12 --------------------------------------------------------

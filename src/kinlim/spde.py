@@ -67,6 +67,27 @@ the diagonal would weigh the modes (m/2, k_j) and (m/2, -k_j) unequally,
 and the step would leave the real fields.  The k = 0 symbol is zero too,
 so the mass coefficient is never changed.
 
+States step on the modes they can occupy.  A grid axis d is still when no
+multiplier moves it: no drift shift D_q and no noise shift N_k,q has
+q_d != 0 (the Heun stage reads the same shifts).  `SpdeStepper.cut` cuts
+each still axis of a start to k_d = 0 when the start is exactly zero
+wherever k_d != 0, and the states keep that shape, batch axes first and
+the grid axes last with length 1 on a cut axis.  This is exact: the step
+is linear, mode k takes A(k) coef(k) plus products with coef(k - q) over
+the shifts q, and on a still axis k_d - q_d = k_d, so a column k_d != 0
+that starts at exactly 0 stays exactly 0; on the cut the same products
+are added in the same order, so its values are those of the half
+spectrum's k_d = 0 column to the bit.  The rule reads exact zeros, not a
+threshold: a start with rounding-level modes off the cut steps the whole
+half spectrum.  Every law the configs build is +/- a cos(2 pi mode x_0) e_0
+and the default start depends on x_0 only, so a 2-D state steps
+(realizations, m, 1) arrays where the half spectrum is (realizations, m,
+m/2 + 1); in 1-D, and for laws that move every axis, nothing is cut.
+`to_physical` pads a cut state with zeros (`irfftn` with the grid's
+shape), and the ensemble's mean and variance are padded back to the half
+spectrum once, at the end.  `step_hat` keeps the multipliers cut to each
+state shape it meets, with one set of temporaries of that shape.
+
 Realizations are advanced in blocks of `torus.BLOCK_VALUES` grid values
 (max(1, BLOCK_VALUES // M^N) realizations, the last block may hold fewer).
 Each block is stepped from t = 0 to the horizon on its own, one `step_hat`
@@ -75,7 +96,7 @@ step's temporaries stay cache-sized and memory is one block's states plus
 the checkpoint statistics, whatever the ensemble size.  Blocks go through
 `rng.parallel_map`, across `n_workers` processes when asked, and come
 back in block order.  A block returns its per-realization samples <rho,
-xi>, its smallest physical value and its half spectra at the checkpoints;
+xi>, its smallest physical value and its states at the checkpoints;
 the caller adds each realization's spectra, less those of realization 0,
 to a running sum and a running sum of squares, one realization at a time
 in realization order, and the ensemble mean and variance come from these
@@ -118,8 +139,8 @@ class SpdeStepper:
     """Precomputed stepping data; operates on half-spectrum coefficient arrays.
 
     Coefficient arrays hold the `rfftn` half spectrum (last grid axis cut to
-    m // 2 + 1 modes) with the grid axes last, so a batch of realizations is
-    just a leading axis.
+    m // 2 + 1 modes), or a `cut` of it, with the grid axes last, so a batch
+    of realizations is just a leading axis.
     """
 
     def __init__(self, coeffs: HydroCoefficients, cov: CovOperator, dt: float,
@@ -210,7 +231,9 @@ class SpdeStepper:
                 for q, mult in sorted(mults.items())]
         self._drift = terms(drift)
         self._noise = [terms(field) for field in noise]
-        self._gather, self._mirrored = _extension(grid, moved)
+        self._moved = moved
+        self._half_shape = tuple(sizes)
+        self._plans = {}
 
     # -- spectral helpers ---------------------------------------------------
 
@@ -225,24 +248,64 @@ class SpdeStepper:
     def to_spectral(self, phys):
         return np.fft.rfftn(phys, axes=self._axes(phys), norm="forward")
 
-    def _extend(self, coef):
+    def cut(self, coef):
+        """`coef` (half spectra, grid axes last) with every still axis d, one
+        that no multiplier moves, cut to k_d = 0 where the spectrum is
+        exactly zero off k_d = 0; other axes keep their length (module
+        docstring).  A view, not a copy."""
+        for d, moved in enumerate(self._moved):
+            after = (slice(None),) * (self.grid.dim - 1 - d)
+            if not moved and not np.any(coef[(Ellipsis, slice(1, None))
+                                             + after]):
+                coef = coef[(Ellipsis, slice(0, 1)) + after]
+        return coef
+
+    def _plan(self, shape):
+        """The step's data for states of `shape`, made once per shape: A and
+        the multipliers cut to its grid axes, the gather and mirrored slices
+        of its periodic extension, and the temporaries of `_add_noise`."""
+        plan = self._plans.get(shape)
+        if plan is not None:
+            return plan
+        grid_shape = shape[len(shape) - self.grid.dim:]
+        if len(grid_shape) != self.grid.dim or any(
+                n not in (1, full)
+                for n, full in zip(grid_shape, self._half_shape)):
+            raise ValueError(f"state shape {shape} is neither a half "
+                             f"spectrum {self._half_shape} nor a cut of one")
+        if any(n == 1 and mv for n, mv in zip(grid_shape, self._moved)):
+            raise ValueError(f"state shape {shape} cuts an axis that the "
+                             f"multipliers move")
+        sub = (Ellipsis,) + tuple(slice(n) for n in grid_shape)
+
+        def sliced(terms):
+            return [(sl, mult[sub]) for sl, mult in terms]
+        gather, mirrored = _extension(self._moved, grid_shape, self.grid.m)
+        plan = _Plan(
+            self._decay[sub], sliced(self._drift),
+            [sliced(field) for field in self._noise], gather, mirrored,
+            np.empty(shape, dtype=complex), np.empty(shape, dtype=complex))
+        self._plans[shape] = plan
+        return plan
+
+    def _extend(self, coef, plan):
         """The periodic extension that every shifted source slice reads: one
-        gather from the half spectrum, then c(-k) = conj c(k) where the
-        gather read the mirror mode."""
-        if self._gather is None:
+        gather from the state, then c(-k) = conj c(k) where the gather read
+        the mirror mode."""
+        if plan.gather is None:
             return coef
         lead = coef.shape[:coef.ndim - self.grid.dim]
-        ext = coef.reshape(lead + (-1,))[..., self._gather]
-        for sl in self._mirrored:
+        ext = coef.reshape(lead + (-1,))[..., plan.gather]
+        for sl in plan.mirrored:
             np.conjugate(ext[sl], out=ext[sl])
         return ext
 
-    def _add_noise(self, out, ext, g):
+    def _add_noise(self, out, ext, g, plan):
         """Add sum_k g_k sum_q N_k,q ext_q to `out` in place, reading the
         sources from the extension `ext` of the noise density; g_k is a
         column of one standard normal per realization."""
-        acc, term = np.empty_like(out), np.empty_like(out)
-        for gk, field in zip(g, self._noise):
+        acc, term = plan.acc, plan.term
+        for gk, field in zip(g, plan.noise):
             if not field:           # a zero noise field keeps no mode
                 continue
             (sl, mult), *rest = field
@@ -256,44 +319,57 @@ class SpdeStepper:
     # -- stepping ------------------------------------------------------------
 
     def step_hat(self, coef, g=None):
-        """One step on half-spectrum coefficients; g: standard normals
-        (..., rank)."""
-        ext = self._extend(coef)
-        det = self._decay * coef
-        term = np.empty_like(det)
-        for sl, mult in self._drift:
-            det += np.multiply(mult, ext[sl], out=term)
+        """One step on half-spectrum coefficients or a `cut` of them; g:
+        standard normals (..., rank).  Returns a new array."""
+        plan = self._plan(coef.shape)
+        ext = self._extend(coef, plan)
+        det = plan.decay * coef
+        for sl, mult in plan.drift:
+            det += np.multiply(mult, ext[sl], out=plan.term)
         if g is None or self.noise_rank == 0:
             return det
         shape = g.shape[:-1] + (1,) * self.grid.dim
         g = [g[..., k].reshape(shape) for k in range(self.noise_rank)]
         if self.scheme == ITO:
-            return self._add_noise(det, ext, g)
+            return self._add_noise(det, ext, g, plan)
         # Stratonovich: Heun rule; the noise is linear in rho, so the mean of
         # the two endpoint noises is the noise of the mean density
-        pred = self._add_noise(det.copy(), ext, g)
+        pred = self._add_noise(det.copy(), ext, g, plan)
         pred += coef
         pred *= 0.5
-        return self._add_noise(det, self._extend(pred), g)
+        return self._add_noise(det, self._extend(pred, plan), g, plan)
 
 
-def _extension(grid: TorusGrid, moved):
-    """Flat half-spectrum indices of the periodic extension (full last axis
-    if `moved[-1]`, two periods along every other moved axis) and the
-    last-axis slices of it that take the conjugate, c(-k) = conj c(k) (the
-    modes k_N > m/2 of each period); (None, []) when no mode moves any
+@dataclass
+class _Plan:
+    """`SpdeStepper._plan`: the step's data for one state shape."""
+
+    decay: np.ndarray           # A = cn_minus cn_plus_inv on the state's modes
+    drift: list                 # (source slice, D_q) per drift shift q
+    noise: list                 # per noise field, (source slice, N_k,q)
+    gather: np.ndarray | None   # flat state indices of the extension
+    mirrored: list              # extension slices that take the conjugate
+    acc: np.ndarray             # temporaries of the state's shape
+    term: np.ndarray
+
+
+def _extension(moved, shape, m: int):
+    """Flat state indices of the periodic extension (full last axis if
+    `moved[-1]`, two periods along every other moved axis) for states
+    whose grid axes have `shape` (the half spectrum or a cut of it), and
+    the last-axis slices of it that take the conjugate, c(-k) = conj c(k)
+    (the modes k_N > m/2 of each period); (None, []) when no mode moves any
     axis."""
-    m, half = grid.m, grid.m // 2 + 1
+    half = m // 2 + 1
     if not any(moved):
         return None, []
-    axes = [np.arange(2 * m) % m if mv else np.arange(m)
-            for mv in moved[:-1]]
-    axes.append(np.arange(2 * m) % m if moved[-1] else np.arange(half))
+    axes = [np.arange(2 * m) % m if mv else np.arange(n)
+            for mv, n in zip(moved, shape)]
     ks = np.meshgrid(*axes, indexing="ij")
     # a mirrored entry reads the half spectrum at -k
     mirror = ks[-1] >= half
     ks = [np.where(mirror, -k % m, k) for k in ks]
-    flat = np.ravel_multi_index(ks, (m,) * (grid.dim - 1) + (half,))
+    flat = np.ravel_multi_index(ks, shape)
     periods = 2 if moved[-1] else 0
     return flat, [(Ellipsis, slice(p * m + half, (p + 1) * m))
                   for p in range(periods)]
@@ -330,6 +406,15 @@ def _half_spectrum(full):
     return full[..., :full.shape[-1] // 2 + 1]
 
 
+def _uncut(coef, grid: TorusGrid):
+    """A `cut` state back on the half spectrum, exactly zero off the cut."""
+    half_shape = grid.shape[:-1] + (grid.m // 2 + 1,)
+    lead = coef.shape[:coef.ndim - grid.dim]
+    half = np.zeros(lead + half_shape, dtype=coef.dtype)
+    half[tuple(slice(0, n) for n in coef.shape)] = coef
+    return half
+
+
 def _full_spectrum(half, grid: TorusGrid):
     """Full spectrum from the half spectrum of a real field, c(-k) =
     conj c(k): exact, no transform."""
@@ -354,7 +439,7 @@ def mean_equation_solve(coeffs: HydroCoefficients, rho_in: TorusField,
     """Deterministic solve of d_t r = div(K grad r + Theta r) (noise off)."""
     n_steps = step_count(horizon, dt)
     stepper = SpdeStepper(coeffs, None, dt)
-    coef = _half_spectrum(rho_in.spectrum())
+    coef = stepper.cut(_half_spectrum(rho_in.spectrum()))
     for _ in range(n_steps):
         coef = stepper.step_hat(coef)
     return TorusField(rho_in.grid, 0, stepper.to_physical(coef))
@@ -374,6 +459,7 @@ class EnsembleResult:
     dropped_tail: float         # largest dropped |c| / max |c| among them
     blocks_per_step: int        # step_hat calls per step
     block_realizations: int     # realizations per block (last may hold fewer)
+    stepped_modes: int          # modes of one realization's stepped state
 
     def mean_field(self, grid: TorusGrid, idx: int = -1) -> TorusField:
         return TorusField(grid, 0, self.mean_hat[idx],
@@ -390,10 +476,10 @@ def _blocks(n_realizations: int, grid: TorusGrid) -> list:
 
 def _block_states(stepper: SpdeStepper, start, n_steps: int, seed,
                   block: slice):
-    """Half spectra (realizations, half grid shape) of the realizations of
-    `block`, started at the half spectrum `start`, after 0, 1, ...,
-    n_steps steps.  Realization r draws its standard normals from the
-    stream key `seed` followed by (SPDE_NOISE, r)."""
+    """States (realizations, start's grid shape) of the realizations of
+    `block`, started at `start` (a half spectrum or a `cut` of one), after
+    0, 1, ..., n_steps steps.  Realization r draws its standard normals
+    from the stream key `seed` followed by (SPDE_NOISE, r)."""
     noise = np.array([substream(seed, SPDE_NOISE, r).standard_normal(
         (n_steps, stepper.noise_rank))
         for r in range(block.start, block.stop)])
@@ -405,8 +491,8 @@ def _block_states(stepper: SpdeStepper, start, n_steps: int, seed,
 
 
 def _ensemble_block(job, block: slice):
-    """One block stepped to the horizon: its half spectra at the
-    checkpoints (checkpoints, realizations, half grid shape), its samples
+    """One block stepped to the horizon: its states at the checkpoints
+    (checkpoints, realizations, start's grid shape), its samples
     <rho, xi> (checkpoints, realizations, xi) and its smallest physical
     value."""
     stepper, start, n_steps, checkpoints, xi_phys, seed = job
@@ -449,7 +535,8 @@ def run_ensemble(coeffs: HydroCoefficients, cov: CovOperator,
     steps = sorted(set(np.round(np.linspace(
         0, n_steps, n_checkpoints + 1)).astype(int).tolist()))
     blocks = _blocks(n_realizations, grid)
-    job = (stepper, _half_spectrum(rho_in.spectrum()), n_steps, steps,
+    start = stepper.cut(_half_spectrum(rho_in.spectrum()))
+    job = (stepper, start, n_steps, steps,
            [xi.physical() for xi in xi_fields], seed)
     samples = np.empty((len(steps), n_realizations, len(xi_fields)))
     min_rho = np.inf
@@ -477,14 +564,14 @@ def run_ensemble(coeffs: HydroCoefficients, cov: CovOperator,
     mean_dev = dev_sum / n_realizations
     var = np.maximum(sq_sum / n_realizations - mean_dev.real**2
                      - mean_dev.imag**2, 0.0)
-    return EnsembleResult(np.array(steps) * dt,
-                          _full_spectrum(ref + mean_dev, grid),
-                          _full_spectrum(var, grid), samples, min_rho,
-                          stepper.noise_rank, n_steps,
+    mean_hat, var_hat = (_full_spectrum(_uncut(c, grid), grid)
+                         for c in (ref + mean_dev, var))
+    return EnsembleResult(np.array(steps) * dt, mean_hat, var_hat, samples,
+                          min_rho, stepper.noise_rank, n_steps,
                           stepper.products_per_step,
                           stepper.coefficient_modes, stepper.dropped_tail,
                           len(blocks),
-                          blocks[0].stop - blocks[0].start)
+                          blocks[0].stop - blocks[0].start, start.size)
 
 
 @dataclass
@@ -516,7 +603,7 @@ def quadratic_variation_check(coeffs: HydroCoefficients, cov: CovOperator,
     grad_xi = gradient(xi).physical()
     xi_phys = xi.physical()
     phis = [p.physical() for p in cov.noise_fields()]
-    start = _half_spectrum(rho_in.spectrum())
+    start = stepper.cut(_half_spectrum(rho_in.spectrum()))
     qv_emp, qv_pred, mart, final = (np.zeros(n_realizations)
                                     for _ in range(4))
     for b in _blocks(n_realizations, grid):

@@ -71,6 +71,33 @@ print(json.dumps({"codes": codes, "counters": rec.counters,
 """
 
 
+# coeffs and simulate-spde on the benchmark's 2-D law at m=16 with 200
+# realizations (blocks of 64, 64, 64 and 8) and 10 steps, under the span
+# hooks; prints the stage exit codes, the counters and the span counts.
+TRACED_SPDE_2D = """
+import collections
+import json
+import os
+import sys
+import spans
+import kinlim.cli
+
+rec = spans.SpanRecorder()
+spans.install(rec)
+out = sys.argv[1]
+path = os.path.join(out, "spde2d.cfg")
+with open(path, "w") as fh:
+    fh.write("dim = 2\\ngrid_m = 16\\nhorizon = 0.0025\\n"
+             "dt_spde = 0.00025\\nn_spde_realizations = 200\\n"
+             f"n_mc = 100\\nn_checkpoints = 2\\nseed = 3\\nout_dir = {out}\\n")
+codes = [kinlim.cli.main([stage, "--config", path])
+         for stage in ("coeffs", "simulate-spde")]
+spans_of = collections.Counter(rec.names[i] for i in rec.name_id)
+print(json.dumps({"codes": codes, "counters": rec.counters,
+                  "spans": spans_of}))
+"""
+
+
 def _run_in_bench(code, *args):
     # in a subprocess: install() patches kinlim for the whole interpreter
     env = dict(os.environ)
@@ -124,3 +151,18 @@ def test_benchmark_traces_every_stage_layer(tmp_path):
     assert sorted(n for n in spans_of
                   if n.startswith("kinetic.functional_samples.eps")) == [
         f"kinetic.functional_samples.eps{e}" for e in (0.3, 0.4, 0.5)]
+
+
+def test_benchmark_counts_the_2d_spde_steps(tmp_path):
+    # the 2-D states step cut to (realizations, 16, 1); the hook counts a
+    # state's realizations as the product of the axes before the last
+    # grid.dim, so the counts stay those of the half spectra
+    proc = _run_in_bench(TRACED_SPDE_2D, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["codes"] == [0, 0]
+    assert out["counters"]["spde.realization_steps"] == 200 * 10
+    assert out["spans"]["spde.step_hat"] == 4 * 10
+    report = (tmp_path / "report_spde.txt").read_text()
+    assert "64 realizations per block, 4 blocks per step" in report
+    assert "modes stepped per realization: 16 of 144" in report

@@ -218,6 +218,10 @@ def test_simulate_spde_and_converge_pipeline(tmp_path):
     # 3 epsilons x 4 test functions
     assert len(table) == 1 + 12
     assert_step_lines(out / "report_converge.txt", cfg, cfg.n_realizations)
+    # 1-D: nothing is cut, every mode 0 .. m/2 of the half spectrum steps
+    line = "modes stepped per realization: 17 of 17, the rest exactly zero"
+    for name in ("report_spde.txt", "report_converge.txt"):
+        assert line in (out / name).read_text()
 
 
 def test_simulate_spde_2d_columns_follow_forced_axis(tmp_path):
@@ -242,6 +246,10 @@ def test_simulate_spde_2d_columns_follow_forced_axis(tmp_path):
     assert "64 realizations per block, 1 blocks per step" in report
     assert "4 shifted products per step" in report
     assert "coefficient modes kept 6, largest dropped |c|/max|c|" in report
+    # the x_0-only law and start leave every mode k_1 != 0 exactly zero:
+    # 16 of the 16 x 9 half-spectrum modes step
+    assert ("modes stepped per realization: 16 of 144, the rest exactly "
+            "zero") in report
 
 
 def test_seed_override_changes_hash_not_manifest_match(tmp_path):

@@ -12,6 +12,7 @@ from kinlim.coefficients import (CovOperator, compute_coefficients,
                                  compute_cov_operator, draw_stationary,
                                  HydroCoefficients)
 from kinlim.equilibrium import FP, LB
+from kinlim.experiment import default_initial_density, default_test_functions
 from kinlim.forcing import two_point_renewal, zero_renewal
 from kinlim.spde import (ITO, STRATONOVICH, SpdeStepper, _full_spectrum,
                          _half_spectrum, mean_equation_solve,
@@ -472,6 +473,106 @@ def test_blocked_stepping_is_bit_identical(case, monkeypatch):
         assert np.array_equal(getattr(qv_one, name), getattr(qv_blocked, name))
 
 
+@pytest.mark.parametrize("scheme", [ITO, STRATONOVICH])
+def test_cut_steps_are_the_half_spectrum_steps(scheme):
+    # the two-point law moves only k_0, and the start is zero off k_1 = 0:
+    # the states cut to (3, 16, 1) step the k_1 = 0 column of the
+    # (3, 16, 9) half spectra bit for bit, and the rest stays exactly 0
+    coeffs, cov = equivalence_case("2d-e0")
+    grid = coeffs.diffusion.grid
+    stepper = SpdeStepper(coeffs, cov, 0.5 * stability_limit(coeffs), scheme)
+    rho0 = default_initial_density(grid)
+    half = np.broadcast_to(_half_spectrum(rho0.spectrum()),
+                           (3, 16, 9)).copy()
+    cut = stepper.cut(half)
+    assert cut.shape == (3, 16, 1)
+    g = np.random.default_rng(5).standard_normal((50, 3, stepper.noise_rank))
+    for step in range(50):
+        half = stepper.step_hat(half, g[step])
+        cut = stepper.step_hat(cut, g[step])
+    assert np.ascontiguousarray(half[..., :1]).tobytes() == cut.tobytes()
+    assert not np.any(half[..., 1:])
+    assert np.any(cut[:, 1:])
+    assert np.all(cut[:, 0, 0] == rho0.spectrum()[0, 0])
+    assert np.array_equal(stepper.to_physical(cut), stepper.to_physical(half))
+
+
+@pytest.mark.parametrize("case, sin_x1", [("2d-full", 0.0), ("rank-2", 0.0),
+                                          ("many-mode", 0.0),
+                                          ("2d-e0", 0.25)])
+def test_nothing_is_cut_when_an_axis_moves_or_the_start_fills_it(case,
+                                                                 sin_x1):
+    coeffs, cov = equivalence_case(case)
+    grid = coeffs.diffusion.grid
+    stepper = SpdeStepper(coeffs, cov, 1e-5)
+    rho0 = TorusField.from_function(
+        grid, 0, lambda x, y: 1.0 + 0.5 * np.cos(2 * np.pi * x - 1.0)
+        + sin_x1 * np.sin(2 * np.pi * y))
+    half = _half_spectrum(rho0.spectrum())
+    assert stepper.cut(half).shape == half.shape
+
+
+def test_step_hat_refuses_a_cut_along_a_moved_axis():
+    coeffs, cov = equivalence_case("2d-e0")
+    stepper = SpdeStepper(coeffs, cov, 1e-5)
+    g = np.ones((2, stepper.noise_rank))
+    with pytest.raises(ValueError, match="cuts an axis"):
+        stepper.step_hat(np.zeros((2, 1, 9), dtype=complex), g)
+    with pytest.raises(ValueError, match="nor a cut"):
+        stepper.step_hat(np.zeros((2, 16, 5), dtype=complex), g)
+    assert stepper.step_hat(np.zeros((2, 16, 1), dtype=complex),
+                            g).shape == (2, 16, 1)
+
+
+def test_cut_runs_are_bit_identical_to_half_spectrum_runs(monkeypatch):
+    # the same runs with `cut` patched to keep the half spectrum
+    coeffs, cov = equivalence_case("2d-e0")
+    grid = coeffs.diffusion.grid
+    rho0 = default_initial_density(grid)
+    xi = [TorusField.from_function(grid, 0, lambda *xs: np.sin(
+        2 * np.pi * xs[0]) / (2 * np.pi))]
+    dt = 0.5 * stability_limit(coeffs)
+    runs = []
+    for cut in (SpdeStepper.cut, lambda self, coef: coef):
+        monkeypatch.setattr(SpdeStepper, "cut", cut)
+        runs.append((
+            run_ensemble(coeffs, cov, rho0, 20 * dt, dt, 10, seed=4,
+                         xi_fields=xi, n_checkpoints=4),
+            quadratic_variation_check(coeffs, cov, rho0, xi[0], 20 * dt, dt,
+                                      10, seed=4),
+            mean_equation_solve(coeffs, rho0, 20 * dt, dt)))
+    (ens, qv, det), (ens_half, qv_half, det_half) = runs
+    assert (ens.stepped_modes, ens_half.stepped_modes) == (16, 144)
+    for name in ("times", "mean_hat", "var_hat", "samples", "min_rho"):
+        assert np.array_equal(getattr(ens, name), getattr(ens_half, name))
+    for name in ("empirical", "predicted", "final"):
+        assert np.array_equal(getattr(qv, name), getattr(qv_half, name))
+    assert np.array_equal(det.values, det_half.values)
+
+
+def test_x0_only_2d_ensemble_is_the_1d_ensemble():
+    # an independent check of the cut: at 2-D m=16 the two-point law and
+    # an x_0-only start make the 1-D m=16 problem on the modes (k_0, 0),
+    # with the same noise streams; the transforms and coefficient fields
+    # differ at rounding only
+    runs = []
+    for dim in (2, 1):
+        grid = TorusGrid(dim, 16)
+        coeffs, cov = lb_setup(grid)
+        xi = [TorusField.from_function(grid, 0, lambda *xs: fn(xs[0]))
+              for fn in (lambda x: np.cos(2 * np.pi * x),
+                         lambda x: np.sin(4 * np.pi * x))]
+        runs.append(run_ensemble(coeffs, cov, default_initial_density(grid),
+                                 0.002, 1e-4, 20, seed=8, xi_fields=xi,
+                                 n_checkpoints=4))
+    two, one = runs
+    assert (two.stepped_modes, one.stepped_modes) == (16, 9)
+    assert np.max(np.abs(two.samples - one.samples)) <= 1e-12
+    assert np.max(np.abs(two.mean_hat[..., 0] - one.mean_hat)) <= 1e-12
+    assert np.max(np.abs(two.var_hat[..., 0] - one.var_hat)) <= 1e-12
+    assert not np.any(two.mean_hat[..., 1:])
+
+
 def test_spde_paths_hold_no_realizations_by_grid_temporary():
     # the spde-2d-lb shape: 1000 realizations at 2-D m=16, 40 steps; one
     # state is 2.3 MB, and the unblocked step and checkpoints held 17 MB
@@ -540,6 +641,26 @@ def test_ensemble_memory_does_not_grow_with_realizations():
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 1e6
+
+
+def test_ensemble_memory_at_2d_m64():
+    # simulate-spde's law, start and test functions at 2-D m=64: 256
+    # realizations in blocks of 4, 20 steps, 5 checkpoints; the stepped
+    # states are (4, 64, 1), so the peak is the transforms at the
+    # checkpoints, the stepper's set-up and the (5, 64, 64) results
+    grid = TorusGrid(2, 64)
+    coeffs, cov = lb_setup(grid)
+    xi = [f for _, f in default_test_functions(grid)]
+    rho0 = default_initial_density(grid)
+    tracemalloc.start()
+    try:
+        res = run_ensemble(coeffs, cov, rho0, 2e-4, 1e-5, 256, seed=1,
+                           xi_fields=xi, n_checkpoints=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.blocks_per_step, res.n_steps) == (64, 20)
+    assert peak < 2e6
 
 
 MASS_GRID = TorusGrid(2, 8)
