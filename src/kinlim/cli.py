@@ -210,6 +210,11 @@ def cmd_converge(args) -> int:
                          TorusGrid(cfg.dim, cfg.grid_m))]
     lines += [_step_line(kcfg, cfg.n_realizations, seconds)
               for kcfg, seconds in rep.kinetic_runs]
+    spde_steps = cfg.n_spde_realizations * rep.spde_steps
+    lines.append(f"spde: {cfg.n_spde_realizations} realizations x "
+                 f"{rep.spde_steps} steps in {rep.spde_seconds:.3g} s "
+                 f"({spde_steps / rep.spde_seconds:.3g} "
+                 f"realization-steps/s)")
     for row in rows:
         lines.append(
             f"eps={row['epsilon']:.4g} xi={row['xi']}: "

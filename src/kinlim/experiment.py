@@ -127,6 +127,8 @@ class ConvergenceReport:
     var_trend_excess: float
     kinetic_runs: list            # (KineticRunConfig, seconds) per eps
     spde_stepped_modes: int       # `EnsembleResult.stepped_modes`
+    spde_steps: int               # `EnsembleResult.n_steps`
+    spde_seconds: float           # wall time of the SPDE ensemble
 
     @property
     def mean_trend_ok(self) -> bool:
@@ -213,10 +215,12 @@ def convergence_study(cfg: ExperimentConfig, coeffs: HydroCoefficients,
         kin_runs.append((kcfg, time.perf_counter() - start))
         kin_samples.append(samples)
         kin_floors.append(floors)
+    start = time.perf_counter()
     spde_res = run_ensemble(coeffs, cov, rho0, cfg.horizon, cfg.dt_spde,
                             cfg.n_spde_realizations, seed=cfg.seed,
                             xi_fields=xi_fields, n_checkpoints=1,
                             n_workers=cfg.threads)
+    spde_seconds = time.perf_counter() - start
     spde_samples = spde_res.samples[-1]
 
     n_eps, n_xi = len(cfg.epsilons), len(xi_fields)
@@ -250,7 +254,8 @@ def convergence_study(cfg: ExperimentConfig, coeffs: HydroCoefficients,
                              mean_gaps, var_gaps, mean_gap_se, var_gap_se,
                              ks, _trend_excess(mean_gaps, mean_gap_se),
                              _trend_excess(var_gaps, var_gap_se), kin_runs,
-                             spde_res.stepped_modes)
+                             spde_res.stepped_modes, spde_res.n_steps,
+                             spde_seconds)
 
 
 # -- acceptance criteria 1-12 --------------------------------------------------------
@@ -486,10 +491,10 @@ def check_enhancement(coeffs: HydroCoefficients, cov: CovOperator,
 
 
 def check_spde_suite(coeffs: HydroCoefficients, cov: CovOperator, n_qv,
-                     qv_bound, seed) -> list:
+                     qv_bound, seed, n_workers: int = 1) -> list:
     """Criterion 9: heat-equation oracle, mass at every checkpoint,
     linearity under shared noise, and the quadratic variation of <rho, xi>
-    over n_qv realizations."""
+    over n_qv realizations (its blocks across `n_workers` processes)."""
     grid = coeffs.diffusion.grid
     n = grid.dim
     ident = replace(coeffs, drift=TorusField.zeros(grid, 1),
@@ -520,7 +525,7 @@ def check_spde_suite(coeffs: HydroCoefficients, cov: CovOperator, n_qv,
     xi = TorusField.from_function(
         grid, 0, lambda *xs: np.sin(2 * np.pi * xs[0]) / (2 * np.pi))
     qv = quadratic_variation_check(coeffs, cov, one, xi, 0.005, 1e-5, n_qv,
-                                   seed=(seed, SPDE_QV))
+                                   seed=(seed, SPDE_QV), n_workers=n_workers)
     return [CheckResult("heat-equation oracle", heat_rel < 1e-4, heat_rel,
                         1e-4, "relative error of the decaying mode"),
             CheckResult("mass conservation", mass_dev < 1e-10, mass_dev,
@@ -654,7 +659,7 @@ def validation_suite(cfg: ExperimentConfig) -> ValidationReport:
     table += [
         (False, check_spde_suite,
          dict(coeffs=coeffs[cfg.collision], cov=cov, n_qv=128, qv_bound=0.10,
-              seed=seed)),
+              seed=seed, n_workers=cfg.threads)),
         (False, check_mean_equation,
          dict(coeffs=coeffs[cfg.collision], cov=cov, horizon=cfg.horizon,
               dt=cfg.dt_spde, n_realizations=cfg.n_spde_realizations,

@@ -43,9 +43,11 @@ with A = cn_minus cn_plus_inv and g_k the realization's standard normals,
 and runs no transform.  A(0) = 1 and D_q(0) = N_k,q(0) = 0 (ik(0) = 0),
 so the mass coefficient stays exact.  ext_q, the source at k - q, is a
 slice of one periodic extension of the state: the spectrum, completed by
-c(-k) = conj c(k) along the last axis when some mode shifts it, laid out
-twice along each shifted axis, formed by one precomputed gather from the
-half spectrum and a conjugation of the mirrored last-axis slices.
+c(-k) = conj c(k) along the last axis when some mode shifts it, at the
+wavenumbers -r_d .. n_d - 1 + r_d along each shifted axis d (n_d the
+state's modes there, r_d the largest |q_d| of a shift), formed by one
+precomputed gather from the half spectrum and a conjugation of the
+mirrored last-axis slices.
 `products_per_step` counts the shifted products: one per drift shift and
 one per (noise field, shift), 4 for the two-point law
 +/- a cos(2 pi x_0) e_0 in 1-D and 2-D (Theta and Kvar at +/- 2 e_0, phi
@@ -106,6 +108,26 @@ the worker count, and the mass mode, equal in every realization, has
 variance exactly 0.  Each realization's Gaussian increments come from its
 own counter-based stream, so ensembles are reproducible for any block or
 worker layout.
+
+States are held realization-last.  Every realization of a block applies the
+same multipliers and differs only in its scalars g_k, so a state keeps its
+batch-first shape (realizations, grid axes), the shape callers and
+`bench/spans.py` read, but is a view of one contiguous (grid axes,
+realizations) array, the interleaved layout of batched linear algebra.
+`_block_states` allocates its states and its noise that way; `step_hat`
+reads `np.ascontiguousarray` of the state with its grid axes first (a view
+for such a state, a copy for a C-ordered one), and its plan keeps A and
+every D_q and N_k,q broadcast along the realizations once per state shape,
+(terms + 1) x block values x 16 B (169 kB for a 1-D m=64 block of 64
+realizations at the two-point law).  Each shifted source ext_q is then a
+run of whole contiguous rows, and every product, sum and scaling by g_k
+runs over contiguous memory with no broadcast stride.  This is exact:
+every product and every sum is the same operation, in the same order, on
+the same values; only the memory order changes, so the states are the
+same to the bit.  Transforms read C-ordered data (`to_physical` makes a
+C-ordered copy when it is given anything else): `irfftn` returns its
+values in its input's memory order, and a mean over them adds in that
+order, so without the copy the samples' bytes would depend on the layout.
 """
 
 from __future__ import annotations
@@ -198,7 +220,9 @@ class SpdeStepper:
                 a, b = (ks[i], ks[j]) if i == j else (odd[i], odd[j])
                 mu += 4 * np.pi**2 * kbar[i, j] * a * b
         cn_plus_inv = 1.0 / (1.0 + 0.5 * dt * mu)
-        self._decay = (1.0 - 0.5 * dt * mu) * cn_plus_inv
+        # held complex: a real factor would send every step's A coef through
+        # numpy's casting loop, for the same values
+        self._decay = ((1.0 - 0.5 * dt * mu) * cn_plus_inv).astype(complex)
 
         # one multiplier per shift q, cn_plus_inv sum_i ik_i c over the kept
         # modes c at q of the flux fields (a Kvar_ij mode also carries its
@@ -217,21 +241,23 @@ class SpdeStepper:
         self.products_per_step = len(drift) + sum(map(len, noise)) * (
             2 if scheme == STRATONOVICH else 1)
 
-        # the periodic extension of a source: the full last axis when a mode
-        # shifts it, two periods along every shifted axis, so that the
-        # source at k - q is one slice for every shift q
+        # the periodic extension of a source: along every shifted axis d the
+        # wavenumbers -r_d .. n_d - 1 + r_d, r_d the largest |q_d| of a
+        # shift, so that the source at k - q is one slice for every shift q
         shifts = set(drift).union(*noise)
-        moved = [any(q[d] for q in shifts) for d in range(grid.dim)]
+        reach = [max((abs(q[d]) for q in shifts), default=0)
+                 for d in range(grid.dim)]
         sizes = [grid.m] * (grid.dim - 1) + [grid.m // 2 + 1]
 
         def terms(mults):
-            return [((Ellipsis,) + tuple(
-                slice(-qd % grid.m, -qd % grid.m + n) if mv else slice(None)
-                for qd, n, mv in zip(q, sizes, moved)), cn_plus_inv * mult)
+            return [(tuple(
+                slice(r - qd, r - qd + n) if r else slice(None)
+                for qd, n, r in zip(q, sizes, reach)), cn_plus_inv * mult)
                 for q, mult in sorted(mults.items())]
         self._drift = terms(drift)
         self._noise = [terms(field) for field in noise]
-        self._moved = moved
+        self._reach = reach
+        self._moved = [r > 0 for r in reach]
         self._half_shape = tuple(sizes)
         self._plans = {}
 
@@ -241,8 +267,11 @@ class SpdeStepper:
         return tuple(range(arr.ndim - self.grid.dim, arr.ndim))
 
     def to_physical(self, coef):
-        return np.fft.irfftn(coef, s=self.grid.shape, axes=self._axes(coef),
-                             norm="forward")
+        """The grid values of `coef`, transformed from a C-ordered copy so
+        that their memory order, and the bytes of any reduction over them,
+        do not depend on how `coef` is held (module docstring)."""
+        return np.fft.irfftn(np.ascontiguousarray(coef), s=self.grid.shape,
+                             axes=self._axes(coef), norm="forward")
 
     # no caller in the package; the benchmark's span hooks wrap it by name
     def to_spectral(self, phys):
@@ -261,14 +290,17 @@ class SpdeStepper:
         return coef
 
     def _plan(self, shape):
-        """The step's data for states of `shape`, made once per shape: A and
-        the multipliers cut to its grid axes, the gather and mirrored slices
-        of its periodic extension, and the temporaries of `_add_noise`."""
+        """The step's data for states of `shape` (batch axes first), made
+        once per shape, all held realization-last, as (grid axes, batch
+        axes): A and the multipliers cut to its grid axes and broadcast
+        along the batch axes, the gather and mirrored slices of its
+        periodic extension, and the temporaries of `_add_noise`."""
         plan = self._plans.get(shape)
         if plan is not None:
             return plan
-        grid_shape = shape[len(shape) - self.grid.dim:]
-        if len(grid_shape) != self.grid.dim or any(
+        n_lead = len(shape) - self.grid.dim
+        grid_shape, lead = shape[n_lead:], shape[:n_lead]
+        if n_lead < 0 or any(
                 n not in (1, full)
                 for n, full in zip(grid_shape, self._half_shape)):
             raise ValueError(f"state shape {shape} is neither a half "
@@ -276,34 +308,43 @@ class SpdeStepper:
         if any(n == 1 and mv for n, mv in zip(grid_shape, self._moved)):
             raise ValueError(f"state shape {shape} cuts an axis that the "
                              f"multipliers move")
-        sub = (Ellipsis,) + tuple(slice(n) for n in grid_shape)
+        sub = tuple(slice(n) for n in grid_shape)
+        held = grid_shape + lead
+
+        def spread(mult):
+            return np.ascontiguousarray(np.broadcast_to(
+                mult[sub].reshape(grid_shape + (1,) * n_lead), held))
 
         def sliced(terms):
-            return [(sl, mult[sub]) for sl, mult in terms]
-        gather, mirrored = _extension(self._moved, grid_shape, self.grid.m)
+            return [(sl, spread(mult)) for sl, mult in terms]
+        gather, mirrored = _extension(self._reach, grid_shape, self.grid.m)
         plan = _Plan(
-            self._decay[sub], sliced(self._drift),
+            tuple(range(n_lead, len(shape))) + tuple(range(n_lead)),
+            tuple(range(self.grid.dim, len(shape)))
+            + tuple(range(self.grid.dim)),
+            spread(self._decay), sliced(self._drift),
             [sliced(field) for field in self._noise], gather, mirrored,
-            np.empty(shape, dtype=complex), np.empty(shape, dtype=complex))
+            np.empty(held, dtype=complex), np.empty(held, dtype=complex))
         self._plans[shape] = plan
         return plan
 
-    def _extend(self, coef, plan):
-        """The periodic extension that every shifted source slice reads: one
-        gather from the state, then c(-k) = conj c(k) where the gather read
-        the mirror mode."""
+    def _extend(self, held, plan):
+        """The periodic extension that every shifted source slice reads, of
+        a state held realization-last: one gather of whole rows from the
+        state, then c(-k) = conj c(k) where the gather read the mirror
+        mode."""
         if plan.gather is None:
-            return coef
-        lead = coef.shape[:coef.ndim - self.grid.dim]
-        ext = coef.reshape(lead + (-1,))[..., plan.gather]
+            return held
+        lead = held.shape[self.grid.dim:]
+        ext = held.reshape((-1,) + lead)[plan.gather]
         for sl in plan.mirrored:
             np.conjugate(ext[sl], out=ext[sl])
         return ext
 
     def _add_noise(self, out, ext, g, plan):
         """Add sum_k g_k sum_q N_k,q ext_q to `out` in place, reading the
-        sources from the extension `ext` of the noise density; g_k is a
-        column of one standard normal per realization."""
+        sources from the extension `ext` of the noise density, all held
+        realization-last; g_k holds one standard normal per realization."""
         acc, term = plan.acc, plan.term
         for gk, field in zip(g, plan.noise):
             if not field:           # a zero noise field keeps no mode
@@ -319,31 +360,37 @@ class SpdeStepper:
     # -- stepping ------------------------------------------------------------
 
     def step_hat(self, coef, g=None):
-        """One step on half-spectrum coefficients or a `cut` of them; g:
-        standard normals (..., rank).  Returns a new array."""
+        """One step on half-spectrum coefficients or a `cut` of them, batch
+        axes first; g: standard normals (..., rank).  Returns a new array of
+        `coef`'s shape, held realization-last (module docstring)."""
         plan = self._plan(coef.shape)
-        ext = self._extend(coef, plan)
-        det = plan.decay * coef
+        held = np.ascontiguousarray(coef.transpose(plan.to_held))
+        ext = self._extend(held, plan)
+        det = plan.decay * held
         for sl, mult in plan.drift:
             det += np.multiply(mult, ext[sl], out=plan.term)
-        if g is None or self.noise_rank == 0:
-            return det
-        shape = g.shape[:-1] + (1,) * self.grid.dim
-        g = [g[..., k].reshape(shape) for k in range(self.noise_rank)]
-        if self.scheme == ITO:
-            return self._add_noise(det, ext, g, plan)
-        # Stratonovich: Heun rule; the noise is linear in rho, so the mean of
-        # the two endpoint noises is the noise of the mean density
-        pred = self._add_noise(det.copy(), ext, g, plan)
-        pred += coef
-        pred *= 0.5
-        return self._add_noise(det, self._extend(pred, plan), g, plan)
+        if g is not None and self.noise_rank:
+            g = [g[..., k] for k in range(self.noise_rank)]
+            if self.scheme == ITO:
+                self._add_noise(det, ext, g, plan)
+            else:
+                # Stratonovich: Heun rule; the noise is linear in rho, so the
+                # mean of the two endpoint noises is the noise of the mean
+                # density
+                pred = self._add_noise(det.copy(), ext, g, plan)
+                pred += held
+                pred *= 0.5
+                self._add_noise(det, self._extend(pred, plan), g, plan)
+        return det.transpose(plan.to_batch)
 
 
 @dataclass
 class _Plan:
-    """`SpdeStepper._plan`: the step's data for one state shape."""
+    """`SpdeStepper._plan`: the step's data for one state shape, held as
+    (grid axes, batch axes)."""
 
+    to_held: tuple              # axes of a state in held order
+    to_batch: tuple             # axes of a held array in the state's order
     decay: np.ndarray           # A = cn_minus cn_plus_inv on the state's modes
     drift: list                 # (source slice, D_q) per drift shift q
     noise: list                 # per noise field, (source slice, N_k,q)
@@ -353,26 +400,27 @@ class _Plan:
     term: np.ndarray
 
 
-def _extension(moved, shape, m: int):
-    """Flat state indices of the periodic extension (full last axis if
-    `moved[-1]`, two periods along every other moved axis) for states
-    whose grid axes have `shape` (the half spectrum or a cut of it), and
-    the last-axis slices of it that take the conjugate, c(-k) = conj c(k)
-    (the modes k_N > m/2 of each period); (None, []) when no mode moves any
+def _extension(reach, shape, m: int):
+    """Flat state indices of the periodic extension (the wavenumbers
+    -r_d .. n_d - 1 + r_d along every axis d with reach r_d > 0, the
+    state's own n_d modes along the others) for states whose grid axes
+    have `shape` (the half spectrum or a cut of it), and the last-axis
+    slices of it that take the conjugate, c(-k) = conj c(k) (the modes
+    whose k_N modulo m lies above m/2); (None, []) when no mode moves any
     axis."""
     half = m // 2 + 1
-    if not any(moved):
+    if not any(reach):
         return None, []
-    axes = [np.arange(2 * m) % m if mv else np.arange(n)
-            for mv, n in zip(moved, shape)]
-    ks = np.meshgrid(*axes, indexing="ij")
+    axes = [np.arange(-r, n + r) % m for r, n in zip(reach, shape)]
     # a mirrored entry reads the half spectrum at -k
-    mirror = ks[-1] >= half
+    mirror = axes[-1] >= half
+    ks = np.meshgrid(*axes, indexing="ij")
     ks = [np.where(mirror, -k % m, k) for k in ks]
     flat = np.ravel_multi_index(ks, shape)
-    periods = 2 if moved[-1] else 0
-    return flat, [(Ellipsis, slice(p * m + half, (p + 1) * m))
-                  for p in range(periods)]
+    edges = np.flatnonzero(np.diff(mirror, prepend=False, append=False))
+    before = (slice(None),) * (len(reach) - 1)
+    return flat, [before + (slice(lo, hi),)
+                  for lo, hi in zip(edges[::2], edges[1::2])]
 
 
 def _ik_symbol(k, m: int):
@@ -478,15 +526,19 @@ def _block_states(stepper: SpdeStepper, start, n_steps: int, seed,
                   block: slice):
     """States (realizations, start's grid shape) of the realizations of
     `block`, started at `start` (a half spectrum or a `cut` of one), after
-    0, 1, ..., n_steps steps.  Realization r draws its standard normals
-    from the stream key `seed` followed by (SPDE_NOISE, r)."""
-    noise = np.array([substream(seed, SPDE_NOISE, r).standard_normal(
-        (n_steps, stepper.noise_rank))
-        for r in range(block.start, block.stop)])
-    coef = np.broadcast_to(start, (len(noise),) + start.shape).copy()
+    0, 1, ..., n_steps steps, each held realization-last (module
+    docstring).  Realization r draws its standard normals from the stream
+    key `seed` followed by (SPDE_NOISE, r); they are held realization-last
+    too, so each step's g_k is one contiguous row."""
+    size = block.stop - block.start
+    noise = np.empty((n_steps, stepper.noise_rank, size))
+    for j, r in enumerate(range(block.start, block.stop)):
+        noise[..., j] = substream(seed, SPDE_NOISE, r).standard_normal(
+            (n_steps, stepper.noise_rank))
+    coef = np.moveaxis(np.repeat(start[..., None], size, axis=-1), -1, 0)
     yield coef
     for step in range(n_steps):
-        coef = stepper.step_hat(coef, noise[:, step, :])
+        coef = stepper.step_hat(coef, noise[step].T)
         yield coef
 
 
@@ -507,13 +559,13 @@ def _ensemble_block(job, block: slice):
         i = index.get(step)
         if i is None:
             continue
-        if not np.all(np.isfinite(coef)):
+        states[i] = coef
+        if not np.all(np.isfinite(states[i])):
             raise ValueError("ensemble spectrum lost finiteness")
-        phys = stepper.to_physical(coef)
+        phys = stepper.to_physical(states[i])
         for j, xi in enumerate(xi_phys):
             samples[i, :, j] = (phys * xi).mean(axis=gaxes)
         low = min(low, float(phys.min()))
-        states[i] = coef
     return states, samples, low
 
 
@@ -586,41 +638,51 @@ class QvReport:
     final: np.ndarray           # per-realization <rho_T, xi>
 
 
+def _qv_block(job, block: slice):
+    """One block of `quadratic_variation_check` stepped to the horizon: per
+    realization, the sum of the squared increments dM, the predicted sum,
+    the sum of dM and <rho_T, xi>."""
+    stepper, start, n_steps, seed, xi_phys, grad_xi, phis = job
+    gaxes = tuple(range(1, 1 + stepper.grid.dim))
+    size = block.stop - block.start
+    qv_emp, qv_pred, mart = (np.zeros(size) for _ in range(3))
+    paths = _block_states(stepper, start, n_steps, seed, block)
+    for before, after in pairwise(paths):
+        phys = stepper.to_physical(before)
+        # predicted rate: 2 sum_k <phi_k, rho grad xi>^2 (left endpoint)
+        for phi in phis:
+            proj = np.zeros(size)
+            for i in range(stepper.grid.dim):
+                proj += (phys * phi[i] * grad_xi[i]).mean(axis=gaxes)
+            qv_pred += 2.0 * stepper.dt * proj**2
+        noise = stepper.to_physical(after - stepper.step_hat(before))
+        dm = (noise * xi_phys).mean(axis=gaxes)
+        qv_emp += dm**2
+        mart += dm
+    final = (stepper.to_physical(after) * xi_phys).mean(axis=gaxes)
+    return qv_emp, qv_pred, mart, final
+
+
 def quadratic_variation_check(coeffs: HydroCoefficients, cov: CovOperator,
                               rho_in: TorusField, xi: TorusField,
                               horizon: float, dt: float, n_realizations: int,
-                              seed) -> QvReport:
+                              seed, n_workers: int = 1) -> QvReport:
     """Accumulate M_t = <rho_t, xi> - <rho_0, xi> - int <drift, xi> along each
     path and compare sum (dM)^2 with the predicted rate 2 ||S^1/2(rho grad xi)||^2.
 
     The paths are those of `run_ensemble` with the same seed; each increment
-    dM is <step - noiseless step, xi> from the step's left endpoint.
+    dM is <step - noiseless step, xi> from the step's left endpoint.  Blocks
+    go through `rng.parallel_map` as in `run_ensemble`, so the report is the
+    same for any `n_workers`.
     """
-    grid = rho_in.grid
     n_steps = step_count(horizon, dt)
     stepper = SpdeStepper(coeffs, cov, dt, ITO)
-    gaxes = tuple(range(1, 1 + grid.dim))
-    grad_xi = gradient(xi).physical()
-    xi_phys = xi.physical()
-    phis = [p.physical() for p in cov.noise_fields()]
-    start = stepper.cut(_half_spectrum(rho_in.spectrum()))
-    qv_emp, qv_pred, mart, final = (np.zeros(n_realizations)
-                                    for _ in range(4))
-    for b in _blocks(n_realizations, grid):
-        paths = _block_states(stepper, start, n_steps, seed, b)
-        for before, after in pairwise(paths):
-            phys = stepper.to_physical(before)
-            # predicted rate: 2 sum_k <phi_k, rho grad xi>^2 (left endpoint)
-            for phi in phis:
-                proj = np.zeros(len(phys))
-                for i in range(grid.dim):
-                    proj += (phys * phi[i] * grad_xi[i]).mean(axis=gaxes)
-                qv_pred[b] += 2.0 * dt * proj**2
-            noise = stepper.to_physical(after - stepper.step_hat(before))
-            dm = (noise * xi_phys).mean(axis=gaxes)
-            qv_emp[b] += dm**2
-            mart[b] += dm
-        final[b] = (stepper.to_physical(after) * xi_phys).mean(axis=gaxes)
+    job = (stepper, stepper.cut(_half_spectrum(rho_in.spectrum())), n_steps,
+           seed, xi.physical(), gradient(xi).physical(),
+           [p.physical() for p in cov.noise_fields()])
+    parts = parallel_map(partial(_qv_block, job),
+                         _blocks(n_realizations, rho_in.grid), n_workers)
+    qv_emp, qv_pred, mart, final = map(np.concatenate, zip(*parts))
     gaps = np.abs(qv_emp - qv_pred) / np.maximum(qv_pred, 1e-300)
     return QvReport(qv_emp, qv_pred, float(gaps.mean()), float(mart.mean()),
                     float(mart.std(ddof=1) / np.sqrt(n_realizations)), final)

@@ -144,6 +144,10 @@ def test_benchmark_traces_every_stage_layer(tmp_path):
     # hooks that count them still install (`to_physical`, `to_spectral`)
     assert counters["spde.step_hat.ffts"] == 0
     assert spans_of["spde.step_hat"] > 0
+    # the hook reads a state's realizations from its batch-first shape,
+    # which the states keep while held realization-last: 2 x 20 steps in
+    # simulate-spde and 64 x 20 in converge
+    assert counters["spde.realization_steps"] == 2 * 20 + 64 * 20
     assert counters["spde.noise_bytes"] > 0
     assert spans_of["kinetic.moments"] == 2  # one micro step: 0 and 1
     assert spans_of["forcing.value_at"] > 0

@@ -218,6 +218,14 @@ def test_simulate_spde_and_converge_pipeline(tmp_path):
     # 3 epsilons x 4 test functions
     assert len(table) == 1 + 12
     assert_step_lines(out / "report_converge.txt", cfg, cfg.n_realizations)
+    # the SPDE side: 64 realizations x (0.01 / 5e-5) steps and their rate
+    spde_line = [re.fullmatch(
+        r"spde: (\d+) realizations x (\d+) steps in (\S+) s "
+        r"\((\S+) realization-steps/s\)", line)
+        for line in (out / "report_converge.txt").read_text().splitlines()]
+    (m,) = [m for m in spde_line if m]
+    assert (int(m[1]), int(m[2])) == (64, 200)
+    assert float(m[4]) == pytest.approx(64 * 200 / float(m[3]), rel=0.1)
     # 1-D: nothing is cut, every mode 0 .. m/2 of the half spectrum steps
     line = "modes stepped per realization: 17 of 17, the rest exactly zero"
     for name in ("report_spde.txt", "report_converge.txt"):

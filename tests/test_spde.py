@@ -377,8 +377,13 @@ def test_fused_step_matches_full_complex_step(case, scheme):
     half = full[..., :grid.m // 2 + 1].copy()
     g = np.random.default_rng(5).standard_normal((50, 3, stepper.noise_rank))
     for step in range(50):
+        # a C-ordered copy of the state steps to the same bytes as the
+        # state itself, which step_hat returns held realization-last
+        c_ordered = stepper.step_hat(np.ascontiguousarray(half), g[step])
         half = stepper.step_hat(half, g[step])
         full = oracle.step(full, g[step])
+        assert np.moveaxis(half, 0, -1).flags.c_contiguous
+        assert c_ordered.tobytes() == half.tobytes()
     ref = oracle.phys(full)
     scale = np.max(np.abs(ref))
     assert np.max(np.abs(stepper.to_physical(half) - ref)) <= 1e-12 * scale
@@ -471,6 +476,43 @@ def test_blocked_stepping_is_bit_identical(case, monkeypatch):
         assert np.array_equal(getattr(one, name), getattr(blocked, name))
     for name in ("empirical", "predicted", "final"):
         assert np.array_equal(getattr(qv_one, name), getattr(qv_blocked, name))
+
+
+@pytest.mark.parametrize("case", ["1d", "2d-e0", "2d-full"])
+def test_block_states_are_held_realization_last(case):
+    # the speed of step_hat rests on this: every state of a block is a view
+    # of one contiguous (grid axes, realizations) array, so its realization
+    # axis has the smallest stride and each shifted source is whole rows
+    coeffs, cov = equivalence_case(case)
+    grid = coeffs.diffusion.grid
+    stepper = SpdeStepper(coeffs, cov, 0.5 * stability_limit(coeffs))
+    start = stepper.cut(_half_spectrum(default_initial_density(
+        grid).spectrum()))
+    for coef in spde._block_states(stepper, start, 3, 4, slice(2, 7)):
+        assert coef.shape == (5,) + start.shape
+        assert coef.strides[0] == coef.itemsize == min(coef.strides)
+        assert np.moveaxis(coef, 0, -1).flags.c_contiguous
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_to_physical_reads_either_memory_order(dim):
+    # irfftn returns its values in the memory order of its input, and a
+    # mean over them adds in that order: to_physical transforms C-ordered
+    # data, so the values and every reduction keep their bytes
+    grid = TorusGrid(dim, 16)
+    coeffs, cov = lb_setup(grid)
+    stepper = SpdeStepper(coeffs, cov, 1e-5)
+    rng = np.random.default_rng(dim)
+    phys = rng.standard_normal((7,) + grid.shape)
+    coef = stepper.to_spectral(phys)
+    held = np.moveaxis(np.ascontiguousarray(np.moveaxis(coef, 0, -1)), -1, 0)
+    axes = tuple(range(1, 1 + dim))
+    xi = rng.standard_normal(grid.shape)
+    a, b = stepper.to_physical(coef), stepper.to_physical(held)
+    assert a.flags.c_contiguous and b.flags.c_contiguous
+    assert a.tobytes() == b.tobytes()
+    assert (a * xi).mean(axis=axes).tobytes() == \
+        (b * xi).mean(axis=axes).tobytes()
 
 
 @pytest.mark.parametrize("scheme", [ITO, STRATONOVICH])
@@ -622,6 +664,24 @@ def test_ensemble_same_for_any_worker_count(monkeypatch):
         assert np.array_equal(getattr(one, name), getattr(two, name))
 
 
+def test_quadratic_variation_same_for_any_worker_count(monkeypatch):
+    # 10 realizations in blocks of 4 make three blocks, stepped by one
+    # process or two; the blocks come back in block order
+    coeffs, cov = equivalence_case("1d")
+    grid = coeffs.diffusion.grid
+    monkeypatch.setattr(spde, "BLOCK_VALUES", 4 * grid.size)
+    rho0 = rho_one_plus_cos(grid)
+    xi = TorusField.from_function(grid, 0, lambda x: np.sin(2 * np.pi * x))
+    dt = 0.5 * stability_limit(coeffs)
+    one, two = [quadratic_variation_check(coeffs, cov, rho0, xi, 20 * dt, dt,
+                                          10, seed=4, n_workers=w)
+                for w in (1, 2)]
+    assert len(spde._blocks(10, grid)) == 3
+    for name in ("empirical", "predicted", "final", "mean_relative_gap",
+                 "martingale_mean", "martingale_se"):
+        assert np.array_equal(getattr(one, name), getattr(two, name))
+
+
 def test_ensemble_memory_does_not_grow_with_realizations():
     # blocks are stepped to the horizon one after another: going from 256
     # to 1024 realizations at 2-D m=16 adds only per-realization samples
@@ -661,6 +721,27 @@ def test_ensemble_memory_at_2d_m64():
         tracemalloc.stop()
     assert (res.blocks_per_step, res.n_steps) == (64, 20)
     assert peak < 2e6
+
+
+def test_ensemble_memory_at_1d_m64():
+    # converge's 1-D law, start and test functions at m=64: 512
+    # realizations in two blocks of 256, 20 steps, 5 checkpoints; the peak
+    # holds one block's states at the checkpoints, its step (the plan's A
+    # and four multipliers broadcast along the block, the extension and
+    # the temporaries, about 1.4 MB) and the running sums
+    grid = TorusGrid(1, 64)
+    coeffs, cov = lb_setup(grid)
+    xi = [f for _, f in default_test_functions(grid)]
+    rho0 = default_initial_density(grid)
+    tracemalloc.start()
+    try:
+        res = run_ensemble(coeffs, cov, rho0, 2e-4, 1e-5, 512, seed=1,
+                           xi_fields=xi, n_checkpoints=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.blocks_per_step, res.block_realizations) == (2, 256)
+    assert peak < 4e6
 
 
 MASS_GRID = TorusGrid(2, 8)
