@@ -16,9 +16,10 @@ from kinlim.torus import TorusGrid
 grid = TorusGrid(1, 64)
 amp = 0.5
 model = two_point_renewal(grid, amp)
-# one stationary pass, the law's two atoms with their weights and their
-# resolvent images, is the only input of both estimators: the sums over the
-# atoms are the exact expectations
+# one stationary pass is the only input of both estimators: the law's two
+# atoms, +/- one basis field, with their weights and the coordinates of
+# their resolvent images, so the sums over the atoms are the exact
+# expectations
 draws = draw_stationary(model, grid)
 
 for collision, coef in ((LB, 1.5), (FP, 1.0)):

@@ -84,7 +84,7 @@ def cmd_coeffs(args) -> int:
         f"noise rank {cov.rank}, trace {cov.trace:.6g}, "
         f"dropped tail {cov.dropped_tail:.3g}",
         f"covariance QR width {cov.qr_width} (kernel side "
-        f"{cov.grid.dim * cov.grid.size}, 2 x {cov.n_nodes} nodes)",
+        f"{cov.grid.dim * cov.grid.size}, one column per basis field)",
         f"enhancement: min eig(K - Id) = {report.min_eig_over_base:.3e}",
         f"enhancement: min eig(K - Id - noise) = "
         f"{report.min_eig_over_noise:.3e}",

@@ -25,21 +25,22 @@ one state u ~ N(0, 1), and its nodes are Gaussian quadrature nodes in u
 (`OU_NODES`): Gauss-Legendre on [-R, R] and Gauss-Laguerre on each tail
 beyond +/-R, split at the clamp's kink, exact to rounding.
 
-Both estimators take one pass of n nodes E, their weights and their R_0 and
-R_1 images (`draw_stationary`) as their only input, and go through the
-nodes one at a time, so their memory does not grow with n.  The kernel is
-discretised by grid quadrature (uniform weight M^-N).  Its weighted sum
-(1/2)(R E^T + E R^T), with the nodes scaled by sqrt(w_i) as columns of R
-and E, has rank at most 2n, so it is never formed: a thin QR [R E] = Q T
-gives H = Q M Q^T with a small k x k matrix M, k = min(N M^N, 2n) (4 for
-the two-point law), and the eigenfields are Q times the eigenvectors of M.
-Rows of T at the QR's round-off level are cut first (a numerical rank
-cut), so a rank-deficient kernel keeps the accuracy of a dense `eigh`.  The
-estimate vanishes off the range of Q, so its smallest eigenvalue is the
-smallest of M, or 0 when Q has fewer than N M^N columns; with the symmetry
-of M it is what the nonnegativity check reads.  Eigenvalues below 1e-10
-of the trace are dropped and the dropped tail is reported as a
-modelling-error bound.
+The law is held factored (`draw_stationary`): a few basis fields B_p (a
+renewal law's distinct atoms up to sign, or the OU law's one link field),
+and per node a weight w_i and the coordinates of E, R_0 E and R_1 E in B.
+Each expectation above is a sum over basis pairs of a small moment matrix
+M_XY = sum_i w_i x_i y_i^T times a product of two basis fields.  The kernel
+is discretised by grid quadrature (uniform weight M^-N) and never formed:
+H = B^T S B with S = (M_{R0,E} + M_{R0,E}^T) / 2, so a thin QR B^T = Q T
+of the n_b basis fields (n_b = 1 for the two-point and OU laws) gives
+H = Q (T S T^T) Q^T, and the eigenfields are Q times the eigenvectors of
+T S T^T.  Rows of T at the QR's round-off level are cut first (a numerical
+rank cut for linearly dependent basis fields), so a rank-deficient kernel
+keeps the accuracy of a dense `eigh`.  The estimate vanishes off the range
+of Q, so its smallest eigenvalue is that of T S T^T, or 0 when Q has fewer
+than N M^N columns; with the symmetry of T S T^T it is what the
+nonnegativity check reads.  Eigenvalues below 1e-10 of the trace are
+dropped and the dropped tail is reported as a modelling-error bound.
 """
 
 from __future__ import annotations
@@ -51,8 +52,9 @@ from functools import cached_property
 import numpy as np
 
 from .equilibrium import FP, LB, _check_collision, path_weighted_integral
-from .forcing import (RENEWAL, ForceFieldModel, ForceSample, generate_path,
-                      resolvent_apply, sample_stationary)
+from .forcing import (RENEWAL, ForceFieldModel, generate_path,
+                      resolvent_apply, resolvent_coefficients,
+                      sample_stationary, signed_entry)
 from .rng import SYMPOS_LHS, SYMPOS_RHS, substream
 from .table import read_table, write_table
 from .torus import TorusField, TorusGrid, divergence, matrix_divergence
@@ -94,38 +96,26 @@ class CovOperator:
     min_eigenvalue: float = 0.0
     symmetry_gap: float = 0.0
     factors: tuple = field(default=None, repr=False)
-    # (sqrt(w) R_0 E, sqrt(w) E) per node, (n, N*M^N) each; None when the
-    # kept spectrum is all there is (read back from spectrum.csv)
+    # (B, M_{R0,E}), (n_b, N*M^N) and (n_b, n_b); None when the kept
+    # spectrum is all there is (read back from spectrum.csv)
+    n_nodes: int = 0             # stationary nodes behind the factors
 
     @property
     def rank(self) -> int:
         return len(self.eigenvalues)
 
     @property
-    def n_nodes(self) -> int:
-        """Stationary nodes behind the factors; 0 without factors."""
-        return 0 if self.factors is None else len(self.factors[0])
-
-    @property
     def qr_width(self) -> int:
-        """Columns k = min(N*M^N, 2n) of the thin QR basis, n the nodes; 0
-        without factors."""
-        if self.factors is None:
-            return 0
-        return min(self.factors[0].shape[1], 2 * self.n_nodes)
+        """Columns min(N*M^N, n_b) of the thin QR; 0 without factors."""
+        return 0 if self.factors is None else min(self.factors[0].shape)
 
     @cached_property
     def kernel(self) -> np.ndarray:
-        """Dense (N*M^N, N*M^N) kernel values H, built on first read:
-        (1/2) sum_i w_i (r_i e_i^T + e_i r_i^T) from the factors, else
-        sum_k lambda_k z_k z_k^T from the kept spectrum.  No stage reads it;
-        its readers are the tests and the benchmark's traced runs."""
-        if self.factors is None:
-            z = np.array([f.physical() for f in self.eigenfields]).reshape(
-                self.rank, self.grid.dim * self.grid.size)
-            return (z.T * self.eigenvalues) @ z
-        r0, e = self.factors
-        half = r0.T @ e
+        """Dense (N*M^N, N*M^N) kernel values H = B^T S B, built from the
+        factors on first read.  No stage reads it; its readers are the tests
+        and the benchmark's traced runs."""
+        basis, moment = self.factors
+        half = basis.T @ (moment @ basis)
         return 0.5 * (half + half.T)
 
     def noise_fields(self) -> list:
@@ -141,11 +131,6 @@ class CovOperator:
             zv = z.physical()
             vals += lam * zv[None, :] * zv[:, None]
         return TorusField(grid, 2, vals)
-
-
-def _sym_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a (x)sym b per grid point; inputs (N, grid), output (N, N, grid)."""
-    return a[:, None] * b[None, :] + b[:, None] * a[None, :]
 
 
 def _ou_nodes(radius: float):
@@ -170,92 +155,96 @@ def _ou_nodes(radius: float):
 
 @dataclass
 class StationaryDraws:
-    """Nodes E of the stationary law with one weight each, and their R_0
-    and R_1 images: the one input of both estimators.  Each array is
-    (n_nodes, N) + grid shape."""
+    """The stationary law, factored, and the one input of both estimators:
+    basis fields B ((n_b, N) + grid shape), the node weights ((n,)) and the
+    coordinates of each node's E, R_0 E and R_1 E in B ((3, n, n_b))."""
 
     grid: TorusGrid
-    e: np.ndarray
-    r0: np.ndarray
-    r1: np.ndarray
+    basis: np.ndarray
     weights: np.ndarray
+    coords: np.ndarray
 
     @property
     def n_nodes(self) -> int:
         return len(self.weights)
 
+    def moment(self, x: int, y: int) -> np.ndarray:
+        """M_XY = sum_i w_i x_i y_i^T, (n_b, n_b), for coordinate rows x
+        and y (0: E, 1: R_0 E, 2: R_1 E)."""
+        return (self.weights[:, None] * self.coords[x]).T @ self.coords[y]
+
 
 def draw_stationary(model: ForceFieldModel,
                     grid: TorusGrid) -> StationaryDraws:
-    """The stationary pass, with the resolvent images of its nodes: a
-    renewal law's atoms with their weights, or the OU law's quadrature
-    nodes in the state u (`_ou_nodes`).  Exact, and no stream is drawn."""
+    """The stationary pass, factored: a renewal law's atoms with their
+    weights, each +/- one basis field (`signed_entry`), or the OU law's
+    quadrature nodes in the state u (`_ou_nodes`).  Exact, and no stream is
+    drawn."""
     if model.kind == RENEWAL:
-        samples = (ForceSample(a, model.norm_bound) for a in model.atoms)
-        weights = model.weights
+        weights, fields, index_of = model.weights, [], {}
+        index, scale = np.array([signed_entry(a, fields, index_of)
+                                 for a in model.atoms]).T
+        # R_lam E = c_lam E
+        values = np.outer([1.0, *resolvent_coefficients(model, (0.0, 1.0))],
+                          scale)
     else:
         states, weights = _ou_nodes(model.clip_radius)
-        samples = (ForceSample(model.link(u), model.norm_bound, state=u)
-                   for u in states[:, None])
-    e, r0, r1 = (np.empty((len(weights), grid.dim) + grid.shape)
-                 for _ in range(3))
-    for i, s in enumerate(samples):
-        f0, f1 = resolvent_apply(model, (0.0, 1.0), s)
-        e[i], r0[i], r1[i] = s.field.physical(), f0.physical(), f1.physical()
-    return StationaryDraws(grid, e, r0, r1, weights)
+        fields, index = [model.link_field], np.zeros(len(states))
+        # E = clamp(u) link (`ForceFieldModel.link`), R_lam E = c_lam(u) link
+        r = model.clip_radius
+        values = np.array([[min(max(u, -r), r), *resolvent_coefficients(
+            model, (0.0, 1.0), [u])] for u in states]).T
+    coords = np.zeros((3, len(weights), len(fields)))
+    coords[:, np.arange(len(weights)), index.astype(np.intp)] = values
+    return StationaryDraws(grid, np.array([f.physical() for f in fields]),
+                           weights, coords)
+
+
+def _pair_sum(coef: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """sum_pq coef[p, q] pairs[p, q], one moment per basis pair."""
+    return sum(c * f for c, f in zip(coef.ravel(),
+                                     pairs.reshape((-1,) + pairs.shape[2:])))
 
 
 def compute_coefficients(draws: StationaryDraws,
                          collision: str) -> HydroCoefficients:
-    """Weighted sums over the stationary nodes of the limit diffusion
-    matrix and drift fields, forming each node's terms once."""
+    """The limit diffusion matrix and drift fields as sums over basis
+    pairs, each product of two basis fields times a moment matrix."""
     _check_collision(collision)
     b = COLLISION_FACTOR[collision]
-    grid, n_dim = draws.grid, draws.grid.dim
-    diff_sum = sym1_sum = drift2_sum = 0.0
-    for w, ev, r0, r1 in zip(draws.weights, draws.e, draws.r0, draws.r1):
-        sym1 = _sym_outer(r1, ev)
-        diff = 0.5 * (_sym_outer(ev, r0) + (b - 1.0) * sym1)
-        drift2 = (r0 - r1) * divergence(
-            TorusField(grid, 1, ev)).physical()[None]
-        diff_sum = diff_sum + w * diff
-        sym1_sum = sym1_sum + w * sym1
-        drift2_sum = drift2_sum + w * drift2
-
+    grid, n_dim, basis = draws.grid, draws.grid.dim, draws.basis
+    outer = basis[:, None, :, None] * basis[None, :, None, :]
+    div = np.array([divergence(TorusField(grid, 1, f)).physical()
+                    for f in basis])
+    m_r0, m_r1 = draws.moment(1, 0), draws.moment(2, 0)
+    sym0, sym1 = (_pair_sum(m + m.T, outer) for m in (m_r0, m_r1))
+    diff_sum = 0.5 * (sym0 + (b - 1.0) * sym1)
+    drift2_sum = _pair_sum(m_r0 - m_r1, basis[:, None] * div[None, :, None])
     eye = np.eye(n_dim).reshape((n_dim, n_dim) + (1,) * n_dim)
     # store the symmetrised sum (symmetric by construction up to round-off)
     diff_vals = eye + 0.5 * (diff_sum + np.swapaxes(diff_sum, 0, 1))
-    r1_sym_field = TorusField(grid, 2, sym1_sum)
-    drift_field = (b / 2.0) * matrix_divergence(r1_sym_field).physical() \
-        + drift2_sum
-    return HydroCoefficients(
-        diffusion=TorusField(grid, 2, diff_vals),
-        drift=TorusField(grid, 1, drift_field),
-        collision=collision,
-        collision_factor=b,
-        r1_sym=r1_sym_field,
-    )
+    r1_sym = TorusField(grid, 2, sym1)
+    drift = (b / 2.0) * matrix_divergence(r1_sym).physical() + drift2_sum
+    return HydroCoefficients(TorusField(grid, 2, diff_vals),
+                             TorusField(grid, 1, drift), collision, b, r1_sym)
 
 
 def compute_cov_operator(draws: StationaryDraws) -> CovOperator:
-    """Weighted kernel sum and its eigenpairs, from a thin QR of the
-    sqrt(w)-scaled nodes and a small symmetric eigenproblem (module
-    docstring)."""
-    grid, n = draws.grid, draws.n_nodes
+    """The kernel B^T S B and its eigenpairs, from a thin QR of the basis
+    fields and a small symmetric eigenproblem (module docstring)."""
+    grid, n_b = draws.grid, len(draws.basis)
     dim = grid.dim * grid.size
-    root = np.sqrt(draws.weights)[:, None]
-    r0 = root * draws.r0.reshape(n, dim)
-    e = root * draws.e.reshape(n, dim)
-    q, t = np.linalg.qr(np.concatenate([r0, e]).T)
+    basis = draws.basis.reshape(n_b, dim)
+    moment = draws.moment(1, 0)              # M_{R0,E}
+    q, t = np.linalg.qr(basis.T)
     # numerical rank cut: a row of T whose entries all sit below the QR's
-    # round-off level carries no part of the nodes, only a direction of Q
+    # round-off level carries no part of the basis, only a direction of Q
     # that would leak that round-off into the eigenfields
     row_max = np.max(np.abs(t), axis=1)
-    rows = row_max >= max(dim, 2 * n) * np.finfo(float).eps \
-        * np.max(row_max)
+    rows = row_max >= max(dim, n_b) * np.finfo(float).eps * np.max(row_max)
     q, t = q[:, rows], t[rows]
-    half = t[:, :n] @ t[:, n:].T
-    small = 0.5 * (half + half.T)            # Q^T H Q
+    half = t @ moment @ t.T
+    small = 0.5 * (half + half.T)            # Q^T H Q = T S T^T
     weight = 1.0 / grid.size
     eigvals, eigvecs = np.linalg.eigh(small * weight)
     eigvals = eigvals[::-1]
@@ -263,8 +252,8 @@ def compute_cov_operator(draws: StationaryDraws) -> CovOperator:
     # the estimate is zero off the range of Q
     min_eig = float(eigvals[-1]) if q.shape[1] == dim \
         else min(float(eigvals[-1]), 0.0)
-    # the scaled rows give w_i (r_i . e_i)
-    trace = weight * float(np.einsum("ij,ij->i", r0, e).sum())
+    # sum_i w_i (r_i . e_i) = sum_pq M_{R0,E}[p, q] (B_p . B_q)
+    trace = weight * float(np.sum(moment * (basis @ basis.T)))
     tol_eig = abs(trace) * 1e-10
     if eigvals[-1] < -10.0 * max(tol_eig, 1e-300):
         raise ValueError("kernel estimate far from nonnegative")
@@ -279,7 +268,8 @@ def compute_cov_operator(draws: StationaryDraws) -> CovOperator:
                                  vec.reshape((grid.dim,) + grid.shape)))
     return CovOperator(grid, eigvals[keep], fields, trace, dropped,
                        tol_eig, min_eig,
-                       float(np.max(np.abs(small - small.T))), (r0, e))
+                       float(np.max(np.abs(small - small.T))),
+                       (basis, moment), draws.n_nodes)
 
 
 # -- structural checks ------------------------------------------------------------
@@ -453,7 +443,6 @@ def spectrum_from_csv(path) -> CovOperator:
     eigenvalues = data[:, 1]
     fields = [TorusField(grid, 1, vals.reshape((grid.dim,) + grid.shape))
               for vals in data[:, 2:]]
-    # `kernel` comes from the kept spectrum (dropped tail reported)
     return CovOperator(grid, eigenvalues, fields,
                        float(meta["trace"]), float(meta["dropped"]),
                        float(meta["tol"]))

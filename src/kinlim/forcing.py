@@ -220,15 +220,31 @@ class ForcePath:
             yield a, b, self.samples[int(self.segment_index(a))]
 
 
+def signed_entry(f: TorusField, fields: list, index_of: dict):
+    """(index into `fields`, sign) of field f, where fields equal in value
+    or equal up to sign are one entry; f is appended to `fields` unless it
+    or its negation is there.  `index_of` maps the exact values of every
+    entry to its index."""
+    key = (f.space, f.values.shape, f.values.tobytes())
+    negated = key[:2] + ((-f.values).tobytes(),)
+    if negated in index_of:
+        return index_of[negated], -1.0
+    if key not in index_of:
+        index_of[key] = len(fields)
+        fields.append(f)
+    return index_of[key], 1.0
+
+
 class PathBlock:
     """The force paths of a block of R realizations, tabulated once so that
     one lookup per step finds every realization's values over the step.
 
     Path r's i-th segment holds `field_sign[r, i] * fields[field_index[r,
     i]]`.  Fields equal in value, or equal up to sign (the atoms +a and -a
-    of a symmetric renewal law), are one entry of `fields`, so a step
-    evaluates one field per distinct entry; negation is exact in floating
-    point, so the signed values are bit for bit those of the negated field.
+    of a symmetric renewal law), are one entry of `fields` (`signed_entry`),
+    so a step evaluates one field per distinct entry; negation is exact in
+    floating point, so the signed values are bit for bit those of the
+    negated field.
     Between two consecutive breakpoints of the block (of any of its paths)
     every path stays on one segment, so those segments are tabulated per
     interval and a lookup is one bisection of the breakpoints.
@@ -246,7 +262,7 @@ class PathBlock:
         for r, p in enumerate(self.paths):
             for i, sample in enumerate(p.samples):
                 self.field_index[r, i], self.field_sign[r, i] = \
-                    self._entry(sample.field, index_of)
+                    signed_entry(sample.field, self.fields, index_of)
         # the span that every path covers, so that `covers` compares two
         # scalars
         self._span = (max(p.t_start for p in self.paths),
@@ -262,19 +278,6 @@ class PathBlock:
         rows = np.arange(self.size)
         self._which = self.field_index[rows, segments]
         self._sign = self.field_sign[rows, segments]
-
-    def _entry(self, f: TorusField, index_of: dict):
-        """(index into `fields`, sign) of field f; f is appended to `fields`
-        unless it or its negation is there.  `index_of` maps the exact
-        values of every entry to its index."""
-        key = (f.space, f.values.shape, f.values.tobytes())
-        negated = key[:2] + ((-f.values).tobytes(),)
-        if negated in index_of:
-            return index_of[negated], -1.0
-        if key not in index_of:
-            index_of[key] = len(self.fields)
-            self.fields.append(f)
-        return index_of[key], 1.0
 
     @property
     def size(self) -> int:
@@ -382,20 +385,27 @@ def _ou_resolvent_coefficients(radius: float, u0: float, rates) -> list:
             for lam in rates]
 
 
-def resolvent_apply(model: ForceFieldModel, rates,
-                    sample: ForceSample) -> list:
-    """Resolvents R_lam applied to the field observable at the given sample,
-    one field per rate lam in `rates`; deterministic for both laws.
-
-    Renewal: the closed form e / (1 + lam).  OU: the closed form of
-    `_ou_resolvent_coefficients` times the link field, exact up to the
-    Gauss-Legendre rule.  R_1 R_0 is R_0 - R_1 by the resolvent identity.
-    """
+def resolvent_coefficients(model: ForceFieldModel, rates, state=None) -> list:
+    """One scalar c_lam per rate lam in `rates`, with R_lam e = c_lam e for
+    a renewal law (the closed form 1 / (1 + lam)) and R_lam e = c_lam times
+    the link field for the OU law at state u (`_ou_resolvent_coefficients`,
+    exact up to the Gauss-Legendre rule)."""
     if any(lam < 0 for lam in rates):
         raise ValueError("rates must be nonnegative")
     if model.kind == RENEWAL:
-        return [sample.field * (1.0 / (1.0 + lam)) for lam in rates]
-    if sample.state is None:
+        return [1.0 / (1.0 + lam) for lam in rates]
+    if state is None:
         raise ValueError("OU resolvents need the underlying state")
-    return [model.link_field * c for c in _ou_resolvent_coefficients(
-        model.clip_radius, float(sample.state[0]), rates)]
+    return _ou_resolvent_coefficients(model.clip_radius, float(state[0]),
+                                      rates)
+
+
+def resolvent_apply(model: ForceFieldModel, rates,
+                    sample: ForceSample) -> list:
+    """Resolvents R_lam applied to the field observable at the given sample,
+    one field per rate lam in `rates`; deterministic for both laws
+    (`resolvent_coefficients`).  R_1 R_0 is R_0 - R_1 by the resolvent
+    identity."""
+    base = sample.field if model.kind == RENEWAL else model.link_field
+    return [base * c for c in
+            resolvent_coefficients(model, rates, sample.state)]

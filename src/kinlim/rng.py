@@ -20,9 +20,9 @@ import numpy as np
 # -- the stream-key table ----------------------------------------------------
 # Role tags (key[1]) and the keys each role draws; c is a collision index,
 # i an eps index, p a path, r a realization.  `draw_stationary`, the one
-# pass that the coefficients and the covariance read, draws no stream: its
-# nodes are a renewal law's atoms or the OU law's quadrature nodes, and the
-# resolvents are closed forms.
+# factored pass that the coefficients and the covariance read, draws no
+# stream: its nodes are a renewal law's atoms or the OU law's quadrature
+# nodes, and their resolvent coordinates are closed forms.
 GAUSSIAN_SHIFTS = 1      # criterion 1: (seed, 1)
 RESOLVENT_FORMS = 2      # criterion 2: (seed, 2), one draw
 MOMENT_PATH = 3          # criterion 3: (seed, 3, c)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kinlim.coefficients import (OU_NODES, check_sympos_identity,
+from kinlim.coefficients import (OU_NODES, _ou_nodes, check_sympos_identity,
                                  closed_form_two_point_diffusion,
                                  coefficients_from_csv, coefficients_to_csv,
                                  compute_coefficients, compute_cov_operator,
@@ -17,9 +17,9 @@ from kinlim.coefficients import (OU_NODES, check_sympos_identity,
                                  spectrum_to_csv, verify_enhancement)
 from kinlim.config import ExperimentConfig, file_checksum
 from kinlim.equilibrium import FP, LB
-from kinlim.forcing import (ForceFieldModel, ou_single_mode,
-                            two_point_renewal, zero_renewal)
-from kinlim.torus import TorusField, TorusGrid
+from kinlim.forcing import (ForceFieldModel, ForceSample, ou_single_mode,
+                            resolvent_apply, two_point_renewal, zero_renewal)
+from kinlim.torus import TorusField, TorusGrid, divergence, matrix_divergence
 
 A = 0.5
 ROOT = Path(__file__).resolve().parents[1]
@@ -89,8 +89,8 @@ def test_cov_operator_rank_one_spectrum(grid, model):
 
 def test_cov_operator_symmetry_and_psd():
     # the recorded smallest eigenvalue is the dense one: 1-D m=64, and 2-D
-    # m=16 with QR width 2 x 3 atoms = 6 < 512, where the estimate is zero
-    # off the QR basis
+    # m=16 with QR width 3 (the three atoms' basis fields) < 512, where the
+    # estimate is zero off the QR basis
     one, two = TorusGrid(1, 64), TorusGrid(2, 16)
     for model in (two_point_renewal(one, A), three_atom_law(two)):
         grid = model.grid
@@ -257,19 +257,47 @@ def test_contract_files_give_back_the_computed_doubles(tmp_path, model):
 # -- low-rank covariance against the dense estimate ---------------------------
 
 
-def dense_reference(draws, grid):
-    """The dense estimate: per-node symmetrised outer products accumulated
-    with the node weights into a (dim, dim) array, and a full symmetric
-    eigendecomposition of the weighted kernel."""
-    n = draws.n_nodes
+def dense_reference(model, grid):
+    """The dense estimate, from each node's fields built from the model
+    itself: a renewal law's atoms, or the OU law's quadrature nodes and
+    their link fields, with the images of `resolvent_apply`.  Per-node
+    symmetrised outer products are accumulated with the node weights into
+    a (dim, dim) kernel, with a full symmetric eigendecomposition of the
+    weighted kernel, and into K and Theta per collision."""
+    if model.kind == "renewal":
+        weights = model.weights
+        samples = [ForceSample(a, model.norm_bound) for a in model.atoms]
+    else:
+        states, weights = _ou_nodes(model.clip_radius)
+        samples = [ForceSample(model.link(u), model.norm_bound, state=u)
+                   for u in states[:, None]]
     dim = grid.dim * grid.size
+    n = grid.dim
     kernel = np.zeros((dim, dim))
-    for w, r, e in zip(draws.weights, draws.r0.reshape(n, dim),
-                       draws.e.reshape(n, dim)):
-        outer = np.outer(r, e)
+    sums = dict(diff={LB: 0.0, FP: 0.0}, sym1=0.0, drift2=0.0)
+    for w, s in zip(weights, samples):
+        ev = s.field.physical()
+        r0, r1 = (f.physical() for f in resolvent_apply(model, (0.0, 1.0), s))
+        outer = np.outer(r0.reshape(dim), ev.reshape(dim))
         kernel += w * 0.5 * (outer + outer.T)
+        sym0 = ev[:, None] * r0[None, :] + r0[:, None] * ev[None, :]
+        sym1 = r1[:, None] * ev[None, :] + ev[:, None] * r1[None, :]
+        for c, b in ((LB, 2.0), (FP, 1.0)):
+            sums["diff"][c] = sums["diff"][c] \
+                + w * 0.5 * (sym0 + (b - 1.0) * sym1)
+        sums["sym1"] = sums["sym1"] + w * sym1
+        sums["drift2"] = sums["drift2"] + w * (r0 - r1) * divergence(
+            s.field).physical()[None]
+    eye = np.eye(n).reshape((n, n) + (1,) * n)
+    coeffs = {}
+    for c, b in ((LB, 2.0), (FP, 1.0)):
+        diff = sums["diff"][c]
+        k = eye + 0.5 * (diff + np.swapaxes(diff, 0, 1))
+        theta = (b / 2.0) * matrix_divergence(
+            TorusField(grid, 2, sums["sym1"])).physical() + sums["drift2"]
+        coeffs[c] = (k, theta)
     eigvals, eigvecs = np.linalg.eigh(kernel / grid.size)
-    return kernel, eigvals[::-1], eigvecs[:, ::-1]
+    return kernel, eigvals[::-1], eigvecs[:, ::-1], coeffs
 
 
 def three_atom_law(grid):
@@ -283,19 +311,23 @@ def three_atom_law(grid):
     return ForceFieldModel("renewal", grid, atoms=fields)
 
 
-@pytest.mark.parametrize("law", ["three-atom", "ou"])
+@pytest.mark.parametrize("law", ["two-point", "three-atom", "ou"])
 def test_low_rank_matches_dense_reference(law):
-    if law == "three-atom":    # 2-D m=16: QR width 2 x 3 atoms = 6 < 512
-        grid, nodes = TorusGrid(2, 16), 3
+    if law == "two-point":     # 2-D m=16: one basis field for two atoms
+        grid, nodes, width = TorusGrid(2, 16), 2, 1
+        model = two_point_renewal(grid, A)
+    elif law == "three-atom":  # 2-D m=16: three basis fields of rank two
+        grid, nodes, width = TorusGrid(2, 16), 3, 3
         model = three_atom_law(grid)
-    else:                      # 1-D m=16: QR width 16, every column
-        grid, nodes = TorusGrid(1, 16), OU_NODES[0] + 2 * OU_NODES[1]
+    else:                      # 1-D m=16: one basis field, the link field
+        grid, nodes, width = TorusGrid(1, 16), \
+            OU_NODES[0] + 2 * OU_NODES[1], 1
         model = ou_single_mode(grid, A, clip_radius=8.0)
     draws = draw_stationary(model, grid)
     cov = compute_cov_operator(draws)
-    kernel, eigvals, eigvecs = dense_reference(draws, grid)
+    kernel, eigvals, eigvecs, coeffs = dense_reference(model, grid)
     assert draws.n_nodes == nodes
-    assert cov.qr_width == min(grid.dim * grid.size, 2 * nodes)
+    assert cov.qr_width == width
     assert cov.rank == (2 if law == "three-atom" else 1)
     assert np.allclose(cov.eigenvalues, eigvals[:cov.rank], rtol=1e-12,
                        atol=0)
@@ -303,6 +335,14 @@ def test_low_rank_matches_dense_reference(law):
         unit = z.physical().reshape(-1) / np.sqrt(grid.size)
         assert abs(abs(unit @ eigvecs[:, k]) - 1.0) < 1e-10
     assert np.max(np.abs(cov.kernel - kernel)) < 1e-14 * np.max(kernel)
+    for collision, (k, theta) in coeffs.items():
+        c = compute_coefficients(draws, collision)
+        if law == "two-point":
+            assert np.array_equal(c.diffusion.values, k)
+            assert np.array_equal(c.drift.values, theta)
+        else:
+            assert np.max(np.abs(c.diffusion.values - k)) <= 1e-14
+            assert np.max(np.abs(c.drift.values - theta)) <= 1e-13
 
 
 def test_eigenfield_sign_rule(grid, model):
@@ -319,14 +359,13 @@ def test_eigenfield_sign_rule(grid, model):
 
 
 def test_rank_deficient_kernel_keeps_dense_accuracy():
-    # 2-D m=16, QR width 4 (the two atoms), kernel rank one: the QR's
-    # round-off rows of T are cut before the small eigenproblem, so the
-    # eigenfield is as close to sqrt(2) cos(2 pi x0) as the dense eigh got
-    # (2.4e-15)
+    # 2-D m=16, QR width 1 (the two atoms are one basis field up to sign),
+    # kernel rank one: the eigenfield is as close to sqrt(2) cos(2 pi x0) as
+    # the dense eigh got (2.4e-15)
     grid = TorusGrid(2, 16)
     model = two_point_renewal(grid, A)
     cov = compute_cov_operator(draw_stationary(model, grid))
-    assert cov.qr_width == 4 and cov.rank == 1
+    assert cov.qr_width == 1 and cov.rank == 1
     assert cov.eigenvalues[0] == pytest.approx(A**2 / 2, rel=1e-14)
     target = np.zeros((2,) + grid.shape)
     target[0] = np.sqrt(2) * np.cos(2 * np.pi * grid.coords()[0])
@@ -335,7 +374,7 @@ def test_rank_deficient_kernel_keeps_dense_accuracy():
 
 def test_cov_operator_holds_no_dense_kernel():
     # 2-D m=16: the dense estimate held two 512 x 512 accumulators and an
-    # eigh of a third (16.8 MB); the thin QR needs a few (512, 200) arrays
+    # eigh of a third (16.8 MB); the thin QR is of one (512,) basis field
     grid = TorusGrid(2, 16)
     model = two_point_renewal(grid, A)
     tracemalloc.start()
@@ -383,41 +422,51 @@ def test_spectrum_does_not_depend_on_blas_threads(tmp_path):
     assert digests[0] == digests[1]
 
 
-def test_renewal_pass_at_2d_m64_traces_under_5mb():
-    # the two atoms are the nodes, and both estimators go through them one
-    # at a time; 200 Monte Carlo draws of the same law traced 173 MB here
-    grid = TorusGrid(2, 64)
-    model = two_point_renewal(grid, A)
+def traced_pass(model):
+    """Traced peak of a stationary pass of the model and both estimators,
+    with the pass, the coefficients of both collisions and the
+    covariance."""
     tracemalloc.start()
     try:
-        draws = draw_stationary(model, grid)
+        draws = draw_stationary(model, model.grid)
         coeffs = [compute_coefficients(draws, c) for c in (LB, FP)]
         cov = compute_cov_operator(draws)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return peak, draws, coeffs, cov
+
+
+def test_renewal_pass_at_2d_m64_traces_under_5mb():
+    # the two atoms are the nodes and one basis field up to sign, and both
+    # estimators read moments in it; 200 Monte Carlo draws of the same law
+    # traced 173 MB here
+    peak, draws, coeffs, cov = traced_pass(
+        two_point_renewal(TorusGrid(2, 64), A))
     assert peak < 5e6
-    assert (draws.n_nodes, cov.qr_width) == (2, 4)
+    assert (draws.n_nodes, cov.qr_width) == (2, 1)
     assert all(verify_enhancement(c, cov).passed for c in coeffs)
     assert cov.eigenvalues[0] == pytest.approx(A**2 / 2, rel=1e-14)
 
 
 def test_ou_pass_at_2d_m64_traces_under_80mb():
-    # 96 quadrature nodes, each an (N, M^N) field and its two resolvent
-    # images; the thin QR of the (8192, 192) node matrix sets the peak,
-    # 70.8 MB measured; 200 Monte Carlo draws traced 147 MB
-    grid = TorusGrid(2, 64)
-    model = ou_single_mode(grid, A)
-    tracemalloc.start()
-    try:
-        draws = draw_stationary(model, grid)
-        coeffs = [compute_coefficients(draws, c) for c in (LB, FP)]
-        cov = compute_cov_operator(draws)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # 96 quadrature nodes held as (N, M^N) fields with their two resolvent
+    # images and a thin QR of the (8192, 192) node matrix traced 70.8 MB;
+    # 200 Monte Carlo draws traced 147 MB
+    peak, draws, coeffs, cov = traced_pass(
+        ou_single_mode(TorusGrid(2, 64), A))
     assert peak < 80e6
-    assert (draws.n_nodes, cov.qr_width, cov.rank) == (96, 192, 1)
+    assert (draws.n_nodes, cov.qr_width, cov.rank) == (96, 1, 1)
+    assert all(verify_enhancement(c, cov).passed for c in coeffs)
+
+
+def test_ou_pass_at_2d_m64_traces_under_5mb():
+    # the 96 nodes are coordinates of the one link field, so the pass holds
+    # one (N, M^N) field and the QR has width one
+    peak, draws, coeffs, cov = traced_pass(
+        ou_single_mode(TorusGrid(2, 64), A))
+    assert peak < 5e6
+    assert (draws.basis.shape[0], cov.qr_width) == (1, 1)
     assert all(verify_enhancement(c, cov).passed for c in coeffs)
 
 

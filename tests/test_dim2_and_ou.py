@@ -153,6 +153,7 @@ def test_ou_nodes_converge_under_doubling(monkeypatch, clip_radius):
                         tuple(2 * n for n in OU_NODES))
     c2, k2 = exact_pass(model, grid)
     assert k2.n_nodes == 2 * k1.n_nodes
+    assert (k1.qr_width, k2.qr_width) == (1, 1)
     for a, b in zip(c1, c2):
         assert np.max(np.abs(a.diffusion.values - b.diffusion.values)) \
             < 1e-13
